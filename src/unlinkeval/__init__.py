@@ -36,7 +36,6 @@ from .protocol import (
     same_key_scores,
 )
 from .scores import (
-    LinkageScore,
     PriorConfig,
     ScoreSet,
     load_score_set,
@@ -71,7 +70,6 @@ __all__ = [
     "DetCurve",
     "EvaluationReport",
     "KeyRing",
-    "LinkageScore",
     "LinkabilityProfile",
     "NO_EVIDENCE",
     "PriorConfig",

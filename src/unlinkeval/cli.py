@@ -13,30 +13,32 @@ import sys
 from pathlib import Path
 
 from .baselines import (
+    MODE_ACCURACY,
+    MODE_CROSSKEY,
     ORIENT_DISSIMILARITY,
     ORIENT_SIMILARITY,
     UNDEFINED,
-    cross_key_det,
     det_curve,
-    kl_divergence,
     rtmr_curve,
 )
-from .density import DensityConfig, estimate_densities
+from .density import DensityConfig
 from .errors import InternalInvariantError, MissingFileError, UnlinkEvalError
-from .linkability import evaluate_densities
 from .plotting import det_svg, linkability_svg
-from .protocol import ProtocolConfig, cross_database_scores, run_protocol, same_key_scores
-from .scores import PriorConfig, load_score_set, write_score_sides
-from .synthbtp import (
-    SCHEME_BLOCK,
-    SCHEME_BLOOM,
-    SCHEME_NONE,
-    SCHEME_XOR,
-    CorpusConfig,
-    KeyRing,
-    generate_corpus,
-    generate_databases,
+from .protocol import (
+    ProtocolConfig,
+    assess,
+    cross_database_scores,
+    run_protocol,
+    same_key_scores,
+    synthetic_databases,
 )
+from .scores import PriorConfig, load_score_set, write_score_sides
+from .synthbtp import SCHEME_BLOCK, SCHEME_BLOOM, SCHEME_NONE, SCHEME_XOR, CorpusConfig
+
+# Not called here (protocol.assess runs the chain), but kept as names of
+# this module: the benchmark's tracer in perfbench/spans.py wraps them.
+from .density import estimate_densities  # noqa: F401
+from .linkability import evaluate_densities  # noqa: F401
 
 _SCHEME_NAMES = {
     "xor": SCHEME_XOR,
@@ -141,15 +143,12 @@ def cmd_eval(args) -> int:
         raise UnlinkEvalError("--plot requires --out")
     prior = _resolve_prior(args.omega, args.subjects)
     scores = load_score_set(args.mated, args.nonmated)
-    dp = estimate_densities(scores, DensityConfig(bins=args.bins, kde=args.kde))
-    profile = evaluate_densities(dp, prior.omega)
-
-    widths = dp.bin_widths
-    kl = kl_divergence(dp.p_mated * widths, dp.p_non_mated * widths)
-    det = det_curve(scores.mated, scores.non_mated, args.orientation)
+    result = assess(
+        scores, DensityConfig(bins=args.bins, kde=args.kde), prior.omega, args.orientation, MODE_ACCURACY
+    )
     baseline = {
-        "kl": "undefined" if kl is UNDEFINED else kl,
-        "eer": det.eer,
+        "kl": result.kl_json,
+        "eer": result.det.eer,
         "orientation": args.orientation,
         "n_mated": scores.n_mated,
         "n_non_mated": scores.n_non_mated,
@@ -158,15 +157,15 @@ def cmd_eval(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "profile.json").write_text(profile.to_json() + "\n", encoding="utf-8")
-        (out / "densities.json").write_text(dp.to_json() + "\n", encoding="utf-8")
+        (out / "profile.json").write_text(result.profile.to_json() + "\n", encoding="utf-8")
+        (out / "densities.json").write_text(result.densities.to_json() + "\n", encoding="utf-8")
         (out / "baselines.json").write_text(
             json.dumps(baseline, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
         if args.plot:
-            svg = linkability_svg(dp.to_json_dict(), profile.to_json_dict())
+            svg = linkability_svg(result.densities.to_json_dict(), result.profile.to_json_dict())
             (out / "linkability.svg").write_text(svg, encoding="utf-8")
-    print(f"D_sys = {profile.d_sys:.4f}")
+    print(f"D_sys = {result.profile.d_sys:.4f}")
     return 0
 
 
@@ -179,13 +178,13 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     scheme = _SCHEME_NAMES[args.scheme]
-    make_ring = KeyRing.constant_ring if args.constant_key else KeyRing.generate
-    ring = make_ring(
-        args.keys, args.bits, args.seed + 1000003,
-        args.block_size, args.bloom_width, args.bloom_height,
+    databases, ring = synthetic_databases(
+        corpus_cfg, args.keys, scheme,
+        constant_key=args.constant_key,
+        block_size=args.block_size,
+        bloom_width=args.bloom_width,
+        bloom_height=args.bloom_height,
     )
-    corpus = generate_corpus(corpus_cfg)
-    databases = generate_databases(corpus, ring, scheme)
     scores = cross_database_scores(
         databases, args.function, ring, allow_approximate_bloom=args.experimental
     )
@@ -222,13 +221,16 @@ def cmd_compare(args) -> int:
     accuracy_scores = load_score_set(args.accuracy_mated, args.accuracy_nonmated)
     crosskey_scores = load_score_set(args.crosskey_mated, args.crosskey_nonmated)
 
-    acc_curve, ck_curve = cross_key_det(accuracy_scores, crosskey_scores, args.orientation)
+    acc_curve = det_curve(
+        accuracy_scores.mated, accuracy_scores.non_mated, args.orientation, MODE_ACCURACY
+    )
     rtmr = rtmr_curve(accuracy_scores.mated, crosskey_scores.non_mated, args.orientation)
-    dp = estimate_densities(crosskey_scores, DensityConfig(bins=args.bins, kde=args.kde))
-    profile = evaluate_densities(dp, prior.omega)
-    widths = dp.bin_widths
-    kl = kl_divergence(dp.p_mated * widths, dp.p_non_mated * widths)
-    kl_text = "undefined" if kl is UNDEFINED else f"{kl:.6g}"
+    crosskey = assess(
+        crosskey_scores, DensityConfig(bins=args.bins, kde=args.kde), prior.omega,
+        args.orientation, MODE_CROSSKEY,
+    )
+    ck_curve, profile, dp = crosskey.det, crosskey.profile, crosskey.densities
+    kl_text = "undefined" if crosskey.kl is UNDEFINED else f"{crosskey.kl:.6g}"
 
     rows = [
         ("EER_accuracy", f"{acc_curve.eer:.4f}"),
@@ -251,7 +253,7 @@ def cmd_compare(args) -> int:
             "eer_accuracy": acc_curve.eer,
             "eer_crosskey": ck_curve.eer,
             "eer_rtmr": rtmr.eer,
-            "kl": "undefined" if kl is UNDEFINED else kl,
+            "kl": crosskey.kl_json,
             "d_sys": profile.d_sys,
             "profile": profile.to_json_dict(),
             "densities": dp.to_json_dict(),

@@ -1,41 +1,43 @@
-"""Bit-kernel dispatch: compiled extension when available, NumPy otherwise.
+"""Bit kernels: row-wise popcount and Hamming distance over packed templates.
 
-The hot loops of the whole package are row-wise popcount and Hamming
-distance over packed binary templates.  At import time this module picks the
-compiled implementation if it built successfully; setting the environment
-variable UNLINK_EVAL_NO_EXT=1 forces the NumPy fallback (useful for the
-benchmark and for debugging).
+These are the hot loops of the whole package.  Inputs are C-contiguous
+uint64 matrices of packed template bits, one row per template.  Work is
+chunked so peak temporary memory stays bounded for large batches.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from . import _kernels_py
-
+# There is no compiled variant; the constant stays because run stamps
+# (perfbench/worker.py) record it.
 USING_EXTENSION = False
-_impl = _kernels_py
 
-if os.environ.get("UNLINK_EVAL_NO_EXT", "") != "1":
-    try:
-        from . import _kernels as _ext
-    except ImportError:
-        pass
-    else:
-        _impl = _ext
-        USING_EXTENSION = True
+# rows per chunk; 2**14 rows x 64 words x 8 B = 8 MiB of temporaries
+_CHUNK = 1 << 14
 
 
 def popcount_rows(a: np.ndarray) -> np.ndarray:
     """Set-bit count of each row of a packed uint64 matrix, shape (n,)."""
-    return _impl.popcount_rows(a)
+    a = np.ascontiguousarray(a, dtype=np.uint64)
+    out = np.empty(a.shape[0], dtype=np.int64)
+    for lo in range(0, a.shape[0], _CHUNK):
+        hi = min(lo + _CHUNK, a.shape[0])
+        out[lo:hi] = np.bitwise_count(a[lo:hi]).sum(axis=1, dtype=np.int64)
+    return out
 
 
 def hamming_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise Hamming distance between equally shaped packed matrices."""
-    return _impl.hamming_rows(a, b)
+    a = np.ascontiguousarray(a, dtype=np.uint64)
+    b = np.ascontiguousarray(b, dtype=np.uint64)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    out = np.empty(a.shape[0], dtype=np.int64)
+    for lo in range(0, a.shape[0], _CHUNK):
+        hi = min(lo + _CHUNK, a.shape[0])
+        out[lo:hi] = np.bitwise_count(a[lo:hi] ^ b[lo:hi]).sum(axis=1, dtype=np.int64)
+    return out
 
 
 def pack_rows(bits: np.ndarray) -> np.ndarray:

@@ -63,14 +63,15 @@ def local_linkability(lr: float, omega: float) -> float:
     t = lr * omega
     if t <= 1.0:
         return 0.0
-    return 2.0 * t / (1.0 + t) - 1.0
+    # t / (1 + t) first: 2 * t would overflow for t above about 9e307
+    return 2.0 * (t / (1.0 + t)) - 1.0
 
 
 def likelihood_ratio_curve(dp: DensityPair) -> np.ndarray:
     """Per-bin LR over a density pair's grid (vectorized likelihood_ratio)."""
     p_m = dp.p_mated
     p_nm = dp.p_non_mated
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lr = p_m / p_nm
     lr[(p_nm == 0) & (p_m > 0)] = np.inf
     lr[(p_nm == 0) & (p_m == 0)] = NO_EVIDENCE
@@ -87,7 +88,7 @@ def local_linkability_curve(lr: np.ndarray, omega: float) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         t = lr * omega
         linkable = finite & (t > 1.0)
-        out[linkable] = 2.0 * t[linkable] / (1.0 + t[linkable]) - 1.0
+        out[linkable] = 2.0 * (t[linkable] / (1.0 + t[linkable])) - 1.0
     out[np.isposinf(lr)] = 1.0
     return out
 

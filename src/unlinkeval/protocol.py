@@ -23,33 +23,32 @@ import numpy as np
 
 from . import kernels
 from .baselines import (
+    MODE_ACCURACY,
     MODE_CROSSKEY,
     ORIENT_DISSIMILARITY,
     UNDEFINED,
-    cross_key_det,
+    DetCurve,
     det_curve,
     kl_divergence,
     rtmr_curve,
 )
-from .density import DensityConfig, estimate_densities
+from .density import DensityConfig, DensityPair, estimate_densities
 from .errors import (
     InconsistentDatabasesError,
     InvalidConfigError,
     KeyCountWarning,
-    SchemeNotInvertibleError,
 )
-from .linkability import evaluate_densities
+from .linkability import LinkabilityProfile, evaluate_densities
 from .scores import PriorConfig, ScoreSet, load_score_set
 from .synthbtp import (
     SCHEME_BLOCK,
     SCHEME_BLOOM,
-    SCHEME_XOR,
     SCHEMES,
     CorpusConfig,
     KeyRing,
-    _bloom_approximate_decode,
     generate_corpus,
     generate_databases,
+    invert_bits,
 )
 
 SCHEMA_VERSION = 1
@@ -71,6 +70,11 @@ PAIRING_DISTINCT_SAMPLES = "distinct-samples"
 
 RECOMMENDED_MIN_KEYS = 6
 _CHUNK = 1 << 16
+
+
+def default_key_seed(corpus_seed: int) -> int:
+    """Key seed of a synthetic testbed whose keys are not seeded explicitly."""
+    return corpus_seed + 1000003
 
 
 @dataclass(frozen=True)
@@ -135,7 +139,7 @@ class ProtocolConfig:
         if self.key_seed is not None:
             return self.key_seed
         if self.corpus is not None:
-            return self.corpus.seed + 1000003
+            return default_key_seed(self.corpus.seed)
         return 0
 
     @classmethod
@@ -300,11 +304,11 @@ def _pair_indices_same_key(n_subjects: int, samples: int, k: int):
 class _ScoreEngine:
     """Packed template representations shared by all linkage functions.
 
-    Built eagerly for the functions in play, then read-only, so scoring can
-    run on multiple threads without coordination.
+    Read-only once built (the inverted view under a lock, on first use), so
+    scoring can run on multiple threads without coordination.
     """
 
-    def __init__(self, databases: list, ring: KeyRing | None, functions, allow_approximate_bloom=False):
+    def __init__(self, databases: list, ring: KeyRing | None, allow_approximate_bloom=False):
         if len(databases) < 2:
             raise InconsistentDatabasesError(
                 f"cross-key comparison needs at least 2 databases, got {len(databases)}"
@@ -327,71 +331,31 @@ class _ScoreEngine:
         self.packed = np.stack([kernels.pack_rows(f) for f in flat])
         self.pops = np.stack([kernels.popcount_rows(p) for p in self.packed])
 
-        # scheme-dependent views are built on first use so that a scheme
-        # mismatch only fails the function that needs the view
+        # the inverted view is built on first use so that a scheme that
+        # cannot be inverted only fails the function that needs it
         self._databases = list(databases)
         self._allow_approximate_bloom = allow_approximate_bloom
         self._lazy_lock = threading.Lock()
-        self._packed_aligned = None
-        self._packed_recon = None
+        self._packed_inverted = None
 
-    @property
-    def packed_aligned(self) -> np.ndarray:
+    def packed_inverted(self, fn: str) -> np.ndarray:
+        """Every template with its protection undone under its own key.
+
+        For block re-mapping this is also the structurally aligned view
+        that permuted_xor compares.
+        """
         with self._lazy_lock:
-            if self._packed_aligned is None:
-                if self.scheme != SCHEME_BLOCK:
-                    raise InconsistentDatabasesError(
-                        "permuted_xor needs a block-remapping scheme with known structure"
-                    )
-                self._packed_aligned = self._build_aligned(self._databases)
-            return self._packed_aligned
-
-    @property
-    def packed_recon(self) -> np.ndarray:
-        with self._lazy_lock:
-            if self._packed_recon is None:
-                self._packed_recon = self._build_reconstructed(
-                    self._databases, self._allow_approximate_bloom
-                )
-            return self._packed_recon
-
-    def _require_ring(self, fn: str) -> KeyRing:
-        if self.ring is None:
-            raise InvalidConfigError(f"{fn} requires the key ring")
-        return self.ring
-
-    def _build_aligned(self, databases):
-        ring = self._require_ring("permuted_xor")
-        out = []
-        for db in databases:
-            inv = np.argsort(ring.block_perms[db.key_id])
-            bits = db.bits.reshape(-1, self.protected_length)
-            undone = bits.reshape(bits.shape[0], -1, ring.block_size)[:, inv].reshape(bits.shape)
-            out.append(kernels.pack_rows(undone))
-        return np.stack(out)
-
-    def _build_reconstructed(self, databases, allow_approximate_bloom):
-        ring = self._require_ring("reconstruction")
-        out = []
-        for db in databases:
-            bits = db.bits.reshape(-1, self.protected_length)
-            if db.scheme == SCHEME_BLOOM:
-                if not allow_approximate_bloom:
-                    raise SchemeNotInvertibleError(
-                        "Bloom-filter encoding is not invertible; approximate reconstruction is opt-in"
-                    )
-                recon = np.stack(
-                    [_bloom_approximate_decode(row, ring, db.key_id) for row in bits]
-                )
-            elif db.scheme == SCHEME_XOR:
-                recon = bits ^ ring.xor_masks[db.key_id][None, :]
-            elif db.scheme == SCHEME_BLOCK:
-                inv = np.argsort(ring.block_perms[db.key_id])
-                recon = bits.reshape(bits.shape[0], -1, ring.block_size)[:, inv].reshape(bits.shape)
-            else:
-                recon = bits
-            out.append(kernels.pack_rows(recon))
-        return np.stack(out)
+            if self._packed_inverted is None:
+                if self.ring is None:
+                    raise InvalidConfigError(f"{fn} requires the key ring")
+                self._packed_inverted = np.stack([
+                    kernels.pack_rows(invert_bits(
+                        db.bits.reshape(-1, self.protected_length), self.ring, db.key_id,
+                        db.scheme, self._allow_approximate_bloom,
+                    ))
+                    for db in self._databases
+                ])
+            return self._packed_inverted
 
     def score(self, function: str, ka, rowa, kb, rowb) -> np.ndarray:
         if function == "hamming_weight":
@@ -403,10 +367,14 @@ class _ScoreEngine:
                 return hd / (self.pops[ka, rowa] + self.pops[kb, rowb])
             return hd / self.protected_length
         if function == "permuted_xor":
-            hd = self._chunked_hamming(self.packed_aligned, ka, rowa, kb, rowb)
+            if self.scheme != SCHEME_BLOCK:
+                raise InconsistentDatabasesError(
+                    "permuted_xor needs a block-remapping scheme with known structure"
+                )
+            hd = self._chunked_hamming(self.packed_inverted(function), ka, rowa, kb, rowb)
             return hd / self.protected_length
         if function == "reconstruction":
-            hd = self._chunked_hamming(self.packed_recon, ka, rowa, kb, rowb)
+            hd = self._chunked_hamming(self.packed_inverted(function), ka, rowa, kb, rowb)
             return hd / self.raw_length
         raise InvalidConfigError(f"unknown linkage function {function!r}")
 
@@ -438,7 +406,7 @@ def cross_database_scores(
     pairs compare first samples of distinct subjects under distinct keys
     unless non_mated_all_pairs extends them.
     """
-    engine = _engine or _ScoreEngine(databases, ring, (function,), allow_approximate_bloom)
+    engine = _engine or _ScoreEngine(databases, ring, allow_approximate_bloom)
     mated_idx = _pair_indices_mated(engine.n_subjects, engine.samples, engine.k, mated_pairing)
     nm_idx = _pair_indices_non_mated(engine.n_subjects, engine.samples, engine.k, non_mated_all_pairs)
     mated = engine.score(function, *mated_idx)
@@ -457,7 +425,7 @@ def same_key_scores(
     _engine: "_ScoreEngine | None" = None,
 ) -> ScoreSet:
     """Accuracy-scenario scores: both templates under the same key."""
-    engine = _engine or _ScoreEngine(databases, ring, (function,))
+    engine = _engine or _ScoreEngine(databases, ring)
     mated_idx, nm_idx = _pair_indices_same_key(engine.n_subjects, engine.samples, engine.k)
     mated = engine.score(function, *mated_idx)
     non_mated = engine.score(function, *nm_idx)
@@ -466,6 +434,55 @@ def same_key_scores(
         non_mated=non_mated,
         source=f"{function}/{engine.scheme}/K={engine.k}/same-key",
     )
+
+
+def synthetic_databases(
+    corpus_cfg: CorpusConfig,
+    k: int,
+    scheme: str,
+    key_seed: int | None = None,
+    constant_key: bool = False,
+    block_size: int = 64,
+    bloom_width: int = 16,
+    bloom_height: int = 4,
+) -> tuple[list, KeyRing]:
+    """Corpus, then key ring, then one protected database per key.
+
+    Without key_seed the keys follow from the corpus seed, so one seed
+    fixes the whole testbed.
+    """
+    if key_seed is None:
+        key_seed = default_key_seed(corpus_cfg.seed)
+    corpus = generate_corpus(corpus_cfg)
+    make_ring = KeyRing.constant_ring if constant_key else KeyRing.generate
+    ring = make_ring(k, corpus_cfg.template_bits, key_seed, block_size, bloom_width, bloom_height)
+    return generate_databases(corpus, ring, scheme), ring
+
+
+@dataclass(frozen=True)
+class Assessment:
+    """One score set evaluated: densities, linkability profile, KL, DET curve."""
+
+    densities: DensityPair
+    profile: LinkabilityProfile
+    kl: object
+    det: DetCurve
+
+    @property
+    def kl_json(self):
+        return "undefined" if self.kl is UNDEFINED else self.kl
+
+
+def assess(
+    scores: ScoreSet, density: DensityConfig, omega: float, orientation: str, mode: str
+) -> Assessment:
+    """Densities -> profile (LR, D(s), D_sys) -> KL over the binned pmfs -> one DET curve."""
+    dp = estimate_densities(scores, density)
+    profile = evaluate_densities(dp, omega)
+    widths = dp.bin_widths
+    kl = kl_divergence(dp.p_mated * widths, dp.p_non_mated * widths)
+    det = det_curve(scores.mated, scores.non_mated, orientation, mode)
+    return Assessment(densities=dp, profile=profile, kl=kl, det=det)
 
 
 def _max_workers(n_tasks: int) -> int:
@@ -490,7 +507,8 @@ def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
     the max of the successful functions' global measures.
     """
     engine = None
-    accuracy_scores = None
+    accuracy = None
+    accuracy_eer = None
     metadata: dict = {
         "k": cfg.k,
         "scheme": cfg.scheme,
@@ -502,19 +520,16 @@ def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
         "score_source": "synthetic-corpus" if cfg.corpus else "external-files",
     }
     if cfg.corpus is not None:
-        corpus = generate_corpus(cfg.corpus)
-        make_ring = KeyRing.constant_ring if cfg.constant_key else KeyRing.generate
-        ring = make_ring(
-            cfg.k,
-            cfg.corpus.template_bits,
-            cfg.resolved_key_seed,
-            cfg.block_size,
-            cfg.bloom_width,
-            cfg.bloom_height,
+        databases, ring = synthetic_databases(
+            cfg.corpus, cfg.k, cfg.scheme, cfg.resolved_key_seed, cfg.constant_key,
+            cfg.block_size, cfg.bloom_width, cfg.bloom_height,
         )
-        databases = generate_databases(corpus, ring, cfg.scheme)
-        engine = _ScoreEngine(databases, ring, cfg.linkage_functions, cfg.allow_approximate_bloom)
-        accuracy_scores = same_key_scores(databases, "pic_hd", ring, _engine=engine)
+        engine = _ScoreEngine(databases, ring, cfg.allow_approximate_bloom)
+        accuracy = same_key_scores(databases, "pic_hd", ring, _engine=engine)
+        # one same-key accuracy curve serves every linkage function
+        accuracy_eer = det_curve(
+            accuracy.mated, accuracy.non_mated, ORIENT_DISSIMILARITY, MODE_ACCURACY
+        ).eer
         metadata.update(
             {
                 "n_subjects": cfg.corpus.n_subjects,
@@ -525,8 +540,10 @@ def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
                 "key_seed": cfg.resolved_key_seed,
             }
         )
+    # score sets outlive their evaluation only when they are to be written
+    keep_scores = cfg.out_dir is not None
 
-    def evaluate_function(fn: str) -> dict:
+    def evaluate_function(fn: str) -> tuple:
         if cfg.score_files is not None:
             paths = cfg.score_files[fn]
             scores = load_score_set(paths["mated"], paths["non_mated"])
@@ -537,32 +554,22 @@ def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
                 non_mated_all_pairs=cfg.non_mated_all_pairs,
                 _engine=engine,
             )
-        dp = estimate_densities(scores, cfg.density)
-        profile = evaluate_densities(dp, cfg.prior.omega)
-        widths = dp.bin_widths
-        kl = kl_divergence(dp.p_mated * widths, dp.p_non_mated * widths)
+        result = assess(scores, cfg.density, cfg.prior.omega, ORIENT_DISSIMILARITY, MODE_CROSSKEY)
         entry = {
             "adversary_model": ADVERSARY_MODELS[fn],
-            "d_sys": profile.d_sys,
+            "d_sys": result.profile.d_sys,
             "n_mated": scores.n_mated,
             "n_non_mated": scores.n_non_mated,
-            "kl": "undefined" if kl is UNDEFINED else kl,
-            "profile": profile.to_json_dict(),
-            "densities": dp.to_json_dict(),
+            "kl": result.kl_json,
+            "profile": result.profile.to_json_dict(),
+            "densities": result.densities.to_json_dict(),
+            "eer_crosskey": result.det.eer,
+            "eer_accuracy": accuracy_eer,
+            "eer_rtmr": None,
         }
-        crosskey = det_curve(
-            scores.mated, scores.non_mated, ORIENT_DISSIMILARITY, MODE_CROSSKEY
-        )
-        entry["eer_crosskey"] = crosskey.eer
-        if accuracy_scores is not None:
-            accuracy, _ = cross_key_det(accuracy_scores, scores, ORIENT_DISSIMILARITY)
-            rtmr = rtmr_curve(accuracy_scores.mated, scores.non_mated, ORIENT_DISSIMILARITY)
-            entry["eer_accuracy"] = accuracy.eer
-            entry["eer_rtmr"] = rtmr.eer
-        else:
-            entry["eer_accuracy"] = None
-            entry["eer_rtmr"] = None
-        return entry, scores
+        if accuracy is not None:
+            entry["eer_rtmr"] = rtmr_curve(accuracy.mated, scores.non_mated, ORIENT_DISSIMILARITY).eer
+        return entry, (scores if keep_scores else None)
 
     per_function: dict = {}
     score_sets: dict = {}
@@ -573,7 +580,8 @@ def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
             try:
                 entry, scores = future.result()
                 per_function[fn] = entry
-                score_sets[fn] = scores
+                if scores is not None:
+                    score_sets[fn] = scores
             except Exception as exc:
                 per_function[fn] = {
                     "adversary_model": ADVERSARY_MODELS[fn],

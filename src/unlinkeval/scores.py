@@ -37,20 +37,6 @@ ADEQUATE_SCORES_PER_SIDE = 1000
 
 
 @dataclass(frozen=True)
-class LinkageScore:
-    """A single linkage-function output with its ground-truth label."""
-
-    value: float
-    label: str
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError(f"linkage score must be finite, got {self.value!r}")
-        if self.label not in (LABEL_MATED, LABEL_NON_MATED):
-            raise ValueError(f"label must be {LABEL_MATED!r} or {LABEL_NON_MATED!r}")
-
-
-@dataclass(frozen=True)
 class ScoreSet:
     """Labeled empirical linkage scores with provenance metadata.
 
@@ -228,23 +214,23 @@ def _parse_score_file(path, side: str) -> list[float]:
     return scores
 
 
-def write_score_csv(scores: ScoreSet, path) -> None:
-    """Write both sides to one labeled CSV (header ``score,label``).
+def _write_labeled_csv(path, *sides) -> None:
+    """Header ``score,label``, then one row per value of each (values, label) side.
 
     Values are rendered with ``repr`` so reloading reproduces them bit-exactly.
     """
-    path = Path(path)
     rows = [_CSV_HEADER]
-    rows.extend(f"{v!r},{LABEL_MATED}" for v in scores.mated.tolist())
-    rows.extend(f"{v!r},{LABEL_NON_MATED}" for v in scores.non_mated.tolist())
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    for values, label in sides:
+        rows.extend(f"{v!r},{label}" for v in values.tolist())
+    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+def write_score_csv(scores: ScoreSet, path) -> None:
+    """Write both sides to one labeled CSV, mated rows first."""
+    _write_labeled_csv(path, (scores.mated, LABEL_MATED), (scores.non_mated, LABEL_NON_MATED))
 
 
 def write_score_sides(scores: ScoreSet, mated_path, non_mated_path) -> None:
     """Write each side to its own labeled CSV file."""
-    mated_rows = [_CSV_HEADER]
-    mated_rows.extend(f"{v!r},{LABEL_MATED}" for v in scores.mated.tolist())
-    Path(mated_path).write_text("\n".join(mated_rows) + "\n", encoding="utf-8")
-    non_rows = [_CSV_HEADER]
-    non_rows.extend(f"{v!r},{LABEL_NON_MATED}" for v in scores.non_mated.tolist())
-    Path(non_mated_path).write_text("\n".join(non_rows) + "\n", encoding="utf-8")
+    _write_labeled_csv(mated_path, (scores.mated, LABEL_MATED))
+    _write_labeled_csv(non_mated_path, (scores.non_mated, LABEL_NON_MATED))

@@ -11,9 +11,7 @@ protected templates.  Everything is deterministic given the seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -32,9 +30,6 @@ SCHEME_BLOCK = "block-remap"
 SCHEME_BLOOM = "bloom-filter"
 SCHEME_NONE = "none"
 SCHEMES = (SCHEME_XOR, SCHEME_BLOCK, SCHEME_BLOOM, SCHEME_NONE)
-
-_CONTAINER_MAGIC = b"UNLK"
-_CONTAINER_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -244,13 +239,99 @@ def _draw_distinct(draw, k: int, max_tries: int = 100) -> np.ndarray:
     raise InvalidConfigError(f"could not draw {k} distinct keys; key space too small")
 
 
+# Each scheme's forward transform and inverse, written once over bit arrays
+# of any leading shape (..., L).  The per-template functions below add input
+# checks; protect_corpus and the protocol's score engine call these directly.
+
+def _xor(bits: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """XOR salting; an involution, so it is also the inverse."""
+    return bits ^ key
+
+
+def _remap_blocks(bits: np.ndarray, perm: np.ndarray, block_size: int) -> np.ndarray:
+    """Output block i is input block perm[i]; argsort(perm) undoes it."""
+    blocks = bits.reshape(*bits.shape[:-1], -1, block_size)
+    return blocks[..., perm, :].reshape(bits.shape)
+
+
+def _msb_weights(h: int) -> np.ndarray:
+    return (1 << np.arange(h - 1, -1, -1)).astype(np.int64)
+
+
+def _bloom_encode(bits: np.ndarray, key: np.ndarray, w: int, h: int) -> np.ndarray:
+    """Keyed column values of each w-column block set bits of a 2**h filter."""
+    lead = bits.shape[:-1]
+    n_blocks = bits.shape[-1] // (w * h)
+    cols = bits.reshape(*lead, n_blocks, w, h)
+    idx = (cols ^ key[:, None, :]) @ _msb_weights(h)
+    filters = np.zeros((*lead, n_blocks, 1 << h), dtype=np.uint8)
+    np.put_along_axis(filters, idx, 1, axis=-1)
+    return filters.reshape(*lead, n_blocks << h)
+
+
+def _bloom_decode(bits: np.ndarray, key: np.ndarray, w: int, h: int) -> np.ndarray:
+    """Approximate Bloom inverse: each block's distinct column values, ascending.
+
+    Set bits name the keyed column values; un-keying is a gather, the rank
+    of each value among its filter's set bits is a running count, and the
+    first w values land at their ranks.  Original order and multiplicity
+    are lost, so a block with fewer than w distinct values is zero-padded.
+    """
+    lead = bits.shape[:-1]
+    n_blocks = key.shape[0]
+    filters = bits.reshape(-1, n_blocks, 1 << h)
+    values = np.arange(1 << h)
+    keyed = values ^ (key @ _msb_weights(h))[:, None]
+    # present[r, b, v]: un-keyed column value v occurs in block b of row r
+    present = filters[:, np.arange(n_blocks)[:, None], keyed]
+    rank = np.cumsum(present, axis=-1, dtype=np.int64) - 1
+    # absent values and values past the first w go to a spare column w
+    slot = np.where((present == 1) & (rank < w), rank, w)
+    cols = np.zeros((*filters.shape[:2], w + 1), dtype=np.int64)
+    np.put_along_axis(cols, slot, np.broadcast_to(values, slot.shape), axis=-1)
+    col_bits = (cols[..., :w, None] >> (h - 1 - np.arange(h))) & 1
+    return col_bits.astype(np.uint8).reshape(*lead, -1)
+
+
+def protect_bits(bits: np.ndarray, ring: KeyRing, key_id: int, scheme: str) -> np.ndarray:
+    """Protect raw bits (..., L) under one key of the ring."""
+    if scheme == SCHEME_XOR:
+        return _xor(bits, ring.xor_masks[key_id])
+    if scheme == SCHEME_BLOCK:
+        return _remap_blocks(bits, ring.block_perms[key_id], ring.block_size)
+    if scheme == SCHEME_BLOOM:
+        return _bloom_encode(bits, ring.bloom_keys[key_id], ring.bloom_width, ring.bloom_height)
+    if scheme == SCHEME_NONE:
+        return bits.copy()
+    raise InvalidConfigError(f"unknown scheme {scheme!r}")
+
+
+def invert_bits(
+    bits: np.ndarray, ring: KeyRing, key_id: int, scheme: str, allow_approximate_bloom: bool = False
+) -> np.ndarray:
+    """Undo protect_bits under full key knowledge: protected (..., L') to raw (..., L)."""
+    if scheme == SCHEME_XOR:
+        return _xor(bits, ring.xor_masks[key_id])
+    if scheme == SCHEME_BLOCK:
+        return _remap_blocks(bits, np.argsort(ring.block_perms[key_id]), ring.block_size)
+    if scheme == SCHEME_BLOOM:
+        if not allow_approximate_bloom:
+            raise SchemeNotInvertibleError(
+                "Bloom-filter encoding is not invertible; approximate reconstruction is opt-in"
+            )
+        return _bloom_decode(bits, ring.bloom_keys[key_id], ring.bloom_width, ring.bloom_height)
+    if scheme == SCHEME_NONE:
+        return bits.copy()
+    raise SchemeMismatchError(f"unknown scheme {scheme!r}")
+
+
 def xor_salt(template, key, key_id: int = 0) -> ProtectedTemplate:
     """Bitwise XOR of template and key; an involution under the same key."""
     template = np.asarray(template, dtype=np.uint8).reshape(-1)
     key = np.asarray(key, dtype=np.uint8).reshape(-1)
     if template.size != key.size:
         raise LengthMismatchError(f"template has {template.size} bits, key {key.size}")
-    return ProtectedTemplate(bits=template ^ key, key_id=key_id, scheme=SCHEME_XOR)
+    return ProtectedTemplate(bits=_xor(template, key), key_id=key_id, scheme=SCHEME_XOR)
 
 
 def block_remap(template, permutation, block_size: int, key_id: int = 0) -> ProtectedTemplate:
@@ -264,8 +345,9 @@ def block_remap(template, permutation, block_size: int, key_id: int = 0) -> Prot
     perm = np.asarray(permutation, dtype=np.int64).reshape(-1)
     if perm.size != n_blocks or not np.array_equal(np.sort(perm), np.arange(n_blocks)):
         raise NotBijectiveError(f"permutation is not a bijection on {n_blocks} blocks")
-    remapped = template.reshape(n_blocks, block_size)[perm].reshape(-1)
-    return ProtectedTemplate(bits=remapped, key_id=key_id, scheme=SCHEME_BLOCK)
+    return ProtectedTemplate(
+        bits=_remap_blocks(template, perm, block_size), key_id=key_id, scheme=SCHEME_BLOCK
+    )
 
 
 def bloom_protect(template, key, block_width: int, block_height: int, key_id: int = 0) -> ProtectedTemplate:
@@ -287,12 +369,9 @@ def bloom_protect(template, key, block_width: int, block_height: int, key_id: in
     key = np.asarray(key, dtype=np.uint8)
     if key.shape != (n_blocks, h):
         raise ShapeMismatchError(f"key shape {key.shape}, expected {(n_blocks, h)}")
-    cols = template.reshape(n_blocks, w, h)
-    weights = (1 << np.arange(h - 1, -1, -1)).astype(np.int64)
-    idx = (cols ^ key[:, None, :]) @ weights
-    filters = np.zeros((n_blocks, 1 << h), dtype=np.uint8)
-    filters[np.repeat(np.arange(n_blocks), w), idx.reshape(-1)] = 1
-    return ProtectedTemplate(bits=filters.reshape(-1), key_id=key_id, scheme=SCHEME_BLOOM)
+    return ProtectedTemplate(
+        bits=_bloom_encode(template, key, w, h), key_id=key_id, scheme=SCHEME_BLOOM
+    )
 
 
 def protect(template, ring: KeyRing, key_id: int, scheme: str) -> ProtectedTemplate:
@@ -383,37 +462,7 @@ def reconstruct(t: ProtectedTemplate, ring: KeyRing, allow_approximate_bloom: bo
     invertible; the approximate decoder (opt-in) recovers the set of column
     values per block, sorted, padded with zeros where multiplicity was lost.
     """
-    if t.scheme == SCHEME_NONE:
-        return t.bits.copy()
-    if t.scheme == SCHEME_XOR:
-        return t.bits ^ ring.xor_masks[t.key_id]
-    if t.scheme == SCHEME_BLOCK:
-        inv = np.argsort(ring.block_perms[t.key_id])
-        return t.bits.reshape(-1, ring.block_size)[inv].reshape(-1)
-    if t.scheme == SCHEME_BLOOM:
-        if not allow_approximate_bloom:
-            raise SchemeNotInvertibleError(
-                "Bloom-filter encoding is not invertible; approximate reconstruction is opt-in"
-            )
-        return _bloom_approximate_decode(t.bits, ring, t.key_id)
-    raise SchemeMismatchError(f"unknown scheme {t.scheme!r}")
-
-
-def _bloom_approximate_decode(bits: np.ndarray, ring: KeyRing, key_id: int) -> np.ndarray:
-    w, h = ring.bloom_width, ring.bloom_height
-    filters = bits.reshape(-1, 1 << h)
-    n_blocks = filters.shape[0]
-    weights = (1 << np.arange(h - 1, -1, -1)).astype(np.int64)
-    key_ints = ring.bloom_keys[key_id].astype(np.int64) @ weights
-    cols = np.zeros((n_blocks, w), dtype=np.int64)
-    for b in range(n_blocks):
-        present = np.flatnonzero(filters[b])
-        # set bits name the keyed column values; un-key, then sort --
-        # original order and multiplicity are lost
-        candidates = np.sort(present ^ key_ints[b])[:w]
-        cols[b, : candidates.size] = candidates
-    col_bits = (cols[:, :, None] >> (h - 1 - np.arange(h))[None, None, :]) & 1
-    return col_bits.astype(np.uint8).reshape(-1)
+    return invert_bits(t.bits, ring, t.key_id, t.scheme, allow_approximate_bloom)
 
 
 def linkage_reconstruction(
@@ -462,121 +511,10 @@ def protect_corpus(corpus: RawCorpus, ring: KeyRing, key_id: int, scheme: str) -
         raise LengthMismatchError(
             f"ring built for {ring.template_bits}-bit templates, corpus has {corpus.config.template_bits}"
         )
-    bits = corpus.bits
-    n, s, length = bits.shape
-    if scheme == SCHEME_XOR:
-        out = bits ^ ring.xor_masks[key_id][None, None, :]
-    elif scheme == SCHEME_BLOCK:
-        perm = ring.block_perms[key_id]
-        out = bits.reshape(n, s, -1, ring.block_size)[:, :, perm].reshape(n, s, length)
-    elif scheme == SCHEME_BLOOM:
-        w, h = ring.bloom_width, ring.bloom_height
-        n_blocks = length // (w * h)
-        key = ring.bloom_keys[key_id]
-        weights = (1 << np.arange(h - 1, -1, -1)).astype(np.int64)
-        cols = bits.reshape(n, s, n_blocks, w, h)
-        idx = (cols ^ key[None, None, :, None, :]) @ weights
-        flat = np.zeros((n * s * n_blocks, 1 << h), dtype=np.uint8)
-        rows = np.repeat(np.arange(n * s * n_blocks), w)
-        flat[rows, idx.reshape(-1)] = 1
-        out = flat.reshape(n, s, n_blocks << h)
-    elif scheme == SCHEME_NONE:
-        out = bits.copy()
-    else:
-        raise InvalidConfigError(f"unknown scheme {scheme!r}")
-    return ProtectedDatabase(bits=out, key_id=key_id, scheme=scheme, raw_bits=length)
+    bits = protect_bits(corpus.bits, ring, key_id, scheme)
+    return ProtectedDatabase(bits=bits, key_id=key_id, scheme=scheme, raw_bits=ring.template_bits)
 
 
 def generate_databases(corpus: RawCorpus, ring: KeyRing, scheme: str) -> list[ProtectedDatabase]:
     """One protected database per key in the ring."""
     return [protect_corpus(corpus, ring, key_id, scheme) for key_id in range(ring.k)]
-
-
-def save_container(path, bits: np.ndarray, manifest: dict) -> None:
-    """Write packed bits with a self-describing header, plus a sidecar manifest.
-
-    Layout: magic, version (u32 LE), manifest length (u32 LE), manifest
-    JSON (UTF-8), payload from packbits.  The manifest records the bit-array
-    shape so loading needs no external state; the sidecar copy at
-    <path>.json is for human inspection.
-    """
-    path = Path(path)
-    bits = np.ascontiguousarray(bits, dtype=np.uint8)
-    manifest = dict(manifest)
-    manifest["shape"] = list(bits.shape)
-    blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CONTAINER_MAGIC)
-        fh.write(_CONTAINER_VERSION.to_bytes(4, "little"))
-        fh.write(len(blob).to_bytes(4, "little"))
-        fh.write(blob)
-        fh.write(np.packbits(bits.reshape(-1)).tobytes())
-    Path(str(path) + ".json").write_text(blob.decode("utf-8") + "\n", encoding="utf-8")
-
-
-def load_container(path) -> tuple[np.ndarray, dict]:
-    """Read a container written by save_container; returns (bits, manifest)."""
-    path = Path(path)
-    raw = path.read_bytes()
-    if raw[:4] != _CONTAINER_MAGIC:
-        raise InvalidConfigError(f"{path} is not a template container")
-    version = int.from_bytes(raw[4:8], "little")
-    if version != _CONTAINER_VERSION:
-        raise InvalidConfigError(f"unsupported container version {version}")
-    blob_len = int.from_bytes(raw[8:12], "little")
-    manifest = json.loads(raw[12 : 12 + blob_len].decode("utf-8"))
-    shape = tuple(manifest["shape"])
-    n_bits = int(np.prod(shape))
-    payload = np.frombuffer(raw[12 + blob_len :], dtype=np.uint8)
-    bits = np.unpackbits(payload)[:n_bits].reshape(shape)
-    return bits, manifest
-
-
-def save_corpus(corpus: RawCorpus, path) -> None:
-    cfg = corpus.config
-    save_container(
-        path,
-        corpus.bits,
-        {
-            "kind": "raw-corpus",
-            "n_subjects": cfg.n_subjects,
-            "samples_per_subject": cfg.samples_per_subject,
-            "template_bits": cfg.template_bits,
-            "intra_flip_rate": cfg.intra_flip_rate,
-            "seed": cfg.seed,
-        },
-    )
-
-
-def load_corpus(path) -> RawCorpus:
-    bits, manifest = load_container(path)
-    if manifest.get("kind") != "raw-corpus":
-        raise InvalidConfigError(f"{path} does not hold a raw corpus")
-    cfg = CorpusConfig(
-        n_subjects=int(manifest["n_subjects"]),
-        samples_per_subject=int(manifest["samples_per_subject"]),
-        template_bits=int(manifest["template_bits"]),
-        intra_flip_rate=float(manifest["intra_flip_rate"]),
-        seed=int(manifest["seed"]),
-    )
-    return RawCorpus(config=cfg, bits=np.ascontiguousarray(bits, dtype=np.uint8))
-
-
-def save_database(db: ProtectedDatabase, path) -> None:
-    save_container(
-        path,
-        db.bits,
-        {"kind": "protected-database", "key_id": db.key_id, "scheme": db.scheme, "raw_bits": db.raw_bits},
-    )
-
-
-def load_database(path) -> ProtectedDatabase:
-    bits, manifest = load_container(path)
-    if manifest.get("kind") != "protected-database":
-        raise InvalidConfigError(f"{path} does not hold a protected database")
-    return ProtectedDatabase(
-        bits=np.ascontiguousarray(bits, dtype=np.uint8),
-        key_id=int(manifest["key_id"]),
-        scheme=manifest["scheme"],
-        raw_bits=int(manifest["raw_bits"]),
-    )

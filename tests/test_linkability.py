@@ -126,6 +126,16 @@ class TestLocalLinkability:
         d = ue.local_linkability(1.0 / omega + eps, omega)
         assert 0.0 <= d <= 2 * eps * omega
 
+    def test_huge_finite_ratio_does_not_overflow(self):
+        # 2 * t overflows above about 9e307; the measure must still be 1
+        assert ue.local_linkability(1e308, 1.0) == 1.0
+        dp = ue.DensityPair(edges=np.array([0.0, 1.0, 2.0]),
+                            p_mated=np.array([1.0, 0.0]),
+                            p_non_mated=np.array([1e-308, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert ue.evaluate_densities(dp, 1.0).d_sys == 1.0
+
 
 class TestGlobalLinkability:
     def test_discrete_example(self):

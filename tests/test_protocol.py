@@ -17,7 +17,7 @@ from unlinkeval.protocol import (
     PAIRING_DISTINCT_SAMPLES,
     write_report_artifacts,
 )
-from unlinkeval.synthbtp import SCHEME_BLOOM, SCHEME_XOR, protect_corpus
+from unlinkeval.synthbtp import SCHEME_BLOOM, SCHEME_XOR, inter_key_bit_relation, protect_corpus
 
 warnings.simplefilter("ignore", StatisticalAdequacyWarning)
 warnings.simplefilter("ignore", KeyCountWarning)
@@ -107,6 +107,52 @@ class TestScoreValues:
         b = ue.cross_database_scores(dbs, "pic_hd", ring)
         assert np.array_equal(a.mated, b.mated)
         assert np.array_equal(a.non_mated, b.non_mated)
+
+
+# every linkage function each scheme supports
+_SUPPORTED = [
+    (scheme, fn)
+    for scheme in ("xor-salt", "block-remap", "bloom-filter", "none")
+    for fn in ("pic_hd", "hamming_weight", "permuted_xor", "reconstruction")
+    if fn != "permuted_xor" or scheme == "block-remap"
+]
+
+
+def _oracle_score(fn, ring, t1, t2):
+    if fn == "pic_hd":
+        return ue.linkage_pic_hd(t1, t2)
+    if fn == "hamming_weight":
+        return ue.linkage_hamming_weight(t1, t2)
+    if fn == "permuted_xor":
+        relation = inter_key_bit_relation(ring, t1.key_id, t2.key_id)
+        return ue.linkage_permuted_xor(t1, t2, relation)
+    return ue.linkage_reconstruction(t1, t2, ring, allow_approximate_bloom=True)
+
+
+class TestEngineMatchesPerTemplateFunctions:
+    @pytest.mark.parametrize("scheme,fn", _SUPPORTED)
+    def test_batch_scores_equal_per_pair_oracle(self, scheme, fn):
+        cfg = ue.CorpusConfig(n_subjects=3, samples_per_subject=2, template_bits=128,
+                              intra_flip_rate=0.1, seed=8)
+        corpus = ue.generate_corpus(cfg)
+        ring = ue.KeyRing.generate(3, 128, seed=9, block_size=16)
+        dbs = ue.generate_databases(corpus, ring, scheme)
+        s = ue.cross_database_scores(dbs, fn, ring, allow_approximate_bloom=True)
+
+        def template(subject, sample, key):
+            return ue.protect(corpus.bits[subject, sample], ring, key, scheme)
+
+        key_pairs = [(a, b) for a in range(3) for b in range(a + 1, 3)]
+        mated = [
+            _oracle_score(fn, ring, template(subj, sa, a), template(subj, sb, b))
+            for a, b in key_pairs for subj in range(3) for sa in range(2) for sb in range(2)
+        ]
+        non_mated = [
+            _oracle_score(fn, ring, template(i, 0, a), template(j, 0, b))
+            for a, b in key_pairs for i in range(3) for j in range(i + 1, 3)
+        ]
+        assert np.array_equal(np.sort(s.mated), np.sort(mated))
+        assert np.array_equal(np.sort(s.non_mated), np.sort(non_mated))
 
 
 class TestEngineValidation:

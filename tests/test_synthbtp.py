@@ -15,14 +15,11 @@ from unlinkeval.synthbtp import (
     SCHEME_NONE,
     SCHEME_XOR,
     ProtectedDatabase,
+    invert_bits,
     inter_key_bit_relation,
     linkage_reconstruction,
-    load_corpus,
-    load_database,
     protect_corpus,
     reconstruct,
-    save_corpus,
-    save_database,
 )
 
 
@@ -230,6 +227,35 @@ class TestLinkageFunctions:
         assert approx.shape == raw.shape
         assert approx.dtype == np.uint8
 
+    def test_bloom_decode_hand_example(self):
+        # one block, w=3 columns of height h=2: columns 01,11,01 hold the
+        # values {1,3}; the decoder returns them ascending and pads the
+        # slot lost to the repeated 01 with zeros
+        ring = ue.KeyRing(k=1, template_bits=6, block_size=6, bloom_width=3, bloom_height=2,
+                          xor_masks=np.zeros((1, 6), dtype=np.uint8),
+                          block_perms=np.zeros((1, 1), dtype=np.int64),
+                          bloom_keys=np.array([[[0, 1]]], dtype=np.uint8), seed=0)
+        t = ue.protect(bits("011101"), ring, 0, SCHEME_BLOOM)
+        assert list(t.bits) == [1, 0, 1, 0]  # keyed values {0, 2}
+        decoded = reconstruct(t, ring, allow_approximate_bloom=True)
+        assert list(decoded) == list(bits("011100"))
+
+    def test_bloom_decode_matches_per_block_oracle(self, rng):
+        # any filter contents, including more set bits than columns: each
+        # block decodes to its first w un-keyed values in ascending order
+        ring = ue.KeyRing.generate(2, 192, seed=5, bloom_width=4, bloom_height=3)
+        filters = (rng.random((40, 3, 192 // 12 * 8)) < 0.4).astype(np.uint8)
+        got = invert_bits(filters, ring, 1, SCHEME_BLOOM, allow_approximate_bloom=True)
+        assert got.shape == (40, 3, 192)
+        key_ints = ring.bloom_keys[1] @ np.array([4, 2, 1])
+        for row, out in zip(filters.reshape(-1, filters.shape[-1]), got.reshape(-1, 192)):
+            for b, block in enumerate(row.reshape(-1, 8)):
+                values = np.sort(np.flatnonzero(block) ^ key_ints[b])[:4]
+                cols = np.zeros(4, dtype=np.int64)
+                cols[: values.size] = values
+                expected = ((cols[:, None] >> np.array([2, 1, 0])) & 1).reshape(-1)
+                assert np.array_equal(out[b * 12 : (b + 1) * 12], expected)
+
     def test_reconstruction_linkage_equals_raw_distance(self, rng):
         ring = ue.KeyRing.generate(4, 512, seed=17)
         raw1 = (rng.random(512) < 0.5).astype(np.uint8)
@@ -262,42 +288,3 @@ class TestProtectCorpus:
         dbs = ue.generate_databases(corpus, ring, SCHEME_XOR)
         assert [db.key_id for db in dbs] == [0, 1, 2]
         assert all(isinstance(db, ProtectedDatabase) for db in dbs)
-
-
-class TestContainers:
-    def test_corpus_round_trip(self, tmp_path):
-        cfg = ue.CorpusConfig(n_subjects=3, samples_per_subject=2, template_bits=192,
-                              intra_flip_rate=0.2, seed=41)
-        corpus = ue.generate_corpus(cfg)
-        path = tmp_path / "corpus.unlk"
-        save_corpus(corpus, path)
-        assert path.exists()
-        assert path.with_suffix(path.suffix + ".json").exists()
-        back = load_corpus(path)
-        assert np.array_equal(back.bits, corpus.bits)
-        assert back.config == corpus.config
-
-    def test_database_round_trip(self, tmp_path):
-        cfg = ue.CorpusConfig(n_subjects=3, samples_per_subject=2, template_bits=192,
-                              intra_flip_rate=0.2, seed=41)
-        corpus = ue.generate_corpus(cfg)
-        ring = ue.KeyRing.generate(3, 192, seed=42, block_size=64)
-        db = protect_corpus(corpus, ring, 2, SCHEME_XOR)
-        path = tmp_path / "db.unlk"
-        save_database(db, path)
-        back = load_database(path)
-        assert np.array_equal(back.bits, db.bits)
-        assert back.key_id == 2
-        assert back.scheme == SCHEME_XOR
-
-    def test_corrupted_magic_rejected(self, tmp_path):
-        cfg = ue.CorpusConfig(n_subjects=2, samples_per_subject=2, template_bits=64,
-                              intra_flip_rate=0.1, seed=1)
-        corpus = ue.generate_corpus(cfg)
-        path = tmp_path / "corpus.unlk"
-        save_corpus(corpus, path)
-        blob = bytearray(path.read_bytes())
-        blob[0] ^= 0xFF
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ue.UnlinkEvalError):
-            load_corpus(path)
