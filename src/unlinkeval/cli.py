@@ -262,11 +262,11 @@ def cmd_compare(args) -> int:
             json.dumps(comparison, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
         (out / "det_comparison.svg").write_text(
-            det_svg([acc_curve.to_json_dict(), ck_curve.to_json_dict()], "accuracy vs cross-key DET"),
+            det_svg([acc_curve, ck_curve], "accuracy vs cross-key DET"),
             encoding="utf-8",
         )
         (out / "rtmr_comparison.svg").write_text(
-            det_svg([acc_curve.to_json_dict(), rtmr.to_json_dict()], "accuracy DET vs RTMR"),
+            det_svg([acc_curve, rtmr], "accuracy DET vs RTMR"),
             encoding="utf-8",
         )
         (out / "linkability.svg").write_text(

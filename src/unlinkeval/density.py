@@ -65,6 +65,7 @@ class DensityConfig:
             lo, hi = self.grid_range
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise InvalidConfigError(f"grid_range must be finite with low < high, got {self.grid_range!r}")
+            object.__setattr__(self, "grid_range", (lo, hi))
 
 
 @dataclass(frozen=True)

@@ -27,16 +27,22 @@ def popcount_rows(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def hamming_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise Hamming distance between equally shaped packed matrices."""
+def hamming_rows(a: np.ndarray, b: np.ndarray, rows_a, rows_b) -> np.ndarray:
+    """Hamming distance between rows a[rows_a[i]] and b[rows_b[i]], shape (n,).
+
+    Rows are gathered a chunk at a time, so temporaries stay bounded however
+    many row pairs are asked for.
+    """
     a = np.ascontiguousarray(a, dtype=np.uint64)
     b = np.ascontiguousarray(b, dtype=np.uint64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    out = np.empty(a.shape[0], dtype=np.int64)
-    for lo in range(0, a.shape[0], _CHUNK):
-        hi = min(lo + _CHUNK, a.shape[0])
-        out[lo:hi] = np.bitwise_count(a[lo:hi] ^ b[lo:hi]).sum(axis=1, dtype=np.int64)
+    if a.shape[1:] != b.shape[1:]:
+        raise ValueError(f"row shape mismatch: {a.shape} vs {b.shape}")
+    if len(rows_a) != len(rows_b):
+        raise ValueError(f"{len(rows_a)} rows of a paired with {len(rows_b)} rows of b")
+    out = np.empty(len(rows_a), dtype=np.int64)
+    for lo in range(0, out.size, _CHUNK):
+        hi = min(lo + _CHUNK, out.size)
+        out[lo:hi] = np.bitwise_count(a[rows_a[lo:hi]] ^ b[rows_b[lo:hi]]).sum(axis=1, dtype=np.int64)
     return out
 
 

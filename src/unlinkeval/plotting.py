@@ -10,7 +10,9 @@ numbers from the image file alone.
 from __future__ import annotations
 
 import json
-import math
+from dataclasses import replace
+
+import numpy as np
 
 _WIDTH = 720
 _HEIGHT = 480
@@ -176,25 +178,22 @@ def linkability_svg(densities: dict, profile: dict, title_prefix: str = "") -> s
     return _document(title, body, {"densities": densities, "profile": profile})
 
 
-def _decimate(curve: dict, limit: int = 512) -> dict:
-    n = len(curve["thresholds"])
+def _thin(curve, limit: int = 512):
+    """The curve at `limit` evenly spaced sweep points, ends included."""
+    n = curve.thresholds.size
     if n <= limit:
         return curve
-    keep = sorted({round(i * (n - 1) / (limit - 1)) for i in range(limit)})
-    out = dict(curve)
-    for key in ("thresholds", "fmr", "fnmr"):
-        seq = curve[key]
-        out[key] = [seq[i] for i in keep]
-    return out
+    keep = np.round(np.arange(limit) * (n - 1) / (limit - 1)).astype(np.intp)
+    return replace(curve, thresholds=curve.thresholds[keep], fmr=curve.fmr[keep], fnmr=curve.fnmr[keep])
 
 
 def det_svg(curves: list, title: str = "detection error trade-off") -> str:
-    """Overlayed DET curves from their JSON dict forms, raw linear rates.
+    """Overlayed DET curves (baselines.DetCurve), raw linear rates.
 
-    Dense sweeps are thinned to a fixed point budget; the metadata block
-    mirrors exactly what is drawn.
+    Dense sweeps are thinned to a fixed point budget before they are
+    converted; the metadata block mirrors exactly what is drawn.
     """
-    curves = [_decimate(c) for c in curves]
+    curves = [_thin(c).to_json_dict() for c in curves]
     frame = _Frame(0.0, 1.0, 0.0, 1.0)
     palette = [_COL_NON_MATED, _COL_MATED, _COL_LOCAL, "#9467bd"]
     body = [frame.frame_rect(), frame.x_ticks(), frame.y_ticks(side="left", fmt="{:.2f}")]
@@ -209,29 +208,3 @@ def det_svg(curves: list, title: str = "detection error trade-off") -> str:
         f'fill="{_COL_TEXT}" {_FONT}>match-side rate</text>'
     )
     return _document(title, body, {"curves": curves})
-
-
-def omega_sweep_svg(omegas: list, d_sys_values: list, title: str = "global measure vs prior ratio") -> str:
-    """Global measure as a function of omega, log-scaled on the x axis."""
-    logs = [math.log10(w) for w in omegas]
-    frame = _Frame(min(logs), max(logs), 0.0, 1.0)
-    body = [frame.frame_rect(), frame.y_ticks(side="left", fmt="{:.2f}")]
-    for w, lg in zip(omegas, logs):
-        px = _fmt(frame.x(lg))
-        body.append(
-            f'<line x1="{px}" y1="{frame.px_bottom}" x2="{px}" y2="{frame.px_bottom + 4}" stroke="#999999"/>'
-        )
-        body.append(
-            f'<text x="{px}" y="{frame.px_bottom + 18}" text-anchor="middle" font-size="11" '
-            f'fill="{_COL_TEXT}" {_FONT}>{w:g}</text>'
-        )
-    body.append(frame.polyline(logs, d_sys_values, _COL_LOCAL, width=2.0))
-    for lg, v in zip(logs, d_sys_values):
-        body.append(
-            f'<circle cx="{_fmt(frame.x(lg))}" cy="{_fmt(frame.y(v))}" r="3" fill="{_COL_LOCAL}"/>'
-        )
-    body.append(
-        f'<text x="{_WIDTH // 2}" y="{_HEIGHT - 10}" text-anchor="middle" font-size="12" '
-        f'fill="{_COL_TEXT}" {_FONT}>prior ratio</text>'
-    )
-    return _document(title, body, {"omegas": omegas, "d_sys": d_sys_values})

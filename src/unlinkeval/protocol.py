@@ -16,7 +16,7 @@ import os
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +69,6 @@ PAIRING_ALL_CROSS_KEY = "all-cross-key"
 PAIRING_DISTINCT_SAMPLES = "distinct-samples"
 
 RECOMMENDED_MIN_KEYS = 6
-_CHUNK = 1 << 16
 
 
 def default_key_seed(corpus_seed: int) -> int:
@@ -104,6 +103,10 @@ class ProtocolConfig:
     allow_approximate_bloom: bool = False
 
     def __post_init__(self):
+        if isinstance(self.linkage_functions, str):
+            raise InvalidConfigError(
+                f"linkage_functions must be a list of names, got {self.linkage_functions!r}"
+            )
         object.__setattr__(self, "linkage_functions", tuple(self.linkage_functions))
         if not self.linkage_functions:
             raise InvalidConfigError("linkage_functions must not be empty")
@@ -148,57 +151,63 @@ class ProtocolConfig:
         if not isinstance(data, dict):
             raise InvalidConfigError("config root must be a mapping")
         base = Path(base_dir) if base_dir is not None else Path(".")
-        known = {
-            "linkage_functions", "k", "scheme", "prior", "density", "corpus",
-            "score_files", "out_dir", "key_seed", "mated_pairing",
-            "non_mated_all_pairs", "constant_key", "block_size", "bloom_width",
-            "bloom_height", "allow_approximate_bloom",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs: dict = {}
         if "linkage_functions" not in data:
             raise InvalidConfigError("config must list linkage_functions")
-        kwargs["linkage_functions"] = tuple(data["linkage_functions"])
-        for key in ("k", "scheme", "key_seed", "mated_pairing", "non_mated_all_pairs",
-                    "constant_key", "block_size", "bloom_width", "bloom_height",
-                    "allow_approximate_bloom"):
-            if key in data:
-                kwargs[key] = data[key]
+        kwargs = dict(data)
         if "prior" in data:
             kwargs["prior"] = _prior_from_config(data["prior"])
         if "density" in data:
-            d = dict(data["density"])
-            if "grid_range" in d and d["grid_range"] is not None:
-                d["grid_range"] = tuple(d["grid_range"])
-            kwargs["density"] = DensityConfig(**d)
-        if "corpus" in data and data["corpus"] is not None:
-            kwargs["corpus"] = CorpusConfig(**data["corpus"])
-        if "score_files" in data and data["score_files"] is not None:
-            files = {}
+            kwargs["density"] = _nested_config(DensityConfig, data["density"], "density")
+        if data.get("corpus") is not None:
+            kwargs["corpus"] = _nested_config(CorpusConfig, data["corpus"], "corpus")
+        if data.get("score_files") is not None:
+            if not isinstance(data["score_files"], dict):
+                raise InvalidConfigError(f"score_files must be a mapping, got {data['score_files']!r}")
+            kwargs["score_files"] = {}
             for fn, paths in data["score_files"].items():
-                files[fn] = {
-                    "mated": str(base / paths["mated"]),
-                    "non_mated": str(base / paths["non_mated"]),
+                if not isinstance(paths, dict) or set(paths) != {"mated", "non_mated"}:
+                    raise InvalidConfigError(
+                        f"score_files[{fn!r}] must map exactly 'mated' and 'non_mated' to paths, got {paths!r}"
+                    )
+                kwargs["score_files"][fn] = {
+                    side: _config_path(base, paths[side], f"score_files[{fn!r}][{side!r}]")
+                    for side in ("mated", "non_mated")
                 }
-            kwargs["score_files"] = files
-        if "out_dir" in data and data["out_dir"] is not None:
-            kwargs["out_dir"] = str(base / data["out_dir"])
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise InvalidConfigError(str(exc)) from None
+        if data.get("out_dir") is not None:
+            kwargs["out_dir"] = _config_path(base, data["out_dir"], "out_dir")
+        return _nested_config(cls, kwargs, "config")
+
+
+def _config_path(base: Path, value, name: str) -> str:
+    if not isinstance(value, (str, os.PathLike)):
+        raise InvalidConfigError(f"{name} must be a path, got {value!r}")
+    return str(base / value)
+
+
+def _nested_config(kind, values, name: str):
+    """kind(**values) from a config mapping; malformed values are config errors."""
+    if not isinstance(values, dict):
+        raise InvalidConfigError(f"{name} must be a mapping, got {values!r}")
+    try:
+        return kind(**values)
+    except TypeError as exc:
+        raise InvalidConfigError(f"{name}: {exc}") from None
 
 
 def _prior_from_config(value) -> PriorConfig:
     if value == "default" or value is None:
         return PriorConfig.default()
     if isinstance(value, dict):
-        if "omega" in value:
-            return PriorConfig.explicit(float(value["omega"]))
-        if "n_enrolled" in value:
-            return PriorConfig.from_enrollment_count(int(value["n_enrolled"]))
+        try:
+            if "omega" in value:
+                return PriorConfig.explicit(float(value["omega"]))
+            if "n_enrolled" in value:
+                return PriorConfig.from_enrollment_count(int(value["n_enrolled"]))
+        except TypeError:
+            pass  # not a number: reported below
     raise InvalidConfigError(f"prior must be 'default', {{'omega': x}} or {{'n_enrolled': n}}, got {value!r}")
 
 
@@ -225,80 +234,28 @@ class EvaluationReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-def _pair_indices_mated(n_subjects: int, samples: int, k: int, mode: str):
-    """Cross-key mated pair index arrays (key_a, row_a, key_b, row_b).
+# sample pairs (s_a, s_b) that compare only the first sample of each side
+_FIRST_SAMPLES = np.zeros((2, 1), dtype=np.intp)
 
-    Rows index the flattened (subject, sample) order.  Key pairs are
-    enumerated a < b; sample assignment is canonical (first sample listed
-    goes with the lower key), which makes each unordered template pair
-    appear exactly once.
+
+def _same_subject_rows(n_subjects: int, samples: int, sample_pairs):
+    """Row pairs of each subject's sample pairs, in (sample pair, subject) order.
+
+    Rows index the flattened (subject, sample) order of a database.
     """
-    key_a, key_b = np.triu_indices(k, 1)
-    if mode == PAIRING_DISTINCT_SAMPLES:
-        s_a, s_b = np.triu_indices(samples, 1)
-    else:
-        grid = np.indices((samples, samples)).reshape(2, -1)
-        s_a, s_b = grid[0], grid[1]
-    subj = np.arange(n_subjects)
-    n_keys, n_samp = key_a.size, s_a.size
-
-    ka = np.repeat(key_a, n_samp * n_subjects)
-    kb = np.repeat(key_b, n_samp * n_subjects)
-    sa = np.tile(np.repeat(s_a, n_subjects), n_keys)
-    sb = np.tile(np.repeat(s_b, n_subjects), n_keys)
-    su = np.tile(subj, n_keys * n_samp)
-    return ka, su * samples + sa, kb, su * samples + sb
+    s_a, s_b = sample_pairs
+    base = np.arange(n_subjects) * samples
+    return (s_a[:, None] + base).ravel(), (s_b[:, None] + base).ravel()
 
 
-def _pair_indices_non_mated(n_subjects: int, samples: int, k: int, all_pairs: bool):
-    """Cross-key non-mated pair index arrays.
-
-    Default pairing compares only first samples of distinct subjects under
-    distinct keys (canonical assignment as for mated pairs); all_pairs
-    extends to every sample combination.
-    """
+def _distinct_subject_rows(n_subjects: int, samples: int, sample_pairs):
+    """Row pairs of subjects i < j, in (subject pair, sample pair) order."""
+    s_a, s_b = sample_pairs
     subj_a, subj_b = np.triu_indices(n_subjects, 1)
-    key_a, key_b = np.triu_indices(k, 1)
-    if all_pairs:
-        grid = np.indices((samples, samples)).reshape(2, -1)
-        s_a, s_b = grid[0], grid[1]
-    else:
-        s_a = np.zeros(1, dtype=np.int64)
-        s_b = np.zeros(1, dtype=np.int64)
-    n_subj_pairs, n_keys, n_samp = subj_a.size, key_a.size, s_a.size
-
-    ia = np.repeat(subj_a, n_keys * n_samp)
-    ib = np.repeat(subj_b, n_keys * n_samp)
-    ka = np.tile(np.repeat(key_a, n_samp), n_subj_pairs)
-    kb = np.tile(np.repeat(key_b, n_samp), n_subj_pairs)
-    sa = np.tile(s_a, n_subj_pairs * n_keys)
-    sb = np.tile(s_b, n_subj_pairs * n_keys)
-    return ka, ia * samples + sa, kb, ib * samples + sb
-
-
-def _pair_indices_same_key(n_subjects: int, samples: int, k: int):
-    """Accuracy-scenario pairs: same key throughout.
-
-    Mated: all distinct-sample pairs of each subject under each key.
-    Non-mated: first samples of distinct subjects under each key.
-    """
-    s_a, s_b = np.triu_indices(samples, 1)
-    subj = np.arange(n_subjects)
-    keys = np.arange(k)
-    n_samp = s_a.size
-
-    mk = np.repeat(keys, n_samp * n_subjects)
-    msa = np.tile(np.repeat(s_a, n_subjects), k)
-    msb = np.tile(np.repeat(s_b, n_subjects), k)
-    msu = np.tile(subj, k * n_samp)
-    mated = (mk, msu * samples + msa, mk, msu * samples + msb)
-
-    subj_a, subj_b = np.triu_indices(n_subjects, 1)
-    nk = np.repeat(keys, subj_a.size)
-    nia = np.tile(subj_a, k)
-    nib = np.tile(subj_b, k)
-    non_mated = (nk, nia * samples, nk, nib * samples)
-    return mated, non_mated
+    return (
+        (subj_a[:, None] * samples + s_a).ravel(),
+        (subj_b[:, None] * samples + s_b).ravel(),
+    )
 
 
 class _ScoreEngine:
@@ -357,35 +314,36 @@ class _ScoreEngine:
                 ])
             return self._packed_inverted
 
-    def score(self, function: str, ka, rowa, kb, rowb) -> np.ndarray:
+    def score(self, function: str, keys_a, keys_b, rows_a, rows_b) -> np.ndarray:
+        """Scores of every row pair under every key pair, shape (key pairs, row pairs).
+
+        Row pair i compares row rows_a[i] of database keys_a[p] with row
+        rows_b[i] of database keys_b[p]; one key pair is scored at a time.
+        """
         if function == "hamming_weight":
-            diff = np.abs(self.pops[ka, rowa] - self.pops[kb, rowb])
-            return diff / self.protected_length
-        if function == "pic_hd":
-            hd = self._chunked_hamming(self.packed, ka, rowa, kb, rowb)
-            if self.scheme == SCHEME_BLOOM:
-                return hd / (self.pops[ka, rowa] + self.pops[kb, rowb])
-            return hd / self.protected_length
-        if function == "permuted_xor":
+            packed, length = None, self.protected_length
+        elif function == "pic_hd":
+            packed, length = self.packed, self.protected_length
+        elif function == "permuted_xor":
             if self.scheme != SCHEME_BLOCK:
                 raise InconsistentDatabasesError(
                     "permuted_xor needs a block-remapping scheme with known structure"
                 )
-            hd = self._chunked_hamming(self.packed_inverted(function), ka, rowa, kb, rowb)
-            return hd / self.protected_length
-        if function == "reconstruction":
-            hd = self._chunked_hamming(self.packed_inverted(function), ka, rowa, kb, rowb)
-            return hd / self.raw_length
-        raise InvalidConfigError(f"unknown linkage function {function!r}")
-
-    @staticmethod
-    def _chunked_hamming(packed, ka, rowa, kb, rowb) -> np.ndarray:
-        out = np.empty(ka.size, dtype=np.int64)
-        for lo in range(0, ka.size, _CHUNK):
-            sl = slice(lo, min(lo + _CHUNK, ka.size))
-            a = packed[ka[sl], rowa[sl]]
-            b = packed[kb[sl], rowb[sl]]
-            out[sl] = kernels.hamming_rows(a, b)
+            packed, length = self.packed_inverted(function), self.protected_length
+        elif function == "reconstruction":
+            packed, length = self.packed_inverted(function), self.raw_length
+        else:
+            raise InvalidConfigError(f"unknown linkage function {function!r}")
+        out = np.empty((len(keys_a), len(rows_a)))
+        for row, a, b in zip(out, keys_a, keys_b):
+            if packed is None:
+                dist = np.abs(self.pops[a, rows_a] - self.pops[b, rows_b])
+            else:
+                dist = kernels.hamming_rows(packed[a], packed[b], rows_a, rows_b)
+            if function == "pic_hd" and self.scheme == SCHEME_BLOOM:
+                np.divide(dist, self.pops[a, rows_a] + self.pops[b, rows_b], out=row)
+            else:
+                np.divide(dist, length, out=row)
         return out
 
 
@@ -404,13 +362,25 @@ def cross_database_scores(
     default pairing every (sample, sample) combination counts, while
     'distinct-samples' restricts to distinct sample indices.  Non-mated
     pairs compare first samples of distinct subjects under distinct keys
-    unless non_mated_all_pairs extends them.
+    unless non_mated_all_pairs extends them.  Key pairs are a < b and the
+    first template of each pair is on key a, so each unordered template
+    pair appears once.  Mated scores come in (key pair, sample pair,
+    subject) order, non-mated ones in (subject pair, key pair, sample
+    pair) order.
     """
+    if mated_pairing not in (PAIRING_ALL_CROSS_KEY, PAIRING_DISTINCT_SAMPLES):
+        raise InvalidConfigError(f"unknown mated_pairing {mated_pairing!r}")
     engine = _engine or _ScoreEngine(databases, ring, allow_approximate_bloom)
-    mated_idx = _pair_indices_mated(engine.n_subjects, engine.samples, engine.k, mated_pairing)
-    nm_idx = _pair_indices_non_mated(engine.n_subjects, engine.samples, engine.k, non_mated_all_pairs)
-    mated = engine.score(function, *mated_idx)
-    non_mated = engine.score(function, *nm_idx)
+    n, samples = engine.n_subjects, engine.samples
+    key_pairs = np.triu_indices(engine.k, 1)
+    # every (sample, sample) combination, first index outer
+    grid = np.indices((samples, samples)).reshape(2, -1)
+    mated_samples = np.triu_indices(samples, 1) if mated_pairing == PAIRING_DISTINCT_SAMPLES else grid
+    nm_samples = grid if non_mated_all_pairs else _FIRST_SAMPLES
+    mated = engine.score(function, *key_pairs, *_same_subject_rows(n, samples, mated_samples))
+    non_mated = engine.score(function, *key_pairs, *_distinct_subject_rows(n, samples, nm_samples))
+    # (key pair, subject pair, sample pair) -> (subject pair, key pair, sample pair)
+    non_mated = non_mated.reshape(len(key_pairs[0]), -1, len(nm_samples[0])).swapaxes(0, 1)
     return ScoreSet(
         mated=mated,
         non_mated=non_mated,
@@ -424,11 +394,16 @@ def same_key_scores(
     ring: KeyRing | None = None,
     _engine: "_ScoreEngine | None" = None,
 ) -> ScoreSet:
-    """Accuracy-scenario scores: both templates under the same key."""
+    """Accuracy-scenario scores: both templates under the same key.
+
+    Mated: every distinct-sample pair of each subject under each key.
+    Non-mated: first samples of distinct subjects under each key.
+    """
     engine = _engine or _ScoreEngine(databases, ring)
-    mated_idx, nm_idx = _pair_indices_same_key(engine.n_subjects, engine.samples, engine.k)
-    mated = engine.score(function, *mated_idx)
-    non_mated = engine.score(function, *nm_idx)
+    n, samples = engine.n_subjects, engine.samples
+    keys = np.arange(engine.k)
+    mated = engine.score(function, keys, keys, *_same_subject_rows(n, samples, np.triu_indices(samples, 1)))
+    non_mated = engine.score(function, keys, keys, *_distinct_subject_rows(n, samples, _FIRST_SAMPLES))
     return ScoreSet(
         mated=mated,
         non_mated=non_mated,

@@ -218,10 +218,14 @@ def _write_labeled_csv(path, *sides) -> None:
     """Header ``score,label``, then one row per value of each (values, label) side.
 
     Values are rendered with ``repr`` so reloading reproduces them bit-exactly.
+    Each distinct bit pattern is rendered once (linkage scores repeat a few
+    hundred values); comparing bits, not floats, keeps -0.0 and 0.0 apart.
     """
     rows = [_CSV_HEADER]
     for values, label in sides:
-        rows.extend(f"{v!r},{label}" for v in values.tolist())
+        bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+        rendered = [f"{v!r},{label}" for v in bits.view(np.float64).tolist()]
+        rows.extend(map(rendered.__getitem__, inverse.tolist()))
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 

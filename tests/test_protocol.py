@@ -15,6 +15,7 @@ from unlinkeval.errors import (
 from unlinkeval.protocol import (
     PAIRING_ALL_CROSS_KEY,
     PAIRING_DISTINCT_SAMPLES,
+    _ScoreEngine,
     write_report_artifacts,
 )
 from unlinkeval.synthbtp import SCHEME_BLOOM, SCHEME_XOR, inter_key_bit_relation, protect_corpus
@@ -130,29 +131,74 @@ def _oracle_score(fn, ring, t1, t2):
 
 
 class TestEngineMatchesPerTemplateFunctions:
-    @pytest.mark.parametrize("scheme,fn", _SUPPORTED)
-    def test_batch_scores_equal_per_pair_oracle(self, scheme, fn):
-        cfg = ue.CorpusConfig(n_subjects=3, samples_per_subject=2, template_bits=128,
-                              intra_flip_rate=0.1, seed=8)
+    """Batch scores equal the per-pair functions, in the documented order."""
+
+    SUBJECTS, SAMPLES, K = 3, 3, 3
+
+    def _testbed(self, scheme):
+        cfg = ue.CorpusConfig(n_subjects=self.SUBJECTS, samples_per_subject=self.SAMPLES,
+                              template_bits=128, intra_flip_rate=0.1, seed=8)
         corpus = ue.generate_corpus(cfg)
-        ring = ue.KeyRing.generate(3, 128, seed=9, block_size=16)
+        ring = ue.KeyRing.generate(self.K, 128, seed=9, block_size=16)
         dbs = ue.generate_databases(corpus, ring, scheme)
-        s = ue.cross_database_scores(dbs, fn, ring, allow_approximate_bloom=True)
 
-        def template(subject, sample, key):
-            return ue.protect(corpus.bits[subject, sample], ring, key, scheme)
+        def oracle(fn, pairs):
+            return [
+                _oracle_score(fn, ring,
+                              ue.protect(corpus.bits[i, sa], ring, a, scheme),
+                              ue.protect(corpus.bits[j, sb], ring, b, scheme))
+                for (i, sa, a), (j, sb, b) in pairs
+            ]
 
-        key_pairs = [(a, b) for a in range(3) for b in range(a + 1, 3)]
-        mated = [
-            _oracle_score(fn, ring, template(subj, sa, a), template(subj, sb, b))
-            for a, b in key_pairs for subj in range(3) for sa in range(2) for sb in range(2)
-        ]
-        non_mated = [
-            _oracle_score(fn, ring, template(i, 0, a), template(j, 0, b))
-            for a, b in key_pairs for i in range(3) for j in range(i + 1, 3)
-        ]
-        assert np.array_equal(np.sort(s.mated), np.sort(mated))
-        assert np.array_equal(np.sort(s.non_mated), np.sort(non_mated))
+        return dbs, ring, oracle
+
+    @pytest.mark.parametrize("non_mated_all_pairs", [False, True])
+    @pytest.mark.parametrize("mated_pairing", [PAIRING_ALL_CROSS_KEY, PAIRING_DISTINCT_SAMPLES])
+    @pytest.mark.parametrize("scheme,fn", _SUPPORTED)
+    def test_cross_key_scores(self, scheme, fn, mated_pairing, non_mated_all_pairs):
+        dbs, ring, oracle = self._testbed(scheme)
+        s = ue.cross_database_scores(dbs, fn, ring, mated_pairing=mated_pairing,
+                                     non_mated_all_pairs=non_mated_all_pairs,
+                                     allow_approximate_bloom=True)
+        n, S = self.SUBJECTS, self.SAMPLES
+        key_pairs = [(a, b) for a in range(self.K) for b in range(a + 1, self.K)]
+        grid = [(sa, sb) for sa in range(S) for sb in range(S)]
+        distinct = [(sa, sb) for sa in range(S) for sb in range(sa + 1, S)]
+        mated_samples = distinct if mated_pairing == PAIRING_DISTINCT_SAMPLES else grid
+        nm_samples = grid if non_mated_all_pairs else [(0, 0)]
+        # mated: (key pair, sample pair, subject)
+        mated = oracle(fn, [
+            ((subj, sa, a), (subj, sb, b))
+            for a, b in key_pairs for sa, sb in mated_samples for subj in range(n)
+        ])
+        # non-mated: (subject pair, key pair, sample pair)
+        non_mated = oracle(fn, [
+            ((i, sa, a), (j, sb, b))
+            for i in range(n) for j in range(i + 1, n) for a, b in key_pairs
+            for sa, sb in nm_samples
+        ])
+        assert np.array_equal(s.mated, mated)
+        assert np.array_equal(s.non_mated, non_mated)
+
+    @pytest.mark.parametrize("scheme,fn", _SUPPORTED)
+    def test_same_key_scores(self, scheme, fn):
+        dbs, ring, oracle = self._testbed(scheme)
+        engine = _ScoreEngine(dbs, ring, allow_approximate_bloom=True)
+        s = ue.same_key_scores(dbs, fn, ring, _engine=engine)
+        n, S = self.SUBJECTS, self.SAMPLES
+        # mated: (key, distinct sample pair, subject)
+        mated = oracle(fn, [
+            ((subj, sa, k), (subj, sb, k))
+            for k in range(self.K) for sa in range(S) for sb in range(sa + 1, S)
+            for subj in range(n)
+        ])
+        # non-mated: (key, subject pair), first samples
+        non_mated = oracle(fn, [
+            ((i, 0, k), (j, 0, k))
+            for k in range(self.K) for i in range(n) for j in range(i + 1, n)
+        ])
+        assert np.array_equal(s.mated, mated)
+        assert np.array_equal(s.non_mated, non_mated)
 
 
 class TestEngineValidation:
@@ -184,6 +230,11 @@ class TestEngineValidation:
         dbs, ring = _databases()
         with pytest.raises(InvalidConfigError):
             ue.cross_database_scores(dbs, "psychic_guess", ring)
+
+    def test_unknown_mated_pairing(self):
+        dbs, ring = _databases()
+        with pytest.raises(InvalidConfigError, match="mated_pairing"):
+            ue.cross_database_scores(dbs, "pic_hd", ring, mated_pairing="distinct")
 
 
 class TestProtocolConfig:
@@ -237,13 +288,30 @@ class TestProtocolConfig:
         assert cfg.density.bins == 64
         assert Path(cfg.out_dir) == tmp_path / "results"
 
-    def test_from_dict_rejects_unknown_keys(self, tmp_path):
+    @pytest.mark.parametrize("change", [
+        {"frobnicate": True},
+        {"density": {"binz": 5}},
+        {"density": {"grid_range": 5}},
+        {"density": [64]},
+        {"corpus": {"n_subject": 4, "samples_per_subject": 2, "template_bits": 128,
+                    "intra_flip_rate": 0.1, "seed": 2}},
+        {"corpus": {"n_subjects": 4}},
+        {"corpus": None, "score_files": {"pic_hd": {"mated": "m.csv"}}},
+        {"corpus": None, "score_files": {"pic_hd": "m.csv"}},
+        {"corpus": None, "score_files": {"pic_hd": {"mated": 5, "non_mated": "n.csv"}}},
+        {"out_dir": ["results"]},
+        {"corpus": None, "score_files": ["m.csv"]},
+        {"linkage_functions": "pic_hd"},
+        {"linkage_functions": 5},
+        {"prior": {"omega": [1]}},
+    ])
+    def test_from_dict_rejects_malformed_input(self, tmp_path, change):
+        data = {"linkage_functions": ["pic_hd"], "k": 6,
+                "corpus": {"n_subjects": 4, "samples_per_subject": 2, "template_bits": 128,
+                           "intra_flip_rate": 0.1, "seed": 2}}
+        data.update(change)
         with pytest.raises(InvalidConfigError):
-            ue.ProtocolConfig.from_dict({"linkage_functions": ["pic_hd"], "k": 6,
-                                         "corpus": {"n_subjects": 4, "samples_per_subject": 2,
-                                                    "template_bits": 128,
-                                                    "intra_flip_rate": 0.1, "seed": 2},
-                                         "frobnicate": True}, base_dir=tmp_path)
+            ue.ProtocolConfig.from_dict(data, base_dir=tmp_path)
 
     def test_key_seed_derivation(self):
         cfg = ue.ProtocolConfig(linkage_functions=("pic_hd",), k=6, corpus=self._corpus_cfg())

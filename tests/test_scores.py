@@ -63,6 +63,18 @@ class TestCsvRoundTrip:
         assert np.array_equal(loaded.mated, s.mated)
         assert np.array_equal(loaded.non_mated, s.non_mated)
 
+    def test_repeated_values_and_signed_zeros_render_per_row(self, tmp_path, rng):
+        mated = np.concatenate([[0.0, -0.0, 0.25, -0.0], rng.integers(0, 9, 40) / 8])
+        non_mated = np.concatenate([[0.1 + 0.2, 0.3], rng.random(5).repeat(3)])
+        s = _quiet_set(mated, non_mated)
+        path = tmp_path / "combined.csv"
+        ue.write_score_csv(s, path)
+        rows = [f"{v!r},mated" for v in mated.tolist()]
+        rows += [f"{v!r},nonmated" for v in non_mated.tolist()]
+        assert path.read_text() == "score,label\n" + "\n".join(rows) + "\n"
+        loaded = ue.load_score_set(path, path)
+        assert np.array_equal(np.signbit(loaded.mated), np.signbit(mated))
+
     def test_per_side_files_round_trip(self, tmp_path, rng):
         s = _quiet_set(rng.random(30), rng.random(40))
         mp, nmp = tmp_path / "m.csv", tmp_path / "nm.csv"
