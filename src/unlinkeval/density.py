@@ -6,6 +6,18 @@ everywhere.  The default estimator is a plain histogram (count/(n*width)):
 it is verifiable by hand and keeps zero-count bins at exactly zero, which
 the likelihood-ratio layer relies on.  Optional Gaussian smoothing is
 available for nicer plots but changes no defaults.
+
+The Gaussian KDE is evaluated over fixed blocks of scores, so its memory is
+one (block, bins) buffer whatever the number of scores.  The blocked sum is
+the dense one bit for bit: row 0 of the buffer carries the running sum of
+every bin, and each block is reduced together with it along the score axis,
+so every bin adds its kernel terms one score after another in input order,
+as the (n, bins) matrix summed over its score axis does.  Floating-point
+addition is not associative, and summing each block apart and then adding
+the block sums would change the last digits of the densities and with them
+the bytes of every report.  Kernel terms whose exponent is below -746 are
+exactly +0.0 and are set so without calling exp, whose slow scalar path
+handles such arguments.
 """
 
 from __future__ import annotations
@@ -33,6 +45,13 @@ _MAX_AUTO_BINS = 400
 _POINT_MASS_EPS = 1e-6
 
 NORMALIZATION_TOL = 1e-9
+
+# scores per KDE block: a 256 x 217-bin float64 block is 444 kB, small
+# enough for the block's seven passes to stay in a core's cache
+_KDE_BLOCK = 256
+# exp(x) rounds to +0.0 for every x below this: the smallest subnormal,
+# 4.9e-324, is exp(-744.4), and below about -745.1 exp rounds to zero
+_EXP_ZERO_BELOW = -746.0
 
 
 @dataclass(frozen=True)
@@ -210,9 +229,24 @@ def _kde_density(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     if bw <= 0:
         bw = _POINT_MASS_EPS * max(1.0, float(np.abs(values).max()))
     centers = (edges[:-1] + edges[1:]) / 2.0
-    # mean of Gaussian kernels, evaluated at the bin centers
-    z = (centers[None, :] - values[:, None]) / bw
-    dens = np.exp(-0.5 * z * z).sum(axis=0) / (n * bw * math.sqrt(2.0 * math.pi))
+    # mean of Gaussian kernels, evaluated at the bin centers; row 0 of acc
+    # is the running per-bin sum, rows 1.. the kernel terms of one block
+    acc = np.zeros((_KDE_BLOCK + 1, centers.size))
+    z = np.empty((_KDE_BLOCK, centers.size))
+    keep = np.empty((_KDE_BLOCK, centers.size), dtype=bool)
+    for lo in range(0, n, _KDE_BLOCK):
+        m = min(_KDE_BLOCK, n - lo)
+        zb, terms, kb = z[:m], acc[1 : m + 1], keep[:m]
+        np.subtract(centers, values[lo : lo + m, None], out=zb)
+        zb /= bw
+        np.multiply(-0.5, zb, out=terms)
+        terms *= zb
+        np.greater_equal(terms, _EXP_ZERO_BELOW, out=kb)
+        np.exp(terms, out=terms, where=kb)
+        # the skipped terms still hold their exponent, below -746
+        np.maximum(terms, 0.0, out=terms)
+        acc[0] = acc[: m + 1].sum(axis=0)
+    dens = acc[0] / (n * bw * math.sqrt(2.0 * math.pi))
     mass = float(np.sum(dens * np.diff(edges)))
     # tail mass beyond the grid is cut off; rescale onto the grid
     return dens / mass

@@ -71,15 +71,14 @@ class ScoreSet:
 
 
 def _as_score_array(values, side: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
+    # one C-ordered copy; reshape(-1) of it is a view, so a strided input
+    # is copied once
+    arr = np.array(values, dtype=np.float64, order="C").reshape(-1)
     if arr.size < 2:
         raise TooFewScoresError(side, int(arr.size))
     if not np.all(np.isfinite(arr)):
         bad = int(np.flatnonzero(~np.isfinite(arr))[0])
         raise ValueError(f"{side} score at index {bad} is not finite")
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -163,20 +162,91 @@ def load_score_set(mated_path, non_mated_path, source: str | None = None) -> Sco
 
     Each file is either a labeled CSV with header ``score,label`` (rows for
     the other side are ignored, so both paths may point at one combined
-    file) or a headerless single column of scores.
+    file, which is then read and parsed once) or a headerless single column
+    of scores.
     """
-    mated = _parse_score_file(mated_path, LABEL_MATED)
-    non_mated = _parse_score_file(non_mated_path, LABEL_NON_MATED)
+    parsed: dict[Path, tuple[str, dict[str, np.ndarray] | None]] = {}
+    sides = []
+    for path, side in ((Path(mated_path), LABEL_MATED), (Path(non_mated_path), LABEL_NON_MATED)):
+        if path not in parsed:
+            parsed[path] = _parse_score_file(path)
+        text, columns = parsed[path]
+        if columns is None:
+            values = np.array(_parse_score_lines(path, text, side), dtype=np.float64)
+        else:
+            values = columns[side]
+        if values.size < 2:
+            raise TooFewScoresError(side, int(values.size))
+        sides.append(values)
+    mated, non_mated = sides
     if source is None:
         source = f"{mated_path};{non_mated_path}"
     return ScoreSet(mated=mated, non_mated=non_mated, source=source)
 
 
-def _parse_score_file(path, side: str) -> list[float]:
-    path = Path(path)
+# Whitespace other than "\n": padding, and the line breaks that
+# str.splitlines knows besides "\n" and "\r" (reading translates "\r").
+_PLAIN_FORM_EXCLUDES = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _parse_score_file(path: Path) -> tuple[str, dict[str, np.ndarray] | None]:
+    """Read a score file and parse it as a whole when it has the plain form.
+
+    Returns the text and the scores of each side, or the text and None when
+    the file is not in the plain form; `_parse_score_lines` then reads it
+    line by line and names the line of any fault.  The plain form is ASCII
+    without whitespace other than line ends and either starts with the
+    exact line ``score,label``, with every further row ``<score>,mated`` or
+    ``<score>,nonmated``, or has one score per row and no header.  Every
+    score must be a finite float.  Such a file holds nothing the line
+    parser would strip, skip or reject, and it splits into the same rows,
+    so both parsers give the same values.
+    """
     if not path.is_file():
         raise MissingFileError(f"score file not found: {path}")
     text = path.read_text(encoding="utf-8")
+    if not text.isascii() or any(c in text for c in _PLAIN_FORM_EXCLUDES):
+        return text, None
+    header = _CSV_HEADER + "\n"
+    labeled = text.startswith(header)
+    body = text[len(header) :] if labeled else text
+    if body and not body.endswith("\n"):
+        body += "\n"
+    rows = body.count("\n")
+    if labeled:
+        # every row ends in ",mated" or ",nonmated": no row end is counted
+        # twice, since "mated" follows "n" in ",nonmated"
+        if body.count(",mated\n") + body.count(",nonmated\n") != rows:
+            return text, None
+        is_mated = _mated_rows(body)
+        values = body.replace(",nonmated\n", ",mated\n").split(",mated\n")[:rows]
+    else:
+        values, is_mated = body.split("\n")[:rows], None
+    try:
+        scores = np.fromiter(map(float, values), np.float64, rows)
+    except ValueError:  # a blank row, a non-number or a further comma
+        return text, None
+    if not np.all(np.isfinite(scores)):
+        return text, None
+    if is_mated is None:
+        return text, {LABEL_MATED: scores, LABEL_NON_MATED: scores}
+    return text, {LABEL_MATED: scores[is_mated], LABEL_NON_MATED: scores[~is_mated]}
+
+
+def _mated_rows(body: str) -> np.ndarray:
+    """Which rows of a plain labeled body are mated: six characters before
+    its end a row has the comma of ",mated" or the "n" of ",nonmated"."""
+    raw = np.frombuffer(body.encode("ascii"), np.uint8)
+    return raw[np.flatnonzero(raw == ord("\n")) - 6] == ord(",")
+
+
+def _parse_score_lines(path: Path, text: str, side: str) -> list[float]:
+    """The scores of one side, parsed line by line.
+
+    Accepts every form the whole-file parse leaves to it (padding, upper
+    case, blank rows) and raises the line-numbered error of the first
+    faulty row; rows of the other side are skipped unparsed.
+    """
     lines = text.splitlines()
 
     labeled = bool(lines) and lines[0].strip().lower() == _CSV_HEADER

@@ -1,7 +1,10 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,3 +241,18 @@ class TestEntryPoint:
         proc = subprocess.run(["unlink-eval", "--help"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "protocol" in proc.stdout
+
+    def test_malformed_csv_in_a_fresh_process(self, tmp_path):
+        good = tmp_path / "good.csv"
+        good.write_text("score,label\n0.1,mated\n0.2,mated\n0.8,nonmated\n0.9,nonmated\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("score,label\n0.1,mated\n0.2,mated,0.3\n0.4,mated\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "unlinkeval.cli", "compare",
+             "--accuracy-mated", str(bad), "--accuracy-nonmated", str(good),
+             "--crosskey-mated", str(good), "--crosskey-nonmated", str(good), "--kde"],
+            capture_output=True, text=True, timeout=120,
+            cwd=Path(__file__).resolve().parents[1], env={**os.environ, "PYTHONPATH": "src"},
+        )
+        assert proc.returncode == 2
+        assert f"{bad}:3:" in proc.stderr

@@ -1,9 +1,12 @@
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import unlinkeval as ue
+from unlinkeval import density
 from unlinkeval.density import evaluate_density
 from unlinkeval.errors import (
     DegenerateSupportError,
@@ -158,6 +161,101 @@ class TestKde:
         # total variation of successive bin values: smoothing must reduce it
         tv = lambda p: np.abs(np.diff(p)).sum()
         assert tv(kde.p_mated) < tv(hist.p_mated)
+
+
+def _dense_kde(values, edges):
+    """The KDE as one (n, bins) matrix summed over its score axis: the oracle
+    of the blocked evaluation."""
+    n = values.size
+    std = float(np.std(values))
+    q75, q25 = np.percentile(values, [75.0, 25.0])
+    spread = min(std, (q75 - q25) / 1.34) if q75 > q25 else std
+    bw = 0.9 * spread * n ** (-1.0 / 5.0)
+    if bw <= 0:
+        bw = 1e-6 * max(1.0, float(np.abs(values).max()))
+    centers = (edges[:-1] + edges[1:]) / 2.0
+    z = (centers[None, :] - values[:, None]) / bw
+    dens = np.exp(-0.5 * z * z).sum(axis=0) / (n * bw * math.sqrt(2.0 * math.pi))
+    mass = float(np.sum(dens * np.diff(edges)))
+    return dens / mass
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestBlockedKde:
+    """The blocked KDE equals the dense one bit for bit."""
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, density._KDE_BLOCK + 1])
+    def test_block_boundaries(self, rng, extra):
+        values = rng.normal(0.48, 0.045, density._KDE_BLOCK + extra)
+        edges = np.linspace(values.min() - 0.01, values.max() + 0.01, 218)
+        assert np.array_equal(_bits(density._kde_density(values, edges)), _bits(_dense_kde(values, edges)))
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 333])
+    @pytest.mark.parametrize("bins", [2, 3, 217])
+    def test_small_blocks_and_two_bins(self, rng, monkeypatch, block, bins):
+        monkeypatch.setattr(density, "_KDE_BLOCK", block)
+        values = rng.normal(0.3, 0.1, 1000)
+        edges = np.linspace(values.min() - 0.05, values.max() + 0.05, bins + 1)
+        assert np.array_equal(_bits(density._kde_density(values, edges)), _bits(_dense_kde(values, edges)))
+
+    def test_every_term_underflows(self, rng):
+        # scores some 10^4 bandwidths from the grid: every kernel term is
+        # +0.0, the sum is zero and both normalise it to the same NaN
+        values = rng.normal(50.0, 0.1, 3000)
+        edges = np.linspace(0.0, 1.0, 11)
+        with np.errstate(invalid="ignore"):
+            blocked, dense = density._kde_density(values, edges), _dense_kde(values, edges)
+        assert np.all(np.isnan(blocked))
+        assert np.array_equal(_bits(blocked), _bits(dense))
+
+    def test_some_scores_far_outside(self, rng):
+        values = np.concatenate([rng.normal(0.5, 0.05, 2500), rng.normal(40.0, 0.05, 2500)])
+        rng.shuffle(values)
+        edges = np.linspace(0.2, 0.8, 31)
+        assert np.array_equal(_bits(density._kde_density(values, edges)), _bits(_dense_kde(values, edges)))
+
+    def test_subnormal_band(self, rng):
+        values = rng.normal(0.0, 1.0, 5000)
+        n = values.size
+        q75, q25 = np.percentile(values, [75.0, 25.0])
+        bw = 0.9 * min(float(np.std(values)), (q75 - q25) / 1.34) * n ** (-1.0 / 5.0)
+        # bin centers 35 to 40 bandwidths past the largest score
+        edges = values.max() + bw * np.linspace(35.0, 40.0, 41)
+        centers = (edges[:-1] + edges[1:]) / 2.0
+        exponent = -0.5 * ((centers[None, :] - values[:, None]) / bw) ** 2
+        kernel = np.exp(exponent)
+        assert np.any((kernel > 0) & (kernel < np.finfo(np.float64).tiny))
+        assert np.any(exponent < density._EXP_ZERO_BELOW)
+        assert np.array_equal(_bits(density._kde_density(values, edges)), _bits(_dense_kde(values, edges)))
+
+    def test_exp_is_positive_zero_below_the_cut(self):
+        cut = density._EXP_ZERO_BELOW
+        args = np.concatenate([
+            [np.nextafter(cut, -np.inf), -np.inf, -np.finfo(np.float64).max],
+            np.linspace(cut, 2 * cut, 200_001)[1:],
+            -np.logspace(np.log10(-cut), 308, 10_000)[1:],
+        ])
+        assert np.all(args < cut)
+        out = np.exp(args)
+        assert np.all(out == 0.0)
+        assert not np.any(np.signbit(out))
+
+    def test_peak_memory_does_not_grow_with_n(self, rng):
+        edges = np.linspace(-5.0, 5.0, 65)
+        peaks = []
+        for n in (20_000, 400_000):
+            values = rng.normal(size=n)
+            tracemalloc.start()
+            try:
+                density._kde_density(values, edges)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the (n, bins) matrix alone would be 200 MB at 400k scores
+        assert abs(peaks[1] - peaks[0]) < 4e6
 
 
 class TestSerialization:

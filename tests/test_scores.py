@@ -1,9 +1,14 @@
+import tempfile
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import unlinkeval as ue
+from unlinkeval import scores
 from unlinkeval.errors import (
     InvalidEnrollmentCountError,
     NonFiniteScoreError,
@@ -43,6 +48,21 @@ class TestScoreSet:
     def test_rejects_single_score_side(self):
         with pytest.raises(TooFewScoresError):
             _quiet_set([0.1], [0.2, 0.3])
+
+    def test_strided_view_is_copied_once(self):
+        # the layout cross_database_scores hands over: a key-pair-major
+        # block with its first two axes swapped
+        view = np.arange(2 * 500 * 1000, dtype=np.float64).reshape(2, 500, 1000).swapaxes(0, 1)
+        mated = np.zeros(1000)
+        tracemalloc.start()
+        try:
+            s = ue.ScoreSet(mated=mated, non_mated=view)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(s.non_mated, view.reshape(-1))
+        # the copy and the isfinite masks; a second copy would double it
+        assert peak < 1.4 * view.nbytes
 
     def test_adequacy_warning_below_recommended_size(self, rng):
         small = rng.normal(size=999)
@@ -106,8 +126,9 @@ class TestCsvRoundTrip:
     def test_non_finite_in_file_rejected(self, tmp_path):
         path = tmp_path / "inf.csv"
         path.write_text("0.1\ninf\n0.2\n")
-        with pytest.raises((NonFiniteScoreError, ScoreParseError)):
+        with pytest.raises(NonFiniteScoreError) as exc:
             ue.load_score_set(path, path)
+        assert exc.value.line_no == 2
 
     def test_unknown_label_rejected(self, tmp_path):
         path = tmp_path / "lbl.csv"
@@ -118,6 +139,165 @@ class TestCsvRoundTrip:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ue.UnlinkEvalError):
             ue.load_score_set(tmp_path / "absent.csv", tmp_path / "absent.csv")
+
+
+def _line_oracle(mated_path, non_mated_path):
+    """load_score_set as the line parser alone does it: one side at a time."""
+    sides = []
+    for path, side in ((mated_path, scores.LABEL_MATED), (non_mated_path, scores.LABEL_NON_MATED)):
+        text = path.read_text(encoding="utf-8")
+        sides.append(np.array(scores._parse_score_lines(path, text, side), dtype=np.float64))
+    return ue.ScoreSet(mated=sides[0], non_mated=sides[1])
+
+
+def _outcome(load, mated_path, non_mated_path):
+    """Bit patterns of both sides, or the error's type, line, side and count."""
+    try:
+        s = load(mated_path, non_mated_path)
+    except (ScoreParseError, TooFewScoresError) as exc:
+        return type(exc), *(getattr(exc, a, None) for a in ("line_no", "side", "count"))
+    return s.mated.view(np.uint64).tolist(), s.non_mated.view(np.uint64).tolist()
+
+
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["0.0", "-0.0", "0.25", "-0.25", "5e-324", "1_0", "+.5", "5.", "1E3"]),
+)
+_NOT_A_SCORE = st.sampled_from(
+    ["inf", "-inf", "Infinity", "nan", "NaN", "1e999", "abc", "", "0x10", "1e", "\u0661"]
+)
+_VALUE = st.one_of(_NUMBER, _NUMBER, _NUMBER, _NOT_A_SCORE)
+_LABEL = st.sampled_from(["mated", "nonmated"] * 4 + ["MATED", "NonMated", "genuine", ""])
+_PAD = st.sampled_from(["", "", "", "", "", "", " ", "\t", "\x0c", "\x1c", "\u2028"])
+
+
+@st.composite
+def _row(draw, labeled, plain):
+    if plain:
+        value = draw(_NUMBER)
+        return f"{value},{draw(st.sampled_from(['mated', 'nonmated']))}" if labeled else value
+    kinds = ["row"] * 6 + ["blank", "extra", "bare"] if labeled else ["bare"] * 6 + ["blank", "row"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "", "  "]))
+    value = draw(_PAD) + draw(_VALUE) + draw(_PAD)
+    if kind == "bare":
+        return value
+    row = f"{value},{draw(_PAD)}{draw(_LABEL)}"
+    if kind == "extra":
+        row += "," + draw(_VALUE)
+    return row
+
+
+@st.composite
+def _score_file(draw):
+    """A score file: plain, plain but for one row, or of mixed form."""
+    form = draw(st.sampled_from(["plain", "one-odd-row", "mixed"]))
+    header = draw(st.sampled_from(["score,label"] * 4 + ["SCORE,Label", " score,label", None, None]))
+    if form != "mixed":
+        header = draw(st.sampled_from(["score,label", None]))
+    labeled = header is not None
+    rows = draw(st.lists(_row(labeled, plain=form != "mixed"), max_size=10))
+    if form == "one-odd-row":
+        at = draw(st.integers(0, len(rows)))
+        rows.insert(at, draw(_row(labeled, plain=False)))
+    lines = ([header] if labeled else []) + rows
+    newline = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]))
+    end = draw(st.sampled_from([newline, ""])) if lines else ""
+    return newline.join(lines) + end
+
+
+class TestWholeFileParse:
+    """The whole-file parse against the line parser as oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(first=_score_file(), second=_score_file())
+    @example(first="score,label\n0.5,mated\n0.25,mated,0.75\n\n0.125,nonmated\n0.0,nonmated\n", second="")
+    @example(first="score,label\n0.5,mated\n-0.0,mated\n0.0,nonmated\n-0.0,nonmated\n", second="")
+    @example(first="0.5\n1,5\n0.25\n", second="0.25\n0.25\n")
+    def test_loader_matches_line_parser(self, first, second):
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+            a.write_bytes(first.encode("utf-8"))
+            b.write_bytes(second.encode("utf-8"))
+            for paths in ((a, a), (a, b), (b, a)):
+                assert _outcome(ue.load_score_set, *paths) == _outcome(_line_oracle, *paths)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "score,label\n0.5,mated\n-0.0,nonmated\n0.5,mated\n1e-300,nonmated\n",
+            "score,label\n0.5,mated\n0.25,nonmated",
+            "score,label\r\n0.5,mated\r\n0.25,nonmated\r\n",
+            "score,label\n",
+            "0.5\n-0.0\n0.5\n",
+            "0.5\r\n0.25",
+            "",
+        ],
+    )
+    def test_plain_form_is_parsed_whole(self, tmp_path, text):
+        path = tmp_path / "plain.csv"
+        path.write_bytes(text.encode("utf-8"))
+        _, columns = scores._parse_score_file(path)
+        assert columns is not None
+        for side in (scores.LABEL_MATED, scores.LABEL_NON_MATED):
+            try:
+                expected = scores._parse_score_lines(path, path.read_text(encoding="utf-8"), side)
+            except TooFewScoresError:
+                assert columns[side].size < 2
+                continue
+            assert columns[side].view(np.uint64).tolist() == np.array(expected).view(np.uint64).tolist()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SCORE,LABEL\n0.5,mated\n0.25,nonmated\n",
+            " score,label\n0.5,mated\n0.25,nonmated\n",
+            "score,label\n0.5, mated\n0.25,nonmated\n",
+            "score,label\n0.5,Mated\n0.25,nonmated\n",
+            "score,label\n0.5,mated\n\n0.25,nonmated\n",
+            "score,label\n0.5,mated,0.75\n\n0.25,nonmated\n",
+            "score,label\ninf,mated\n0.25,nonmated\n",
+            "score,label\nabc,nonmated\n0.25,mated\n",
+            "0.5\n\n0.25\n",
+            "0.5\t\n0.25\n",
+            "0.5\x0c0.25\n",
+            "score,label\n0.5\x0c,mated\n0.25,nonmated\n",
+            "score,label\n0.5,mated\n0.25\x1e,nonmated\n",
+            "\u0661.5\n0.25\n",
+        ],
+    )
+    def test_other_forms_go_to_the_line_parser(self, tmp_path, text):
+        path = tmp_path / "other.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert scores._parse_score_file(path)[1] is None
+
+    def test_combined_file_is_read_once(self, tmp_path, monkeypatch):
+        calls = []
+        parse = scores._parse_score_file
+        monkeypatch.setattr(scores, "_parse_score_file", lambda path: calls.append(path) or parse(path))
+        for text in ("score,label\n0.1,mated\n0.9,nonmated\n0.2,mated\n0.8,nonmated\n",
+                     "score,label\n0.1, mated\n0.9,nonmated\n0.2,mated\n0.8,NONMATED\n"):
+            path = tmp_path / "combined.csv"
+            path.write_text(text)
+            calls.clear()
+            s = ue.load_score_set(path, path)
+            assert calls == [path]
+            assert list(s.mated) == [0.1, 0.2]
+            assert list(s.non_mated) == [0.9, 0.8]
+
+    def test_combined_file_error_order(self, tmp_path):
+        # the mated side is read first: its bad number wins over an earlier
+        # bad non-mated row, which it skips
+        path = tmp_path / "bad.csv"
+        path.write_text("score,label\nabc,nonmated\nxyz,mated\n0.1,mated\n")
+        with pytest.raises(ScoreParseError) as exc:
+            ue.load_score_set(path, path)
+        assert exc.value.line_no == 3
+        path.write_text("score,label\nabc,nonmated\n0.1,mated\n0.2,mated\n")
+        with pytest.raises(ScoreParseError) as exc:
+            ue.load_score_set(path, path)
+        assert exc.value.line_no == 2
 
 
 class TestPriorConfig:
