@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatchError, NotNormalizedError, TooFewScoresError
+from .scores import CountTable
 
 ORIENT_SIMILARITY = "similarity"
 ORIENT_DISSIMILARITY = "dissimilarity"
@@ -156,13 +157,19 @@ class DetCurve:
         return "\n".join(rows) + "\n"
 
 
-def _as_side(values, side: str) -> np.ndarray:
+def _as_side(values, side: str) -> CountTable:
+    if isinstance(values, CountTable):
+        if len(values) < 2:
+            raise TooFewScoresError(side, len(values))
+        if not np.all(np.isfinite(values.values)):
+            raise ValueError(f"{side} scores must be finite")
+        return values
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
     if arr.size < 2:
         raise TooFewScoresError(side, int(arr.size))
     if np.any(~np.isfinite(arr)):
         raise ValueError(f"{side} scores must be finite")
-    return arr
+    return CountTable.from_scores(arr)
 
 
 def det_curve(mated, non_mated, orientation: str = ORIENT_SIMILARITY, mode: str = MODE_ACCURACY) -> DetCurve:
@@ -170,33 +177,51 @@ def det_curve(mated, non_mated, orientation: str = ORIENT_SIMILARITY, mode: str 
 
     Similarity scores match at s >= t; dissimilarity scores match at s <= t.
     Thresholds cover every distinct score, every midpoint between adjacent
-    distinct scores, and one sentinel beyond each end.
+    distinct scores, and one sentinel beyond each end.  Each side is an
+    array of scores or a CountTable; arrays are tallied first, and the
+    rates are the same integers (scores below or at each threshold, from
+    the cumulative counts) over the same totals either way.
     """
     mated = _as_side(mated, "mated")
     non_mated = _as_side(non_mated, "nonmated")
     if orientation not in (ORIENT_SIMILARITY, ORIENT_DISSIMILARITY):
         raise ValueError(f"unknown orientation {orientation!r}")
 
-    values = np.unique(np.concatenate([mated, non_mated]))
-    mids = (values[:-1] + values[1:]) / 2.0
-    span = max(values[-1] - values[0], 1.0)
-    thresholds = np.unique(
-        np.concatenate([values, mids, [values[0] - span, values[-1] + span]])
-    )
-
-    m_sorted = np.sort(mated)
-    nm_sorted = np.sort(non_mated)
+    thresholds = _thresholds(np.unique(np.concatenate([mated.values, non_mated.values])))
+    n_m, n_nm = len(mated), len(non_mated)
     if orientation == ORIENT_SIMILARITY:
         # match at s >= t: misses are mated below t, false matches non-mated at/above t
-        fnmr = np.searchsorted(m_sorted, thresholds, side="left") / mated.size
-        fmr = (non_mated.size - np.searchsorted(nm_sorted, thresholds, side="left")) / non_mated.size
+        fnmr = mated.count_below(thresholds, "left") / n_m
+        fmr = (n_nm - non_mated.count_below(thresholds, "left")) / n_nm
     else:
         # match at s <= t
-        fnmr = (mated.size - np.searchsorted(m_sorted, thresholds, side="right")) / mated.size
-        fmr = np.searchsorted(nm_sorted, thresholds, side="right") / non_mated.size
+        fnmr = (n_m - mated.count_below(thresholds, "right")) / n_m
+        fmr = non_mated.count_below(thresholds, "right") / n_nm
 
     eer = _interpolated_eer(fmr, fnmr)
     return DetCurve(thresholds=thresholds, fmr=fmr, fnmr=fnmr, eer=eer, mode=mode, orientation=orientation)
+
+
+def _thresholds(values: np.ndarray) -> np.ndarray:
+    """The distinct scores, their neighbours' midpoints and two sentinels, sorted and distinct.
+
+    values is sorted and distinct, so the candidates are laid out already
+    in order and only repeats (a midpoint that rounds onto a neighbour) are
+    dropped: the same as np.unique over them, with a third less memory.  A
+    midpoint that overflows breaks the order, and then np.unique sorts.
+    """
+    span = max(values[-1] - values[0], 1.0)
+    out = np.empty(2 * values.size + 1)
+    out[0] = values[0] - span
+    out[1::2] = values
+    mids = out[2:-1:2]
+    np.add(values[:-1], values[1:], out=mids)
+    mids /= 2.0
+    out[-1] = values[-1] + span
+    if not np.all(out[1:] >= out[:-1]):
+        return np.unique(out)
+    repeats = out[1:] == out[:-1]
+    return out[np.concatenate(([True], ~repeats))] if repeats.any() else out
 
 
 def _interpolated_eer(fmr: np.ndarray, fnmr: np.ndarray) -> float:

@@ -1,8 +1,8 @@
 """Command-line driver: eval, synth, compare, protocol.
 
-Exit codes: 0 success, 2 usage or validation problem, 3 internal invariant
-violation.  All randomness flows from explicit seeds, so every command is
-deterministic given its inputs.
+Exit codes: 0 success, 2 usage or validation problem (or too little memory
+for the input), 3 internal invariant violation.  All randomness flows from
+explicit seeds, so every command is deterministic given its inputs.
 """
 
 from __future__ import annotations
@@ -221,10 +221,10 @@ def cmd_compare(args) -> int:
     accuracy_scores = load_score_set(args.accuracy_mated, args.accuracy_nonmated)
     crosskey_scores = load_score_set(args.crosskey_mated, args.crosskey_nonmated)
 
-    acc_curve = det_curve(
-        accuracy_scores.mated, accuracy_scores.non_mated, args.orientation, MODE_ACCURACY
-    )
-    rtmr = rtmr_curve(accuracy_scores.mated, crosskey_scores.non_mated, args.orientation)
+    # each side is tallied once and its count table serves every curve
+    accuracy = accuracy_scores.counted()
+    acc_curve = det_curve(accuracy.mated, accuracy.non_mated, args.orientation, MODE_ACCURACY)
+    rtmr = rtmr_curve(accuracy.mated, crosskey_scores.counted().non_mated, args.orientation)
     crosskey = assess(
         crosskey_scores, DensityConfig(bins=args.bins, kde=args.kde), prior.omega,
         args.orientation, MODE_CROSSKEY,
@@ -320,6 +320,11 @@ def main(argv=None) -> int:
         return 3
     except (UnlinkEvalError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # NumPy's allocation failures say how much was asked for
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

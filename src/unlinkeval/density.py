@@ -7,6 +7,12 @@ it is verifiable by hand and keeps zero-count bins at exactly zero, which
 the likelihood-ratio layer relies on.  Optional Gaussian smoothing is
 available for nicer plots but changes no defaults.
 
+The grid, its auto bin count and the histogram come from each side's count
+table (sorted distinct scores with their multiplicities), with the same
+integers and the same float operations as np.percentile and np.histogram
+over the scores themselves; a ScoreSet is tallied once and keeps its
+tables.  The KDE alone needs the ordered scores, so it takes a ScoreSet.
+
 The Gaussian KDE is evaluated over fixed blocks of scores, so its memory is
 one (block, bins) buffer whatever the number of scores.  The blocked sum is
 the dense one bit for bit: row 0 of the buffer carries the running sum of
@@ -35,7 +41,7 @@ from .errors import (
     LengthMismatchError,
     NotNormalizedError,
 )
-from .scores import ScoreSet
+from .scores import CountTable, ScoreCounts, ScoreSet
 
 AUTO_BINS = "auto"
 _MIN_AUTO_BINS = 20
@@ -151,21 +157,28 @@ class DensityPair:
         return cls.from_json_dict(json.loads(text))
 
 
-def estimate_densities(scores: ScoreSet, config: DensityConfig | None = None) -> DensityPair:
-    """Estimate both conditional densities on a shared grid."""
+def estimate_densities(scores: ScoreSet | ScoreCounts, config: DensityConfig | None = None) -> DensityPair:
+    """Estimate both conditional densities on a shared grid.
+
+    The Gaussian KDE (config.kde) needs a ScoreSet; histograms also take
+    a ScoreCounts.
+    """
     if config is None:
         config = DensityConfig()
-    mated = scores.mated
-    non_mated = scores.non_mated
+    if config.kde and not isinstance(scores, ScoreSet):
+        raise InvalidConfigError("the Gaussian KDE needs the scores themselves, not count tables")
+    tables = scores.counted()
+    mated = tables.mated
+    non_mated = tables.non_mated
 
-    m_const = float(mated.min()) == float(mated.max())
-    nm_const = float(non_mated.min()) == float(non_mated.max())
+    m_const = mated.values.size == 1
+    nm_const = non_mated.values.size == 1
     if not config.allow_point_mass and (m_const or nm_const):
         side = "mated" if m_const else "non-mated"
         raise DegenerateSupportError(f"all {side} scores are identical and point-mass handling is disabled")
 
-    lo = float(min(mated.min(), non_mated.min()))
-    hi = float(max(mated.max(), non_mated.max()))
+    lo = float(min(mated.values[0], non_mated.values[0]))
+    hi = float(max(mated.values[-1], non_mated.values[-1]))
 
     if lo == hi:
         # union support is a single point: one bin of width eps around it
@@ -189,20 +202,21 @@ def estimate_densities(scores: ScoreSet, config: DensityConfig | None = None) ->
         edges = np.linspace(lo - width, hi + width, n_bins + 3)
 
     if config.kde:
-        p_m = _kde_density(mated, edges)
-        p_nm = _kde_density(non_mated, edges)
+        p_m = _kde_density(scores.mated, edges)
+        p_nm = _kde_density(scores.non_mated, edges)
     else:
         p_m = _histogram_density(mated, edges)
         p_nm = _histogram_density(non_mated, edges)
     return DensityPair(edges=edges, p_mated=p_m, p_non_mated=p_nm)
 
 
-def _resolve_bins(config: DensityConfig, mated, non_mated, lo: float, hi: float) -> int:
+def _resolve_bins(config: DensityConfig, mated: CountTable, non_mated: CountTable, lo: float, hi: float) -> int:
     if config.bins != AUTO_BINS:
         return int(config.bins)
-    pooled = np.concatenate([mated, non_mated])
-    n = pooled.size
-    q75, q25 = np.percentile(pooled, [75.0, 25.0])
+    # Freedman-Diaconis on the pooled sample
+    pooled = CountTable.pooled(mated, non_mated)
+    n = len(pooled)
+    q75, q25 = pooled.percentile([75.0, 25.0])
     width = 2.0 * (q75 - q25) / n ** (1.0 / 3.0)
     if width <= 0:
         # concentrated data defeats the IQR rule; Sturges as a stand-in
@@ -212,12 +226,15 @@ def _resolve_bins(config: DensityConfig, mated, non_mated, lo: float, hi: float)
     return min(max(n_bins, _MIN_AUTO_BINS), _MAX_AUTO_BINS)
 
 
-def _histogram_density(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    counts, _ = np.histogram(values, bins=edges)
-    total = counts.sum()
-    if total != values.size:
+def _histogram_density(table: CountTable, edges: np.ndarray) -> np.ndarray:
+    # np.histogram with explicit edges counts, per edge, the sorted scores
+    # below it (the last edge inclusive) and differences those counts
+    below = np.concatenate((table.count_below(edges[:-1], "left"), table.count_below(edges[-1:], "right")))
+    counts = np.diff(below)
+    n = len(table)
+    if counts.sum() != n:
         raise GridMismatchError("grid does not cover all scores")
-    return counts / (values.size * np.diff(edges))
+    return counts / (n * np.diff(edges))
 
 
 def _kde_density(values: np.ndarray, edges: np.ndarray) -> np.ndarray:

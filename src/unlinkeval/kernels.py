@@ -3,6 +3,12 @@
 These are the hot loops of the whole package.  Inputs are C-contiguous
 uint64 matrices of packed template bits, one row per template.  Work is
 chunked so peak temporary memory stays bounded for large batches.
+
+All-pairs blocks go through a float32 matrix product instead: for 0/1 bits
+HD(x, y) = w_x + w_y - 2 x.y, where w is the set-bit count.  Every product
+and partial sum of x.y is an integer of at most L, 2 x.y is exact as a
+doubling, and w_x - 2 x.y and the distance itself lie in [-L, L], so every
+step is exact in float32 while the template length L is below 2**24.
 """
 
 from __future__ import annotations
@@ -15,6 +21,21 @@ USING_EXTENSION = False
 
 # rows per chunk; 2**14 rows x 64 words x 8 B = 8 MiB of temporaries
 _CHUNK = 1 << 14
+
+# rows of the first operand per matrix-product tile: a 128 x 450 block of
+# float32 distances is 230 kB and stays in cache through the conversion
+# to integers and the bincount that follow
+TILE_ROWS = 128
+
+# float32 integers are exact up to 2**24
+_GEMM_MAX_LENGTH = 1 << 24
+
+# Below this many 64-bit words of XOR-popcount work, about 0.07 s of
+# gathering on one core, all-pairs blocks are better gathered for
+# hamming_rows than multiplied: OpenBLAS worker threads spin-wait for up to
+# about 0.1 s after every product, and on small blocks that costs more CPU
+# time than the product saves.
+GEMM_MIN_WORDS = 1 << 22
 
 
 def popcount_rows(a: np.ndarray) -> np.ndarray:
@@ -60,7 +81,7 @@ def pack_rows(bits: np.ndarray) -> np.ndarray:
     if pad:
         bits = np.pad(bits, ((0, 0), (0, pad)))
     packed = np.packbits(bits, axis=1, bitorder="little")
-    return packed.view(np.uint64).reshape(n, -1)
+    return packed.view(np.uint64).reshape(n, (length + pad) // 64)
 
 
 def unpack_rows(packed: np.ndarray, length: int) -> np.ndarray:
@@ -68,3 +89,34 @@ def unpack_rows(packed: np.ndarray, length: int) -> np.ndarray:
     packed = np.ascontiguousarray(packed, dtype=np.uint64)
     bits = np.unpackbits(packed.view(np.uint8), axis=1, bitorder="little")
     return np.ascontiguousarray(bits[:, :length])
+
+
+def hamming_gemm(a: np.ndarray, b: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
+    """Hamming distance of every row of a with every row of b, shape (len(a), len(b)).
+
+    a and b are unpacked 0/1 bits as float32, wa and wb their rows' set-bit
+    counts.  One float32 matrix product, exact while the row length is
+    below 2**24; the distances come back as int64.
+    """
+    if a.shape[1:] != b.shape[1:]:
+        raise ValueError(f"row shape mismatch: {a.shape} vs {b.shape}")
+    if a.shape[1] >= _GEMM_MAX_LENGTH:
+        raise ValueError(f"rows of {a.shape[1]} bits; float32 distances are exact below 2**24")
+    dist = a @ b.T
+    dist *= -2.0
+    dist += np.asarray(wa, dtype=np.float32)[:, None]
+    dist += np.asarray(wb, dtype=np.float32)[None, :]
+    return dist.astype(np.int64)
+
+
+def triangle_tiles(n_groups: int, group: int = 1) -> list:
+    """Row tiles (lo, hi) over n_groups groups of `group` rows each.
+
+    Tile (lo, hi) pairs groups lo..hi-1 of one side with groups lo.. of
+    the other, so the tiles together cover every pair of groups i < j
+    (and, in their diagonal squares, some with i >= j, which the caller
+    drops) while computing little more than that half of the full matrix.
+    A tile holds about TILE_ROWS rows.
+    """
+    step = max(1, TILE_ROWS // group)
+    return [(lo, min(lo + step, n_groups)) for lo in range(0, n_groups, step)]

@@ -7,15 +7,18 @@ function, and aggregate with a max: the system is at least as vulnerable as
 the most effective linkage function an adversary could field.  Baseline
 accuracy metrics (DET/EER families, KL) are computed from the same scores
 so their verdicts can be compared directly against the global measure.
+
+Scores are tallied into count tables as their distance blocks are computed
+unless the ordered scores are needed: for the score CSVs of out_dir, for a
+KDE, and in cross_database_scores and same_key_scores.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -39,7 +42,7 @@ from .errors import (
     KeyCountWarning,
 )
 from .linkability import LinkabilityProfile, evaluate_densities
-from .scores import PriorConfig, ScoreSet, load_score_set
+from .scores import CountTable, PriorConfig, ScoreCounts, ScoreSet, load_score_set
 from .synthbtp import (
     SCHEME_BLOCK,
     SCHEME_BLOOM,
@@ -234,10 +237,6 @@ class EvaluationReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-# sample pairs (s_a, s_b) that compare only the first sample of each side
-_FIRST_SAMPLES = np.zeros((2, 1), dtype=np.intp)
-
-
 def _same_subject_rows(n_subjects: int, samples: int, sample_pairs):
     """Row pairs of each subject's sample pairs, in (sample pair, subject) order.
 
@@ -248,21 +247,85 @@ def _same_subject_rows(n_subjects: int, samples: int, sample_pairs):
     return (s_a[:, None] + base).ravel(), (s_b[:, None] + base).ravel()
 
 
-def _distinct_subject_rows(n_subjects: int, samples: int, sample_pairs):
-    """Row pairs of subjects i < j, in (subject pair, sample pair) order."""
-    s_a, s_b = sample_pairs
-    subj_a, subj_b = np.triu_indices(n_subjects, 1)
-    return (
-        (subj_a[:, None] * samples + s_a).ravel(),
-        (subj_b[:, None] * samples + s_b).ravel(),
-    )
+def _pairs_before(i: int, n: int) -> int:
+    """Number of subject pairs (i', j), i' < j, with i' < i: where row i starts in triu order."""
+    return i * (2 * n - i - 1) // 2
+
+
+@functools.lru_cache(maxsize=8)
+def _is_pair(rows: int, cols: int) -> np.ndarray:
+    """(rows, cols) mask of a tile's subject pairs: column subject above row subject."""
+    mask = np.arange(cols)[None, :] > np.arange(rows)[:, None]
+    mask.setflags(write=False)  # shared through the cache
+    return mask
+
+
+def _tile_pairs(block: np.ndarray, rows: int, cols: int, group: int) -> np.ndarray:
+    """The pair entries of a (rows * group, cols * group) tile, in (subject pair, sample pair) order."""
+    if group == 1:
+        return block[_is_pair(rows, cols)]
+    by_subject = block.reshape(rows, group, cols, group).transpose(0, 2, 1, 3)
+    return by_subject[_is_pair(rows, cols)].reshape(-1)
+
+
+@dataclass(frozen=True)
+class _View:
+    """What one linkage function compares.
+
+    packed: packed template bits per key, or None to compare set-bit
+    counts only (hamming_weight); pops: set-bit counts per key and row;
+    the score is the distance over length, or over the two rows' summed
+    set-bit counts when by_popsum (Bloom pic_hd).
+    """
+
+    packed: np.ndarray | None
+    pops: np.ndarray
+    length: int
+    by_popsum: bool
+
+    def scores(self, dist: np.ndarray, popsum, out=None) -> np.ndarray:
+        return np.divide(dist, popsum if self.by_popsum else self.length, out=out)
+
+
+class _Tally:
+    """Pair counts per distance, or per (distance, popsum) cell when by_popsum.
+
+    A cell is keyed distance * stride + popsum.  A distance is at most the
+    length, and at most the popsum, which is at most twice the largest
+    set-bit count.
+    """
+
+    def __init__(self, view: _View):
+        self.view = view
+        top = view.length
+        self.stride = 1
+        if view.by_popsum:
+            self.stride = 2 * int(view.pops.max(initial=0)) + 1
+            top = min(top, self.stride - 1)
+        self.counts = np.zeros((top + 1) * self.stride, dtype=np.int64)
+
+    def add(self, dist: np.ndarray, popsum) -> None:
+        found = np.bincount(dist if popsum is None else dist * self.stride + popsum)
+        self.counts[: found.size] += found
+
+    def table(self) -> CountTable:
+        cells = np.flatnonzero(self.counts)
+        counts = self.counts[cells]
+        if not self.view.by_popsum:
+            return CountTable(self.view.scores(cells, None), counts)
+        # equal quotients of different (distance, popsum) cells merge
+        scores = self.view.scores(cells // self.stride, cells % self.stride)
+        order = np.argsort(scores, kind="stable")
+        scores, counts = scores[order], counts[order]
+        first = np.flatnonzero(np.concatenate(([True], scores[1:] != scores[:-1])))
+        return CountTable(scores[first], np.add.reduceat(counts, first))
 
 
 class _ScoreEngine:
     """Packed template representations shared by all linkage functions.
 
-    Read-only once built (the inverted view under a lock, on first use), so
-    scoring can run on multiple threads without coordination.
+    Read-only once built, except for the inverted view, which is built on
+    first use.
     """
 
     def __init__(self, databases: list, ring: KeyRing | None, allow_approximate_bloom=False):
@@ -292,8 +355,8 @@ class _ScoreEngine:
         # cannot be inverted only fails the function that needs it
         self._databases = list(databases)
         self._allow_approximate_bloom = allow_approximate_bloom
-        self._lazy_lock = threading.Lock()
         self._packed_inverted = None
+        self._inverted_pops = None
 
     def packed_inverted(self, fn: str) -> np.ndarray:
         """Every template with its protection undone under its own key.
@@ -301,50 +364,131 @@ class _ScoreEngine:
         For block re-mapping this is also the structurally aligned view
         that permuted_xor compares.
         """
-        with self._lazy_lock:
-            if self._packed_inverted is None:
-                if self.ring is None:
-                    raise InvalidConfigError(f"{fn} requires the key ring")
-                self._packed_inverted = np.stack([
-                    kernels.pack_rows(invert_bits(
-                        db.bits.reshape(-1, self.protected_length), self.ring, db.key_id,
-                        db.scheme, self._allow_approximate_bloom,
-                    ))
-                    for db in self._databases
-                ])
-            return self._packed_inverted
+        if self._packed_inverted is None:
+            if self.ring is None:
+                raise InvalidConfigError(f"{fn} requires the key ring")
+            packed = np.stack([
+                kernels.pack_rows(invert_bits(
+                    db.bits.reshape(-1, self.protected_length), self.ring, db.key_id,
+                    db.scheme, self._allow_approximate_bloom,
+                ))
+                for db in self._databases
+            ])
+            self._inverted_pops = np.stack([kernels.popcount_rows(p) for p in packed])
+            self._packed_inverted = packed
+        return self._packed_inverted
 
-    def score(self, function: str, keys_a, keys_b, rows_a, rows_b) -> np.ndarray:
-        """Scores of every row pair under every key pair, shape (key pairs, row pairs).
-
-        Row pair i compares row rows_a[i] of database keys_a[p] with row
-        rows_b[i] of database keys_b[p]; one key pair is scored at a time.
-        """
+    def view(self, function: str) -> _View:
+        """What `function` compares; raises if the scheme does not support it."""
         if function == "hamming_weight":
-            packed, length = None, self.protected_length
-        elif function == "pic_hd":
-            packed, length = self.packed, self.protected_length
-        elif function == "permuted_xor":
+            return _View(None, self.pops, self.protected_length, False)
+        if function == "pic_hd":
+            return _View(self.packed, self.pops, self.protected_length, self.scheme == SCHEME_BLOOM)
+        if function == "permuted_xor":
             if self.scheme != SCHEME_BLOCK:
                 raise InconsistentDatabasesError(
                     "permuted_xor needs a block-remapping scheme with known structure"
                 )
-            packed, length = self.packed_inverted(function), self.protected_length
-        elif function == "reconstruction":
-            packed, length = self.packed_inverted(function), self.raw_length
-        else:
-            raise InvalidConfigError(f"unknown linkage function {function!r}")
-        out = np.empty((len(keys_a), len(rows_a)))
-        for row, a, b in zip(out, keys_a, keys_b):
-            if packed is None:
-                dist = np.abs(self.pops[a, rows_a] - self.pops[b, rows_b])
+            return _View(self.packed_inverted(function), self._inverted_pops, self.protected_length, False)
+        if function == "reconstruction":
+            return _View(self.packed_inverted(function), self._inverted_pops, self.raw_length, False)
+        raise InvalidConfigError(f"unknown linkage function {function!r}")
+
+    def same_subject(self, view: _View, keys_a, keys_b, sample_pairs):
+        """Distances of every subject's sample pairs, one key pair at a time.
+
+        Yields (p, dist, popsum): row i compares sample pair i // n of
+        subject i % n under key keys_a[p] with that under keys_b[p]; popsum
+        is None unless view.by_popsum.
+        """
+        rows_a, rows_b = _same_subject_rows(self.n_subjects, self.samples, sample_pairs)
+        for p, (a, b) in enumerate(zip(keys_a, keys_b)):
+            wa, wb = view.pops[a, rows_a], view.pops[b, rows_b]
+            if view.packed is None:
+                dist = np.abs(wa - wb)
             else:
-                dist = kernels.hamming_rows(packed[a], packed[b], rows_a, rows_b)
-            if function == "pic_hd" and self.scheme == SCHEME_BLOOM:
-                np.divide(dist, self.pops[a, rows_a] + self.pops[b, rows_b], out=row)
-            else:
-                np.divide(dist, length, out=row)
-        return out
+                dist = kernels.hamming_rows(view.packed[a], view.packed[b], rows_a, rows_b)
+            yield p, dist, (wa + wb if view.by_popsum else None)
+
+    def distinct_subjects(self, view: _View, keys_a, keys_b, group: int):
+        """Distances of distinct subjects' pairs, one tile of subjects at a time.
+
+        group is the samples compared per subject: 1 (the first) or all.
+        Yields (lo, hi, p, dist, popsum) per kernels.triangle_tiles tile:
+        dist holds the pairs of subjects i in lo..hi-1 with subjects j > i,
+        i under key keys_a[p] and j under key keys_b[p], in (subject pair,
+        sample pair) order, which is one run of the triu order; popsum is
+        None unless view.by_popsum.  A call with at least
+        kernels.GEMM_MIN_WORDS words of work takes the tile from
+        kernels.hamming_gemm, a smaller one gathers just the pairs for
+        kernels.hamming_rows; both give the same integers.
+        """
+        rows = slice(None) if group == self.samples else slice(None, None, self.samples)
+        n, n_rows = self.n_subjects, self.n_subjects * group
+        keys = np.union1d(keys_a, keys_b)
+        pops = {k: view.pops[k, rows] for k in keys}
+        gemm = gather = False
+        if view.packed is not None:
+            words = len(keys_a) * n_rows * n_rows // 2 * view.packed.shape[-1]
+            gemm = words >= kernels.GEMM_MIN_WORDS
+            gather = not gemm
+        if gemm:
+            bits = {k: kernels.unpack_rows(view.packed[k, rows], view.length).astype(np.float32)
+                    for k in keys}
+        elif gather:
+            bits = {k: np.ascontiguousarray(view.packed[k, rows]) for k in keys}
+        for lo, hi in kernels.triangle_tiles(n, group):
+            r, c = slice(lo * group, hi * group), slice(lo * group, n_rows)
+            shape = (hi - lo, n - lo, group)
+            # the rows of a and of b that each pair of the tile compares
+            rows_a, rows_b = (
+                _tile_pairs(grid, *shape)
+                for grid in np.meshgrid(np.arange(r.start, r.stop), np.arange(c.start, c.stop), indexing="ij")
+            )
+            for p, (a, b) in enumerate(zip(keys_a, keys_b)):
+                if gemm:
+                    tile = kernels.hamming_gemm(bits[a][r], bits[b][c], pops[a][r], pops[b][c])
+                    dist = _tile_pairs(tile, *shape)
+                elif gather:
+                    dist = kernels.hamming_rows(bits[a], bits[b], rows_a, rows_b)
+                else:
+                    dist = np.abs(pops[a][rows_a] - pops[b][rows_b])
+                yield lo, hi, p, dist, (pops[a][rows_a] + pops[b][rows_b] if view.by_popsum else None)
+
+
+def _score_pairs(engine: _ScoreEngine, function: str, keys_a, keys_b, mated_samples,
+                 group: int, pair_major: bool, counted: bool, source: str):
+    """Mated scores of same-subject pairs and non-mated ones of distinct subjects.
+
+    With counted, both sides are tallied straight from the distance blocks
+    into a ScoreCounts.  Otherwise they fill a ScoreSet: mated in (key
+    pair, sample pair, subject) order; non-mated in (subject pair, key
+    pair, sample pair) order when pair_major, else (key pair, subject
+    pair, sample pair).
+    """
+    view = engine.view(function)
+    n, n_keys = engine.n_subjects, len(keys_a)
+    mated_blocks = engine.same_subject(view, keys_a, keys_b, mated_samples)
+    tiles = engine.distinct_subjects(view, keys_a, keys_b, group)
+    if counted:
+        mated, non_mated = _Tally(view), _Tally(view)
+        for _, dist, popsum in mated_blocks:
+            mated.add(dist, popsum)
+        for _, _, _, dist, popsum in tiles:
+            non_mated.add(dist, popsum)
+        return ScoreCounts(mated.table(), non_mated.table(), source)
+
+    mated = np.empty((n_keys, len(mated_samples[0]) * n))
+    for p, dist, popsum in mated_blocks:
+        view.scores(dist, popsum, out=mated[p])
+    n_pairs = n * (n - 1) // 2
+    shape = (n_pairs, n_keys, group * group) if pair_major else (n_keys, n_pairs, group * group)
+    non_mated = np.empty(shape)
+    for lo, hi, p, dist, popsum in tiles:
+        target = non_mated[:, p] if pair_major else non_mated[p]
+        run = slice(_pairs_before(lo, n), _pairs_before(hi, n))
+        target[run] = view.scores(dist, popsum).reshape(-1, group * group)
+    return ScoreSet(mated=mated, non_mated=non_mated, source=source)
 
 
 def cross_database_scores(
@@ -355,6 +499,7 @@ def cross_database_scores(
     non_mated_all_pairs: bool = False,
     allow_approximate_bloom: bool = False,
     _engine: "_ScoreEngine | None" = None,
+    _counted: bool = False,
 ) -> ScoreSet:
     """Mated and non-mated cross-key linkage scores over K databases.
 
@@ -366,24 +511,19 @@ def cross_database_scores(
     first template of each pair is on key a, so each unordered template
     pair appears once.  Mated scores come in (key pair, sample pair,
     subject) order, non-mated ones in (subject pair, key pair, sample
-    pair) order.
+    pair) order.  _counted returns the same scores tallied into a
+    ScoreCounts instead, without ever holding them all.
     """
     if mated_pairing not in (PAIRING_ALL_CROSS_KEY, PAIRING_DISTINCT_SAMPLES):
         raise InvalidConfigError(f"unknown mated_pairing {mated_pairing!r}")
     engine = _engine or _ScoreEngine(databases, ring, allow_approximate_bloom)
-    n, samples = engine.n_subjects, engine.samples
-    key_pairs = np.triu_indices(engine.k, 1)
+    samples = engine.samples
     # every (sample, sample) combination, first index outer
     grid = np.indices((samples, samples)).reshape(2, -1)
     mated_samples = np.triu_indices(samples, 1) if mated_pairing == PAIRING_DISTINCT_SAMPLES else grid
-    nm_samples = grid if non_mated_all_pairs else _FIRST_SAMPLES
-    mated = engine.score(function, *key_pairs, *_same_subject_rows(n, samples, mated_samples))
-    non_mated = engine.score(function, *key_pairs, *_distinct_subject_rows(n, samples, nm_samples))
-    # (key pair, subject pair, sample pair) -> (subject pair, key pair, sample pair)
-    non_mated = non_mated.reshape(len(key_pairs[0]), -1, len(nm_samples[0])).swapaxes(0, 1)
-    return ScoreSet(
-        mated=mated,
-        non_mated=non_mated,
+    return _score_pairs(
+        engine, function, *np.triu_indices(engine.k, 1), mated_samples,
+        group=samples if non_mated_all_pairs else 1, pair_major=True, counted=_counted,
         source=f"{function}/{engine.scheme}/K={engine.k}/cross-key",
     )
 
@@ -393,20 +533,20 @@ def same_key_scores(
     function: str = "pic_hd",
     ring: KeyRing | None = None,
     _engine: "_ScoreEngine | None" = None,
+    _counted: bool = False,
 ) -> ScoreSet:
     """Accuracy-scenario scores: both templates under the same key.
 
-    Mated: every distinct-sample pair of each subject under each key.
-    Non-mated: first samples of distinct subjects under each key.
+    Mated: every distinct-sample pair of each subject under each key, in
+    (key, sample pair, subject) order.  Non-mated: first samples of
+    distinct subjects under each key, in (key, subject pair) order.
+    _counted returns them tallied into a ScoreCounts instead.
     """
     engine = _engine or _ScoreEngine(databases, ring)
-    n, samples = engine.n_subjects, engine.samples
     keys = np.arange(engine.k)
-    mated = engine.score(function, keys, keys, *_same_subject_rows(n, samples, np.triu_indices(samples, 1)))
-    non_mated = engine.score(function, keys, keys, *_distinct_subject_rows(n, samples, _FIRST_SAMPLES))
-    return ScoreSet(
-        mated=mated,
-        non_mated=non_mated,
+    return _score_pairs(
+        engine, function, keys, keys, np.triu_indices(engine.samples, 1),
+        group=1, pair_major=False, counted=_counted,
         source=f"{function}/{engine.scheme}/K={engine.k}/same-key",
     )
 
@@ -449,29 +589,30 @@ class Assessment:
 
 
 def assess(
-    scores: ScoreSet, density: DensityConfig, omega: float, orientation: str, mode: str
+    scores: ScoreSet | ScoreCounts, density: DensityConfig, omega: float, orientation: str, mode: str
 ) -> Assessment:
-    """Densities -> profile (LR, D(s), D_sys) -> KL over the binned pmfs -> one DET curve."""
+    """Densities -> profile (LR, D(s), D_sys) -> KL over the binned pmfs -> one DET curve.
+
+    Everything but a KDE works on the count tables, so scores may be a
+    ScoreCounts unless density.kde is set.
+    """
     dp = estimate_densities(scores, density)
     profile = evaluate_densities(dp, omega)
     widths = dp.bin_widths
     kl = kl_divergence(dp.p_mated * widths, dp.p_non_mated * widths)
-    det = det_curve(scores.mated, scores.non_mated, orientation, mode)
+    tables = scores.counted()
+    det = det_curve(tables.mated, tables.non_mated, orientation, mode)
     return Assessment(densities=dp, profile=profile, kl=kl, det=det)
 
 
 def _max_workers(n_tasks: int) -> int:
-    cap = os.environ.get("UNLINK_EVAL_THREADS", "")
-    if cap:
-        try:
-            limit = int(cap)
-        except ValueError:
-            raise InvalidConfigError(f"UNLINK_EVAL_THREADS must be an integer, got {cap!r}") from None
-        if limit < 1:
-            raise InvalidConfigError(f"UNLINK_EVAL_THREADS must be positive, got {limit}")
-    else:
-        limit = os.cpu_count() or 1
-    return max(1, min(n_tasks, limit))
+    """Threads that run_protocol evaluates linkage functions on: one.
+
+    Functions run one after another; the matrix products inside use the
+    BLAS library's own threads.  Run stamps (perfbench/worker.py) record
+    this number.
+    """
+    return 1
 
 
 def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
@@ -500,7 +641,7 @@ def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
             cfg.block_size, cfg.bloom_width, cfg.bloom_height,
         )
         engine = _ScoreEngine(databases, ring, cfg.allow_approximate_bloom)
-        accuracy = same_key_scores(databases, "pic_hd", ring, _engine=engine)
+        accuracy = same_key_scores(databases, "pic_hd", ring, _engine=engine, _counted=True)
         # one same-key accuracy curve serves every linkage function
         accuracy_eer = det_curve(
             accuracy.mated, accuracy.non_mated, ORIENT_DISSIMILARITY, MODE_ACCURACY
@@ -515,8 +656,10 @@ def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
                 "key_seed": cfg.resolved_key_seed,
             }
         )
-    # score sets outlive their evaluation only when they are to be written
+    # score sets outlive their evaluation only when they are to be written;
+    # otherwise, without a KDE, only their count tables are ever built
     keep_scores = cfg.out_dir is not None
+    counted = not keep_scores and not cfg.density.kde
 
     def evaluate_function(fn: str) -> tuple:
         if cfg.score_files is not None:
@@ -528,6 +671,7 @@ def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
                 mated_pairing=cfg.mated_pairing,
                 non_mated_all_pairs=cfg.non_mated_all_pairs,
                 _engine=engine,
+                _counted=counted,
             )
         result = assess(scores, cfg.density, cfg.prior.omega, ORIENT_DISSIMILARITY, MODE_CROSSKEY)
         entry = {
@@ -543,25 +687,25 @@ def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
             "eer_rtmr": None,
         }
         if accuracy is not None:
-            entry["eer_rtmr"] = rtmr_curve(accuracy.mated, scores.non_mated, ORIENT_DISSIMILARITY).eer
+            entry["eer_rtmr"] = rtmr_curve(
+                accuracy.mated, scores.counted().non_mated, ORIENT_DISSIMILARITY
+            ).eer
         return entry, (scores if keep_scores else None)
 
     per_function: dict = {}
     score_sets: dict = {}
-    workers = _max_workers(len(cfg.linkage_functions))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {fn: pool.submit(evaluate_function, fn) for fn in cfg.linkage_functions}
-        for fn, future in futures.items():
-            try:
-                entry, scores = future.result()
-                per_function[fn] = entry
-                if scores is not None:
-                    score_sets[fn] = scores
-            except Exception as exc:
-                per_function[fn] = {
-                    "adversary_model": ADVERSARY_MODELS[fn],
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
+    for fn in cfg.linkage_functions:
+        try:
+            entry, scores = evaluate_function(fn)
+        except Exception as exc:
+            per_function[fn] = {
+                "adversary_model": ADVERSARY_MODELS[fn],
+                "error": f"{type(exc).__name__}: {exc}",
+            }
+            continue
+        per_function[fn] = entry
+        if scores is not None:
+            score_sets[fn] = scores
 
     d_values = [e["d_sys"] for e in per_function.values() if "d_sys" in e]
     aggregated = max(d_values) if d_values else None

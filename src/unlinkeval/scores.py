@@ -1,4 +1,4 @@
-"""Core domain types for linkage scores: score sets, priors, CSV ingestion.
+"""Core domain types for linkage scores: score sets, count tables, priors, CSV ingestion.
 
 A linkage score is the output of some function comparing two protected
 templates.  Scores are grouped into a mated collection (both templates
@@ -6,13 +6,17 @@ conceal the same biometric instance) and a non-mated collection (different
 instances).  Scores are accepted in either orientation, similarity or
 dissimilarity; the linkability metrics are orientation-agnostic because the
 likelihood ratio is computed point-wise.
+
+A ScoreSet holds the scores themselves, in order; a ScoreCounts holds one
+CountTable (sorted distinct scores and their counts) per side, which is all
+the histogram, DET and RTMR statistics use.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -52,14 +56,7 @@ class ScoreSet:
     def __post_init__(self):
         object.__setattr__(self, "mated", _as_score_array(self.mated, LABEL_MATED))
         object.__setattr__(self, "non_mated", _as_score_array(self.non_mated, LABEL_NON_MATED))
-        for side, arr in ((LABEL_MATED, self.mated), (LABEL_NON_MATED, self.non_mated)):
-            if arr.size < ADEQUATE_SCORES_PER_SIDE:
-                warnings.warn(
-                    f"{side} side has {arr.size} scores; below "
-                    f"{ADEQUATE_SCORES_PER_SIDE} estimates may be unstable",
-                    StatisticalAdequacyWarning,
-                    stacklevel=3,
-                )
+        _warn_if_inadequate(self.mated.size, self.non_mated.size)
 
     @property
     def n_mated(self) -> int:
@@ -68,6 +65,19 @@ class ScoreSet:
     @property
     def n_non_mated(self) -> int:
         return int(self.non_mated.size)
+
+    def counted(self) -> "ScoreCounts":
+        """Both sides as count tables, built on first use and kept."""
+        tables = self.__dict__.get("_counted")
+        if tables is None:
+            tables = ScoreCounts(
+                CountTable.from_scores(self.mated),
+                CountTable.from_scores(self.non_mated),
+                self.source,
+                warn_adequacy=False,
+            )
+            object.__setattr__(self, "_counted", tables)
+        return tables
 
 
 def _as_score_array(values, side: str) -> np.ndarray:
@@ -81,6 +91,139 @@ def _as_score_array(values, side: str) -> np.ndarray:
         raise ValueError(f"{side} score at index {bad} is not finite")
     arr.setflags(write=False)
     return arr
+
+
+def _warn_if_inadequate(n_mated: int, n_non_mated: int) -> None:
+    for side, n in ((LABEL_MATED, n_mated), (LABEL_NON_MATED, n_non_mated)):
+        if n < ADEQUATE_SCORES_PER_SIDE:
+            warnings.warn(
+                f"{side} side has {n} scores; below "
+                f"{ADEQUATE_SCORES_PER_SIDE} estimates may be unstable",
+                StatisticalAdequacyWarning,
+                stacklevel=4,
+            )
+
+
+@dataclass(frozen=True)
+class CountTable:
+    """One side's scores as sorted distinct values and their multiplicities.
+
+    `values` is strictly increasing float64, `counts` positive int64 of the
+    same length; len() is the number of scores tallied.  A table holds
+    everything a statistic that ignores score order needs, in memory that
+    grows with the number of distinct values only.
+    """
+
+    values: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=np.float64).reshape(-1)
+        counts = np.asarray(self.counts, dtype=np.int64).reshape(-1)
+        if values.shape != counts.shape:
+            raise ValueError(f"{values.size} values with {counts.size} counts")
+        if np.any(counts <= 0) or np.any(values[1:] <= values[:-1]):
+            raise ValueError("values must be strictly increasing with positive counts")
+        for arr in (values, counts):
+            arr.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "_n", int(counts.sum()))
+
+    @classmethod
+    def from_scores(cls, scores) -> "CountTable":
+        values, counts = np.unique(np.asarray(scores, dtype=np.float64), return_counts=True)
+        return cls(values, counts)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def _cumulative(self) -> np.ndarray:
+        """Scores at or below each value, after a leading 0."""
+        return np.concatenate(([0], np.cumsum(self.counts)))
+
+    def count_below(self, thresholds, side: str = "left") -> np.ndarray:
+        """Scores below each threshold (side "left") or at or below it ("right").
+
+        The same integers as np.searchsorted over the sorted scores.
+        """
+        return self._cumulative()[np.searchsorted(self.values, thresholds, side=side)]
+
+    def percentile(self, q) -> np.ndarray:
+        """np.percentile of the tallied scores, linear method, bit for bit.
+
+        The linear method is definition 7 of Hyndman and Fan (1996).  The
+        virtual index, its neighbours and the interpolation repeat NumPy's
+        own steps; the neighbours are looked up by rank in the cumulative
+        counts instead of in a partitioned array.
+        """
+        n = len(self)
+        virtual = (n - 1) * np.true_divide(np.atleast_1d(q), 100)
+        prev = np.floor(virtual)
+        nxt = prev + 1
+        above = virtual >= n - 1
+        prev[above] = -1
+        nxt[above] = -1
+        prev[virtual < 0] = 0
+        nxt[virtual < 0] = 0
+        prev = prev.astype(np.intp)
+        nxt = nxt.astype(np.intp)
+        gamma = np.asarray(virtual - prev, dtype=virtual.dtype)
+        # the score of rank r is the first value whose cumulative count
+        # exceeds r; rank -1 is the last score, as in NumPy's indexing
+        at_or_below = self._cumulative()[1:]
+        a = self.values[np.searchsorted(at_or_below, np.where(prev < 0, n - 1, prev), side="right")]
+        b = self.values[np.searchsorted(at_or_below, np.where(nxt < 0, n - 1, nxt), side="right")]
+        diff = b - a
+        out = a + diff * gamma
+        np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+        return out
+
+    @staticmethod
+    def pooled(*tables: "CountTable") -> "CountTable":
+        """One table of the scores of all the given tables."""
+        values = np.unique(np.concatenate([t.values for t in tables]))
+        counts = np.zeros(values.size, dtype=np.int64)
+        for t in tables:
+            counts[np.searchsorted(values, t.values)] += t.counts
+        return CountTable(values, counts)
+
+
+@dataclass(frozen=True)
+class ScoreCounts:
+    """A score set held as one count table per side.
+
+    Everything but the ordered score files and the Gaussian KDE is computed
+    from these tables: the histogram densities and their auto bin count,
+    the DET and RTMR curves, and the pair counts.  Checked and warned about
+    like a ScoreSet: at least 2 finite scores per side, and a warning below
+    ADEQUATE_SCORES_PER_SIDE.
+    """
+
+    mated: CountTable
+    non_mated: CountTable
+    source: str = ""
+    warn_adequacy: InitVar[bool] = True
+
+    def __post_init__(self, warn_adequacy):
+        for side, table in ((LABEL_MATED, self.mated), (LABEL_NON_MATED, self.non_mated)):
+            if len(table) < 2:
+                raise TooFewScoresError(side, len(table))
+            if not np.all(np.isfinite(table.values)):
+                raise ValueError(f"{side} scores are not all finite")
+        if warn_adequacy:
+            _warn_if_inadequate(len(self.mated), len(self.non_mated))
+
+    @property
+    def n_mated(self) -> int:
+        return len(self.mated)
+
+    @property
+    def n_non_mated(self) -> int:
+        return len(self.non_mated)
+
+    def counted(self) -> "ScoreCounts":
+        return self
 
 
 DERIVATION_EXPLICIT = "explicit"

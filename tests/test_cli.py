@@ -234,6 +234,34 @@ class TestProtocol:
             assert rc == 2
 
 
+class TestOutOfMemory:
+    @pytest.mark.parametrize("message", ["Unable to allocate 5.99 GiB for an array", ""])
+    def test_memory_error_is_exit_2_with_one_line(self, gaussian_csvs, monkeypatch, capsys, message):
+        import unlinkeval.cli as cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message) if message else MemoryError()
+
+        monkeypatch.setattr(cli, "load_score_set", exhausted)
+        mated, non_mated = gaussian_csvs
+        rc = main(["compare", "--accuracy-mated", str(mated), "--accuracy-nonmated", str(non_mated),
+                   "--crosskey-mated", str(mated), "--crosskey-nonmated", str(non_mated), "--kde"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: out of memory: {message}\n" if message else "error: out of memory\n")
+
+    def test_memory_error_in_protocol_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        import unlinkeval.cli as cli
+
+        def exhausted(cfg):
+            raise MemoryError("Unable to allocate 1.00 TiB")
+
+        monkeypatch.setattr(cli, "run_protocol", exhausted)
+        cfg = TestProtocol._write_config(TestProtocol(), tmp_path)
+        assert main(["protocol", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 1.00 TiB\n"
+
+
 class TestEntryPoint:
     @pytest.mark.skipif(shutil.which("unlink-eval") is None,
                         reason="console script not on PATH")

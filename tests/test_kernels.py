@@ -72,3 +72,63 @@ def test_all_ones_and_all_zeros():
     assert list(kernels.popcount_rows(po)) == [192, 192]
     assert list(kernels.popcount_rows(pz)) == [0, 0]
     assert list(kernels.hamming_rows(po, pz, [0, 1], [1, 0])) == [192, 192]
+
+
+def _as_float32(packed, bits):
+    return kernels.unpack_rows(packed, bits).astype(np.float32)
+
+
+def _xor_popcount(a_bits, b_bits):
+    return (a_bits[:, None, :] != b_bits[None, :, :]).sum(axis=2)
+
+
+@pytest.mark.parametrize("bits", [1, 63, 65, 1000])
+@pytest.mark.parametrize("rows_a,rows_b", [(0, 0), (0, 5), (5, 0), (1, 1), (1, 7), (9, 13)])
+def test_gemm_matches_xor_popcount(rng, bits, rows_a, rows_b):
+    a, b = _random_bits(rng, rows_a, bits), _random_bits(rng, rows_b, bits)
+    pa, pb = kernels.pack_rows(a), kernels.pack_rows(b)
+    fa, fb = _as_float32(pa, bits), _as_float32(pb, bits)
+    assert fa.dtype == np.float32 and np.array_equal(fa, a)
+    dist = kernels.hamming_gemm(fa, fb, kernels.popcount_rows(pa), kernels.popcount_rows(pb))
+    assert dist.dtype == np.int64 and dist.shape == (rows_a, rows_b)
+    assert np.array_equal(dist, _xor_popcount(a, b))
+
+
+def test_gemm_extremes():
+    bits = 4096
+    rows = np.stack([np.zeros(bits, np.uint8), np.ones(bits, np.uint8)])
+    packed = kernels.pack_rows(rows)
+    dist = kernels.hamming_gemm(_as_float32(packed, bits), _as_float32(packed, bits),
+                                kernels.popcount_rows(packed), kernels.popcount_rows(packed))
+    assert dist.tolist() == [[0, bits], [bits, 0]]
+
+
+def test_gemm_refuses_lengths_float32_cannot_hold():
+    wide = np.zeros((0, 1 << 24), dtype=np.float32)
+    with pytest.raises(ValueError, match="2\\*\\*24"):
+        kernels.hamming_gemm(wide, wide, np.zeros(0), np.zeros(0))
+
+
+@pytest.mark.parametrize("tile_rows", [1, 2, 5, 128])
+@pytest.mark.parametrize("n_groups,group", [(1, 1), (2, 1), (7, 1), (7, 3), (300, 1), (40, 4)])
+def test_triangle_tiles_cover_every_group_pair_once(monkeypatch, rng, tile_rows, n_groups, group):
+    """Upper-triangle tiles, with their diagonal squares masked, give every i < j pair once."""
+    monkeypatch.setattr(kernels, "TILE_ROWS", tile_rows)
+    bits = 70
+    a, b = _random_bits(rng, n_groups * group, bits), _random_bits(rng, n_groups * group, bits)
+    pa, pb = kernels.pack_rows(a), kernels.pack_rows(b)
+    fa, fb = _as_float32(pa, bits), _as_float32(pb, bits)
+    wa, wb = kernels.popcount_rows(pa), kernels.popcount_rows(pb)
+    full = _xor_popcount(a, b)
+    subject = np.arange(n_groups * group) // group
+    seen = np.zeros(full.shape, dtype=np.int64)
+    tiles = kernels.triangle_tiles(n_groups, group)
+    assert [lo for lo, _ in tiles] == sorted({lo for lo, _ in tiles})
+    assert tiles[0][0] == 0 and tiles[-1][1] == n_groups
+    for lo, hi in tiles:
+        assert hi - lo <= max(1, tile_rows // group)
+        r, c = slice(lo * group, hi * group), slice(lo * group, None)
+        dist = kernels.hamming_gemm(fa[r], fb[c], wa[r], wb[c])
+        assert np.array_equal(dist, full[r, c])
+        seen[r, c] += subject[r, None] < subject[None, c]
+    assert np.array_equal(seen, subject[:, None] < subject[None, :])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import unlinkeval as ue
+from unlinkeval import kernels
 from unlinkeval.errors import (
     InconsistentDatabasesError,
     InvalidConfigError,
@@ -18,6 +19,7 @@ from unlinkeval.protocol import (
     _ScoreEngine,
     write_report_artifacts,
 )
+from unlinkeval.scores import CountTable
 from unlinkeval.synthbtp import SCHEME_BLOOM, SCHEME_XOR, inter_key_bit_relation, protect_corpus
 
 warnings.simplefilter("ignore", StatisticalAdequacyWarning)
@@ -130,8 +132,29 @@ def _oracle_score(fn, ring, t1, t2):
     return ue.linkage_reconstruction(t1, t2, ring, allow_approximate_bloom=True)
 
 
+@pytest.fixture(params=[("gather", None), ("gather", 2), ("gemm", None), ("gemm", 2)],
+                ids=lambda p: f"{p[0]}-tile{p[1] or 'default'}")
+def distance_blocks(request, monkeypatch):
+    """Non-mated distances by row gathers or by the matrix product, in
+    default tiles or in tiles of two rows that split every corpus here."""
+    kind, tile_rows = request.param
+    monkeypatch.setattr(kernels, "GEMM_MIN_WORDS", 0 if kind == "gemm" else 1 << 62)
+    if tile_rows is not None:
+        monkeypatch.setattr(kernels, "TILE_ROWS", tile_rows)
+
+
+def _assert_counts_of(tables, scores):
+    for side in ("mated", "non_mated"):
+        expected = CountTable.from_scores(getattr(scores, side))
+        got = getattr(tables, side)
+        assert np.array_equal(got.values.view(np.uint64), expected.values.view(np.uint64))
+        assert np.array_equal(got.counts, expected.counts)
+
+
+@pytest.mark.usefixtures("distance_blocks")
 class TestEngineMatchesPerTemplateFunctions:
-    """Batch scores equal the per-pair functions, in the documented order."""
+    """Batch scores equal the per-pair functions, in the documented order,
+    and the counted path tallies exactly those scores."""
 
     SUBJECTS, SAMPLES, K = 3, 3, 3
 
@@ -179,6 +202,10 @@ class TestEngineMatchesPerTemplateFunctions:
         ])
         assert np.array_equal(s.mated, mated)
         assert np.array_equal(s.non_mated, non_mated)
+        counted = ue.cross_database_scores(dbs, fn, ring, mated_pairing=mated_pairing,
+                                           non_mated_all_pairs=non_mated_all_pairs,
+                                           allow_approximate_bloom=True, _counted=True)
+        _assert_counts_of(counted, s)
 
     @pytest.mark.parametrize("scheme,fn", _SUPPORTED)
     def test_same_key_scores(self, scheme, fn):
@@ -199,6 +226,7 @@ class TestEngineMatchesPerTemplateFunctions:
         ])
         assert np.array_equal(s.mated, mated)
         assert np.array_equal(s.non_mated, non_mated)
+        _assert_counts_of(ue.same_key_scores(dbs, fn, ring, _engine=engine, _counted=True), s)
 
 
 class TestEngineValidation:
@@ -377,14 +405,6 @@ class TestRunProtocol:
         assert entry["eer_rtmr"] is None
         direct = ue.evaluate(ue.load_score_set(mated, non_mated))
         assert entry["d_sys"] == direct.d_sys
-
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("UNLINK_EVAL_THREADS", "1")
-        report = ue.run_protocol(self._config())
-        assert report.aggregated_d_sys is not None
-        monkeypatch.setenv("UNLINK_EVAL_THREADS", "0")
-        with pytest.raises(InvalidConfigError):
-            ue.run_protocol(self._config())
 
     def test_artifacts_written(self, tmp_path):
         cfg = self._config(out_dir=tmp_path / "out")
