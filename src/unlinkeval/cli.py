@@ -32,7 +32,7 @@ from .protocol import (
     same_key_scores,
     synthetic_databases,
 )
-from .scores import PriorConfig, load_score_set, write_score_sides
+from .scores import PriorConfig, load_score_set, read_utf8, write_score_sides
 from .synthbtp import SCHEME_BLOCK, SCHEME_BLOOM, SCHEME_NONE, SCHEME_XOR, CorpusConfig
 
 # Not called here (protocol.assess runs the chain), but kept as names of
@@ -280,7 +280,7 @@ def cmd_protocol(args) -> int:
     path = Path(args.config)
     if not path.is_file():
         raise MissingFileError(f"config file not found: {path}")
-    text = path.read_text(encoding="utf-8")
+    text = read_utf8(path)
     if path.suffix.lower() == ".toml":
         try:
             import tomllib

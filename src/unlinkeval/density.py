@@ -7,23 +7,27 @@ it is verifiable by hand and keeps zero-count bins at exactly zero, which
 the likelihood-ratio layer relies on.  Optional Gaussian smoothing is
 available for nicer plots but changes no defaults.
 
-The grid, its auto bin count and the histogram come from each side's count
-table (sorted distinct scores with their multiplicities), with the same
-integers and the same float operations as np.percentile and np.histogram
-over the scores themselves; a ScoreSet is tallied once and keeps its
-tables.  The KDE alone needs the ordered scores, so it takes a ScoreSet.
+The grid, its auto bin count, the histogram and the Gaussian KDE come from
+each side's count table (sorted distinct scores with their multiplicities):
+the densities depend on which scores occur and how often, not on their
+order.  The grid, the bin count and the histogram repeat the integers and
+float operations of np.percentile and np.histogram over the scores
+themselves; a ScoreSet is tallied once and keeps its tables.
 
-The Gaussian KDE is evaluated over fixed blocks of scores, so its memory is
-one (block, bins) buffer whatever the number of scores.  The blocked sum is
-the dense one bit for bit: row 0 of the buffer carries the running sum of
-every bin, and each block is reduced together with it along the score axis,
-so every bin adds its kernel terms one score after another in input order,
-as the (n, bins) matrix summed over its score axis does.  Floating-point
-addition is not associative, and summing each block apart and then adding
-the block sums would change the last digits of the densities and with them
-the bytes of every report.  Kernel terms whose exponent is below -746 are
-exactly +0.0 and are set so without calling exp, whose slow scalar path
-handles such arguments.
+The Gaussian KDE takes Silverman's bandwidth from the table (quartiles as
+np.percentile gives them, mean and variance as count-weighted sums) and
+weights each distinct value's kernel term by its count, so its cost follows
+the number of distinct scores, not the number of scores.  It is evaluated
+over fixed blocks of distinct values, so its memory is one (block, bins)
+buffer.  The blocked sum is the dense one bit for bit: row 0 of the buffer
+carries the running sum of every bin, and each block is reduced together
+with it along the value axis, so every bin adds its weighted terms one
+value after another in ascending order, as the (distinct values, bins)
+matrix summed over its value axis does.  Floating-point addition is not
+associative: summing each block apart and then adding the block sums
+would make the last digits of the densities depend on the block size.
+Kernel terms whose exponent is below -746 are exactly +0.0 and are set so
+without calling exp, whose slow scalar path handles such arguments.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,7 +46,10 @@ from .errors import (
     LengthMismatchError,
     NotNormalizedError,
 )
-from .scores import CountTable, ScoreCounts, ScoreSet
+from .scores import CountTable, ScoreCounts
+
+if TYPE_CHECKING:
+    from .scores import ScoreSet
 
 AUTO_BINS = "auto"
 _MIN_AUTO_BINS = 20
@@ -52,8 +60,8 @@ _POINT_MASS_EPS = 1e-6
 
 NORMALIZATION_TOL = 1e-9
 
-# scores per KDE block: a 256 x 217-bin float64 block is 444 kB, small
-# enough for the block's seven passes to stay in a core's cache
+# distinct values per KDE block: a 256 x 217-bin float64 block is 444 kB,
+# small enough for the block's eight passes to stay in a core's cache
 _KDE_BLOCK = 256
 # exp(x) rounds to +0.0 for every x below this: the smallest subnormal,
 # 4.9e-324, is exp(-744.4), and below about -745.1 exp rounds to zero
@@ -160,13 +168,12 @@ class DensityPair:
 def estimate_densities(scores: ScoreSet | ScoreCounts, config: DensityConfig | None = None) -> DensityPair:
     """Estimate both conditional densities on a shared grid.
 
-    The Gaussian KDE (config.kde) needs a ScoreSet; histograms also take
-    a ScoreCounts.
+    Both estimators read only the count tables of scores.counted(), so a
+    ScoreSet and its ScoreCounts give the same densities, whatever the
+    order of the scores.
     """
     if config is None:
         config = DensityConfig()
-    if config.kde and not isinstance(scores, ScoreSet):
-        raise InvalidConfigError("the Gaussian KDE needs the scores themselves, not count tables")
     tables = scores.counted()
     mated = tables.mated
     non_mated = tables.non_mated
@@ -201,12 +208,9 @@ def estimate_densities(scores: ScoreSet | ScoreCounts, config: DensityConfig | N
         width = (hi - lo) / n_bins
         edges = np.linspace(lo - width, hi + width, n_bins + 3)
 
-    if config.kde:
-        p_m = _kde_density(scores.mated, edges)
-        p_nm = _kde_density(scores.non_mated, edges)
-    else:
-        p_m = _histogram_density(mated, edges)
-        p_nm = _histogram_density(non_mated, edges)
+    side_density = _kde_density if config.kde else _histogram_density
+    p_m = side_density(mated, edges)
+    p_nm = side_density(non_mated, edges)
     return DensityPair(edges=edges, p_mated=p_m, p_non_mated=p_nm)
 
 
@@ -237,22 +241,28 @@ def _histogram_density(table: CountTable, edges: np.ndarray) -> np.ndarray:
     return counts / (n * np.diff(edges))
 
 
-def _kde_density(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    n = values.size
-    std = float(np.std(values))
-    q75, q25 = np.percentile(values, [75.0, 25.0])
+def _kde_density(table: CountTable, edges: np.ndarray) -> np.ndarray:
+    n = len(table)
+    values, counts = table.values, table.counts
+    # Silverman's rule on the tallied scores: the quartiles as np.percentile
+    # gives them over the scores, count-weighted sums for the mean and the
+    # variance (no np.dot: a BLAS call wakes its idle threads)
+    q75, q25 = table.percentile([75.0, 25.0])
+    mean = np.sum(values * counts) / n
+    std = math.sqrt(np.sum((values - mean) ** 2 * counts) / n)
     spread = min(std, (q75 - q25) / 1.34) if q75 > q25 else std
     bw = 0.9 * spread * n ** (-1.0 / 5.0)
     if bw <= 0:
-        bw = _POINT_MASS_EPS * max(1.0, float(np.abs(values).max()))
+        bw = _POINT_MASS_EPS * max(1.0, abs(float(values[0])), abs(float(values[-1])))
     centers = (edges[:-1] + edges[1:]) / 2.0
     # mean of Gaussian kernels, evaluated at the bin centers; row 0 of acc
-    # is the running per-bin sum, rows 1.. the kernel terms of one block
+    # is the running per-bin sum, rows 1.. the count-weighted kernel terms
+    # of one block of distinct values
     acc = np.zeros((_KDE_BLOCK + 1, centers.size))
     z = np.empty((_KDE_BLOCK, centers.size))
     keep = np.empty((_KDE_BLOCK, centers.size), dtype=bool)
-    for lo in range(0, n, _KDE_BLOCK):
-        m = min(_KDE_BLOCK, n - lo)
+    for lo in range(0, values.size, _KDE_BLOCK):
+        m = min(_KDE_BLOCK, values.size - lo)
         zb, terms, kb = z[:m], acc[1 : m + 1], keep[:m]
         np.subtract(centers, values[lo : lo + m, None], out=zb)
         zb /= bw
@@ -262,6 +272,9 @@ def _kde_density(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
         np.exp(terms, out=terms, where=kb)
         # the skipped terms still hold their exponent, below -746
         np.maximum(terms, 0.0, out=terms)
+        weights = counts[lo : lo + m]
+        if weights.max() > 1:  # a product by 1 changes no bits
+            terms *= weights[:, None]
         acc[0] = acc[: m + 1].sum(axis=0)
     dens = acc[0] / (n * bw * math.sqrt(2.0 * math.pi))
     mass = float(np.sum(dens * np.diff(edges)))

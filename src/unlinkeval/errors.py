@@ -9,16 +9,20 @@ class MissingFileError(UnlinkEvalError):
     """A required input file does not exist."""
 
 
-class ScoreParseError(UnlinkEvalError):
-    """A score file contains a record that cannot be parsed.
+class FileParseError(UnlinkEvalError):
+    """An input file contains a line that cannot be read or parsed.
 
-    Carries the 1-based line number of the offending record.
+    Carries the path and the 1-based line number of the offending line.
     """
 
     def __init__(self, path, line_no, message):
         super().__init__(f"{path}:{line_no}: {message}")
         self.path = str(path)
         self.line_no = line_no
+
+
+class ScoreParseError(FileParseError):
+    """A score file contains a record that cannot be parsed."""
 
 
 class NonFiniteScoreError(ScoreParseError):

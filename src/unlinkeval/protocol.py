@@ -9,8 +9,9 @@ accuracy metrics (DET/EER families, KL) are computed from the same scores
 so their verdicts can be compared directly against the global measure.
 
 Scores are tallied into count tables as their distance blocks are computed
-unless the ordered scores are needed: for the score CSVs of out_dir, for a
-KDE, and in cross_database_scores and same_key_scores.
+unless the ordered scores are needed: for the score CSVs of out_dir, and in
+cross_database_scores and same_key_scores.  Every statistic of the report,
+the Gaussian KDE included, reads only the count tables.
 """
 
 from __future__ import annotations
@@ -325,7 +326,9 @@ class _ScoreEngine:
     """Packed template representations shared by all linkage functions.
 
     Read-only once built, except for the inverted view, which is built on
-    first use.
+    first use, and `scored`, the score sets computed so far: functions
+    whose views compare the same bits over the same length (permuted_xor
+    and reconstruction on block re-mapping) are scored once.
     """
 
     def __init__(self, databases: list, ring: KeyRing | None, allow_approximate_bloom=False):
@@ -357,6 +360,7 @@ class _ScoreEngine:
         self._allow_approximate_bloom = allow_approximate_bloom
         self._packed_inverted = None
         self._inverted_pops = None
+        self.scored: dict = {}
 
     def packed_inverted(self, fn: str) -> np.ndarray:
         """Every template with its protection undone under its own key.
@@ -464,9 +468,25 @@ def _score_pairs(engine: _ScoreEngine, function: str, keys_a, keys_b, mated_samp
     into a ScoreCounts.  Otherwise they fill a ScoreSet: mated in (key
     pair, sample pair, subject) order; non-mated in (subject pair, key
     pair, sample pair) order when pair_major, else (key pair, subject
-    pair, sample pair).
+    pair, sample pair).  A view already scored with the same pairs on
+    this engine is not scored again; the result is rebuilt under source.
     """
     view = engine.view(function)
+    # views of the same engine arrays compare the same bits; the engine owns
+    # the arrays, so their ids stay unique while its memo lives
+    key = (id(view.packed), id(view.pops), view.length, view.by_popsum, counted, group, pair_major,
+           *(np.asarray(a).tobytes() for a in (keys_a, keys_b, *mated_samples)))
+    done = engine.scored.get(key)
+    if done is not None:
+        return type(done)(done.mated, done.non_mated, source)
+    engine.scored[key] = done = _score_view(
+        engine, view, keys_a, keys_b, mated_samples, group, pair_major, counted, source
+    )
+    return done
+
+
+def _score_view(engine: _ScoreEngine, view: _View, keys_a, keys_b, mated_samples,
+                group: int, pair_major: bool, counted: bool, source: str):
     n, n_keys = engine.n_subjects, len(keys_a)
     mated_blocks = engine.same_subject(view, keys_a, keys_b, mated_samples)
     tiles = engine.distinct_subjects(view, keys_a, keys_b, group)
@@ -593,8 +613,8 @@ def assess(
 ) -> Assessment:
     """Densities -> profile (LR, D(s), D_sys) -> KL over the binned pmfs -> one DET curve.
 
-    Everything but a KDE works on the count tables, so scores may be a
-    ScoreCounts unless density.kde is set.
+    Every step reads only the count tables, so scores may be a ScoreSet
+    or a ScoreCounts, with the same result.
     """
     dp = estimate_densities(scores, density)
     profile = evaluate_densities(dp, omega)
@@ -656,10 +676,9 @@ def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
                 "key_seed": cfg.resolved_key_seed,
             }
         )
-    # score sets outlive their evaluation only when they are to be written;
-    # otherwise, without a KDE, only their count tables are ever built
-    keep_scores = cfg.out_dir is not None
-    counted = not keep_scores and not cfg.density.kde
+    # score sets are ordered, and outlive their evaluation, only when they
+    # are to be written; otherwise only their count tables are ever built
+    counted = cfg.out_dir is None
 
     def evaluate_function(fn: str) -> tuple:
         if cfg.score_files is not None:
@@ -690,7 +709,7 @@ def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
             entry["eer_rtmr"] = rtmr_curve(
                 accuracy.mated, scores.counted().non_mated, ORIENT_DISSIMILARITY
             ).eer
-        return entry, (scores if keep_scores else None)
+        return entry, (None if counted else scores)
 
     per_function: dict = {}
     score_sets: dict = {}

@@ -9,7 +9,7 @@ likelihood ratio is computed point-wise.
 
 A ScoreSet holds the scores themselves, in order; a ScoreCounts holds one
 CountTable (sorted distinct scores and their counts) per side, which is all
-the histogram, DET and RTMR statistics use.
+the histogram, Gaussian KDE, DET and RTMR statistics use.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    FileParseError,
     InvalidEnrollmentCountError,
     MissingFileError,
     NonFiniteScoreError,
@@ -171,7 +172,7 @@ class CountTable:
         gamma = np.asarray(virtual - prev, dtype=virtual.dtype)
         # the score of rank r is the first value whose cumulative count
         # exceeds r; rank -1 is the last score, as in NumPy's indexing
-        at_or_below = self._cumulative()[1:]
+        at_or_below = np.cumsum(self.counts)
         a = self.values[np.searchsorted(at_or_below, np.where(prev < 0, n - 1, prev), side="right")]
         b = self.values[np.searchsorted(at_or_below, np.where(nxt < 0, n - 1, nxt), side="right")]
         diff = b - a
@@ -193,9 +194,9 @@ class CountTable:
 class ScoreCounts:
     """A score set held as one count table per side.
 
-    Everything but the ordered score files and the Gaussian KDE is computed
-    from these tables: the histogram densities and their auto bin count,
-    the DET and RTMR curves, and the pair counts.  Checked and warned about
+    Everything but the ordered score files is computed from these tables:
+    the histogram and Gaussian KDE densities and the auto bin count, the
+    DET and RTMR curves, and the pair counts.  Checked and warned about
     like a ScoreSet: at least 2 finite scores per side, and a warning below
     ADEQUATE_SCORES_PER_SIDE.
     """
@@ -347,7 +348,7 @@ def _parse_score_file(path: Path) -> tuple[str, dict[str, np.ndarray] | None]:
     """
     if not path.is_file():
         raise MissingFileError(f"score file not found: {path}")
-    text = path.read_text(encoding="utf-8")
+    text = read_utf8(path, ScoreParseError)
     if not text.isascii() or any(c in text for c in _PLAIN_FORM_EXCLUDES):
         return text, None
     header = _CSV_HEADER + "\n"
@@ -374,6 +375,25 @@ def _parse_score_file(path: Path) -> tuple[str, dict[str, np.ndarray] | None]:
     if is_mated is None:
         return text, {LABEL_MATED: scores, LABEL_NON_MATED: scores}
     return text, {LABEL_MATED: scores[is_mated], LABEL_NON_MATED: scores[~is_mated]}
+
+
+def read_utf8(path: Path, error=FileParseError) -> str:
+    """The text of a UTF-8 file, with every line end read as a newline.
+
+    A byte that is not UTF-8 raises error(path, line_no, message), a
+    FileParseError, for the line of the first such byte, numbered as
+    str.splitlines numbers the text's lines.
+    """
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # read_text decodes the whole file in one call, so exc.object is
+        # every byte of it and exc.start the offset of the first bad one
+        raw, bad = exc.object, exc.start
+    # a stand-in for the bad byte ends the text decoded before it, so the
+    # last line counted is the one that holds it
+    line_no = len((raw[:bad].decode("utf-8") + "?").splitlines())
+    raise error(path, line_no, f"not UTF-8 text: byte 0x{raw[bad]:02x}")
 
 
 def _mated_rows(body: str) -> np.ndarray:

@@ -234,6 +234,28 @@ class TestProtocol:
             assert rc == 2
 
 
+class TestEncodingErrors:
+    """A file that is not UTF-8 is named, with the line of its first bad byte."""
+
+    @pytest.mark.parametrize("ends", ["\n", "\r\n", "\r"])
+    def test_compare_names_the_score_file(self, gaussian_csvs, tmp_path, capsys, ends):
+        mated, non_mated = gaussian_csvs
+        bad = tmp_path / "bad.csv"
+        rows = ["score,label", "0.1,mated", "0.2,mated", "0.8,nonmated"]
+        bad.write_bytes(ends.join(rows).encode() + ends.encode() + b"0.9,non\xffmated" + ends.encode())
+        rc = main(["compare", "--accuracy-mated", str(mated), "--accuracy-nonmated", str(non_mated),
+                   "--crosskey-mated", str(mated), "--crosskey-nonmated", str(bad)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}:5: not UTF-8 text: byte 0xff\n"
+
+    def test_protocol_names_the_config(self, tmp_path, capsys):
+        cfg = TestProtocol._write_config(TestProtocol(), tmp_path)
+        cfg.write_bytes(cfg.read_bytes().replace(b'"pic_hd"', b'"pic_\xe9hd"', 1))
+        assert main(["protocol", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:1: not UTF-8 text: byte 0xe9")
+
+
 class TestOutOfMemory:
     @pytest.mark.parametrize("message", ["Unable to allocate 5.99 GiB for an array", ""])
     def test_memory_error_is_exit_2_with_one_line(self, gaussian_csvs, monkeypatch, capsys, message):

@@ -21,7 +21,7 @@ import unlinkeval as ue
 from unlinkeval import kernels
 from unlinkeval.baselines import ORIENT_DISSIMILARITY, ORIENT_SIMILARITY, _interpolated_eer
 from unlinkeval.density import _histogram_density
-from unlinkeval.errors import InvalidConfigError, StatisticalAdequacyWarning, TooFewScoresError
+from unlinkeval.errors import StatisticalAdequacyWarning, TooFewScoresError
 from unlinkeval.scores import CountTable, ScoreCounts
 
 
@@ -190,11 +190,6 @@ class TestCountHistogram:
         for given_scores in (scores, scores.counted()):
             assert ue.estimate_densities(given_scores, cfg).to_json() == expected
 
-    def test_kde_needs_the_scores(self, rng):
-        scores = ue.ScoreSet(rng.normal(0.3, 0.1, 50), rng.normal(0.6, 0.1, 50))
-        with pytest.raises(InvalidConfigError):
-            ue.estimate_densities(scores.counted(), ue.DensityConfig(kde=True))
-
 
 class TestCountDet:
     @pytest.mark.parametrize("orientation", [ORIENT_SIMILARITY, ORIENT_DISSIMILARITY])
@@ -283,7 +278,7 @@ _FUNCTIONS = ["pic_hd", "hamming_weight", "permuted_xor", "reconstruction"]
 @st.composite
 def _protocol_configs(draw):
     scheme = draw(st.sampled_from(["xor-salt", "block-remap", "bloom-filter", "none"]))
-    density = {}
+    density = {"kde": draw(st.booleans())}
     bins = draw(st.sampled_from(["auto", 2, 7, 40]))
     if bins != "auto":
         density["bins"] = bins
@@ -337,10 +332,12 @@ class TestCountedProtocolMatchesOrdered:
 
 
 class TestCountedProtocolMemory:
-    def test_800_subjects_without_float_scores(self):
+    @pytest.mark.parametrize("kde", [False, True])
+    def test_800_subjects_without_float_scores(self, kde):
         """Under the 115 MB that the 14.4M non-mated float64 scores alone would take."""
         cfg = ue.ProtocolConfig.from_dict({
             "linkage_functions": ["pic_hd"], "k": 10, "scheme": "block-remap",
+            "density": {"kde": kde},
             "corpus": {"n_subjects": 800, "samples_per_subject": 4, "template_bits": 1024,
                        "intra_flip_rate": 0.1, "seed": 1},
         })

@@ -8,6 +8,7 @@ import pytest
 import unlinkeval as ue
 from unlinkeval import density
 from unlinkeval.density import evaluate_density
+from unlinkeval.scores import CountTable
 from unlinkeval.errors import (
     DegenerateSupportError,
     GridMismatchError,
@@ -163,19 +164,21 @@ class TestKde:
         assert tv(kde.p_mated) < tv(hist.p_mated)
 
 
-def _dense_kde(values, edges):
-    """The KDE as one (n, bins) matrix summed over its score axis: the oracle
-    of the blocked evaluation."""
-    n = values.size
-    std = float(np.std(values))
-    q75, q25 = np.percentile(values, [75.0, 25.0])
+def _dense_kde(table, edges):
+    """The KDE as one (distinct values, bins) matrix of count-weighted kernel
+    terms summed over its value axis: the oracle of the blocked evaluation."""
+    values, counts = table.values, table.counts
+    n = int(counts.sum())
+    mean = np.sum(values * counts) / n
+    std = math.sqrt(np.sum((values - mean) ** 2 * counts) / n)
+    q75, q25 = np.percentile(np.repeat(values, counts), [75.0, 25.0])
     spread = min(std, (q75 - q25) / 1.34) if q75 > q25 else std
     bw = 0.9 * spread * n ** (-1.0 / 5.0)
     if bw <= 0:
         bw = 1e-6 * max(1.0, float(np.abs(values).max()))
     centers = (edges[:-1] + edges[1:]) / 2.0
     z = (centers[None, :] - values[:, None]) / bw
-    dens = np.exp(-0.5 * z * z).sum(axis=0) / (n * bw * math.sqrt(2.0 * math.pi))
+    dens = (np.exp(-0.5 * z * z) * counts[:, None]).sum(axis=0) / (n * bw * math.sqrt(2.0 * math.pi))
     mass = float(np.sum(dens * np.diff(edges)))
     return dens / mass
 
@@ -184,44 +187,64 @@ def _bits(a):
     return np.asarray(a, dtype=np.float64).view(np.uint64)
 
 
-class TestBlockedKde:
-    """The blocked KDE equals the dense one bit for bit."""
+def _table(rng, n_distinct, mean, sd, max_count=4):
+    """n_distinct distinct normal values, each tallied 1 to max_count times."""
+    values = np.unique(rng.normal(mean, sd, n_distinct))
+    assert values.size == n_distinct
+    return CountTable(values, rng.integers(1, max_count + 1, n_distinct))
 
+
+def _same_kde(table, edges):
+    return np.array_equal(_bits(density._kde_density(table, edges)), _bits(_dense_kde(table, edges)))
+
+
+class TestBlockedKde:
+    """The blocked KDE over a count table equals the dense one bit for bit."""
+
+    @pytest.mark.parametrize("max_count", [1, 5])
     @pytest.mark.parametrize("extra", [-1, 0, 1, density._KDE_BLOCK + 1])
-    def test_block_boundaries(self, rng, extra):
-        values = rng.normal(0.48, 0.045, density._KDE_BLOCK + extra)
-        edges = np.linspace(values.min() - 0.01, values.max() + 0.01, 218)
-        assert np.array_equal(_bits(density._kde_density(values, edges)), _bits(_dense_kde(values, edges)))
+    def test_block_boundaries(self, rng, extra, max_count):
+        table = _table(rng, density._KDE_BLOCK + extra, 0.48, 0.045, max_count)
+        edges = np.linspace(table.values[0] - 0.01, table.values[-1] + 0.01, 218)
+        assert _same_kde(table, edges)
 
     @pytest.mark.parametrize("block", [1, 2, 7, 333])
     @pytest.mark.parametrize("bins", [2, 3, 217])
     def test_small_blocks_and_two_bins(self, rng, monkeypatch, block, bins):
         monkeypatch.setattr(density, "_KDE_BLOCK", block)
-        values = rng.normal(0.3, 0.1, 1000)
-        edges = np.linspace(values.min() - 0.05, values.max() + 0.05, bins + 1)
-        assert np.array_equal(_bits(density._kde_density(values, edges)), _bits(_dense_kde(values, edges)))
+        table = _table(rng, 1000, 0.3, 0.1, max_count=9)
+        edges = np.linspace(table.values[0] - 0.05, table.values[-1] + 0.05, bins + 1)
+        assert _same_kde(table, edges)
+
+    def test_lattice_scores_with_large_counts(self, rng):
+        # integer distances over a fixed length, as run_protocol tallies them
+        table = CountTable.from_scores(rng.binomial(1024, 0.45, 200_000) / 1024)
+        assert table.counts.max() > 1000
+        edges = np.linspace(table.values[0] - 0.01, table.values[-1] + 0.01, 301)
+        assert _same_kde(table, edges)
 
     def test_every_term_underflows(self, rng):
         # scores some 10^4 bandwidths from the grid: every kernel term is
         # +0.0, the sum is zero and both normalise it to the same NaN
-        values = rng.normal(50.0, 0.1, 3000)
+        table = _table(rng, 3000, 50.0, 0.1)
         edges = np.linspace(0.0, 1.0, 11)
         with np.errstate(invalid="ignore"):
-            blocked, dense = density._kde_density(values, edges), _dense_kde(values, edges)
+            blocked, dense = density._kde_density(table, edges), _dense_kde(table, edges)
         assert np.all(np.isnan(blocked))
         assert np.array_equal(_bits(blocked), _bits(dense))
 
     def test_some_scores_far_outside(self, rng):
         values = np.concatenate([rng.normal(0.5, 0.05, 2500), rng.normal(40.0, 0.05, 2500)])
-        rng.shuffle(values)
+        table = CountTable.from_scores(np.repeat(values, rng.integers(1, 4, values.size)))
         edges = np.linspace(0.2, 0.8, 31)
-        assert np.array_equal(_bits(density._kde_density(values, edges)), _bits(_dense_kde(values, edges)))
+        assert _same_kde(table, edges)
 
     def test_subnormal_band(self, rng):
-        values = rng.normal(0.0, 1.0, 5000)
-        n = values.size
-        q75, q25 = np.percentile(values, [75.0, 25.0])
-        bw = 0.9 * min(float(np.std(values)), (q75 - q25) / 1.34) * n ** (-1.0 / 5.0)
+        table = _table(rng, 5000, 0.0, 1.0)
+        values, n = table.values, len(table)
+        scores = np.repeat(values, table.counts)
+        q75, q25 = np.percentile(scores, [75.0, 25.0])
+        bw = 0.9 * min(float(np.std(scores)), (q75 - q25) / 1.34) * n ** (-1.0 / 5.0)
         # bin centers 35 to 40 bandwidths past the largest score
         edges = values.max() + bw * np.linspace(35.0, 40.0, 41)
         centers = (edges[:-1] + edges[1:]) / 2.0
@@ -229,7 +252,13 @@ class TestBlockedKde:
         kernel = np.exp(exponent)
         assert np.any((kernel > 0) & (kernel < np.finfo(np.float64).tiny))
         assert np.any(exponent < density._EXP_ZERO_BELOW)
-        assert np.array_equal(_bits(density._kde_density(values, edges)), _bits(_dense_kde(values, edges)))
+        assert _same_kde(table, edges)
+
+    def test_point_mass_side(self):
+        # one distinct value: zero spread, the fallback bandwidth
+        table = CountTable([0.5], [7])
+        edges = np.linspace(0.4999, 0.5001, 9)
+        assert _same_kde(table, edges)
 
     def test_exp_is_positive_zero_below_the_cut(self):
         cut = density._EXP_ZERO_BELOW
@@ -247,15 +276,43 @@ class TestBlockedKde:
         edges = np.linspace(-5.0, 5.0, 65)
         peaks = []
         for n in (20_000, 400_000):
-            values = rng.normal(size=n)
+            table = CountTable.from_scores(rng.normal(size=n))
             tracemalloc.start()
             try:
-                density._kde_density(values, edges)
+                density._kde_density(table, edges)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         # the (n, bins) matrix alone would be 200 MB at 400k scores
         assert abs(peaks[1] - peaks[0]) < 4e6
+
+
+class TestKdeReadsCountTables:
+    """The KDE of a score set depends on which scores occur and how often only."""
+
+    def _scores(self, rng):
+        # rounded, so that many scores repeat
+        return _set(np.round(rng.normal(0.3, 0.05, 3000), 3), np.round(rng.normal(0.5, 0.04, 5000), 3))
+
+    def test_shuffling_keeps_the_bits(self, rng):
+        s = self._scores(rng)
+        cfg = ue.DensityConfig(kde=True)
+        shuffled = _set(rng.permutation(s.mated), rng.permutation(s.non_mated))
+        assert ue.estimate_densities(shuffled, cfg).to_json() == ue.estimate_densities(s, cfg).to_json()
+
+    @pytest.mark.parametrize("cfg", [ue.DensityConfig(kde=True), ue.DensityConfig(bins=37, kde=True),
+                                     ue.DensityConfig(bins=50, kde=True, grid_range=(-1.0, 2.0))])
+    def test_score_set_and_its_tables_agree(self, rng, cfg):
+        s = self._scores(rng)
+        assert ue.estimate_densities(s, cfg).to_json() == ue.estimate_densities(s.counted(), cfg).to_json()
+
+    @pytest.mark.parametrize("block", [1, 5, 1000])
+    def test_block_size_keeps_the_bits(self, rng, monkeypatch, block):
+        s = self._scores(rng)
+        cfg = ue.DensityConfig(kde=True)
+        expected = ue.estimate_densities(s, cfg).to_json()
+        monkeypatch.setattr(density, "_KDE_BLOCK", block)
+        assert ue.estimate_densities(s.counted(), cfg).to_json() == expected
 
 
 class TestSerialization:

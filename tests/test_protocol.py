@@ -426,3 +426,51 @@ class TestRunProtocol:
         entry = report.per_function["pic_hd"]
         assert payload["profile"] == entry["profile"]
         assert payload["densities"] == entry["densities"]
+
+
+class TestScoreEachComparisonOnce:
+    """On block re-mapping, permuted_xor and reconstruction compare the same
+    inverted bits over the same length: one scoring pass serves both."""
+
+    def _run(self, monkeypatch, functions, out_dir=None):
+        passes = []
+        for name in ("hamming_rows", "hamming_gemm"):
+            real = getattr(kernels, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                passes.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(kernels, name, spy)
+        cfg = TestRunProtocol()._config(linkage_functions=functions, scheme="block-remap", out_dir=out_dir)
+        report = ue.run_protocol(cfg)
+        monkeypatch.undo()
+        return report, len(passes)
+
+    @pytest.mark.parametrize("ordered", [False, True])
+    def test_one_scoring_pass(self, monkeypatch, tmp_path, ordered):
+        out = lambda name: tmp_path / name if ordered else None
+        both, both_passes = self._run(monkeypatch, ("permuted_xor", "reconstruction"), out("both"))
+        _, one_passes = self._run(monkeypatch, ("permuted_xor",), out("one"))
+        _, other_passes = self._run(monkeypatch, ("permuted_xor", "pic_hd"), out("other"))
+        assert both_passes == one_passes < other_passes
+        permuted = dict(both.per_function["permuted_xor"])
+        reconstruction = dict(both.per_function["reconstruction"])
+        assert (permuted.pop("adversary_model"), reconstruction.pop("adversary_model")) == (
+            "structural-knowledge", "key-knowledge")
+        assert permuted == reconstruction
+        if ordered:
+            written = [(tmp_path / "both" / f"{fn}_scores.csv").read_bytes()
+                       for fn in ("permuted_xor", "reconstruction")]
+            assert written[0] == written[1]
+
+    def test_sources_name_each_function(self):
+        databases, ring = _databases(n_subjects=4, k=3, scheme="block-remap")
+        engine = _ScoreEngine(databases, ring)
+        permuted = ue.cross_database_scores(None, "permuted_xor", _engine=engine)
+        reconstruction = ue.cross_database_scores(None, "reconstruction", _engine=engine)
+        assert len(engine.scored) == 1
+        assert permuted.source.startswith("permuted_xor/")
+        assert reconstruction.source.startswith("reconstruction/")
+        assert np.array_equal(permuted.mated, reconstruction.mated)
+        assert np.array_equal(permuted.non_mated, reconstruction.non_mated)
