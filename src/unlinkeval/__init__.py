@@ -11,7 +11,6 @@ with baseline accuracy metrics for comparison.
 from .baselines import (
     UNDEFINED,
     DetCurve,
-    cross_key_det,
     det_curve,
     kl_divergence,
     rtmr_curve,
@@ -31,6 +30,7 @@ from .protocol import (
     ADVERSARY_MODELS,
     EvaluationReport,
     ProtocolConfig,
+    assess,
     cross_database_scores,
     run_protocol,
     same_key_scores,
@@ -79,10 +79,10 @@ __all__ = [
     "ScoreSet",
     "UNDEFINED",
     "UnlinkEvalError",
+    "assess",
     "block_remap",
     "bloom_protect",
     "cross_database_scores",
-    "cross_key_det",
     "det_curve",
     "estimate_densities",
     "evaluate",

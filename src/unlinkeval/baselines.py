@@ -243,22 +243,6 @@ def _interpolated_eer(fmr: np.ndarray, fnmr: np.ndarray) -> float:
     return float(fnmr[i] + lam * (fnmr[i + 1] - fnmr[i]))
 
 
-def cross_key_det(single_key_scores, cross_key_scores, orientation: str = ORIENT_SIMILARITY) -> tuple[DetCurve, DetCurve]:
-    """Accuracy-mode curve beside the cross-key (CMR/FCMR) curve.
-
-    single_key_scores and cross_key_scores are ScoreSets: the first from
-    ordinary verification comparisons, the second with mated pairs protected
-    under different keys.
-    """
-    accuracy = det_curve(
-        single_key_scores.mated, single_key_scores.non_mated, orientation, MODE_ACCURACY
-    )
-    crosskey = det_curve(
-        cross_key_scores.mated, cross_key_scores.non_mated, orientation, MODE_CROSSKEY
-    )
-    return accuracy, crosskey
-
-
 def rtmr_curve(same_key_mated, cross_key_non_mated, orientation: str = ORIENT_SIMILARITY) -> DetCurve:
     """FNMR vs renewable-template match rate.
 

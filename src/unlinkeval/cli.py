@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -18,11 +19,9 @@ from .baselines import (
     ORIENT_DISSIMILARITY,
     ORIENT_SIMILARITY,
     UNDEFINED,
-    det_curve,
-    rtmr_curve,
 )
 from .density import DensityConfig
-from .errors import InternalInvariantError, MissingFileError, UnlinkEvalError
+from .errors import FileParseError, InternalInvariantError, MissingFileError, UnlinkEvalError
 from .plotting import det_svg, linkability_svg
 from .protocol import (
     ProtocolConfig,
@@ -220,24 +219,18 @@ def cmd_compare(args) -> int:
     prior = _resolve_prior(args.omega, None)
     accuracy_scores = load_score_set(args.accuracy_mated, args.accuracy_nonmated)
     crosskey_scores = load_score_set(args.crosskey_mated, args.crosskey_nonmated)
-
-    # each side is tallied once and its count table serves every curve
-    accuracy = accuracy_scores.counted()
-    acc_curve = det_curve(accuracy.mated, accuracy.non_mated, args.orientation, MODE_ACCURACY)
-    rtmr = rtmr_curve(accuracy.mated, crosskey_scores.counted().non_mated, args.orientation)
-    crosskey = assess(
+    result = assess(
         crosskey_scores, DensityConfig(bins=args.bins, kde=args.kde), prior.omega,
-        args.orientation, MODE_CROSSKEY,
+        args.orientation, MODE_CROSSKEY, accuracy_scores,
     )
-    ck_curve, profile, dp = crosskey.det, crosskey.profile, crosskey.densities
-    kl_text = "undefined" if crosskey.kl is UNDEFINED else f"{crosskey.kl:.6g}"
+    kl_text = "undefined" if result.kl is UNDEFINED else f"{result.kl:.6g}"
 
     rows = [
-        ("EER_accuracy", f"{acc_curve.eer:.4f}"),
-        ("EER_crosskey", f"{ck_curve.eer:.4f}"),
-        ("EER_rtmr", f"{rtmr.eer:.4f}"),
+        ("EER_accuracy", f"{result.accuracy.eer:.4f}"),
+        ("EER_crosskey", f"{result.det.eer:.4f}"),
+        ("EER_rtmr", f"{result.rtmr.eer:.4f}"),
         ("KL(mated||nonmated)", kl_text),
-        ("D_sys", f"{profile.d_sys:.4f}"),
+        ("D_sys", f"{result.profile.d_sys:.4f}"),
     ]
     name_width = max(len(name) for name, _ in rows)
     for name, value in rows:
@@ -246,31 +239,21 @@ def cmd_compare(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        comparison = {
-            "schema_version": 1,
-            "omega": prior.omega,
-            "orientation": args.orientation,
-            "eer_accuracy": acc_curve.eer,
-            "eer_crosskey": ck_curve.eer,
-            "eer_rtmr": rtmr.eer,
-            "kl": crosskey.kl_json,
-            "d_sys": profile.d_sys,
-            "profile": profile.to_json_dict(),
-            "densities": dp.to_json_dict(),
-        }
+        comparison = result.to_json_dict()
+        comparison.update(schema_version=1, omega=prior.omega, orientation=args.orientation)
         (out / "comparison.json").write_text(
             json.dumps(comparison, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
         (out / "det_comparison.svg").write_text(
-            det_svg([acc_curve, ck_curve], "accuracy vs cross-key DET"),
+            det_svg([result.accuracy, result.det], "accuracy vs cross-key DET"),
             encoding="utf-8",
         )
         (out / "rtmr_comparison.svg").write_text(
-            det_svg([acc_curve, rtmr], "accuracy DET vs RTMR"),
+            det_svg([result.accuracy, result.rtmr], "accuracy DET vs RTMR"),
             encoding="utf-8",
         )
         (out / "linkability.svg").write_text(
-            linkability_svg(dp.to_json_dict(), profile.to_json_dict(), "cross-key"),
+            linkability_svg(comparison["densities"], comparison["profile"], "cross-key"),
             encoding="utf-8",
         )
     return 0
@@ -288,12 +271,18 @@ def cmd_protocol(args) -> int:
             raise UnlinkEvalError(
                 "TOML configs need Python 3.11+; provide the config as JSON instead"
             ) from None
-        data = tomllib.loads(text)
+        try:
+            data = tomllib.loads(text)
+        except tomllib.TOMLDecodeError as exc:  # ends "(at line L, column C)" or "(at end of document)"
+            at = re.search(r"at line (\d+)", str(exc))
+            line_no = int(at[1]) if at else len(text.splitlines())
+            raise FileParseError(path, line_no, f"config is not valid TOML: {exc}") from None
     else:
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise UnlinkEvalError(f"config is not valid JSON: {exc}") from None
+            msg = f"config is not valid JSON: {exc.msg} (column {exc.colno})"
+            raise FileParseError(path, exc.lineno, msg) from None
 
     cfg = ProtocolConfig.from_dict(data, base_dir=path.parent)
     report = run_protocol(cfg)

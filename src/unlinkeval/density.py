@@ -89,6 +89,9 @@ class DensityConfig:
     allow_point_mass: bool = True
 
     def __post_init__(self):
+        for name in ("kde", "allow_point_mass"):
+            if not isinstance(getattr(self, name), bool):
+                raise InvalidConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.bins != AUTO_BINS:
             if not isinstance(self.bins, (int, np.integer)) or isinstance(self.bins, bool):
                 raise InvalidConfigError(f"bins must be an integer or 'auto', got {self.bins!r}")

@@ -50,6 +50,7 @@ from .synthbtp import (
     SCHEMES,
     CorpusConfig,
     KeyRing,
+    _validate_geometry,
     generate_corpus,
     generate_databases,
     invert_bits,
@@ -140,6 +141,13 @@ class ProtocolConfig:
                 raise InvalidConfigError(f"score_files missing entries for {missing}")
         if self.mated_pairing not in (PAIRING_ALL_CROSS_KEY, PAIRING_DISTINCT_SAMPLES):
             raise InvalidConfigError(f"unknown mated_pairing {self.mated_pairing!r}")
+        for name in ("non_mated_all_pairs", "constant_key", "allow_approximate_bloom"):
+            if not isinstance(getattr(self, name), bool):
+                raise InvalidConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if isinstance(self.key_seed, bool) or not isinstance(self.key_seed, (int, type(None))):
+            raise InvalidConfigError(f"key_seed must be an integer, got {self.key_seed!r}")
+        if self.corpus is not None:
+            _validate_geometry(self.corpus.template_bits, self.block_size, self.bloom_width, self.bloom_height)
 
     @property
     def resolved_key_seed(self) -> int:
@@ -469,7 +477,7 @@ def _score_pairs(engine: _ScoreEngine, function: str, keys_a, keys_b, mated_samp
     pair, sample pair, subject) order; non-mated in (subject pair, key
     pair, sample pair) order when pair_major, else (key pair, subject
     pair, sample pair).  A view already scored with the same pairs on
-    this engine is not scored again; the result is rebuilt under source.
+    this engine is not scored again: a result under source shares its arrays.
     """
     view = engine.view(function)
     # views of the same engine arrays compare the same bits; the engine owns
@@ -596,33 +604,55 @@ def synthetic_databases(
 
 @dataclass(frozen=True)
 class Assessment:
-    """One score set evaluated: densities, linkability profile, KL, DET curve."""
+    """One score set evaluated; the accuracy DET and RTMR curve are None without accuracy scores."""
 
     densities: DensityPair
     profile: LinkabilityProfile
     kl: object
     det: DetCurve
+    accuracy: DetCurve | None = None
+    rtmr: DetCurve | None = None
 
     @property
     def kl_json(self):
         return "undefined" if self.kl is UNDEFINED else self.kl
 
+    def to_json_dict(self) -> dict:
+        """The framework beside its baselines: the entries every report shares."""
+        return {
+            "d_sys": self.profile.d_sys,
+            "kl": self.kl_json,
+            "profile": self.profile.to_json_dict(),
+            "densities": self.densities.to_json_dict(),
+            "eer_crosskey": self.det.eer,
+            "eer_accuracy": None if self.accuracy is None else self.accuracy.eer,
+            "eer_rtmr": None if self.rtmr is None else self.rtmr.eer,
+        }
+
 
 def assess(
-    scores: ScoreSet | ScoreCounts, density: DensityConfig, omega: float, orientation: str, mode: str
+    scores: ScoreSet | ScoreCounts, density: DensityConfig, omega: float, orientation: str, mode: str,
+    accuracy: ScoreSet | ScoreCounts | None = None,
 ) -> Assessment:
-    """Densities -> profile (LR, D(s), D_sys) -> KL over the binned pmfs -> one DET curve.
+    """Densities -> profile (LR, D(s), D_sys) -> KL over the binned pmfs -> DET curves.
 
-    Every step reads only the count tables, so scores may be a ScoreSet
-    or a ScoreCounts, with the same result.
+    With accuracy (same-key scores), the accuracy DET and the RTMR curve
+    (accuracy mated against scores' non-mated) are swept too.  Every step
+    reads only the count tables: either input may be a ScoreSet or a ScoreCounts.
     """
     dp = estimate_densities(scores, density)
     profile = evaluate_densities(dp, omega)
     widths = dp.bin_widths
     kl = kl_divergence(dp.p_mated * widths, dp.p_non_mated * widths)
     tables = scores.counted()
+    acc_curve = rtmr = None
+    if accuracy is not None:
+        same_key = accuracy.counted()
+        acc_curve = det_curve(same_key.mated, same_key.non_mated, orientation, MODE_ACCURACY)
+        rtmr = rtmr_curve(same_key.mated, tables.non_mated, orientation)
+    # swept last, as its temporaries are the smallest when accuracy scores are many
     det = det_curve(tables.mated, tables.non_mated, orientation, mode)
-    return Assessment(densities=dp, profile=profile, kl=kl, det=det)
+    return Assessment(densities=dp, profile=profile, kl=kl, det=det, accuracy=acc_curve, rtmr=rtmr)
 
 
 def _max_workers(n_tasks: int) -> int:
@@ -644,7 +674,6 @@ def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
     """
     engine = None
     accuracy = None
-    accuracy_eer = None
     metadata: dict = {
         "k": cfg.k,
         "scheme": cfg.scheme,
@@ -661,11 +690,8 @@ def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
             cfg.block_size, cfg.bloom_width, cfg.bloom_height,
         )
         engine = _ScoreEngine(databases, ring, cfg.allow_approximate_bloom)
+        # one tally of the same-key accuracy scores serves every linkage function
         accuracy = same_key_scores(databases, "pic_hd", ring, _engine=engine, _counted=True)
-        # one same-key accuracy curve serves every linkage function
-        accuracy_eer = det_curve(
-            accuracy.mated, accuracy.non_mated, ORIENT_DISSIMILARITY, MODE_ACCURACY
-        ).eer
         metadata.update(
             {
                 "n_subjects": cfg.corpus.n_subjects,
@@ -692,23 +718,11 @@ def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
                 _engine=engine,
                 _counted=counted,
             )
-        result = assess(scores, cfg.density, cfg.prior.omega, ORIENT_DISSIMILARITY, MODE_CROSSKEY)
-        entry = {
-            "adversary_model": ADVERSARY_MODELS[fn],
-            "d_sys": result.profile.d_sys,
-            "n_mated": scores.n_mated,
-            "n_non_mated": scores.n_non_mated,
-            "kl": result.kl_json,
-            "profile": result.profile.to_json_dict(),
-            "densities": result.densities.to_json_dict(),
-            "eer_crosskey": result.det.eer,
-            "eer_accuracy": accuracy_eer,
-            "eer_rtmr": None,
-        }
-        if accuracy is not None:
-            entry["eer_rtmr"] = rtmr_curve(
-                accuracy.mated, scores.counted().non_mated, ORIENT_DISSIMILARITY
-            ).eer
+        result = assess(
+            scores, cfg.density, cfg.prior.omega, ORIENT_DISSIMILARITY, MODE_CROSSKEY, accuracy
+        )
+        entry = result.to_json_dict()
+        entry.update(adversary_model=ADVERSARY_MODELS[fn], n_mated=scores.n_mated, n_non_mated=scores.n_non_mated)
         return entry, (None if counted else scores)
 
     per_function: dict = {}

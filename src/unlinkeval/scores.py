@@ -82,9 +82,13 @@ class ScoreSet:
 
 
 def _as_score_array(values, side: str) -> np.ndarray:
-    # one C-ordered copy; reshape(-1) of it is a view, so a strided input
-    # is copied once
-    arr = np.array(values, dtype=np.float64, order="C").reshape(-1)
+    # a read-only C-ordered float64 array (a remembered score set) is shared;
+    # anything else is copied once into C order, and reshape(-1) is a view
+    if (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and values.flags.c_contiguous and not values.flags.writeable):
+        arr = values.reshape(-1)
+    else:
+        arr = np.array(values, dtype=np.float64, order="C").reshape(-1)
     if arr.size < 2:
         raise TooFewScoresError(side, int(arr.size))
     if not np.all(np.isfinite(arr)):

@@ -216,6 +216,11 @@ class KeyRing:
 
 
 def _validate_geometry(template_bits: int, block_size: int, bloom_width: int, bloom_height: int):
+    sizes = {"template_bits": template_bits, "block_size": block_size,
+             "bloom_width": bloom_width, "bloom_height": bloom_height}
+    for name, size in sizes.items():
+        if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+            raise InvalidConfigError(f"{name} must be a positive integer, got {size!r}")
     if template_bits % block_size:
         raise NotDivisibleError(
             f"template length {template_bits} is not a multiple of block size {block_size}"

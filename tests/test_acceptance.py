@@ -239,7 +239,10 @@ def test_criterion_08_eer_and_linkability_disagree(tmp_path):
 
         accuracy = ue.load_score_set(files["accuracy_mated"], files["accuracy_nonmated"])
         crosskey = ue.load_score_set(files["crosskey_mated"], files["crosskey_nonmated"])
-        acc_curve, ck_curve = ue.cross_key_det(accuracy, crosskey, orientation="similarity")
+        result = ue.assess(
+            crosskey, ue.DensityConfig(), 1.0, "similarity", "crosskey", accuracy=accuracy
+        )
+        acc_curve, ck_curve = result.accuracy, result.det
 
         # the increase-based verdict says "unlinkable": cross-key EER is small
         # and clearly above the accuracy EER

@@ -165,10 +165,17 @@ class TestDetCurve:
 
 
 class TestCrossKeyDet:
+    """The accuracy and cross-key DET curves that assess sweeps side by side."""
+
+    @staticmethod
+    def _curves(single, cross, orientation):
+        result = ue.assess(cross, ue.DensityConfig(), 1.0, orientation, MODE_CROSSKEY, accuracy=single)
+        return result.accuracy, result.det
+
     def test_returns_accuracy_and_crosskey_curves(self, rng):
         single = ue.ScoreSet(mated=rng.normal(0.2, 0.05, 2000), non_mated=rng.normal(0.8, 0.05, 2000))
         cross = ue.ScoreSet(mated=rng.normal(0.75, 0.05, 2000), non_mated=rng.normal(0.8, 0.05, 2000))
-        acc, ck = ue.cross_key_det(single, cross, orientation=ORIENT_DISSIMILARITY)
+        acc, ck = self._curves(single, cross, orientation=ORIENT_DISSIMILARITY)
         assert acc.mode == MODE_ACCURACY
         assert ck.mode == MODE_CROSSKEY
         assert acc.eer < 0.01  # well separated single-key scores
@@ -178,7 +185,7 @@ class TestCrossKeyDet:
         m, nm = rng.normal(0.3, 0.1, 3000), rng.normal(0.7, 0.1, 3000)
         single = ue.ScoreSet(mated=m, non_mated=nm)
         cross = ue.ScoreSet(mated=m.copy(), non_mated=nm.copy())
-        acc, ck = ue.cross_key_det(single, cross, orientation=ORIENT_DISSIMILARITY)
+        acc, ck = self._curves(single, cross, orientation=ORIENT_DISSIMILARITY)
         assert ck.eer == pytest.approx(acc.eer, abs=1e-12)
 
 

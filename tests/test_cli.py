@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import unlinkeval as ue
 from unlinkeval.cli import main
 from unlinkeval.errors import KeyCountWarning, StatisticalAdequacyWarning
 
@@ -143,6 +144,13 @@ class TestSynth:
         rc = main(base + ["--experimental", "--out", str(tmp_path / "y")])
         assert rc == 0
 
+    def test_zero_block_size_is_one_line_exit_2(self, tmp_path, capsys):
+        rc = main(["synth", "--scheme", "block", "--function", "pic_hd",
+                   "--subjects", "4", "--samples", "2", "--bits", "256",
+                   "--keys", "3", "--block-size", "0", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: block_size must be a positive integer, got 0\n"
+
     def test_permuted_xor_needs_block_scheme(self, tmp_path, capsys):
         rc = main(["synth", "--scheme", "xor", "--function", "permuted_xor",
                    "--subjects", "4", "--samples", "2", "--bits", "256",
@@ -175,6 +183,35 @@ class TestCompare:
         doc = json.loads((out / "comparison.json").read_text())
         assert doc["schema_version"] == 1
         assert 0.0 <= doc["d_sys"] <= 1.0
+
+
+class TestCrossCommandAgreement:
+    """compare on synth's four score files and run_protocol on the same
+    corpus, keys and linkage function report the same assessment."""
+
+    SHARED = ("d_sys", "kl", "profile", "densities", "eer_crosskey", "eer_accuracy", "eer_rtmr")
+
+    def test_compare_and_protocol_agree(self, tmp_path, capsys):
+        synth_dir, out = tmp_path / "synth", tmp_path / "cmp"
+        assert main(["synth", "--scheme", "xor", "--function", "pic_hd", "--subjects", "30",
+                     "--keys", "6", "--seed", "11", "--out", str(synth_dir)]) == 0
+        assert main(["compare",
+                     "--accuracy-mated", str(synth_dir / "accuracy_mated.csv"),
+                     "--accuracy-nonmated", str(synth_dir / "accuracy_nonmated.csv"),
+                     "--crosskey-mated", str(synth_dir / "mated.csv"),
+                     "--crosskey-nonmated", str(synth_dir / "nonmated.csv"),
+                     "--out", str(out)]) == 0
+        comparison = json.loads((out / "comparison.json").read_text())
+
+        corpus = ue.CorpusConfig(n_subjects=30, samples_per_subject=4, template_bits=1024,
+                                 intra_flip_rate=0.1, seed=11)
+        report = ue.run_protocol(ue.ProtocolConfig(
+            linkage_functions=("pic_hd",), k=6, scheme="xor-salt", corpus=corpus,
+        ))
+        entry = report.per_function["pic_hd"]
+        for key in self.SHARED:
+            assert entry[key] == comparison[key], key
+        assert entry["eer_accuracy"] is not None and entry["eer_rtmr"] is not None
 
 
 class TestProtocol:
@@ -219,6 +256,20 @@ class TestProtocol:
         rc = main(["protocol", str(bad)])
         assert rc == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, text, line, kind", [
+        ("bad.json", '{"k": 3,}', 1, "JSON"),
+        ("bad.toml", "k = 3\nk = 4\n", 2, "TOML"),
+    ])
+    def test_syntax_error_names_the_config(self, tmp_path, capsys, name, text, line, kind):
+        if kind == "TOML":
+            pytest.importorskip("tomllib")
+        bad = tmp_path / name
+        bad.write_text(text)
+        assert main(["protocol", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:{line}: config is not valid {kind}: ")
+        assert err.count("\n") == 1
 
     def test_toml_config_depends_on_runtime(self, tmp_path, capsys):
         toml = tmp_path / "protocol.toml"

@@ -332,6 +332,19 @@ class TestProtocolConfig:
         {"linkage_functions": "pic_hd"},
         {"linkage_functions": 5},
         {"prior": {"omega": [1]}},
+        {"key_seed": "7"},
+        {"key_seed": True},
+        {"non_mated_all_pairs": "yes"},
+        {"non_mated_all_pairs": "false"},
+        {"constant_key": 1},
+        {"allow_approximate_bloom": "true"},
+        {"density": {"kde": "false"}},
+        {"density": {"allow_point_mass": 0}},
+        {"block_size": 0},
+        {"block_size": -64},
+        {"block_size": "64"},
+        {"bloom_width": 0},
+        {"bloom_height": 2.0},
     ])
     def test_from_dict_rejects_malformed_input(self, tmp_path, change):
         data = {"linkage_functions": ["pic_hd"], "k": 6,
@@ -474,3 +487,6 @@ class TestScoreEachComparisonOnce:
         assert reconstruction.source.startswith("reconstruction/")
         assert np.array_equal(permuted.mated, reconstruction.mated)
         assert np.array_equal(permuted.non_mated, reconstruction.non_mated)
+        # the remembered arrays are shared, not copied
+        assert np.shares_memory(permuted.mated, reconstruction.mated)
+        assert np.shares_memory(permuted.non_mated, reconstruction.non_mated)
