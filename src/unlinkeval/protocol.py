@@ -213,13 +213,16 @@ def _prior_from_config(value) -> PriorConfig:
     if value == "default" or value is None:
         return PriorConfig.default()
     if isinstance(value, dict):
+        # bools are ints to isinstance; a config's true is not a number
+        omega, n = value.get("omega"), value.get("n_enrolled")
         try:
             if "omega" in value:
-                return PriorConfig.explicit(float(value["omega"]))
-            if "n_enrolled" in value:
-                return PriorConfig.from_enrollment_count(int(value["n_enrolled"]))
-        except TypeError:
-            pass  # not a number: reported below
+                if isinstance(omega, (int, float)) and not isinstance(omega, bool):
+                    return PriorConfig.explicit(omega)
+            elif isinstance(n, int) and not isinstance(n, bool):
+                return PriorConfig.from_enrollment_count(n)
+        except OverflowError:
+            pass  # an integer beyond the float range: reported below
     raise InvalidConfigError(f"prior must be 'default', {{'omega': x}} or {{'n_enrolled': n}}, got {value!r}")
 
 
@@ -313,9 +316,10 @@ class _Tally:
             top = min(top, self.stride - 1)
         self.counts = np.zeros((top + 1) * self.stride, dtype=np.int64)
 
-    def add(self, dist: np.ndarray, popsum) -> None:
+    def add(self, dist: np.ndarray, popsum, times: int) -> None:
+        """Count every pair of dist, times over: once per key pair it stands for."""
         found = np.bincount(dist if popsum is None else dist * self.stride + popsum)
-        self.counts[: found.size] += found
+        self.counts[: found.size] += found * times
 
     def table(self) -> CountTable:
         cells = np.flatnonzero(self.counts)
@@ -406,6 +410,28 @@ class _ScoreEngine:
             return _View(self.packed_inverted(function), self._inverted_pops, self.raw_length, False)
         raise InvalidConfigError(f"unknown linkage function {function!r}")
 
+    def canonical_keys(self, view: _View) -> np.ndarray:
+        """Each key's first key whose database `view` compares as byte-identical.
+
+        Two keys' databases are the same to a view when their set-bit counts
+        and, if the view has them, their packed rows are equal arrays: the
+        inverted view on every scheme, set-bit counts under block
+        re-mapping and Bloom filters, and every view under a constant key.
+        Any pair of templates then scores the same under either key.
+        """
+        canon = np.arange(self.k)
+        firsts: list = []
+        for k in range(self.k):
+            for first in firsts:
+                if np.array_equal(view.pops[k], view.pops[first]) and (
+                    view.packed is None or np.array_equal(view.packed[k], view.packed[first])
+                ):
+                    canon[k] = first
+                    break
+            else:
+                firsts.append(k)
+        return canon
+
     def same_subject(self, view: _View, keys_a, keys_b, sample_pairs):
         """Distances of every subject's sample pairs, one key pair at a time.
 
@@ -495,27 +521,40 @@ def _score_pairs(engine: _ScoreEngine, function: str, keys_a, keys_b, mated_samp
 
 def _score_view(engine: _ScoreEngine, view: _View, keys_a, keys_b, mated_samples,
                 group: int, pair_major: bool, counted: bool, source: str):
+    """Score each distinct pair of canonical keys once.
+
+    Key pairs (a, b) whose databases are the same to the view as those of
+    another pair give the same scores.  A computed block is tallied once
+    per key pair it stands for, or written into each of their slots.
+    (a, b) and (b, a) stay apart: the first template is always on key a.
+    """
     n, n_keys = engine.n_subjects, len(keys_a)
-    mated_blocks = engine.same_subject(view, keys_a, keys_b, mated_samples)
-    tiles = engine.distinct_subjects(view, keys_a, keys_b, group)
+    canon = engine.canonical_keys(view)
+    pairs, slot_pair, times = np.unique(
+        canon[keys_a] * engine.k + canon[keys_b], return_inverse=True, return_counts=True
+    )
+    pairs_a, pairs_b = np.divmod(pairs, engine.k)
+    mated_blocks = engine.same_subject(view, pairs_a, pairs_b, mated_samples)
+    tiles = engine.distinct_subjects(view, pairs_a, pairs_b, group)
     if counted:
         mated, non_mated = _Tally(view), _Tally(view)
-        for _, dist, popsum in mated_blocks:
-            mated.add(dist, popsum)
-        for _, _, _, dist, popsum in tiles:
-            non_mated.add(dist, popsum)
+        for p, dist, popsum in mated_blocks:
+            mated.add(dist, popsum, times[p])
+        for _, _, p, dist, popsum in tiles:
+            non_mated.add(dist, popsum, times[p])
         return ScoreCounts(mated.table(), non_mated.table(), source)
 
+    slots = [np.flatnonzero(slot_pair == p) for p in range(len(pairs))]
     mated = np.empty((n_keys, len(mated_samples[0]) * n))
     for p, dist, popsum in mated_blocks:
-        view.scores(dist, popsum, out=mated[p])
+        mated[slots[p]] = view.scores(dist, popsum)
     n_pairs = n * (n - 1) // 2
     shape = (n_pairs, n_keys, group * group) if pair_major else (n_keys, n_pairs, group * group)
     non_mated = np.empty(shape)
+    by_key_pair = non_mated.swapaxes(0, 1) if pair_major else non_mated
     for lo, hi, p, dist, popsum in tiles:
-        target = non_mated[:, p] if pair_major else non_mated[p]
         run = slice(_pairs_before(lo, n), _pairs_before(hi, n))
-        target[run] = view.scores(dist, popsum).reshape(-1, group * group)
+        by_key_pair[slots[p], run] = view.scores(dist, popsum).reshape(1, -1, group * group)
     return ScoreSet(mated=mated, non_mated=non_mated, source=source)
 
 

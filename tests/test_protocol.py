@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 from pathlib import Path
@@ -157,12 +158,14 @@ class TestEngineMatchesPerTemplateFunctions:
     and the counted path tallies exactly those scores."""
 
     SUBJECTS, SAMPLES, K = 3, 3, 3
+    CONSTANT_KEY = False
 
     def _testbed(self, scheme):
         cfg = ue.CorpusConfig(n_subjects=self.SUBJECTS, samples_per_subject=self.SAMPLES,
                               template_bits=128, intra_flip_rate=0.1, seed=8)
         corpus = ue.generate_corpus(cfg)
-        ring = ue.KeyRing.generate(self.K, 128, seed=9, block_size=16)
+        make = ue.KeyRing.constant_ring if self.CONSTANT_KEY else ue.KeyRing.generate
+        ring = make(self.K, 128, 9, block_size=16)
         dbs = ue.generate_databases(corpus, ring, scheme)
 
         def oracle(fn, pairs):
@@ -227,6 +230,13 @@ class TestEngineMatchesPerTemplateFunctions:
         assert np.array_equal(s.mated, mated)
         assert np.array_equal(s.non_mated, non_mated)
         _assert_counts_of(ue.same_key_scores(dbs, fn, ring, _engine=engine, _counted=True), s)
+
+
+class TestEngineMatchesPerTemplateFunctionsConstantKey(TestEngineMatchesPerTemplateFunctions):
+    """The same checks under a constant key: every view sees K identical
+    databases, so each key pair's scores come from one pair of canonical keys."""
+
+    CONSTANT_KEY = True
 
 
 class TestEngineValidation:
@@ -332,6 +342,12 @@ class TestProtocolConfig:
         {"linkage_functions": "pic_hd"},
         {"linkage_functions": 5},
         {"prior": {"omega": [1]}},
+        {"prior": {"omega": "0.5"}},
+        {"prior": {"omega": True}},
+        {"prior": {"n_enrolled": 100.7}},
+        {"prior": {"n_enrolled": "101"}},
+        {"prior": {"omega": 10**400}},
+        {"prior": {"n_enrolled": 10**400}},
         {"key_seed": "7"},
         {"key_seed": True},
         {"non_mated_all_pairs": "yes"},
@@ -353,6 +369,17 @@ class TestProtocolConfig:
         data.update(change)
         with pytest.raises(InvalidConfigError):
             ue.ProtocolConfig.from_dict(data, base_dir=tmp_path)
+
+    @pytest.mark.parametrize("prior,omega", [
+        ({"n_enrolled": 101}, 0.01),
+        ({"omega": 1}, 1.0),
+        ({"omega": 0.5}, 0.5),
+    ])
+    def test_from_dict_accepts_numeric_priors(self, prior, omega):
+        data = {"linkage_functions": ["pic_hd"], "k": 6, "prior": prior,
+                "corpus": {"n_subjects": 4, "samples_per_subject": 2, "template_bits": 128,
+                           "intra_flip_rate": 0.1, "seed": 2}}
+        assert ue.ProtocolConfig.from_dict(data).prior.omega == pytest.approx(omega)
 
     def test_key_seed_derivation(self):
         cfg = ue.ProtocolConfig(linkage_functions=("pic_hd",), k=6, corpus=self._corpus_cfg())
@@ -490,3 +517,74 @@ class TestScoreEachComparisonOnce:
         # the remembered arrays are shared, not copied
         assert np.shares_memory(permuted.mated, reconstruction.mated)
         assert np.shares_memory(permuted.non_mated, reconstruction.non_mated)
+
+
+class TestScoreEachKeyPairOnce:
+    """A view that sees byte-identical databases under several keys scores
+    each distinct pair of them once: block re-mapping, K = 6, 15 key pairs."""
+
+    def _scored(self, monkeypatch, fn, constant, counted):
+        """The key pairs the engine is asked to score, and the kernel passes."""
+        asked, passes = [], []
+        for name in ("same_subject", "distinct_subjects"):
+            real = getattr(_ScoreEngine, name)
+
+            def engine_spy(engine, view, keys_a, keys_b, *args, _real=real):
+                asked.append(list(zip(np.asarray(keys_a).tolist(), np.asarray(keys_b).tolist())))
+                return _real(engine, view, keys_a, keys_b, *args)
+
+            monkeypatch.setattr(_ScoreEngine, name, engine_spy)
+        for name in ("hamming_rows", "hamming_gemm"):
+            real = getattr(kernels, name)
+
+            def kernel_spy(*args, _real=real):
+                passes.append(1)
+                return _real(*args)
+
+            monkeypatch.setattr(kernels, name, kernel_spy)
+        dbs, ring = _databases(n_subjects=4, samples=2, k=6, scheme="block-remap", constant=constant)
+        ue.cross_database_scores(dbs, fn, ring, _counted=counted)
+        monkeypatch.undo()
+        return asked, len(passes)
+
+    @pytest.mark.parametrize("counted", [False, True], ids=["ordered", "counted"])
+    @pytest.mark.parametrize("constant", [False, True], ids=["keys", "constant-key"])
+    @pytest.mark.parametrize("fn", ["pic_hd", "hamming_weight", "permuted_xor", "reconstruction"])
+    def test_key_pairs_scored(self, monkeypatch, fn, constant, counted):
+        asked, passes = self._scored(monkeypatch, fn, constant, counted)
+        if fn == "pic_hd" and not constant:
+            expected = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+        else:
+            expected = [(0, 0)]
+        # one call for the mated pairs, one for the non-mated ones
+        assert asked == [expected, expected]
+        # four subjects make one tile: one kernel pass per key pair and side,
+        # none for hamming_weight, which compares set-bit counts
+        assert passes == (0 if fn == "hamming_weight" else 2 * len(expected))
+
+    @pytest.mark.parametrize("non_mated_all_pairs", [False, True])
+    @pytest.mark.parametrize("scheme,fn", _SUPPORTED)
+    def test_scores_as_without_dedupe(self, monkeypatch, scheme, fn, non_mated_all_pairs):
+        """Databases 0 and 2 share one key, so key pair (1, 2) is scored as
+        (1, 0), which is not (0, 1): the first template of a pair is on its
+        first key.  Every score equals that of an engine that dedupes nothing."""
+        cfg = ue.CorpusConfig(n_subjects=5, samples_per_subject=3, template_bits=128,
+                              intra_flip_rate=0.1, seed=3)
+        two = ue.KeyRing.generate(2, 128, 4, block_size=16)
+        ring = dataclasses.replace(two, k=3, **{
+            name: getattr(two, name)[[0, 1, 0]] for name in ("xor_masks", "block_perms", "bloom_keys")
+        })
+        dbs = ue.generate_databases(ue.generate_corpus(cfg), ring, scheme)
+
+        def both_ways():
+            return [ue.cross_database_scores(dbs, fn, ring, non_mated_all_pairs=non_mated_all_pairs,
+                                             allow_approximate_bloom=True, _counted=counted)
+                    for counted in (False, True)]
+
+        ordered, counted = both_ways()
+        monkeypatch.setattr(_ScoreEngine, "canonical_keys", lambda engine, view: np.arange(engine.k))
+        want, want_counted = both_ways()
+        assert np.array_equal(ordered.mated, want.mated)
+        assert np.array_equal(ordered.non_mated, want.non_mated)
+        _assert_counts_of(counted, want)
+        _assert_counts_of(want_counted, want)

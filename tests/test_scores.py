@@ -2,6 +2,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -208,20 +209,54 @@ def _score_file(draw):
 
 
 class TestWholeFileParse:
-    """The whole-file parse against the line parser as oracle."""
+    """The chunked plain-form parse against the line parser as oracle."""
 
     @settings(max_examples=300, deadline=None)
-    @given(first=_score_file(), second=_score_file())
-    @example(first="score,label\n0.5,mated\n0.25,mated,0.75\n\n0.125,nonmated\n0.0,nonmated\n", second="")
-    @example(first="score,label\n0.5,mated\n-0.0,mated\n0.0,nonmated\n-0.0,nonmated\n", second="")
-    @example(first="0.5\n1,5\n0.25\n", second="0.25\n0.25\n")
-    def test_loader_matches_line_parser(self, first, second):
-        with tempfile.TemporaryDirectory() as tmp:
+    @given(first=_score_file(), second=_score_file(), chunk=st.sampled_from([1, 2, 7, 1 << 20]))
+    @example(first="score,label\n0.5,mated\n0.25,mated,0.75\n\n0.125,nonmated\n0.0,nonmated\n", second="",
+             chunk=1 << 20)
+    @example(first="score,label\n0.5,mated\n-0.0,mated\n0.0,nonmated\n-0.0,nonmated\n", second="",
+             chunk=1 << 20)
+    @example(first="0.5\n1,5\n0.25\n", second="0.25\n0.25\n", chunk=1 << 20)
+    # a faulty row in the last of several chunks, and a last row without its line end
+    @example(first="score,label\n0.5,mated\n0.25,nonmated\n0.125,mated\n0.5,nonmated,1\n", second="",
+             chunk=2)
+    @example(first="score,label\n0.5,mated\n0.25,nonmated\n0.125,mated", second="0.5\n0.25", chunk=1)
+    def test_loader_matches_line_parser(self, first, second, chunk):
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(scores, "_PARSE_CHUNK", chunk):
             a, b = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
             a.write_bytes(first.encode("utf-8"))
             b.write_bytes(second.encode("utf-8"))
             for paths in ((a, a), (a, b), (b, a)):
                 assert _outcome(ue.load_score_set, *paths) == _outcome(_line_oracle, *paths)
+
+    def test_chunks_end_at_line_ends(self):
+        text = "score,label\n0.5,mated\n0.25,nonmated\n0.125,mated"
+        for chunk in (1, 3, 11, 12, 1 << 20):
+            with mock.patch.object(scores, "_PARSE_CHUNK", chunk):
+                pieces = list(scores._row_chunks(text, len("score,label\n")))
+            assert "".join(pieces) == text[len("score,label\n"):] + "\n"
+            assert all(p.endswith("\n") for p in pieces)
+            assert all(len(p) >= chunk for p in pieces[:-1])
+
+    def test_plain_file_memory_is_bounded(self, tmp_path, rng):
+        """A million plain labeled rows peak below the text plus four times
+        the scores: the rows are converted a chunk at a time."""
+        n = 1_000_000
+        values = rng.normal(0.45, 0.05, n)
+        labels = np.where(rng.random(n) < 0.3, ",mated\n", ",nonmated\n")
+        path = tmp_path / "big.csv"
+        path.write_text("score,label\n" + "".join(map(str.__add__, map(repr, values.tolist()), labels)))
+        text_bytes = path.stat().st_size
+        tracemalloc.start()
+        try:
+            s = ue.load_score_set(path, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.n_mated + s.n_non_mated == n
+        assert np.array_equal(np.sort(np.concatenate([s.mated, s.non_mated])), np.sort(values))
+        assert peak < text_bytes + 4 * 8 * n
 
     @pytest.mark.parametrize(
         "text",
