@@ -46,18 +46,9 @@ from .scores import (
 from .synthbtp import (
     CorpusConfig,
     KeyRing,
-    ProtectedTemplate,
     RawCorpus,
-    bloom_protect,
-    block_remap,
     generate_corpus,
     generate_databases,
-    linkage_hamming_weight,
-    linkage_pic_hd,
-    linkage_permuted_xor,
-    linkage_reconstruction,
-    protect,
-    xor_salt,
 )
 
 __version__ = "0.1.0"
@@ -73,15 +64,12 @@ __all__ = [
     "LinkabilityProfile",
     "NO_EVIDENCE",
     "PriorConfig",
-    "ProtectedTemplate",
     "ProtocolConfig",
     "RawCorpus",
     "ScoreSet",
     "UNDEFINED",
     "UnlinkEvalError",
     "assess",
-    "block_remap",
-    "bloom_protect",
     "cross_database_scores",
     "det_curve",
     "estimate_densities",
@@ -93,18 +81,12 @@ __all__ = [
     "global_linkability",
     "kl_divergence",
     "likelihood_ratio",
-    "linkage_hamming_weight",
-    "linkage_pic_hd",
-    "linkage_permuted_xor",
-    "linkage_reconstruction",
     "load_score_set",
     "local_linkability",
     "omega_from_enrollment",
-    "protect",
     "rtmr_curve",
     "run_protocol",
     "same_key_scores",
     "write_score_csv",
     "write_score_sides",
-    "xor_salt",
 ]

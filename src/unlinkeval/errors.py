@@ -59,15 +59,11 @@ class NotNormalizedError(UnlinkEvalError):
 
 
 class SchemeMismatchError(UnlinkEvalError):
-    """Two protected templates come from incompatible schemes."""
+    """Protected bits carry a scheme name that the operation does not know."""
 
 
 class NotDivisibleError(UnlinkEvalError):
     """Template length is not a multiple of the block size."""
-
-
-class NotBijectiveError(UnlinkEvalError):
-    """A supposed permutation is not a bijection on block indices."""
 
 
 class ShapeMismatchError(UnlinkEvalError):

@@ -144,8 +144,10 @@ class ProtocolConfig:
         for name in ("non_mated_all_pairs", "constant_key", "allow_approximate_bloom"):
             if not isinstance(getattr(self, name), bool):
                 raise InvalidConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        if isinstance(self.key_seed, bool) or not isinstance(self.key_seed, (int, type(None))):
-            raise InvalidConfigError(f"key_seed must be an integer, got {self.key_seed!r}")
+        if self.key_seed is not None and (
+            isinstance(self.key_seed, bool) or not isinstance(self.key_seed, int) or self.key_seed < 0
+        ):
+            raise InvalidConfigError(f"key_seed must be an integer >= 0, got {self.key_seed!r}")
         if self.corpus is not None:
             _validate_geometry(self.corpus.template_bits, self.block_size, self.bloom_width, self.bloom_height)
 

@@ -1,12 +1,13 @@
-"""Synthetic binary-template testbed: corpora, protection schemes, linkage functions.
+"""Synthetic binary-template testbed: corpora, key rings and protection schemes.
 
 Real biometric databases are out of reach for a desk-scale artifact, so the
 evaluation protocol runs against synthetic subjects instead: each subject
 has one latent random bit template, and samples of that subject are derived
 by independent per-bit flips.  Three protection schemes operate on those
-bits (XOR salting, block re-mapping, Bloom-filter encoding), and four
-linkage-function families with increasing adversary knowledge compare the
-protected templates.  Everything is deterministic given the seed.
+bits (XOR salting, block re-mapping, Bloom-filter encoding), each written
+once as a forward transform and its inverse over whole bit arrays.  The
+linkage functions that compare the protected templates live in the
+protocol's score engine.  Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 from .errors import (
     InvalidConfigError,
     LengthMismatchError,
-    NotBijectiveError,
     NotDivisibleError,
     SchemeMismatchError,
     SchemeNotInvertibleError,
@@ -49,20 +49,14 @@ class CorpusConfig:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.n_subjects, int) or self.n_subjects < 2:
-            raise InvalidConfigError(f"n_subjects must be an integer >= 2, got {self.n_subjects!r}")
-        if not isinstance(self.samples_per_subject, int) or self.samples_per_subject < 2:
-            raise InvalidConfigError(
-                f"samples_per_subject must be an integer >= 2, got {self.samples_per_subject!r}"
-            )
-        if not isinstance(self.template_bits, int) or self.template_bits < 1:
-            raise InvalidConfigError(f"template_bits must be a positive integer, got {self.template_bits!r}")
-        if not (0.0 <= self.intra_flip_rate < 0.5):
-            raise InvalidConfigError(
-                f"intra_flip_rate must lie in [0, 0.5), got {self.intra_flip_rate!r}"
-            )
-        if not isinstance(self.seed, int):
-            raise InvalidConfigError(f"seed must be an integer, got {self.seed!r}")
+        # bools are ints to isinstance; a config's true is no count, seed or rate
+        for name, low in (("n_subjects", 2), ("samples_per_subject", 2), ("template_bits", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise InvalidConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        rate = self.intra_flip_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0.0 <= rate < 0.5:
+            raise InvalidConfigError(f"intra_flip_rate must be a number in [0, 0.5), got {rate!r}")
 
 
 @dataclass(frozen=True)
@@ -102,24 +96,6 @@ def generate_corpus(cfg: CorpusConfig) -> RawCorpus:
         ).astype(np.uint8)
         bits[subject] = latent[None, :] ^ flips
     return RawCorpus(config=cfg, bits=bits)
-
-
-@dataclass(frozen=True)
-class ProtectedTemplate:
-    bits: np.ndarray
-    key_id: int
-    scheme: str
-
-    def __post_init__(self):
-        bits = np.ascontiguousarray(self.bits, dtype=np.uint8).reshape(-1)
-        if self.scheme not in SCHEMES:
-            raise InvalidConfigError(f"unknown scheme {self.scheme!r}")
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
-
-    @property
-    def length(self) -> int:
-        return int(self.bits.size)
 
 
 @dataclass(frozen=True)
@@ -245,8 +221,8 @@ def _draw_distinct(draw, k: int, max_tries: int = 100) -> np.ndarray:
 
 
 # Each scheme's forward transform and inverse, written once over bit arrays
-# of any leading shape (..., L).  The per-template functions below add input
-# checks; protect_corpus and the protocol's score engine call these directly.
+# of any leading shape (..., L); protect_corpus and the protocol's score
+# engine call them through protect_bits and invert_bits.
 
 def _xor(bits: np.ndarray, key: np.ndarray) -> np.ndarray:
     """XOR salting; an involution, so it is also the inverse."""
@@ -264,7 +240,13 @@ def _msb_weights(h: int) -> np.ndarray:
 
 
 def _bloom_encode(bits: np.ndarray, key: np.ndarray, w: int, h: int) -> np.ndarray:
-    """Keyed column values of each w-column block set bits of a 2**h filter."""
+    """Keyed column values of each w-column block set bits of a 2**h filter.
+
+    The bits are read as consecutive h-bit columns, w columns per block.
+    Each column is XORed with its block's key column and read as an
+    integer, most significant bit first; that bit of the block's filter is
+    set.  The output concatenates the per-block filters, block 0 first.
+    """
     lead = bits.shape[:-1]
     n_blocks = bits.shape[-1] // (w * h)
     cols = bits.reshape(*lead, n_blocks, w, h)
@@ -328,159 +310,6 @@ def invert_bits(
     if scheme == SCHEME_NONE:
         return bits.copy()
     raise SchemeMismatchError(f"unknown scheme {scheme!r}")
-
-
-def xor_salt(template, key, key_id: int = 0) -> ProtectedTemplate:
-    """Bitwise XOR of template and key; an involution under the same key."""
-    template = np.asarray(template, dtype=np.uint8).reshape(-1)
-    key = np.asarray(key, dtype=np.uint8).reshape(-1)
-    if template.size != key.size:
-        raise LengthMismatchError(f"template has {template.size} bits, key {key.size}")
-    return ProtectedTemplate(bits=_xor(template, key), key_id=key_id, scheme=SCHEME_XOR)
-
-
-def block_remap(template, permutation, block_size: int, key_id: int = 0) -> ProtectedTemplate:
-    """Reorder fixed-size blocks: output block i is input block permutation[i]."""
-    template = np.asarray(template, dtype=np.uint8).reshape(-1)
-    if block_size < 1 or template.size % block_size:
-        raise NotDivisibleError(
-            f"template length {template.size} is not a multiple of block size {block_size}"
-        )
-    n_blocks = template.size // block_size
-    perm = np.asarray(permutation, dtype=np.int64).reshape(-1)
-    if perm.size != n_blocks or not np.array_equal(np.sort(perm), np.arange(n_blocks)):
-        raise NotBijectiveError(f"permutation is not a bijection on {n_blocks} blocks")
-    return ProtectedTemplate(
-        bits=_remap_blocks(template, perm, block_size), key_id=key_id, scheme=SCHEME_BLOCK
-    )
-
-
-def bloom_protect(template, key, block_width: int, block_height: int, key_id: int = 0) -> ProtectedTemplate:
-    """Bloom-filter encoding of a bit template.
-
-    The template is read as consecutive columns of block_height bits,
-    block_width columns per block.  Within a block every column is XORed
-    with that block's key column and read as an integer (most significant
-    bit first); the corresponding bit of a 2**block_height filter is set.
-    Output is the concatenation of the per-block filters, index 0 first.
-    """
-    template = np.asarray(template, dtype=np.uint8).reshape(-1)
-    w, h = block_width, block_height
-    if w < 1 or h < 1 or template.size % (w * h):
-        raise ShapeMismatchError(
-            f"template length {template.size} does not reshape to {h}-bit columns in {w}-column blocks"
-        )
-    n_blocks = template.size // (w * h)
-    key = np.asarray(key, dtype=np.uint8)
-    if key.shape != (n_blocks, h):
-        raise ShapeMismatchError(f"key shape {key.shape}, expected {(n_blocks, h)}")
-    return ProtectedTemplate(
-        bits=_bloom_encode(template, key, w, h), key_id=key_id, scheme=SCHEME_BLOOM
-    )
-
-
-def protect(template, ring: KeyRing, key_id: int, scheme: str) -> ProtectedTemplate:
-    """Apply one scheme from a key ring to one raw template."""
-    if not 0 <= key_id < ring.k:
-        raise InvalidConfigError(f"key_id {key_id} outside ring of {ring.k} keys")
-    if scheme == SCHEME_XOR:
-        return xor_salt(template, ring.xor_masks[key_id], key_id)
-    if scheme == SCHEME_BLOCK:
-        return block_remap(template, ring.block_perms[key_id], ring.block_size, key_id)
-    if scheme == SCHEME_BLOOM:
-        return bloom_protect(template, ring.bloom_keys[key_id], ring.bloom_width, ring.bloom_height, key_id)
-    if scheme == SCHEME_NONE:
-        return ProtectedTemplate(
-            bits=np.asarray(template, dtype=np.uint8).reshape(-1).copy(),
-            key_id=key_id,
-            scheme=SCHEME_NONE,
-        )
-    raise InvalidConfigError(f"unknown scheme {scheme!r}")
-
-
-def _check_comparable(t1: ProtectedTemplate, t2: ProtectedTemplate):
-    if t1.scheme != t2.scheme:
-        raise SchemeMismatchError(f"cannot compare schemes {t1.scheme!r} and {t2.scheme!r}")
-    if t1.length != t2.length:
-        raise SchemeMismatchError(f"template lengths differ: {t1.length} vs {t2.length}")
-
-
-def linkage_pic_hd(t1: ProtectedTemplate, t2: ProtectedTemplate) -> float:
-    """Pseudonymous-identifier comparison by Hamming distance.
-
-    Normalized HD for bit-preserving schemes; for Bloom filters the
-    conventional dissimilarity |T1 xor T2| / (|T1| + |T2|) over set bits.
-    """
-    _check_comparable(t1, t2)
-    diff = int(np.count_nonzero(t1.bits != t2.bits))
-    if t1.scheme == SCHEME_BLOOM:
-        pop = int(np.count_nonzero(t1.bits)) + int(np.count_nonzero(t2.bits))
-        return diff / pop
-    return diff / t1.length
-
-
-def linkage_hamming_weight(t1: ProtectedTemplate, t2: ProtectedTemplate) -> float:
-    """Absolute Hamming-weight difference, normalized by template length."""
-    if t1.length != t2.length:
-        raise LengthMismatchError(f"template lengths differ: {t1.length} vs {t2.length}")
-    w1 = int(np.count_nonzero(t1.bits))
-    w2 = int(np.count_nonzero(t2.bits))
-    return abs(w1 - w2) / t1.length
-
-
-def linkage_permuted_xor(t1: ProtectedTemplate, t2: ProtectedTemplate, relation) -> float:
-    """Normalized HD after permuting t2's bits by a known structural relation.
-
-    relation[i] gives the index of t2's bit that lands at position i.  With
-    the true inter-key relation of a block-remapping scheme, comparing two
-    protections of the same sample scores 0.
-    """
-    if t1.length != t2.length:
-        raise LengthMismatchError(f"template lengths differ: {t1.length} vs {t2.length}")
-    relation = np.asarray(relation, dtype=np.int64).reshape(-1)
-    if relation.size != t2.length or not np.array_equal(
-        np.sort(relation), np.arange(t2.length)
-    ):
-        raise NotBijectiveError(f"relation is not a bit permutation of length {t2.length}")
-    diff = int(np.count_nonzero(t1.bits != t2.bits[relation]))
-    return diff / t1.length
-
-
-def inter_key_bit_relation(ring: KeyRing, key_a: int, key_b: int) -> np.ndarray:
-    """Bit-level permutation mapping key_b's block layout onto key_a's.
-
-    Applying it to a template protected with key_b aligns its blocks with a
-    template protected with key_a, so block re-mapping cancels exactly.
-    """
-    pa = ring.block_perms[key_a]
-    pb = ring.block_perms[key_b]
-    pb_inv = np.argsort(pb)
-    block_rel = pb_inv[pa]
-    offsets = np.arange(ring.block_size, dtype=np.int64)
-    return (block_rel[:, None] * ring.block_size + offsets[None, :]).reshape(-1)
-
-
-def reconstruct(t: ProtectedTemplate, ring: KeyRing, allow_approximate_bloom: bool = False) -> np.ndarray:
-    """Invert a protection under full key knowledge, returning raw bits.
-
-    XOR salting and block re-mapping invert exactly.  Bloom filters are not
-    invertible; the approximate decoder (opt-in) recovers the set of column
-    values per block, sorted, padded with zeros where multiplicity was lost.
-    """
-    return invert_bits(t.bits, ring, t.key_id, t.scheme, allow_approximate_bloom)
-
-
-def linkage_reconstruction(
-    t1: ProtectedTemplate,
-    t2: ProtectedTemplate,
-    ring: KeyRing,
-    allow_approximate_bloom: bool = False,
-) -> float:
-    """Normalized HD between full-key-knowledge reconstructions."""
-    _check_comparable(t1, t2)
-    r1 = reconstruct(t1, ring, allow_approximate_bloom)
-    r2 = reconstruct(t2, ring, allow_approximate_bloom)
-    return int(np.count_nonzero(r1 != r2)) / r1.size
 
 
 @dataclass(frozen=True)

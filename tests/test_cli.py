@@ -151,6 +151,13 @@ class TestSynth:
         assert rc == 2
         assert capsys.readouterr().err == "error: block_size must be a positive integer, got 0\n"
 
+    def test_negative_seed_is_exit_2_naming_the_field(self, tmp_path, capsys):
+        rc = main(["synth", "--scheme", "xor", "--function", "pic_hd",
+                   "--subjects", "4", "--samples", "2", "--bits", "256",
+                   "--keys", "3", "--seed", "-3", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -3\n"
+
     def test_permuted_xor_needs_block_scheme(self, tmp_path, capsys):
         rc = main(["synth", "--scheme", "xor", "--function", "permuted_xor",
                    "--subjects", "4", "--samples", "2", "--bits", "256",
@@ -245,6 +252,13 @@ class TestProtocol:
         assert main(["protocol", str(cfg)]) == 0
         second = (tmp_path / "out" / "report.json").read_bytes()
         assert first == second
+
+    def test_boolean_corpus_seed_is_exit_2_naming_it(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace('"seed": 8', '"seed": true'))
+        assert main(["protocol", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got True\n"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_is_exit_2(self, tmp_path, capsys):
         rc = main(["protocol", str(tmp_path / "absent.json")])

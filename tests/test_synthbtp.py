@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 
 import unlinkeval as ue
-from unlinkeval.errors import (
-    InvalidConfigError,
-    NotBijectiveError,
-    NotDivisibleError,
-    SchemeMismatchError,
-    SchemeNotInvertibleError,
-)
+from unlinkeval.errors import InvalidConfigError, NotDivisibleError, SchemeNotInvertibleError
+from unlinkeval.protocol import _ScoreEngine
 from unlinkeval.synthbtp import (
     SCHEME_BLOCK,
     SCHEME_BLOOM,
@@ -16,10 +11,8 @@ from unlinkeval.synthbtp import (
     SCHEME_XOR,
     ProtectedDatabase,
     invert_bits,
-    inter_key_bit_relation,
-    linkage_reconstruction,
+    protect_bits,
     protect_corpus,
-    reconstruct,
 )
 
 
@@ -69,12 +62,19 @@ class TestCorpus:
         dict(intra_flip_rate=0.5),
         dict(intra_flip_rate=-0.1),
         dict(seed=1.5),
+        dict(seed=True),
+        dict(seed=-5),
+        dict(n_subjects=True),
+        dict(samples_per_subject=True),
+        dict(template_bits=True),
+        dict(intra_flip_rate=False),
+        dict(intra_flip_rate="0.1"),
     ])
     def test_invalid_config(self, bad):
         kwargs = dict(n_subjects=3, samples_per_subject=2, template_bits=64,
                       intra_flip_rate=0.1, seed=0)
         kwargs.update(bad)
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidConfigError, match=f"^{next(iter(bad))} must be"):
             ue.CorpusConfig(**kwargs)
 
 
@@ -102,96 +102,84 @@ class TestKeyRing:
             ue.KeyRing.generate(4, 100, seed=0, bloom_width=16, bloom_height=4)
 
 
+def one_key_ring(template_bits, block_size=None, block_perm=(0,), xor_mask=None,
+                 bloom_key=None, bloom_width=1, bloom_height=1):
+    """A ring holding one given key; material not given is zeros."""
+    n_bloom = template_bits // (bloom_width * bloom_height)
+    return ue.KeyRing(
+        k=1, template_bits=template_bits, block_size=block_size or template_bits,
+        bloom_width=bloom_width, bloom_height=bloom_height,
+        xor_masks=np.zeros((1, template_bits), dtype=np.uint8) if xor_mask is None else xor_mask[None],
+        block_perms=np.array([block_perm], dtype=np.int64),
+        bloom_keys=np.zeros((1, n_bloom, bloom_height), dtype=np.uint8) if bloom_key is None
+        else np.array([bloom_key], dtype=np.uint8),
+        seed=0,
+    )
+
+
+def engine_score(fn, t1, t2, scheme, ring=None, key_ids=(0, 1)):
+    """The score engine's fn on one pair: t1 under key_ids[0], t2 under key_ids[1]."""
+    dbs = [ProtectedDatabase(bits=np.asarray(t, dtype=np.uint8).reshape(1, 1, -1), key_id=k,
+                             scheme=scheme, raw_bits=len(t))
+           for k, t in zip(key_ids, (t1, t2))]
+    engine = _ScoreEngine(dbs, ring)
+    view = engine.view(fn)
+    [(_, dist, popsum)] = engine.same_subject(view, [0], [1], (np.zeros(1, int), np.zeros(1, int)))
+    return float(view.scores(dist, popsum)[0])
+
+
 class TestSchemes:
     def test_xor_truth_table(self):
-        out = ue.xor_salt(bits("1010"), bits("1111"))
-        assert list(out.bits) == [0, 1, 0, 1]
-        assert out.scheme == SCHEME_XOR
-
-    def test_xor_length_mismatch(self):
-        with pytest.raises(ue.UnlinkEvalError):
-            ue.xor_salt(bits("1010"), bits("111"))
+        out = protect_bits(bits("1010"), one_key_ring(4, xor_mask=bits("1111")), 0, SCHEME_XOR)
+        assert list(out) == [0, 1, 0, 1]
 
     def test_block_remap_permutes_blocks(self):
         # blocks [A,B,C,D], permutation [2,0,3,1] -> [C,A,D,B]
         a, b, c, d = bits("00"), bits("01"), bits("10"), bits("11")
         template = np.concatenate([a, b, c, d])
-        out = ue.block_remap(template, np.array([2, 0, 3, 1]), block_size=2)
-        assert np.array_equal(out.bits, np.concatenate([c, a, d, b]))
-
-    def test_block_remap_requires_bijection(self):
-        with pytest.raises(NotBijectiveError):
-            ue.block_remap(bits("0011"), np.array([0, 0]), block_size=2)
-
-    def test_block_remap_requires_divisibility(self):
-        with pytest.raises(NotDivisibleError):
-            ue.block_remap(bits("00110"), np.array([1, 0]), block_size=2)
+        ring = one_key_ring(8, block_size=2, block_perm=[2, 0, 3, 1])
+        out = protect_bits(template, ring, 0, SCHEME_BLOCK)
+        assert np.array_equal(out, np.concatenate([c, a, d, b]))
 
     def test_bloom_hand_example(self):
         # one block, w=3 columns of height h=2: columns 01,11,01 with a zero
         # key give integers {1,3} and filter bits 0101 (LSB-first indexing)
-        template = bits("011101")
-        key = np.zeros((1, 2), dtype=np.uint8)
-        out = ue.bloom_protect(template, key, block_width=3, block_height=2)
-        assert list(out.bits) == [0, 1, 0, 1]
-        assert out.scheme == SCHEME_BLOOM
+        ring = one_key_ring(6, bloom_width=3, bloom_height=2)
+        out = protect_bits(bits("011101"), ring, 0, SCHEME_BLOOM)
+        assert list(out) == [0, 1, 0, 1]
 
     def test_bloom_all_zero_column(self):
-        template = bits("000000")
-        key = np.zeros((1, 2), dtype=np.uint8)
-        out = ue.bloom_protect(template, key, block_width=3, block_height=2)
-        assert list(out.bits) == [1, 0, 0, 0]
+        ring = one_key_ring(6, bloom_width=3, bloom_height=2)
+        out = protect_bits(bits("000000"), ring, 0, SCHEME_BLOOM)
+        assert list(out) == [1, 0, 0, 0]
 
     def test_bloom_key_offsets_indices(self):
         # key column 01 shifts every index by XOR with 1: {1,3} -> {0,2}
-        template = bits("011101")
-        key = np.array([[0, 1]], dtype=np.uint8)
-        out = ue.bloom_protect(template, key, block_width=3, block_height=2)
-        assert list(out.bits) == [1, 0, 1, 0]
+        ring = one_key_ring(6, bloom_key=[[0, 1]], bloom_width=3, bloom_height=2)
+        out = protect_bits(bits("011101"), ring, 0, SCHEME_BLOOM)
+        assert list(out) == [1, 0, 1, 0]
 
     def test_bloom_output_length(self):
         ring = ue.KeyRing.generate(3, 512, seed=1, bloom_width=16, bloom_height=4)
         raw = (np.arange(512) % 2).astype(np.uint8)
-        out = ue.protect(raw, ring, 0, SCHEME_BLOOM)
-        assert out.length == (512 // (16 * 4)) * 2 ** 4
-
-    def test_protect_dispatcher_matches_primitives(self, rng):
-        ring = ue.KeyRing.generate(4, 256, seed=7)
-        raw = (rng.random(256) < 0.5).astype(np.uint8)
-        via_protect = ue.protect(raw, ring, 2, SCHEME_XOR)
-        direct = ue.xor_salt(raw, ring.xor_masks[2], key_id=2)
-        assert np.array_equal(via_protect.bits, direct.bits)
-        via_protect = ue.protect(raw, ring, 1, SCHEME_BLOCK)
-        direct = ue.block_remap(raw, ring.block_perms[1], ring.block_size, key_id=1)
-        assert np.array_equal(via_protect.bits, direct.bits)
-        assert np.array_equal(ue.protect(raw, ring, 0, SCHEME_NONE).bits, raw)
+        out = protect_bits(raw, ring, 0, SCHEME_BLOOM)
+        assert out.size == (512 // (16 * 4)) * 2 ** 4
 
 
 class TestLinkageFunctions:
     def test_pic_hd_is_normalized_hamming(self, rng):
-        a = ue.ProtectedTemplate(bits=(rng.random(200) < 0.5).astype(np.uint8),
-                                 key_id=0, scheme=SCHEME_XOR)
-        b = ue.ProtectedTemplate(bits=(rng.random(200) < 0.5).astype(np.uint8),
-                                 key_id=1, scheme=SCHEME_XOR)
-        expected = np.mean(a.bits != b.bits)
-        assert ue.linkage_pic_hd(a, b) == pytest.approx(expected)
+        a = (rng.random(200) < 0.5).astype(np.uint8)
+        b = (rng.random(200) < 0.5).astype(np.uint8)
+        expected = np.mean(a != b)
+        assert engine_score("pic_hd", a, b, SCHEME_XOR) == pytest.approx(expected)
 
     def test_pic_hd_bloom_uses_dice_style_denominator(self):
-        a = ue.ProtectedTemplate(bits=bits("1100"), key_id=0, scheme=SCHEME_BLOOM)
-        b = ue.ProtectedTemplate(bits=bits("1010"), key_id=1, scheme=SCHEME_BLOOM)
         # 2 differing bits over 2+2 set bits
-        assert ue.linkage_pic_hd(a, b) == pytest.approx(0.5)
+        assert engine_score("pic_hd", bits("1100"), bits("1010"), SCHEME_BLOOM) == pytest.approx(0.5)
 
     def test_hamming_weight_difference(self):
-        a = ue.ProtectedTemplate(bits=bits("1110"), key_id=0, scheme=SCHEME_XOR)
-        b = ue.ProtectedTemplate(bits=bits("1000"), key_id=1, scheme=SCHEME_XOR)
-        assert ue.linkage_hamming_weight(a, b) == pytest.approx(2 / 4)
-
-    def test_scheme_mismatch_rejected(self):
-        a = ue.ProtectedTemplate(bits=bits("10"), key_id=0, scheme=SCHEME_XOR)
-        b = ue.ProtectedTemplate(bits=bits("10"), key_id=1, scheme=SCHEME_BLOOM)
-        with pytest.raises(SchemeMismatchError):
-            ue.linkage_pic_hd(a, b)
+        got = engine_score("hamming_weight", bits("1110"), bits("1000"), SCHEME_XOR)
+        assert got == pytest.approx(2 / 4)
 
     def test_permuted_xor_undoes_the_remap(self, rng):
         ring = ue.KeyRing.generate(5, 512, seed=11, block_size=64)
@@ -199,31 +187,30 @@ class TestLinkageFunctions:
         raw2 = raw1.copy()
         flip = rng.random(512) < 0.05
         raw2[flip] ^= 1
-        t1 = ue.protect(raw1, ring, 1, SCHEME_BLOCK)
-        t2 = ue.protect(raw2, ring, 3, SCHEME_BLOCK)
-        relation = inter_key_bit_relation(ring, 1, 3)
-        got = ue.linkage_permuted_xor(t1, t2, relation)
+        t1 = protect_bits(raw1, ring, 1, SCHEME_BLOCK)
+        t2 = protect_bits(raw2, ring, 3, SCHEME_BLOCK)
+        got = engine_score("permuted_xor", t1, t2, SCHEME_BLOCK, ring, key_ids=(1, 3))
         assert got == pytest.approx(np.mean(raw1 != raw2))
 
     def test_reconstruction_restores_raw_bits(self, rng):
         ring = ue.KeyRing.generate(4, 512, seed=13)
         raw = (rng.random(512) < 0.5).astype(np.uint8)
         for scheme in (SCHEME_XOR, SCHEME_BLOCK, SCHEME_NONE):
-            t = ue.protect(raw, ring, 2, scheme)
-            assert np.array_equal(reconstruct(t, ring), raw), scheme
+            t = protect_bits(raw, ring, 2, scheme)
+            assert np.array_equal(invert_bits(t, ring, 2, scheme), raw), scheme
 
     def test_bloom_not_invertible_by_default(self):
         ring = ue.KeyRing.generate(4, 512, seed=13)
         raw = (np.arange(512) % 2).astype(np.uint8)
-        t = ue.protect(raw, ring, 0, SCHEME_BLOOM)
+        t = protect_bits(raw, ring, 0, SCHEME_BLOOM)
         with pytest.raises(SchemeNotInvertibleError):
-            reconstruct(t, ring)
+            invert_bits(t, ring, 0, SCHEME_BLOOM)
 
     def test_bloom_approximate_decode_is_opt_in(self):
         ring = ue.KeyRing.generate(4, 512, seed=13)
         raw = (np.arange(512) % 2).astype(np.uint8)
-        t = ue.protect(raw, ring, 1, SCHEME_BLOOM)
-        approx = reconstruct(t, ring, allow_approximate_bloom=True)
+        t = protect_bits(raw, ring, 1, SCHEME_BLOOM)
+        approx = invert_bits(t, ring, 1, SCHEME_BLOOM, allow_approximate_bloom=True)
         assert approx.shape == raw.shape
         assert approx.dtype == np.uint8
 
@@ -231,13 +218,10 @@ class TestLinkageFunctions:
         # one block, w=3 columns of height h=2: columns 01,11,01 hold the
         # values {1,3}; the decoder returns them ascending and pads the
         # slot lost to the repeated 01 with zeros
-        ring = ue.KeyRing(k=1, template_bits=6, block_size=6, bloom_width=3, bloom_height=2,
-                          xor_masks=np.zeros((1, 6), dtype=np.uint8),
-                          block_perms=np.zeros((1, 1), dtype=np.int64),
-                          bloom_keys=np.array([[[0, 1]]], dtype=np.uint8), seed=0)
-        t = ue.protect(bits("011101"), ring, 0, SCHEME_BLOOM)
-        assert list(t.bits) == [1, 0, 1, 0]  # keyed values {0, 2}
-        decoded = reconstruct(t, ring, allow_approximate_bloom=True)
+        ring = one_key_ring(6, bloom_key=[[0, 1]], bloom_width=3, bloom_height=2)
+        t = protect_bits(bits("011101"), ring, 0, SCHEME_BLOOM)
+        assert list(t) == [1, 0, 1, 0]  # keyed values {0, 2}
+        decoded = invert_bits(t, ring, 0, SCHEME_BLOOM, allow_approximate_bloom=True)
         assert list(decoded) == list(bits("011100"))
 
     def test_bloom_decode_matches_per_block_oracle(self, rng):
@@ -260,25 +244,48 @@ class TestLinkageFunctions:
         ring = ue.KeyRing.generate(4, 512, seed=17)
         raw1 = (rng.random(512) < 0.5).astype(np.uint8)
         raw2 = (rng.random(512) < 0.5).astype(np.uint8)
-        t1 = ue.protect(raw1, ring, 0, SCHEME_XOR)
-        t2 = ue.protect(raw2, ring, 3, SCHEME_XOR)
-        got = linkage_reconstruction(t1, t2, ring)
+        t1 = protect_bits(raw1, ring, 0, SCHEME_XOR)
+        t2 = protect_bits(raw2, ring, 3, SCHEME_XOR)
+        got = engine_score("reconstruction", t1, t2, SCHEME_XOR, ring, key_ids=(0, 3))
         assert got == pytest.approx(np.mean(raw1 != raw2))
 
 
 class TestProtectCorpus:
+    @staticmethod
+    def _protect_one(raw, ring, key_id, scheme):
+        """One template's protection, written out here without the package."""
+        if scheme == SCHEME_XOR:
+            return raw ^ ring.xor_masks[key_id]
+        if scheme == SCHEME_BLOCK:
+            size = ring.block_size
+            return np.concatenate([raw[p * size:(p + 1) * size] for p in ring.block_perms[key_id]])
+        if scheme == SCHEME_BLOOM:
+            w, h = ring.bloom_width, ring.bloom_height
+            weights = 1 << np.arange(h - 1, -1, -1)
+            filters = []
+            for block, key in zip(raw.reshape(-1, w, h), ring.bloom_keys[key_id]):
+                column_ints = (block ^ key) @ weights
+                filters.append(np.isin(np.arange(1 << h), column_ints).astype(np.uint8))
+            return np.concatenate(filters)
+        return raw
+
     def test_matches_per_template_protection(self, rng):
         cfg = ue.CorpusConfig(n_subjects=3, samples_per_subject=2, template_bits=256,
                               intra_flip_rate=0.1, seed=21)
         corpus = ue.generate_corpus(cfg)
-        ring = ue.KeyRing.generate(4, 256, seed=22)
+        # 16 blocks: key 1's permutation is not its own inverse, so the
+        # direction of the re-mapping shows
+        ring = ue.KeyRing.generate(4, 256, seed=22, block_size=16)
         for scheme in (SCHEME_XOR, SCHEME_BLOCK, SCHEME_BLOOM, SCHEME_NONE):
             db = protect_corpus(corpus, ring, 1, scheme)
             for subj in range(3):
                 for samp in range(2):
-                    single = ue.protect(corpus.bits[subj, samp], ring, 1, scheme)
+                    single = self._protect_one(corpus.bits[subj, samp], ring, 1, scheme)
                     row = db.bits[subj, samp]
-                    assert np.array_equal(row, single.bits), scheme
+                    assert np.array_equal(row, single), scheme
+            if scheme != SCHEME_BLOOM:
+                restored = invert_bits(protect_bits(corpus.bits, ring, 1, scheme), ring, 1, scheme)
+                assert np.array_equal(restored, corpus.bits), scheme
 
     def test_databases_one_per_key(self):
         cfg = ue.CorpusConfig(n_subjects=2, samples_per_subject=2, template_bits=256,
