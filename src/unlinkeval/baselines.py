@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatchError, NotNormalizedError, TooFewScoresError
-from .scores import CountTable
+from .errors import LengthMismatchError, NotNormalizedError
+from .scores import CountTable, check_side
 
 ORIENT_SIMILARITY = "similarity"
 ORIENT_DISSIMILARITY = "dissimilarity"
@@ -158,18 +158,9 @@ class DetCurve:
 
 
 def _as_side(values, side: str) -> CountTable:
-    if isinstance(values, CountTable):
-        if len(values) < 2:
-            raise TooFewScoresError(side, len(values))
-        if not np.all(np.isfinite(values.values)):
-            raise ValueError(f"{side} scores must be finite")
-        return values
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    if arr.size < 2:
-        raise TooFewScoresError(side, int(arr.size))
-    if np.any(~np.isfinite(arr)):
-        raise ValueError(f"{side} scores must be finite")
-    return CountTable.from_scores(arr)
+    table = values if isinstance(values, CountTable) else CountTable.from_scores(values)
+    check_side(side, len(table), table.values)
+    return table
 
 
 def det_curve(mated, non_mated, orientation: str = ORIENT_SIMILARITY, mode: str = MODE_ACCURACY) -> DetCurve:

@@ -24,6 +24,8 @@ from .density import DensityConfig
 from .errors import FileParseError, InternalInvariantError, MissingFileError, UnlinkEvalError
 from .plotting import det_svg, linkability_svg
 from .protocol import (
+    ADVERSARY_MODELS,
+    SCHEMA_VERSION,
     ProtocolConfig,
     assess,
     cross_database_scores,
@@ -46,7 +48,7 @@ _SCHEME_NAMES = {
     "none": SCHEME_NONE,
 }
 
-_FUNCTIONS = ("pic_hd", "hamming_weight", "permuted_xor", "reconstruction")
+_FUNCTIONS = tuple(ADVERSARY_MODELS)
 
 
 def _bins_arg(text: str):
@@ -129,8 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_prior(omega, subjects) -> PriorConfig:
     if omega is not None:
-        if omega <= 0:
-            raise UnlinkEvalError("--omega: omega must be positive")
         return PriorConfig.explicit(omega)
     if subjects is not None:
         return PriorConfig.from_enrollment_count(subjects)
@@ -240,7 +240,7 @@ def cmd_compare(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         comparison = result.to_json_dict()
-        comparison.update(schema_version=1, omega=prior.omega, orientation=args.orientation)
+        comparison.update(schema_version=SCHEMA_VERSION, omega=prior.omega, orientation=args.orientation)
         (out / "comparison.json").write_text(
             json.dumps(comparison, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )

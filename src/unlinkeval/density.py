@@ -45,6 +45,9 @@ from .errors import (
     InvalidConfigError,
     LengthMismatchError,
     NotNormalizedError,
+    check_bool,
+    check_int,
+    check_number,
 )
 from .scores import CountTable, ScoreCounts
 
@@ -90,17 +93,13 @@ class DensityConfig:
 
     def __post_init__(self):
         for name in ("kde", "allow_point_mass"):
-            if not isinstance(getattr(self, name), bool):
-                raise InvalidConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
+            check_bool(name, getattr(self, name))
         if self.bins != AUTO_BINS:
-            if not isinstance(self.bins, (int, np.integer)) or isinstance(self.bins, bool):
-                raise InvalidConfigError(f"bins must be an integer or 'auto', got {self.bins!r}")
-            if self.bins < 2:
-                raise InvalidConfigError(f"bins must be >= 2, got {self.bins}")
+            object.__setattr__(self, "bins", check_int("bins", self.bins, 2))
         if self.grid_range is not None:
-            lo, hi = self.grid_range
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise InvalidConfigError(f"grid_range must be finite with low < high, got {self.grid_range!r}")
+            lo, hi = (check_number("grid_range", end) for end in self.grid_range)
+            if not lo < hi:
+                raise InvalidConfigError(f"grid_range must have low < high, got {self.grid_range!r}")
             object.__setattr__(self, "grid_range", (lo, hi))
 
 

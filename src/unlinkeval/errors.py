@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the config value checks."""
+
+import numbers
+import sys
 
 
 class UnlinkEvalError(Exception):
@@ -38,10 +41,6 @@ class TooFewScoresError(UnlinkEvalError):
         self.count = count
 
 
-class InvalidEnrollmentCountError(UnlinkEvalError):
-    """Enrollment counts below 2 admit no non-mated comparison."""
-
-
 class DegenerateSupportError(UnlinkEvalError):
     """All scores on one side are identical and point-mass handling is off."""
 
@@ -58,10 +57,6 @@ class NotNormalizedError(UnlinkEvalError):
     """A probability mass function does not sum to 1."""
 
 
-class SchemeMismatchError(UnlinkEvalError):
-    """Protected bits carry a scheme name that the operation does not know."""
-
-
 class NotDivisibleError(UnlinkEvalError):
     """Template length is not a multiple of the block size."""
 
@@ -76,6 +71,35 @@ class SchemeNotInvertibleError(UnlinkEvalError):
 
 class InvalidConfigError(UnlinkEvalError):
     """A configuration object violates its invariants."""
+
+
+class InvalidEnrollmentCountError(InvalidConfigError):
+    """Enrollment counts below 2 admit no non-mated comparison."""
+
+
+# bools are ints to isinstance, but a config's true is no count, seed or
+# rate; NumPy's integer and float scalars pass like Python's
+def check_int(name: str, value, low: int) -> int:
+    """value as an int, if it is an integer (not a bool) of at least low."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        what = "a positive integer" if low == 1 else f"an integer >= {low}"
+        raise InvalidConfigError(f"{name} must be {what}, got {value!r}")
+    return int(value)
+
+
+def check_bool(name: str, value) -> bool:
+    """value, if it is true or false."""
+    if not isinstance(value, bool):
+        raise InvalidConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def check_number(name: str, value):
+    """value, if it is a real number (not a bool) within the finite float range."""
+    # NaN fails the comparison; an int beyond the float range is compared exactly
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
+        raise InvalidConfigError(f"{name} must be a finite number, got {value!r}")
+    return value
 
 
 class InconsistentDatabasesError(UnlinkEvalError):

@@ -41,6 +41,8 @@ from .errors import (
     InconsistentDatabasesError,
     InvalidConfigError,
     KeyCountWarning,
+    check_bool,
+    check_int,
 )
 from .linkability import LinkabilityProfile, evaluate_densities
 from .scores import CountTable, PriorConfig, ScoreCounts, ScoreSet, load_score_set
@@ -122,8 +124,7 @@ class ProtocolConfig:
                 )
         if len(set(self.linkage_functions)) != len(self.linkage_functions):
             raise InvalidConfigError("linkage_functions contains duplicates")
-        if not isinstance(self.k, int) or self.k < 2:
-            raise InvalidConfigError(f"need at least 2 keys for cross-key comparisons, got {self.k!r}")
+        object.__setattr__(self, "k", check_int("k", self.k, 2))
         if self.k < RECOMMENDED_MIN_KEYS:
             warnings.warn(
                 f"K = {self.k} keys; at least {RECOMMENDED_MIN_KEYS} are recommended "
@@ -142,12 +143,9 @@ class ProtocolConfig:
         if self.mated_pairing not in (PAIRING_ALL_CROSS_KEY, PAIRING_DISTINCT_SAMPLES):
             raise InvalidConfigError(f"unknown mated_pairing {self.mated_pairing!r}")
         for name in ("non_mated_all_pairs", "constant_key", "allow_approximate_bloom"):
-            if not isinstance(getattr(self, name), bool):
-                raise InvalidConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        if self.key_seed is not None and (
-            isinstance(self.key_seed, bool) or not isinstance(self.key_seed, int) or self.key_seed < 0
-        ):
-            raise InvalidConfigError(f"key_seed must be an integer >= 0, got {self.key_seed!r}")
+            check_bool(name, getattr(self, name))
+        if self.key_seed is not None:
+            object.__setattr__(self, "key_seed", check_int("key_seed", self.key_seed, 0))
         if self.corpus is not None:
             _validate_geometry(self.corpus.template_bits, self.block_size, self.bloom_width, self.bloom_height)
 
@@ -214,17 +212,10 @@ def _nested_config(kind, values, name: str):
 def _prior_from_config(value) -> PriorConfig:
     if value == "default" or value is None:
         return PriorConfig.default()
-    if isinstance(value, dict):
-        # bools are ints to isinstance; a config's true is not a number
-        omega, n = value.get("omega"), value.get("n_enrolled")
-        try:
-            if "omega" in value:
-                if isinstance(omega, (int, float)) and not isinstance(omega, bool):
-                    return PriorConfig.explicit(omega)
-            elif isinstance(n, int) and not isinstance(n, bool):
-                return PriorConfig.from_enrollment_count(n)
-        except OverflowError:
-            pass  # an integer beyond the float range: reported below
+    if isinstance(value, dict) and "omega" in value:
+        return PriorConfig.explicit(value["omega"])
+    if isinstance(value, dict) and "n_enrolled" in value:
+        return PriorConfig.from_enrollment_count(value["n_enrolled"])
     raise InvalidConfigError(f"prior must be 'default', {{'omega': x}} or {{'n_enrolled': n}}, got {value!r}")
 
 

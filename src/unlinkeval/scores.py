@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     FileParseError,
+    InvalidConfigError,
     InvalidEnrollmentCountError,
     MissingFileError,
     NonFiniteScoreError,
@@ -30,6 +31,8 @@ from .errors import (
     ScoreParseError,
     StatisticalAdequacyWarning,
     TooFewScoresError,
+    check_int,
+    check_number,
 )
 
 LABEL_MATED = "mated"
@@ -89,13 +92,18 @@ def _as_score_array(values, side: str) -> np.ndarray:
         arr = values.reshape(-1)
     else:
         arr = np.array(values, dtype=np.float64, order="C").reshape(-1)
-    if arr.size < 2:
-        raise TooFewScoresError(side, int(arr.size))
-    if not np.all(np.isfinite(arr)):
-        bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-        raise ValueError(f"{side} score at index {bad} is not finite")
+    check_side(side, arr.size, arr)
     arr.setflags(write=False)
     return arr
+
+
+def check_side(side: str, n: int, values: np.ndarray) -> None:
+    """Each side's rule: n >= 2 scores, and values (the scores or their distinct values) all finite."""
+    if n < 2:
+        raise TooFewScoresError(side, int(n))
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"{side} score {float(values[~finite][0])!r} is not finite")
 
 
 def _warn_if_inadequate(n_mated: int, n_non_mated: int) -> None:
@@ -212,10 +220,7 @@ class ScoreCounts:
 
     def __post_init__(self, warn_adequacy):
         for side, table in ((LABEL_MATED, self.mated), (LABEL_NON_MATED, self.non_mated)):
-            if len(table) < 2:
-                raise TooFewScoresError(side, len(table))
-            if not np.all(np.isfinite(table.values)):
-                raise ValueError(f"{side} scores are not all finite")
+            check_side(side, len(table), table.values)
         if warn_adequacy:
             _warn_if_inadequate(len(self.mated), len(self.non_mated))
 
@@ -251,9 +256,7 @@ class PriorConfig:
     n_enrolled: int | None = field(default=None)
 
     def __post_init__(self):
-        if not (isinstance(self.omega, (int, float)) and math.isfinite(self.omega)):
-            raise ValueError(f"omega must be a finite number, got {self.omega!r}")
-        if self.omega <= 0:
+        if check_number("omega", self.omega) <= 0:
             raise ValueError("omega must be positive")
         if self.derivation == DERIVATION_ENROLLMENT:
             if self.n_enrolled is None:
@@ -279,7 +282,7 @@ class PriorConfig:
 
     @classmethod
     def explicit(cls, omega: float) -> "PriorConfig":
-        return cls(omega=float(omega), derivation=DERIVATION_EXPLICIT)
+        return cls(omega=float(check_number("omega", omega)), derivation=DERIVATION_EXPLICIT)
 
     @classmethod
     def from_enrollment_count(cls, n: int) -> "PriorConfig":
@@ -296,13 +299,12 @@ class PriorConfig:
 
 def omega_from_enrollment(n: int) -> float:
     """Prior ratio (1/N) / ((N-1)/N) = 1/(N-1) for N enrolled subjects."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise InvalidEnrollmentCountError(f"enrollment count must be an integer, got {n!r}")
-    if n < 2:
-        raise InvalidEnrollmentCountError(
-            f"need at least 2 enrolled subjects, got {n}"
-        )
-    return 1.0 / (int(n) - 1)
+    try:
+        return 1.0 / (check_int("n_enrolled", n, 2) - 1)
+    except InvalidConfigError as exc:
+        raise InvalidEnrollmentCountError(str(exc)) from None
+    except OverflowError:
+        raise InvalidEnrollmentCountError(f"n_enrolled {n} is beyond the float range") from None
 
 
 def load_score_set(mated_path, non_mated_path, source: str | None = None) -> ScoreSet:
@@ -319,13 +321,7 @@ def load_score_set(mated_path, non_mated_path, source: str | None = None) -> Sco
         if path not in parsed:
             parsed[path] = _parse_score_file(path)
         text, columns = parsed[path]
-        if columns is None:
-            values = np.array(_parse_score_lines(path, text, side), dtype=np.float64)
-        else:
-            values = columns[side]
-        if values.size < 2:
-            raise TooFewScoresError(side, int(values.size))
-        sides.append(values)
+        sides.append(_parse_score_lines(path, text, side) if columns is None else columns[side])
     mated, non_mated = sides
     if source is None:
         source = f"{mated_path};{non_mated_path}"
@@ -467,9 +463,6 @@ def _parse_score_lines(path: Path, text: str, side: str) -> list[float]:
         if not math.isfinite(value):
             raise NonFiniteScoreError(path, line_no, f"non-finite score {value_text!r}")
         scores.append(value)
-
-    if len(scores) < 2:
-        raise TooFewScoresError(side, len(scores))
     return scores
 
 

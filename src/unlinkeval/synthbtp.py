@@ -12,7 +12,7 @@ protocol's score engine.  Everything is deterministic given the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,9 +20,10 @@ from .errors import (
     InvalidConfigError,
     LengthMismatchError,
     NotDivisibleError,
-    SchemeMismatchError,
     SchemeNotInvertibleError,
     ShapeMismatchError,
+    check_int,
+    check_number,
 )
 
 SCHEME_XOR = "xor-salt"
@@ -49,13 +50,10 @@ class CorpusConfig:
     seed: int
 
     def __post_init__(self):
-        # bools are ints to isinstance; a config's true is no count, seed or rate
         for name, low in (("n_subjects", 2), ("samples_per_subject", 2), ("template_bits", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise InvalidConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-        rate = self.intra_flip_rate
-        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0.0 <= rate < 0.5:
+            object.__setattr__(self, name, check_int(name, getattr(self, name), low))
+        rate = check_number("intra_flip_rate", self.intra_flip_rate)
+        if not 0.0 <= rate < 0.5:
             raise InvalidConfigError(f"intra_flip_rate must be a number in [0, 0.5), got {rate!r}")
 
 
@@ -132,9 +130,9 @@ class KeyRing:
         bloom_height: int = 4,
     ) -> "KeyRing":
         """Draw K pairwise-distinct keys for every scheme."""
-        _validate_geometry(template_bits, block_size, bloom_width, bloom_height)
-        if not isinstance(k, int) or k < 1:
-            raise InvalidConfigError(f"key count must be a positive integer, got {k!r}")
+        sizes = _validate_geometry(template_bits, block_size, bloom_width, bloom_height)
+        template_bits, block_size, bloom_width, bloom_height = sizes
+        k, seed = check_int("k", k, 1), check_int("seed", seed, 0)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         n_blocks = template_bits // block_size
         n_bloom = template_bits // (bloom_width * bloom_height)
@@ -177,26 +175,22 @@ class KeyRing:
         identically.
         """
         one = cls.generate(1, template_bits, seed, block_size, bloom_width, bloom_height)
-        return cls(
+        k = check_int("k", k, 1)
+        return replace(
+            one,
             k=k,
-            template_bits=template_bits,
-            block_size=block_size,
-            bloom_width=bloom_width,
-            bloom_height=bloom_height,
             xor_masks=np.repeat(one.xor_masks, k, axis=0),
             block_perms=np.repeat(one.block_perms, k, axis=0),
             bloom_keys=np.repeat(one.bloom_keys, k, axis=0),
-            seed=seed,
             constant=True,
         )
 
 
 def _validate_geometry(template_bits: int, block_size: int, bloom_width: int, bloom_height: int):
+    """The four sizes as ints: each positive, the template length a multiple of both blocks."""
     sizes = {"template_bits": template_bits, "block_size": block_size,
              "bloom_width": bloom_width, "bloom_height": bloom_height}
-    for name, size in sizes.items():
-        if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
-            raise InvalidConfigError(f"{name} must be a positive integer, got {size!r}")
+    template_bits, block_size, bloom_width, bloom_height = (check_int(n, v, 1) for n, v in sizes.items())
     if template_bits % block_size:
         raise NotDivisibleError(
             f"template length {template_bits} is not a multiple of block size {block_size}"
@@ -206,6 +200,7 @@ def _validate_geometry(template_bits: int, block_size: int, bloom_width: int, bl
             f"template length {template_bits} is not a multiple of the "
             f"{bloom_width}x{bloom_height} filter block"
         )
+    return template_bits, block_size, bloom_width, bloom_height
 
 
 def _draw_distinct(draw, k: int, max_tries: int = 100) -> np.ndarray:
@@ -309,7 +304,7 @@ def invert_bits(
         return _bloom_decode(bits, ring.bloom_keys[key_id], ring.bloom_width, ring.bloom_height)
     if scheme == SCHEME_NONE:
         return bits.copy()
-    raise SchemeMismatchError(f"unknown scheme {scheme!r}")
+    raise InvalidConfigError(f"unknown scheme {scheme!r}")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import pytest
 import unlinkeval as ue
 from unlinkeval.cli import main
 from unlinkeval.errors import KeyCountWarning, StatisticalAdequacyWarning
+from unlinkeval.protocol import SCHEMA_VERSION
 
 warnings.simplefilter("ignore", StatisticalAdequacyWarning)
 warnings.simplefilter("ignore", KeyCountWarning)
@@ -85,6 +86,14 @@ class TestEval:
                    "--omega", "0"])
         assert rc == 2
         assert "omega must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subjects", ["1", "1" + "0" * 400])
+    def test_bad_subject_count_is_a_usage_error(self, gaussian_csvs, capsys, subjects):
+        mated, non_mated = gaussian_csvs
+        rc = main(["eval", "--mated", str(mated), "--nonmated", str(non_mated),
+                   "--subjects", subjects])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: n_enrolled ")
 
     def test_omega_and_subjects_conflict(self, gaussian_csvs, capsys):
         mated, non_mated = gaussian_csvs
@@ -188,7 +197,7 @@ class TestCompare:
                      "rtmr_comparison.svg", "linkability.svg"):
             assert (out / name).exists(), name
         doc = json.loads((out / "comparison.json").read_text())
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == SCHEMA_VERSION == 1
         assert 0.0 <= doc["d_sys"] <= 1.0
 
 

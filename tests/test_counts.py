@@ -265,6 +265,20 @@ class TestScoreCounts:
         assert scores.counted() is tables
         assert tables.counted() is tables
 
+    @pytest.mark.parametrize("make", [
+        lambda m, n: ue.ScoreSet(m, n),
+        lambda m, n: ScoreCounts(CountTable.from_scores(m), CountTable.from_scores(n)),
+        lambda m, n: ue.det_curve(m, n),
+        lambda m, n: ue.det_curve(CountTable.from_scores(m), CountTable.from_scores(n)),
+    ])
+    def test_one_side_rule_everywhere(self, make):
+        with pytest.raises(ValueError, match="^mated score nan is not finite$"):
+            make([0.1, float("nan")], [0.5, 0.6])
+        with pytest.raises(ValueError, match="^nonmated score -inf is not finite$"):
+            make([0.1, 0.2], [0.5, -np.inf])
+        with pytest.raises(TooFewScoresError, match="^nonmated side has 1 scores"):
+            make([0.1, 0.2], [0.5])
+
     @pytest.mark.parametrize("sizes,side", [((1, 3), "mated"), ((3, 0), "nonmated")])
     def test_too_few_scores(self, sizes, side):
         tables = [CountTable([0.5], [n]) if n else CountTable([], []) for n in sizes]

@@ -369,6 +369,17 @@ class TestProtocolConfig:
         {"block_size": "64"},
         {"bloom_width": 0},
         {"bloom_height": 2.0},
+        {"k": True},
+        {"k": 6.0},
+        {"key_seed": np.True_},
+        {"bloom_width": True},
+        {"density": {"bins": True}},
+        {"density": {"bins": 1}},
+        {"density": {"grid_range": [False, 1.0]}},
+        {"density": {"grid_range": [1.0, 0.0]}},
+        {"prior": {"n_enrolled": True}},
+        {"prior": {"n_enrolled": 1}},
+        {"prior": {"omega": float("nan")}},
     ])
     def test_from_dict_rejects_malformed_input(self, tmp_path, change):
         data = {"linkage_functions": ["pic_hd"], "k": 6,
@@ -388,6 +399,17 @@ class TestProtocolConfig:
                 "corpus": {"n_subjects": 4, "samples_per_subject": 2, "template_bits": 128,
                            "intra_flip_rate": 0.1, "seed": 2}}
         assert ue.ProtocolConfig.from_dict(data).prior.omega == pytest.approx(omega)
+
+    def test_numpy_integers_are_stored_as_int(self):
+        corpus = ue.CorpusConfig(n_subjects=np.int64(6), samples_per_subject=np.int32(2),
+                                 template_bits=np.int64(256), intra_flip_rate=0.1, seed=np.int64(2))
+        cfg = ue.ProtocolConfig(linkage_functions=("pic_hd",), k=np.int64(10), corpus=corpus,
+                                key_seed=np.uint8(7), density=ue.DensityConfig(bins=np.int64(16)))
+        assert type(cfg.k) is type(cfg.key_seed) is type(cfg.density.bins) is int
+        assert all(type(getattr(corpus, name)) is int
+                   for name in ("n_subjects", "samples_per_subject", "template_bits", "seed"))
+        metadata = json.loads(ue.run_protocol(cfg).to_json())["protocol_metadata"]
+        assert (metadata["k"], metadata["n_subjects"], metadata["key_seed"]) == (10, 6, 7)
 
     def test_key_seed_derivation(self):
         cfg = ue.ProtocolConfig(linkage_functions=("pic_hd",), k=6, corpus=self._corpus_cfg())

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import unlinkeval as ue
 from unlinkeval import scores
 from unlinkeval.errors import (
+    InvalidConfigError,
     InvalidEnrollmentCountError,
     NonFiniteScoreError,
     ScoreParseError,
@@ -355,11 +356,22 @@ class TestPriorConfig:
         with pytest.raises(InvalidEnrollmentCountError):
             ue.omega_from_enrollment(2.5)
 
+    @pytest.mark.parametrize("n", [True, np.int64(1), "3", 10**400])
+    def test_enrollment_count_is_an_integer_of_at_least_two(self, n):
+        with pytest.raises(InvalidEnrollmentCountError, match="^n_enrolled "):
+            ue.PriorConfig.from_enrollment_count(n)
+
     def test_omega_must_be_positive(self):
         with pytest.raises(ValueError):
             ue.PriorConfig.explicit(0.0)
         with pytest.raises(ValueError):
             ue.PriorConfig.explicit(-1.0)
+
+    @pytest.mark.parametrize("omega", [True, np.True_, "0.5", float("nan"), float("inf"), 10**400, None])
+    @pytest.mark.parametrize("make", [lambda omega: ue.PriorConfig(omega=omega), ue.PriorConfig.explicit])
+    def test_omega_must_be_a_finite_number(self, make, omega):
+        with pytest.raises(InvalidConfigError, match="^omega must be a finite number"):
+            make(omega)
 
     def test_omega_above_one_warns_but_is_accepted(self):
         with pytest.warns(PriorRangeWarning):

@@ -69,6 +69,8 @@ class TestCorpus:
         dict(template_bits=True),
         dict(intra_flip_rate=False),
         dict(intra_flip_rate="0.1"),
+        dict(n_subjects=np.True_),
+        dict(seed=np.float64(1.0)),
     ])
     def test_invalid_config(self, bad):
         kwargs = dict(n_subjects=3, samples_per_subject=2, template_bits=64,
@@ -98,6 +100,36 @@ class TestKeyRing:
     def test_geometry_must_divide(self):
         with pytest.raises(NotDivisibleError):
             ue.KeyRing.generate(4, 100, seed=0, block_size=64)
+
+    @pytest.mark.parametrize("make", [ue.KeyRing.generate, ue.KeyRing.constant_ring])
+    @pytest.mark.parametrize("bad", [
+        dict(k=True),
+        dict(k=2.0),
+        dict(k=0),
+        dict(seed=-1),
+        dict(seed=True),
+        dict(seed="1"),
+        dict(template_bits=True),
+        dict(block_size=0),
+        dict(bloom_height=np.True_),
+    ])
+    def test_invalid_arguments_name_the_field(self, make, bad):
+        kwargs = dict(k=2, template_bits=256, seed=1)
+        kwargs.update(bad)
+        with pytest.raises(InvalidConfigError, match=f"^{next(iter(bad))} must be"):
+            make(**kwargs)
+
+    def test_numpy_integers_are_stored_as_int(self):
+        ring = ue.KeyRing.constant_ring(np.int64(3), np.int64(256), np.int64(1), block_size=np.int32(32))
+        for name in ("k", "template_bits", "seed", "block_size", "bloom_width", "bloom_height"):
+            assert type(getattr(ring, name)) is int, name
+        assert ring.xor_masks.shape == (3, 256)
+
+    @pytest.mark.parametrize("transform", [protect_bits, invert_bits])
+    def test_unknown_scheme_is_a_config_error(self, transform):
+        ring = ue.KeyRing.generate(2, 256, seed=1)
+        with pytest.raises(InvalidConfigError, match="unknown scheme 'rot13'"):
+            transform(np.zeros(256, dtype=np.uint8), ring, 0, "rot13")
         with pytest.raises(NotDivisibleError):
             ue.KeyRing.generate(4, 100, seed=0, bloom_width=16, bloom_height=4)
 
