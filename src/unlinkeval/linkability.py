@@ -37,60 +37,40 @@ def is_no_evidence(lr: float) -> bool:
     return isinstance(lr, float) and math.isnan(lr)
 
 
-def likelihood_ratio(p_m: float, p_nm: float) -> float:
-    """LR = p_m/p_nm, +inf when only p_nm vanishes, NO_EVIDENCE when both do."""
-    if not (math.isfinite(p_m) and math.isfinite(p_nm)):
-        raise ValueError(f"densities must be finite, got ({p_m!r}, {p_nm!r})")
-    if p_m < 0 or p_nm < 0:
-        raise ValueError(f"densities must be non-negative, got ({p_m!r}, {p_nm!r})")
-    if p_nm > 0:
-        return p_m / p_nm
-    if p_m > 0:
-        return math.inf
-    return NO_EVIDENCE
+def likelihood_ratio(p_m, p_nm):
+    """LR = p_m/p_nm, +inf where only p_nm vanishes, NO_EVIDENCE where both do.
 
-
-def local_linkability(lr: float, omega: float) -> float:
-    """Local measure D(s) for one likelihood-ratio value."""
-    if not (omega > 0):
-        raise ValueError(f"omega must be positive, got {omega!r}")
-    if math.isnan(lr):
-        return 0.0
-    if lr < 0:
-        raise ValueError(f"likelihood ratio must be non-negative, got {lr!r}")
-    if math.isinf(lr):
-        return 1.0
-    t = lr * omega
-    if t <= 1.0:
-        return 0.0
-    # t / (1 + t) first: 2 * t would overflow for t above about 9e307
-    return 2.0 * (t / (1.0 + t)) - 1.0
-
-
-def likelihood_ratio_curve(dp: DensityPair) -> np.ndarray:
-    """Per-bin LR over a density pair's grid (vectorized likelihood_ratio)."""
-    p_m = dp.p_mated
-    p_nm = dp.p_non_mated
+    Two floats give a float; arrays (broadcast together) give an array.
+    """
+    m, nm = np.asarray(p_m, dtype=np.float64), np.asarray(p_nm, dtype=np.float64)
+    for side in (m, nm):
+        _check(side, np.isfinite(side), "densities must be finite")
+        _check(side, side >= 0, "densities must be non-negative")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lr = p_m / p_nm
-    lr[(p_nm == 0) & (p_m > 0)] = np.inf
-    lr[(p_nm == 0) & (p_m == 0)] = NO_EVIDENCE
-    return lr
+        lr = np.where(nm > 0, m / nm, np.where(m > 0, np.inf, NO_EVIDENCE))
+    return float(lr) if lr.ndim == 0 else lr
 
 
-def local_linkability_curve(lr: np.ndarray, omega: float) -> np.ndarray:
-    """Vectorized local measure over an LR array (handles inf and NO_EVIDENCE)."""
-    if not (omega > 0):
-        raise ValueError(f"omega must be positive, got {omega!r}")
-    lr = np.asarray(lr, dtype=np.float64)
-    out = np.zeros_like(lr)
-    finite = np.isfinite(lr)
-    with np.errstate(invalid="ignore"):
-        t = lr * omega
-        linkable = finite & (t > 1.0)
-        out[linkable] = 2.0 * (t[linkable] / (1.0 + t[linkable])) - 1.0
-    out[np.isposinf(lr)] = 1.0
-    return out
+def local_linkability(lr, omega):
+    """Local measure D(s) of likelihood ratios lr at prior ratio omega.
+
+    A float pair gives a float; arrays (broadcast together) give an array.
+    NO_EVIDENCE gives 0; +inf, or an lr*omega beyond the float range, gives 1.
+    """
+    ratio, prior = np.asarray(lr, dtype=np.float64), np.asarray(omega, dtype=np.float64)
+    _check(prior, prior > 0, "omega must be positive")
+    _check(ratio, ~(ratio < 0), "likelihood ratio must be non-negative")
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = ratio * prior
+        # t / (1 + t) first: 2 * t would overflow for t above about 9e307
+        d = np.where(np.isinf(t), 1.0, 2.0 * (t / (1.0 + t)) - 1.0)
+    d = np.where(t > 1.0, d, 0.0)
+    return float(d) if d.ndim == 0 else d
+
+
+def _check(values: np.ndarray, ok: np.ndarray, message: str) -> None:
+    if not ok.all():
+        raise ValueError(f"{message}, got {float(values[~ok].flat[0])!r}")
 
 
 def global_linkability(dp: DensityPair, d_local: np.ndarray) -> float:
@@ -113,7 +93,7 @@ class LinkabilityProfile:
     """Full evaluation result on one grid.
 
     lr may contain +inf (non-mated density vanished) and NaN (no density on
-    either side); d_local is exactly 0 wherever lr*omega <= 1 or lr is NaN.
+    either side); d_local is local_linkability(lr, omega), bit for bit.
     boundary_scores are the grid edges where lr*omega crosses 1.
     """
 
@@ -134,16 +114,10 @@ class LinkabilityProfile:
             raise LengthMismatchError(
                 f"expected {b} lr and d_local values, got {lr.shape} and {d_local.shape}"
             )
-        if not (self.omega > 0):
-            raise ValueError(f"omega must be positive, got {self.omega!r}")
-        if np.any(~np.isfinite(d_local)) or np.any(d_local < 0) or np.any(d_local > 1):
-            raise ValueError("d_local values must lie in [0, 1]")
         if not (-_BOUND_TOL <= self.d_sys <= 1.0 + _BOUND_TOL):
             raise ValueError(f"d_sys must lie in [0, 1], got {self.d_sys!r}")
-        with np.errstate(invalid="ignore"):
-            below = np.isnan(lr) | (np.isfinite(lr) & (lr * self.omega <= 1.0))
-        if np.any(d_local[below] != 0.0):
-            raise ValueError("d_local must vanish wherever lr*omega <= 1")
+        if not np.array_equal(d_local, local_linkability(lr, self.omega)):
+            raise ValueError("d_local must equal local_linkability(lr, omega)")
         for arr in (edges, lr, d_local, boundary):
             arr.setflags(write=False)
         object.__setattr__(self, "edges", edges)
@@ -210,8 +184,8 @@ def evaluate(
 
 def evaluate_densities(dp: DensityPair, omega: float) -> LinkabilityProfile:
     """Same pipeline starting from an already-estimated density pair."""
-    lr = likelihood_ratio_curve(dp)
-    d_local = local_linkability_curve(lr, omega)
+    lr = likelihood_ratio(dp.p_mated, dp.p_non_mated)
+    d_local = local_linkability(lr, omega)
     d_sys = global_linkability(dp, d_local)
     linkable = d_local > 0.0
     flips = linkable[:-1] != linkable[1:]

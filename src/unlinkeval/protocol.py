@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels
+from . import kernels, scores as score_io
 from .baselines import (
     MODE_ACCURACY,
     MODE_CROSSKEY,
@@ -146,6 +146,8 @@ class ProtocolConfig:
             check_bool(name, getattr(self, name))
         if self.key_seed is not None:
             object.__setattr__(self, "key_seed", check_int("key_seed", self.key_seed, 0))
+        for name in ("block_size", "bloom_width", "bloom_height"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
         if self.corpus is not None:
             _validate_geometry(self.corpus.template_bits, self.block_size, self.bloom_width, self.bloom_height)
 
@@ -212,9 +214,9 @@ def _nested_config(kind, values, name: str):
 def _prior_from_config(value) -> PriorConfig:
     if value == "default" or value is None:
         return PriorConfig.default()
-    if isinstance(value, dict) and "omega" in value:
+    if isinstance(value, dict) and set(value) == {"omega"}:
         return PriorConfig.explicit(value["omega"])
-    if isinstance(value, dict) and "n_enrolled" in value:
+    if isinstance(value, dict) and set(value) == {"n_enrolled"}:
         return PriorConfig.from_enrollment_count(value["n_enrolled"])
     raise InvalidConfigError(f"prior must be 'default', {{'omega': x}} or {{'n_enrolled': n}}, got {value!r}")
 
@@ -331,9 +333,9 @@ class _ScoreEngine:
     """Packed template representations shared by all linkage functions.
 
     Read-only once built, except for the inverted view, which is built on
-    first use, and `scored`, the score sets computed so far: functions
+    first use, and `scored`, the tallies computed so far: functions
     whose views compare the same bits over the same length (permuted_xor
-    and reconstruction on block re-mapping) are scored once.
+    and reconstruction on block re-mapping) are tallied once.
     """
 
     def __init__(self, databases: list, ring: KeyRing | None, allow_approximate_bloom=False):
@@ -495,17 +497,20 @@ def _score_pairs(engine: _ScoreEngine, function: str, keys_a, keys_b, mated_samp
     into a ScoreCounts.  Otherwise they fill a ScoreSet: mated in (key
     pair, sample pair, subject) order; non-mated in (subject pair, key
     pair, sample pair) order when pair_major, else (key pair, subject
-    pair, sample pair).  A view already scored with the same pairs on
-    this engine is not scored again: a result under source shares its arrays.
+    pair, sample pair).  The engine remembers its tallies only: a view
+    already tallied with the same pairs is not tallied again, and a result
+    under source shares its tables.
     """
     view = engine.view(function)
+    if not counted:
+        return _score_view(engine, view, keys_a, keys_b, mated_samples, group, pair_major, counted, source)
     # views of the same engine arrays compare the same bits; the engine owns
     # the arrays, so their ids stay unique while its memo lives
-    key = (id(view.packed), id(view.pops), view.length, view.by_popsum, counted, group, pair_major,
+    key = (id(view.packed), id(view.pops), view.length, view.by_popsum, group, pair_major,
            *(np.asarray(a).tobytes() for a in (keys_a, keys_b, *mated_samples)))
     done = engine.scored.get(key)
     if done is not None:
-        return type(done)(done.mated, done.non_mated, source)
+        return ScoreCounts(done.mated, done.non_mated, source)
     engine.scored[key] = done = _score_view(
         engine, view, keys_a, keys_b, mated_samples, group, pair_major, counted, source
     )
@@ -734,8 +739,8 @@ def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
                 "key_seed": cfg.resolved_key_seed,
             }
         )
-    # score sets are ordered, and outlive their evaluation, only when they
-    # are to be written; otherwise only their count tables are ever built
+    # score sets are ordered only when they are to be written; otherwise
+    # only their count tables are ever built
     counted = cfg.out_dir is None
 
     def evaluate_function(fn: str) -> tuple:
@@ -758,7 +763,6 @@ def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
         return entry, (None if counted else scores)
 
     per_function: dict = {}
-    score_sets: dict = {}
     for fn in cfg.linkage_functions:
         try:
             entry, scores = evaluate_function(fn)
@@ -770,7 +774,11 @@ def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
             continue
         per_function[fn] = entry
         if scores is not None:
-            score_sets[fn] = scores
+            # written, and dropped, before the next function is scored
+            out = Path(cfg.out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            score_io.write_score_csv(scores, out / f"{fn}_scores.csv")
+            del scores
 
     d_values = [e["d_sys"] for e in per_function.values() if "d_sys" in e]
     aggregated = max(d_values) if d_values else None
@@ -781,14 +789,13 @@ def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
         protocol_metadata=metadata,
     )
     if cfg.out_dir is not None:
-        write_report_artifacts(report, score_sets, cfg.out_dir)
+        write_report_artifacts(report, cfg.out_dir)
     return report
 
 
-def write_report_artifacts(report: EvaluationReport, score_sets: dict, out_dir) -> Path:
-    """Write report.json, per-function plots, and per-function score CSVs."""
+def write_report_artifacts(report: EvaluationReport, out_dir) -> Path:
+    """Write report.json and the per-function plots."""
     from .plotting import linkability_svg
-    from .scores import write_score_csv
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -799,6 +806,4 @@ def write_report_artifacts(report: EvaluationReport, score_sets: dict, out_dir) 
             continue
         svg = linkability_svg(entry["densities"], entry["profile"], title_prefix=fn)
         (out / f"{fn}_linkability.svg").write_text(svg, encoding="utf-8")
-        if fn in score_sets:
-            write_score_csv(score_sets[fn], out / f"{fn}_scores.csv")
     return report_path

@@ -38,6 +38,7 @@ from .errors import (
 LABEL_MATED = "mated"
 LABEL_NON_MATED = "nonmated"
 _CSV_HEADER = "score,label"
+_CSV_BLOCK = 65536
 
 # Below this many scores per side, estimates are flagged as statistically
 # weak (warning, never an error).
@@ -85,13 +86,8 @@ class ScoreSet:
 
 
 def _as_score_array(values, side: str) -> np.ndarray:
-    # a read-only C-ordered float64 array (a remembered score set) is shared;
-    # anything else is copied once into C order, and reshape(-1) is a view
-    if (isinstance(values, np.ndarray) and values.dtype == np.float64
-            and values.flags.c_contiguous and not values.flags.writeable):
-        arr = values.reshape(-1)
-    else:
-        arr = np.array(values, dtype=np.float64, order="C").reshape(-1)
+    # copied once into C order, so reshape(-1) is a view
+    arr = np.array(values, dtype=np.float64, order="C").reshape(-1)
     check_side(side, arr.size, arr)
     arr.setflags(write=False)
     return arr
@@ -470,15 +466,19 @@ def _write_labeled_csv(path, *sides) -> None:
     """Header ``score,label``, then one row per value of each (values, label) side.
 
     Values are rendered with ``repr`` so reloading reproduces them bit-exactly.
-    Each distinct bit pattern is rendered once (linkage scores repeat a few
-    hundred values); comparing bits, not floats, keeps -0.0 and 0.0 apart.
+    Rows are written _CSV_BLOCK at a time, so memory stays bounded whatever
+    the number of scores.  Each distinct bit pattern of a block is rendered
+    once (linkage scores repeat a few hundred values); comparing bits, not
+    floats, keeps -0.0 and 0.0 apart.
     """
-    rows = [_CSV_HEADER]
-    for values, label in sides:
-        bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-        rendered = [f"{v!r},{label}" for v in bits.view(np.float64).tolist()]
-        rows.extend(map(rendered.__getitem__, inverse.tolist()))
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(_CSV_HEADER + "\n")
+        for values, label in sides:
+            for start in range(0, values.size, _CSV_BLOCK):
+                block = values[start:start + _CSV_BLOCK]
+                bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+                rendered = [f"{v!r},{label}\n" for v in bits.view(np.float64).tolist()]
+                out.write("".join(map(rendered.__getitem__, inverse.tolist())))
 
 
 def write_score_csv(scores: ScoreSet, path) -> None:

@@ -133,18 +133,18 @@ def test_criterion_03_local_measure_property_suite():
         lr[rng.random(n) < 0.02] = 0.0
         omega = 10.0 ** rng.uniform(-6, 0, n)
 
-        d = np.array([ue.local_linkability(l, o) for l, o in zip(lr, omega)])
+        d = ue.local_linkability(lr, omega)
         assert np.all((d >= 0.0) & (d <= 1.0))
         inactive = lr * omega <= 1.0
         assert np.all(d[inactive] == 0.0)
 
         # monotone in the ratio at fixed omega
-        d_hi = np.array([ue.local_linkability(l * 1.5, o) for l, o in zip(lr, omega)])
+        d_hi = ue.local_linkability(lr * 1.5, omega)
         assert np.all(d_hi >= d)
 
         # monotone in omega at fixed ratio (cap at the admissible maximum 1)
         omega_hi = np.minimum(omega * 1.5, 1.0)
-        d_omega_hi = np.array([ue.local_linkability(l, o) for l, o in zip(lr, omega_hi)])
+        d_omega_hi = ue.local_linkability(lr, omega_hi)
         assert np.all(d_omega_hi >= d)
 
         # continuity just above the activation boundary

@@ -135,6 +135,46 @@ class TestLocalLinkability:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert ue.evaluate_densities(dp, 1.0).d_sys == 1.0
+        # lr * omega beyond the float range: fully linkable, as lr = +inf is
+        assert ue.local_linkability(1e308, 2.0) == 1.0
+        dp = ue.DensityPair(edges=np.array([0.0, 1.0, 2.0]),
+                            p_mated=np.array([0.0, 1.0]),
+                            p_non_mated=np.array([1.0, 1e-308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert ue.evaluate_densities(dp, 2.0).d_sys == 1.0
+
+    def test_float_and_array_contract(self):
+        p_m = [0.0, 0.3, 0.5, 0.2, 0.0]
+        p_nm = [0.0, 0.0, 0.1, 0.4, 1e-308]
+        lr = ue.likelihood_ratio(np.array(p_m), np.array(p_nm))
+        assert isinstance(lr, np.ndarray) and lr.shape == (5,)
+        one_by_one = [ue.likelihood_ratio(a, b) for a, b in zip(p_m, p_nm)]
+        assert all(type(v) is float for v in one_by_one)
+        assert np.array_equal(lr, one_by_one, equal_nan=True)
+
+        ratios = [math.nan, math.inf, 0.0, 1.0, 3.0, 1e308, 0.5]
+        for omega in (1.0, 2.0, 0.01):
+            d = ue.local_linkability(np.array(ratios), omega)
+            assert isinstance(d, np.ndarray) and d.shape == (7,)
+            singles = [ue.local_linkability(r, omega) for r in ratios]
+            assert all(type(v) is float for v in singles)
+            assert np.array_equal(d, singles)
+            assert (d[0], d[1]) == (0.0, 1.0)
+        omegas = np.array([1.0, 2.0, 0.01, 0.5, 1.0, 2.0, 1e-9])
+        assert np.array_equal(ue.local_linkability(np.array(ratios), omegas),
+                              [ue.local_linkability(r, o) for r, o in zip(ratios, omegas)])
+
+        with pytest.raises(ValueError, match="non-negative"):
+            ue.local_linkability(np.array([1.0, -0.5]), 1.0)
+        with pytest.raises(ValueError, match="omega"):
+            ue.local_linkability(np.array([1.0, 2.0]), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="omega"):
+            ue.local_linkability(np.array([1.0, 2.0]), np.array([0.5, -1.0]))
+        with pytest.raises(ValueError, match="non-negative"):
+            ue.likelihood_ratio(np.array([0.5, -0.1]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="finite"):
+            ue.likelihood_ratio(np.array([0.5, 0.5]), np.array([0.5, math.inf]))
 
 
 class TestGlobalLinkability:
@@ -237,6 +277,18 @@ class TestProfileSerialization:
         assert math.isinf(back.lr[1])
         assert back.d_sys == prof.d_sys
         assert np.array_equal(back.d_local, prof.d_local)
+
+    def test_d_local_must_be_the_local_measure(self, rng):
+        s = ue.ScoreSet(mated=rng.normal(0.4, 0.1, 2000), non_mated=rng.normal(0.6, 0.1, 2000))
+        prof = ue.evaluate(s, density_cfg=ue.DensityConfig(kde=True))
+        back = ue.LinkabilityProfile.from_json(prof.to_json())
+        assert np.array_equal(back.d_local, prof.d_local)
+        d_local = prof.d_local.copy()
+        d_local[np.argmax(d_local)] = np.nextafter(d_local.max(), 0.0)
+        with pytest.raises(ValueError, match="local_linkability"):
+            ue.LinkabilityProfile(edges=prof.edges, lr=prof.lr, d_local=d_local,
+                                  d_sys=prof.d_sys, omega=prof.omega,
+                                  boundary_scores=prof.boundary_scores)
 
     def test_infinity_encoded_as_string(self):
         dp = _pmf_pair([0.5, 0.5], [1.0, 0.0])

@@ -97,6 +97,34 @@ class TestCsvRoundTrip:
         loaded = ue.load_score_set(path, path)
         assert np.array_equal(np.signbit(loaded.mated), np.signbit(mated))
 
+    def test_rows_across_blocks_render_per_row(self, tmp_path, rng):
+        # more rows than one block, with signed zeros on both sides of a block edge
+        mated = rng.integers(0, 257, 150_000) / 256
+        mated[scores._CSV_BLOCK - 2:scores._CSV_BLOCK + 2] = [0.0, -0.0, -0.0, 0.0]
+        non_mated = rng.random(70_000)
+        path = tmp_path / "combined.csv"
+        ue.write_score_csv(_quiet_set(mated, non_mated), path)
+        rows = [f"{v!r},mated" for v in mated.tolist()]
+        rows += [f"{v!r},nonmated" for v in non_mated.tolist()]
+        assert path.read_bytes() == ("score,label\n" + "\n".join(rows) + "\n").encode()
+
+    def test_writer_memory_is_one_block(self, tmp_path, rng):
+        # Hamming-distance scores: a 2M-row file needs no more memory than a
+        # 500k-row one, one block of rows plus slack
+        peaks = []
+        for n in (500_000, 2_000_000):
+            values = rng.integers(0, 1025, n) / 1024
+            s = _quiet_set(values[: n // 4], values[n // 4:])
+            tracemalloc.start()
+            try:
+                ue.write_score_csv(s, tmp_path / f"{n}.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            (tmp_path / f"{n}.csv").unlink()
+        assert peaks[1] < 16e6
+        assert peaks[1] <= peaks[0] + 1e6
+
     def test_per_side_files_round_trip(self, tmp_path, rng):
         s = _quiet_set(rng.random(30), rng.random(40))
         mp, nmp = tmp_path / "m.csv", tmp_path / "nm.csv"
