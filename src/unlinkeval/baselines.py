@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatchError, NotNormalizedError
-from .scores import CountTable, check_side
+from .errors import LengthMismatchError, NotNormalizedError, check_int
+from .scores import CountTable, check_side, sorted_distinct
 
 ORIENT_SIMILARITY = "similarity"
 ORIENT_DISSIMILARITY = "dissimilarity"
@@ -33,6 +33,10 @@ _RATE_NAMES = {
 }
 
 _EXACT_EQUAL_TOL = 1e-12
+
+# the points of a DET curve that plotting.det_svg draws, and that
+# protocol.assess keeps
+DRAWN_POINTS = 512
 
 
 class _UndefinedType:
@@ -83,7 +87,8 @@ def kl_divergence(p, q):
 
 @dataclass(frozen=True)
 class DetCurve:
-    """Empirical detection-error trade-off over an exhaustive threshold sweep.
+    """Empirical detection-error trade-off over a threshold sweep, or over
+    evenly spaced points of one (det_curve's points).
 
     `fmr` holds the false-match-side rate, renamed per mode (fmr, cmr, or
     rtmr); `fnmr` the false-non-match side (fnmr or fcmr).
@@ -163,7 +168,8 @@ def _as_side(values, side: str) -> CountTable:
     return table
 
 
-def det_curve(mated, non_mated, orientation: str = ORIENT_SIMILARITY, mode: str = MODE_ACCURACY) -> DetCurve:
+def det_curve(mated, non_mated, orientation: str = ORIENT_SIMILARITY, mode: str = MODE_ACCURACY,
+              points: int | None = None) -> DetCurve:
     """Exhaustive-sweep DET curve with interpolated EER.
 
     Similarity scores match at s >= t; dissimilarity scores match at s <= t.
@@ -172,13 +178,51 @@ def det_curve(mated, non_mated, orientation: str = ORIENT_SIMILARITY, mode: str 
     array of scores or a CountTable; arrays are tallied first, and the
     rates are the same integers (scores below or at each threshold, from
     the cumulative counts) over the same totals either way.
+
+    With points (at least 2), a sweep of more thresholds than that is kept
+    only at the sweep_indices(n, points) that a DET figure draws; the EER
+    is the full sweep's, bit for bit.  Along the thresholds fmr - fnmr is
+    monotone and the sentinels give it opposite signs, so the first kept
+    point on the far side of zero bounds the crossing, and only the
+    thresholds between it and the kept point before it are swept in full
+    (all of them, if a sentinel rounded onto a score and the rates need
+    not cross).
     """
     mated = _as_side(mated, "mated")
     non_mated = _as_side(non_mated, "nonmated")
     if orientation not in (ORIENT_SIMILARITY, ORIENT_DISSIMILARITY):
         raise ValueError(f"unknown orientation {orientation!r}")
+    if points is not None:
+        points = check_int("points", points, 2)
 
-    thresholds = _thresholds(np.unique(np.concatenate([mated.values, non_mated.values])))
+    thresholds = _thresholds(sorted_distinct(mated.values, non_mated.values))
+    if points is None or thresholds.size <= points:
+        fmr, fnmr = _rates(mated, non_mated, thresholds, orientation)
+        eer = _interpolated_eer(fmr, fnmr)
+    else:
+        keep = sweep_indices(thresholds.size, points)
+        every, thresholds = thresholds, thresholds[keep]
+        fmr, fnmr = _rates(mated, non_mated, thresholds, orientation)
+        # fmr - fnmr rises with the threshold for dissimilarity scores and falls for similarity
+        sign = 1.0 if orientation == ORIENT_DISSIMILARITY else -1.0
+        far = np.flatnonzero(sign * (fmr - fnmr) >= 0)
+        if far.size and far[0] > 0:
+            bracket = every[keep[far[0] - 1]:keep[far[0]] + 1]
+        else:
+            # a sentinel rounded onto an extreme score (beyond 2**53, where
+            # adding the span can round back), so the rates need not cross
+            bracket = every
+        eer = _interpolated_eer(*_rates(mated, non_mated, bracket, orientation))
+    return DetCurve(thresholds=thresholds, fmr=fmr, fnmr=fnmr, eer=eer, mode=mode, orientation=orientation)
+
+
+def sweep_indices(n: int, points: int) -> np.ndarray:
+    """The points evenly spaced indices, ends included, of a sweep of n > points thresholds."""
+    return np.round(np.arange(points) * (n - 1) / (points - 1)).astype(np.intp)
+
+
+def _rates(mated: CountTable, non_mated: CountTable, thresholds: np.ndarray, orientation: str):
+    """(fmr, fnmr) at each threshold."""
     n_m, n_nm = len(mated), len(non_mated)
     if orientation == ORIENT_SIMILARITY:
         # match at s >= t: misses are mated below t, false matches non-mated at/above t
@@ -188,9 +232,7 @@ def det_curve(mated, non_mated, orientation: str = ORIENT_SIMILARITY, mode: str 
         # match at s <= t
         fnmr = (n_m - mated.count_below(thresholds, "right")) / n_m
         fmr = non_mated.count_below(thresholds, "right") / n_nm
-
-    eer = _interpolated_eer(fmr, fnmr)
-    return DetCurve(thresholds=thresholds, fmr=fmr, fnmr=fnmr, eer=eer, mode=mode, orientation=orientation)
+    return fmr, fnmr
 
 
 def _thresholds(values: np.ndarray) -> np.ndarray:
@@ -199,7 +241,7 @@ def _thresholds(values: np.ndarray) -> np.ndarray:
     values is sorted and distinct, so the candidates are laid out already
     in order and only repeats (a midpoint that rounds onto a neighbour) are
     dropped: the same as np.unique over them, with a third less memory.  A
-    midpoint that overflows breaks the order, and then np.unique sorts.
+    midpoint that overflows breaks the order, and then sorted_distinct sorts.
     """
     span = max(values[-1] - values[0], 1.0)
     out = np.empty(2 * values.size + 1)
@@ -210,7 +252,7 @@ def _thresholds(values: np.ndarray) -> np.ndarray:
     mids /= 2.0
     out[-1] = values[-1] + span
     if not np.all(out[1:] >= out[:-1]):
-        return np.unique(out)
+        return sorted_distinct(out)
     repeats = out[1:] == out[:-1]
     return out[np.concatenate(([True], ~repeats))] if repeats.any() else out
 
@@ -234,11 +276,12 @@ def _interpolated_eer(fmr: np.ndarray, fnmr: np.ndarray) -> float:
     return float(fnmr[i] + lam * (fnmr[i + 1] - fnmr[i]))
 
 
-def rtmr_curve(same_key_mated, cross_key_non_mated, orientation: str = ORIENT_SIMILARITY) -> DetCurve:
+def rtmr_curve(same_key_mated, cross_key_non_mated, orientation: str = ORIENT_SIMILARITY,
+               points: int | None = None) -> DetCurve:
     """FNMR vs renewable-template match rate.
 
     The false-non-match side comes from same-key mated comparisons; the
     match-rate side counts cross-key comparisons of different instances that
-    a threshold would link.
+    a threshold would link.  points is det_curve's.
     """
-    return det_curve(same_key_mated, cross_key_non_mated, orientation, MODE_RTMR)
+    return det_curve(same_key_mated, cross_key_non_mated, orientation, MODE_RTMR, points=points)

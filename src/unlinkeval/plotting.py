@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 
-import numpy as np
+from .baselines import DRAWN_POINTS, sweep_indices
 
 _WIDTH = 720
 _HEIGHT = 480
@@ -178,20 +178,23 @@ def linkability_svg(densities: dict, profile: dict, title_prefix: str = "") -> s
     return _document(title, body, {"densities": densities, "profile": profile})
 
 
-def _thin(curve, limit: int = 512):
+def _thin(curve, limit: int = DRAWN_POINTS):
     """The curve at `limit` evenly spaced sweep points, ends included."""
     n = curve.thresholds.size
     if n <= limit:
         return curve
-    keep = np.round(np.arange(limit) * (n - 1) / (limit - 1)).astype(np.intp)
+    keep = sweep_indices(n, limit)
     return replace(curve, thresholds=curve.thresholds[keep], fmr=curve.fmr[keep], fnmr=curve.fnmr[keep])
 
 
 def det_svg(curves: list, title: str = "detection error trade-off") -> str:
     """Overlayed DET curves (baselines.DetCurve), raw linear rates.
 
-    Dense sweeps are thinned to a fixed point budget before they are
-    converted; the metadata block mirrors exactly what is drawn.
+    A curve of more than baselines.DRAWN_POINTS thresholds is drawn at that
+    many evenly spaced points of its sweep (baselines.sweep_indices), ends
+    included; the metadata block mirrors exactly what is drawn.  A curve
+    that det_curve kept at those points already (as protocol.assess's
+    are) is drawn as it is, so it gives the same bytes as its full sweep.
     """
     curves = [_thin(c).to_json_dict() for c in curves]
     frame = _Frame(0.0, 1.0, 0.0, 1.0)

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import kernels, scores as score_io
 from .baselines import (
+    DRAWN_POINTS,
     MODE_ACCURACY,
     MODE_CROSSKEY,
     ORIENT_DISSIMILARITY,
@@ -45,7 +46,7 @@ from .errors import (
     check_int,
 )
 from .linkability import LinkabilityProfile, evaluate_densities
-from .scores import CountTable, PriorConfig, ScoreCounts, ScoreSet, load_score_set
+from .scores import CountTable, PriorConfig, ScoreCounts, ScoreSet, load_score_set, sorted_distinct
 from .synthbtp import (
     SCHEME_BLOCK,
     SCHEME_BLOOM,
@@ -458,7 +459,7 @@ class _ScoreEngine:
         """
         rows = slice(None) if group == self.samples else slice(None, None, self.samples)
         n, n_rows = self.n_subjects, self.n_subjects * group
-        keys = np.union1d(keys_a, keys_b)
+        keys = sorted_distinct(keys_a, keys_b)
         pops = {k: view.pops[k, rows] for k in keys}
         gemm = gather = False
         if view.packed is not None:
@@ -641,7 +642,11 @@ def synthetic_databases(
 
 @dataclass(frozen=True)
 class Assessment:
-    """One score set evaluated; the accuracy DET and RTMR curve are None without accuracy scores."""
+    """One score set evaluated; the accuracy DET and RTMR curve are None without accuracy scores.
+
+    Each curve holds at most baselines.DRAWN_POINTS evenly spaced points of
+    its sweep, and the full sweep's EER.
+    """
 
     densities: DensityPair
     profile: LinkabilityProfile
@@ -674,8 +679,11 @@ def assess(
     """Densities -> profile (LR, D(s), D_sys) -> KL over the binned pmfs -> DET curves.
 
     With accuracy (same-key scores), the accuracy DET and the RTMR curve
-    (accuracy mated against scores' non-mated) are swept too.  Every step
-    reads only the count tables: either input may be a ScoreSet or a ScoreCounts.
+    (accuracy mated against scores' non-mated) are swept too.  Each curve
+    holds the DRAWN_POINTS points that plotting.det_svg draws and its exact
+    EER (det_curve's points); det_curve without points gives a full sweep.
+    Every step reads only the count tables: either input may be a ScoreSet
+    or a ScoreCounts.
     """
     dp = estimate_densities(scores, density)
     profile = evaluate_densities(dp, omega)
@@ -685,10 +693,10 @@ def assess(
     acc_curve = rtmr = None
     if accuracy is not None:
         same_key = accuracy.counted()
-        acc_curve = det_curve(same_key.mated, same_key.non_mated, orientation, MODE_ACCURACY)
-        rtmr = rtmr_curve(same_key.mated, tables.non_mated, orientation)
+        acc_curve = det_curve(same_key.mated, same_key.non_mated, orientation, MODE_ACCURACY, points=DRAWN_POINTS)
+        rtmr = rtmr_curve(same_key.mated, tables.non_mated, orientation, points=DRAWN_POINTS)
     # swept last, as its temporaries are the smallest when accuracy scores are many
-    det = det_curve(tables.mated, tables.non_mated, orientation, mode)
+    det = det_curve(tables.mated, tables.non_mated, orientation, mode, points=DRAWN_POINTS)
     return Assessment(densities=dp, profile=profile, kl=kl, det=det, accuracy=acc_curve, rtmr=rtmr)
 
 

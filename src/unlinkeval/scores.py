@@ -102,6 +102,23 @@ def check_side(side: str, n: int, values: np.ndarray) -> None:
         raise ValueError(f"{side} score {float(values[~finite][0])!r} is not finite")
 
 
+def sorted_distinct(*arrays) -> np.ndarray:
+    """np.unique of the arrays' values taken together.
+
+    A bare np.unique imports numpy.ma (for its masked-array check), which
+    costs tens of milliseconds on first use.  The values are np.unique's,
+    bit for bit, but for the sign of a zero: where both -0.0 and 0.0 occur,
+    np.unique's choice follows its hash table, while the stable sort here
+    keeps equal values in input order, so the first zero given is kept.
+    """
+    out = np.concatenate([np.asarray(a).reshape(-1) for a in arrays])
+    out.sort(kind="stable")
+    keep = np.empty(out.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
 def _warn_if_inadequate(n_mated: int, n_non_mated: int) -> None:
     for side, n in ((LABEL_MATED, n_mated), (LABEL_NON_MATED, n_non_mated)):
         if n < ADEQUATE_SCORES_PER_SIDE:
@@ -191,7 +208,7 @@ class CountTable:
     @staticmethod
     def pooled(*tables: "CountTable") -> "CountTable":
         """One table of the scores of all the given tables."""
-        values = np.unique(np.concatenate([t.values for t in tables]))
+        values = sorted_distinct(*(t.values for t in tables))
         counts = np.zeros(values.size, dtype=np.int64)
         for t in tables:
             counts[np.searchsorted(values, t.values)] += t.counts

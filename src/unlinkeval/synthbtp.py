@@ -210,7 +210,10 @@ def _draw_distinct(draw, k: int, max_tries: int = 100) -> np.ndarray:
         _, first = np.unique(flat, axis=0, return_index=True)
         if first.size == k:
             return out
-        dup = np.setdiff1d(np.arange(k), first)
+        # the keys that repeat an earlier one (np.setdiff1d would import numpy.ma)
+        repeats = np.ones(k, dtype=bool)
+        repeats[first] = False
+        dup = np.flatnonzero(repeats)
         out[dup] = draw(dup.size)
     raise InvalidConfigError(f"could not draw {k} distinct keys; key space too small")
 

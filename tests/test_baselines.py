@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -187,6 +188,25 @@ class TestCrossKeyDet:
         cross = ue.ScoreSet(mated=m.copy(), non_mated=nm.copy())
         acc, ck = self._curves(single, cross, orientation=ORIENT_DISSIMILARITY)
         assert ck.eer == pytest.approx(acc.eer, abs=1e-12)
+
+
+    def test_assess_memory_is_the_drawn_points(self, rng):
+        # compare-csv-kde's sizes, all scores distinct.  Held: three curves of
+        # 512 points at 24 B each and ~220 density bins, far under 1 MB.
+        # Peak: the accuracy sweep's 1M thresholds (8 MB) built beside the
+        # 500k distinct values (4 MB) they come from, and the cumulative
+        # counts (4 MB); under 24 MB.  The full sweeps held 50 MB.
+        single = ue.ScoreSet(rng.normal(0.20, 0.06, 320_000), rng.normal(0.48, 0.03, 180_000)).counted()
+        cross = ue.ScoreSet(rng.normal(0.44, 0.04, 60_000), rng.normal(0.48, 0.045, 90_000)).counted()
+        tracemalloc.start()
+        try:
+            result = ue.assess(cross, ue.DensityConfig(kde=True), 1.0, ORIENT_DISSIMILARITY, MODE_CROSSKEY, single)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [c.thresholds.size for c in (result.accuracy, result.rtmr, result.det)] == [512] * 3
+        assert held < 1e6
+        assert peak < 24e6
 
 
 class TestRtmrCurve:

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -365,6 +366,36 @@ class TestEntryPoint:
         proc = subprocess.run(["unlink-eval", "--help"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "protocol" in proc.stdout
+
+    def test_numpy_ma_is_never_imported(self, tmp_path):
+        # a bare np.unique or np.setdiff1d imports numpy.ma, tens of
+        # milliseconds of every run; the block re-mapping ring of 4 blocks
+        # draws repeated keys, so the redraw runs too
+        script = textwrap.dedent("""
+            import sys, warnings
+            from pathlib import Path
+            import unlinkeval as ue
+            from unlinkeval.cli import main
+            warnings.simplefilter("ignore")
+            out = Path(sys.argv[1])
+            corpus = ue.CorpusConfig(n_subjects=8, samples_per_subject=2, template_bits=256,
+                                     intra_flip_rate=0.1, seed=3)
+            ue.run_protocol(ue.ProtocolConfig(
+                linkage_functions=("pic_hd", "hamming_weight", "permuted_xor", "reconstruction"),
+                k=4, scheme="block-remap", corpus=corpus, out_dir=str(out / "protocol"),
+            ))
+            scores = str(out / "protocol" / "pic_hd_scores.csv")
+            assert main(["compare", "--accuracy-mated", scores, "--accuracy-nonmated", scores,
+                         "--crosskey-mated", scores, "--crosskey-nonmated", scores,
+                         "--kde", "--out", str(out / "compare")]) == 0
+            assert "numpy.ma" not in sys.modules
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            capture_output=True, text=True, timeout=120,
+            cwd=Path(__file__).resolve().parents[1], env={**os.environ, "PYTHONPATH": "src"},
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_malformed_csv_in_a_fresh_process(self, tmp_path):
         good = tmp_path / "good.csv"

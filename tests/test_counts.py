@@ -21,8 +21,8 @@ import unlinkeval as ue
 from unlinkeval import kernels
 from unlinkeval.baselines import ORIENT_DISSIMILARITY, ORIENT_SIMILARITY, _interpolated_eer
 from unlinkeval.density import _histogram_density
-from unlinkeval.errors import StatisticalAdequacyWarning, TooFewScoresError
-from unlinkeval.scores import CountTable, ScoreCounts
+from unlinkeval.errors import InvalidConfigError, StatisticalAdequacyWarning, TooFewScoresError
+from unlinkeval.scores import CountTable, ScoreCounts, sorted_distinct
 
 
 def _bits(x) -> np.ndarray:
@@ -83,6 +83,12 @@ def _densities_by_scores(mated, non_mated, cfg):
 
 # small pools of values force ties; the signed zeros test the sign rule
 _POOL = [-0.0, 0.0, 0.25, 1 / 3, 0.5, 0.5 + 2**-52, 2.0, -1.5, 1e-300, 7.0]
+# their midpoints, sentinels and span overflow the float range
+_OVERFLOW = [1e308, 1.7e308, -1.7e308]
+# neighbouring floats at a power of two beyond 2**53: their midpoint and
+# one sentinel round onto a score, so the rates at the ends need not cross
+_ROUNDING_UP = [2.0**60 - 128, 2.0**60]
+_ROUNDING_DOWN = [-(2.0**60), -(2.0**60) + 128]
 _scores = st.lists(st.sampled_from(_POOL), min_size=1, max_size=60)
 _positive = st.lists(st.sampled_from([v for v in _POOL if v > 0]), min_size=1, max_size=60)
 _percents = st.lists(st.floats(0.0, 100.0), min_size=1, max_size=5)
@@ -114,6 +120,20 @@ class TestCountTable:
         pooled = CountTable.pooled(a, b)
         assert pooled.values.tolist() == [0.1, 0.5, 0.9]
         assert pooled.counts.tolist() == [2, 7, 1]
+
+    @given(arrays=st.lists(st.lists(st.sampled_from(_POOL + _OVERFLOW), max_size=30), min_size=1, max_size=3),
+           ints=st.lists(st.lists(st.integers(-5, 5), max_size=30), min_size=1, max_size=3))
+    @settings(max_examples=300)
+    def test_sorted_distinct_is_unique(self, arrays, ints):
+        arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+        got = sorted_distinct(*arrays)
+        assert _same_bits(got, np.unique(np.concatenate(arrays)))
+        # of a -0.0 and a 0.0, the first one given
+        zeros = np.concatenate(arrays)
+        zeros = zeros[zeros == 0]
+        assert np.array_equal(_bits(got[got == 0]), _bits(zeros[:1]))
+        ints = [np.asarray(a, dtype=np.int64) for a in ints]
+        assert np.array_equal(sorted_distinct(*ints), np.unique(np.concatenate(ints)))
 
     def test_count_below_is_searchsorted_over_the_scores(self, rng):
         scores = np.round(rng.normal(0.5, 0.2, 500), 2)
@@ -204,6 +224,34 @@ class TestCountDet:
             assert np.array_equal(_bits(det.fmr), _bits(fmr))
             assert np.array_equal(_bits(det.fnmr), _bits(fnmr))
             assert _bits(det.eer) == _bits(eer)
+
+    @pytest.mark.parametrize("orientation", [ORIENT_SIMILARITY, ORIENT_DISSIMILARITY])
+    @pytest.mark.parametrize("pool", [_POOL, _POOL + _OVERFLOW, _ROUNDING_UP, _ROUNDING_DOWN],
+                             ids=["pool", "overflow", "rounding-up", "rounding-down"])
+    @given(data=st.data(), points=st.sampled_from([*range(2, 10), 512]))
+    @settings(max_examples=150)
+    def test_drawn_points_match_sorted_sweep(self, orientation, pool, data, points):
+        mated, non_mated = (data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=40)) for _ in range(2))
+        with np.errstate(over="ignore"):
+            thresholds, fmr, fnmr, eer = _det_sorted(mated, non_mated, orientation)
+            det = ue.det_curve(mated, non_mated, orientation, points=points)
+        n = thresholds.size
+        keep = [round(i * (n - 1) / (points - 1)) for i in range(points)] if n > points else list(range(n))
+        assert _same_bits(det.thresholds, thresholds[keep])
+        assert np.array_equal(_bits(det.fmr), _bits(fmr[keep]))
+        assert np.array_equal(_bits(det.fnmr), _bits(fnmr[keep]))
+        assert _bits(det.eer) == _bits(eer)
+
+    @pytest.mark.parametrize("points", [1, 0, -3, True, 2.0, "512", np.float64(8)])
+    def test_points_is_an_integer_of_at_least_2(self, points):
+        with pytest.raises(InvalidConfigError, match="^points must be an integer >= 2"):
+            ue.det_curve([0.1, 0.2], [0.3, 0.4], points=points)
+
+    def test_numpy_integer_points(self, rng):
+        mated, non_mated = rng.random(300), rng.random(300) + 0.5
+        det = ue.det_curve(mated, non_mated, points=np.int64(7))
+        assert det.to_json() == ue.det_curve(mated, non_mated, points=7).to_json()
+        assert det.thresholds.size == 7
 
     def test_single_distinct_value(self):
         det = ue.det_curve(CountTable([0.4], [3]), CountTable([0.4], [2]), ORIENT_DISSIMILARITY)

@@ -1,6 +1,16 @@
 import json
 
-from unlinkeval.baselines import det_curve
+import pytest
+
+import unlinkeval as ue
+from unlinkeval.baselines import (
+    MODE_ACCURACY,
+    MODE_CROSSKEY,
+    ORIENT_DISSIMILARITY,
+    ORIENT_SIMILARITY,
+    det_curve,
+    rtmr_curve,
+)
 from unlinkeval.plotting import det_svg
 
 
@@ -21,3 +31,16 @@ def test_det_svg_thins_dense_curves_to_evenly_spaced_points(rng):
         assert curves[0][key] == [full[key][i] for i in keep]
     assert curves[0]["eer"] == dense.eer
     assert curves[1] == sparse.to_json_dict()
+
+
+@pytest.mark.parametrize("orientation", [ORIENT_SIMILARITY, ORIENT_DISSIMILARITY])
+def test_det_svg_of_assess_curves_equals_that_of_full_sweeps(rng, orientation):
+    single = ue.ScoreSet(rng.normal(0.3, 0.1, 3000), rng.normal(0.6, 0.1, 2000))
+    cross = ue.ScoreSet(rng.normal(0.55, 0.1, 1500), rng.normal(0.6, 0.1, 2500))
+    result = ue.assess(cross, ue.DensityConfig(), 1.0, orientation, MODE_CROSSKEY, single)
+    accuracy = det_curve(single.mated, single.non_mated, orientation, MODE_ACCURACY)
+    rtmr = rtmr_curve(single.mated, cross.non_mated, orientation)
+    det = det_curve(cross.mated, cross.non_mated, orientation, MODE_CROSSKEY)
+    assert min(c.thresholds.size for c in (accuracy, rtmr, det)) > 512
+    assert det_svg([result.accuracy, result.det]) == det_svg([accuracy, det])
+    assert det_svg([result.accuracy, result.rtmr]) == det_svg([accuracy, rtmr])
