@@ -184,9 +184,7 @@ def det_curve(mated, non_mated, orientation: str = ORIENT_SIMILARITY, mode: str 
     is the full sweep's, bit for bit.  Along the thresholds fmr - fnmr is
     monotone and the sentinels give it opposite signs, so the first kept
     point on the far side of zero bounds the crossing, and only the
-    thresholds between it and the kept point before it are swept in full
-    (all of them, if a sentinel rounded onto a score and the rates need
-    not cross).
+    thresholds between it and the kept point before it are swept in full.
     """
     mated = _as_side(mated, "mated")
     non_mated = _as_side(non_mated, "nonmated")
@@ -205,13 +203,8 @@ def det_curve(mated, non_mated, orientation: str = ORIENT_SIMILARITY, mode: str 
         fmr, fnmr = _rates(mated, non_mated, thresholds, orientation)
         # fmr - fnmr rises with the threshold for dissimilarity scores and falls for similarity
         sign = 1.0 if orientation == ORIENT_DISSIMILARITY else -1.0
-        far = np.flatnonzero(sign * (fmr - fnmr) >= 0)
-        if far.size and far[0] > 0:
-            bracket = every[keep[far[0] - 1]:keep[far[0]] + 1]
-        else:
-            # a sentinel rounded onto an extreme score (beyond 2**53, where
-            # adding the span can round back), so the rates need not cross
-            bracket = every
+        far = np.flatnonzero(sign * (fmr - fnmr) >= 0)[0]
+        bracket = every[keep[far - 1]:keep[far] + 1]
         eer = _interpolated_eer(*_rates(mated, non_mated, bracket, orientation))
     return DetCurve(thresholds=thresholds, fmr=fmr, fnmr=fnmr, eer=eer, mode=mode, orientation=orientation)
 
@@ -238,6 +231,9 @@ def _rates(mated: CountTable, non_mated: CountTable, thresholds: np.ndarray, ori
 def _thresholds(values: np.ndarray) -> np.ndarray:
     """The distinct scores, their neighbours' midpoints and two sentinels, sorted and distinct.
 
+    Each sentinel lies the span of the scores, or at least 1, beyond its
+    extreme score, and at least one float beyond it.
+
     values is sorted and distinct, so the candidates are laid out already
     in order and only repeats (a midpoint that rounds onto a neighbour) are
     dropped: the same as np.unique over them, with a third less memory.  A
@@ -251,6 +247,10 @@ def _thresholds(values: np.ndarray) -> np.ndarray:
     np.add(values[:-1], values[1:], out=mids)
     mids /= 2.0
     out[-1] = values[-1] + span
+    # beyond 2**53 adding the span can round back onto the extreme score;
+    # a sentinel is then the next float out
+    out[0] = min(out[0], np.nextafter(values[0], -np.inf))
+    out[-1] = max(out[-1], np.nextafter(values[-1], np.inf))
     if not np.all(out[1:] >= out[:-1]):
         return sorted_distinct(out)
     repeats = out[1:] == out[:-1]

@@ -184,10 +184,11 @@ def cmd_synth(args) -> int:
         bloom_width=args.bloom_width,
         bloom_height=args.bloom_height,
     )
+    # scored as their rows are written
     scores = cross_database_scores(
-        databases, args.function, ring, allow_approximate_bloom=args.experimental
+        databases, args.function, ring, allow_approximate_bloom=args.experimental, _streamed=True
     )
-    accuracy = same_key_scores(databases, "pic_hd", ring)
+    accuracy = same_key_scores(databases, "pic_hd", ring, _streamed=True)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -8,10 +8,11 @@ the most effective linkage function an adversary could field.  Baseline
 accuracy metrics (DET/EER families, KL) are computed from the same scores
 so their verdicts can be compared directly against the global measure.
 
-Scores are tallied into count tables as their distance blocks are computed
-unless the ordered scores are needed: for the score CSVs of out_dir, and in
-cross_database_scores and same_key_scores.  Every statistic of the report,
-the Gaussian KDE included, reads only the count tables.
+Scores are tallied into count tables as their distance blocks are computed.
+Every statistic of the report, the Gaussian KDE included, reads only the
+count tables.  Where the ordered scores are needed, the same pass puts them
+in file order: with out_dir it writes each function's score CSV as it
+tallies, and cross_database_scores and same_key_scores fill ScoreSets.
 """
 
 from __future__ import annotations
@@ -46,7 +47,16 @@ from .errors import (
     check_int,
 )
 from .linkability import LinkabilityProfile, evaluate_densities
-from .scores import CountTable, PriorConfig, ScoreCounts, ScoreSet, load_score_set, sorted_distinct
+from .scores import (
+    CountTable,
+    PriorConfig,
+    ScoreCounts,
+    ScoreSet,
+    check_side,
+    load_score_set,
+    sorted_distinct,
+    warn_if_inadequate,
+)
 from .synthbtp import (
     SCHEME_BLOCK,
     SCHEME_BLOOM,
@@ -255,11 +265,6 @@ def _same_subject_rows(n_subjects: int, samples: int, sample_pairs):
     return (s_a[:, None] + base).ravel(), (s_b[:, None] + base).ravel()
 
 
-def _pairs_before(i: int, n: int) -> int:
-    """Number of subject pairs (i', j), i' < j, with i' < i: where row i starts in triu order."""
-    return i * (2 * n - i - 1) // 2
-
-
 @functools.lru_cache(maxsize=8)
 def _is_pair(rows: int, cols: int) -> np.ndarray:
     """(rows, cols) mask of a tile's subject pairs: column subject above row subject."""
@@ -291,43 +296,89 @@ class _View:
     length: int
     by_popsum: bool
 
-    def scores(self, dist: np.ndarray, popsum, out=None) -> np.ndarray:
-        return np.divide(dist, popsum if self.by_popsum else self.length, out=out)
+    def scores(self, dist: np.ndarray, popsum) -> np.ndarray:
+        return np.divide(dist, popsum if self.by_popsum else self.length)
 
 
-class _Tally:
-    """Pair counts per distance, or per (distance, popsum) cell when by_popsum.
+class _Lattice:
+    """The cells a view's scores fall on, keyed by small integers.
 
-    A cell is keyed distance * stride + popsum.  A distance is at most the
-    length, and at most the popsum, which is at most twice the largest
-    set-bit count.
+    A cell is a distance, or when by_popsum a (distance, popsum) pair keyed
+    distance * stride + popsum - low.  A distance is at most the length,
+    and at most the popsum, which lies between low, twice the least set-bit
+    count, and twice the largest.
     """
 
     def __init__(self, view: _View):
         self.view = view
-        top = view.length
-        self.stride = 1
+        top, self.stride, self.low = view.length, 1, 0
         if view.by_popsum:
-            self.stride = 2 * int(view.pops.max(initial=0)) + 1
-            top = min(top, self.stride - 1)
-        self.counts = np.zeros((top + 1) * self.stride, dtype=np.int64)
+            least, most = int(view.pops.min()), int(view.pops.max())
+            self.low, self.stride = 2 * least, 2 * (most - least) + 1
+            top = min(top, 2 * most)
+        self.size = (top + 1) * self.stride
+        # the integer type a pass holds cells in
+        self.dtype = np.min_scalar_type(self.size - 1)
 
-    def add(self, dist: np.ndarray, popsum, times: int) -> None:
-        """Count every pair of dist, times over: once per key pair it stands for."""
-        found = np.bincount(dist if popsum is None else dist * self.stride + popsum)
+    def cells(self, dist: np.ndarray, popsum) -> np.ndarray:
+        return dist if popsum is None else dist * self.stride + (popsum - self.low)
+
+    def scores(self, cells) -> np.ndarray:
+        """The float64 score of each cell: the view's quotient of the same integers."""
+        cells = np.asarray(cells, dtype=np.int64)
+        if not self.view.by_popsum:
+            return self.view.scores(cells, None)
+        dist, rest = np.divmod(cells, self.stride)
+        return self.view.scores(dist, rest + self.low)
+
+
+class _Tally:
+    """Pair counts per cell of a lattice."""
+
+    def __init__(self, lattice: _Lattice):
+        self.lattice = lattice
+        self.counts = np.zeros(lattice.size, dtype=np.int64)
+
+    def add(self, cells: np.ndarray, times: int) -> None:
+        """Count every pair of cells, times over: once per key pair it stands for."""
+        found = np.bincount(cells)
         self.counts[: found.size] += found * times
 
     def table(self) -> CountTable:
         cells = np.flatnonzero(self.counts)
         counts = self.counts[cells]
-        if not self.view.by_popsum:
-            return CountTable(self.view.scores(cells, None), counts)
+        scores = self.lattice.scores(cells)
+        if not self.lattice.view.by_popsum:
+            return CountTable(scores, counts)
         # equal quotients of different (distance, popsum) cells merge
-        scores = self.view.scores(cells // self.stride, cells % self.stride)
         order = np.argsort(scores, kind="stable")
         scores, counts = scores[order], counts[order]
         first = np.flatnonzero(np.concatenate(([True], scores[1:] != scores[:-1])))
         return CountTable(scores[first], np.add.reduceat(counts, first))
+
+
+class _RowText:
+    """The CSV row of each lattice cell, ``f"{score!r},{label}\\n"``, rendered when first seen.
+
+    slot maps a cell to its row in rows, 0 for a cell not seen yet, so rows
+    holds one string per cell that occurs.
+    """
+
+    def __init__(self, lattice: _Lattice, label: str):
+        self.lattice, self.label = lattice, label
+        self.slot = np.zeros(lattice.size, dtype=np.min_scalar_type(lattice.size))
+        self.rows = np.array([None], dtype=object)
+
+    def __call__(self, cells: np.ndarray) -> str:
+        slots = self.slot[cells]
+        if not slots.all():
+            new = sorted_distinct(cells[slots == 0])
+            self.slot[new] = np.arange(self.rows.size, self.rows.size + new.size)
+            rendered = np.empty(new.size, dtype=object)
+            rendered[:] = [f"{v!r},{self.label}\n" for v in self.lattice.scores(new).tolist()]
+            self.rows = np.concatenate((self.rows, rendered))
+            slots = self.slot[cells]
+        return "".join(self.rows[slots].tolist())
 
 
 class _ScoreEngine:
@@ -448,11 +499,12 @@ class _ScoreEngine:
         """Distances of distinct subjects' pairs, one tile of subjects at a time.
 
         group is the samples compared per subject: 1 (the first) or all.
-        Yields (lo, hi, p, dist, popsum) per kernels.triangle_tiles tile:
-        dist holds the pairs of subjects i in lo..hi-1 with subjects j > i,
-        i under key keys_a[p] and j under key keys_b[p], in (subject pair,
-        sample pair) order, which is one run of the triu order; popsum is
-        None unless view.by_popsum.  A call with at least
+        Yields (p, dist, popsum) per kernels.triangle_tiles tile (lo, hi),
+        for every key pair p of the tile in turn: dist holds the pairs of
+        subjects i in lo..hi-1 with subjects j > i, i under key keys_a[p]
+        and j under key keys_b[p], in (subject pair, sample pair) order,
+        which is one run of the triu order; popsum is None unless
+        view.by_popsum.  A call with at least
         kernels.GEMM_MIN_WORDS words of work takes the tile from
         kernels.hamming_gemm, a smaller one gathers just the pairs for
         kernels.hamming_rows; both give the same integers.
@@ -487,74 +539,149 @@ class _ScoreEngine:
                     dist = kernels.hamming_rows(bits[a], bits[b], rows_a, rows_b)
                 else:
                     dist = np.abs(pops[a][rows_a] - pops[b][rows_b])
-                yield lo, hi, p, dist, (pops[a][rows_a] + pops[b][rows_b] if view.by_popsum else None)
+                yield p, dist, (pops[a][rows_a] + pops[b][rows_b] if view.by_popsum else None)
+
+
+_MATED, _NON_MATED = 0, 1
+
+
+def _in_file_order(side: int, cells: np.ndarray, order: np.ndarray):
+    """Yield (side, block): cells[order[q], t, s] in (t, q, s) order.
+
+    cells holds one run of rows per distinct key pair, shape (pairs, T,
+    S); order names the distinct pair of each key pair of the file.  A
+    block holds CSV_BLOCK rows or fewer, unless one (t, q) run alone is
+    longer.
+    """
+    per_t = len(order) * cells.shape[2]
+    if per_t <= score_io.CSV_BLOCK:
+        step = score_io.CSV_BLOCK // per_t
+        for t in range(0, cells.shape[1], step):
+            yield side, cells[order, t:t + step].transpose(1, 0, 2).ravel()
+        return
+    step = max(1, score_io.CSV_BLOCK // cells.shape[2])
+    for t in range(cells.shape[1]):
+        for q in range(0, len(order), step):
+            yield side, cells[order[q:q + step], t].ravel()
+
+
+class _ScoreStream:
+    """One linkage function's scores, made in file order by one pass over the engine's blocks.
+
+    Mated rows come in (key pair, sample pair, subject) order.  Non-mated
+    rows come in (subject pair, key pair, sample pair) order, in which one
+    kernels.triangle_tiles tile is one run of rows, or, when key_major,
+    in (key pair, subject pair, sample pair) order.  A pass scores each
+    distinct pair of canonical keys once: key pairs (a, b) whose databases
+    are the same to the view as those of another pair give the same
+    scores.  (a, b) and (b, a) stay apart: the first template is always on
+    key a.  Every pass tallies each pair into count tables; a pass that
+    makes rows holds the mated cells, then one tile's cells of every
+    distinct key pair, as lattice cells, never as float64 scores.
+    """
+
+    def __init__(self, engine: "_ScoreEngine", view: _View, keys_a, keys_b, mated_samples,
+                 group: int, key_major: bool, source: str):
+        self.engine, self.view, self.lattice = engine, view, _Lattice(view)
+        self.keys_a, self.keys_b = np.asarray(keys_a), np.asarray(keys_b)
+        self.mated_samples, self.group, self.key_major, self.source = mated_samples, group, key_major, source
+        n = engine.n_subjects
+        self.n_mated = len(self.keys_a) * len(mated_samples[0]) * n
+        self.n_non_mated = len(self.keys_a) * (n * (n - 1) // 2) * group * group
+        self._tables = None
+
+    def _pass(self, rows: bool):
+        """Tally every pair; when rows, yield (side, cells) blocks in file order too."""
+        engine, view, lattice = self.engine, self.view, self.lattice
+        canon = engine.canonical_keys(view)
+        pairs, order, times = np.unique(
+            canon[self.keys_a] * engine.k + canon[self.keys_b], return_inverse=True, return_counts=True
+        )
+        pairs_a, pairs_b = np.divmod(pairs, engine.k)
+        mated, non_mated = _Tally(lattice), _Tally(lattice)
+        held = []
+        for p, dist, popsum in engine.same_subject(view, pairs_a, pairs_b, self.mated_samples):
+            cells = lattice.cells(dist, popsum)
+            mated.add(cells, times[p])
+            if rows:
+                held.append(cells.astype(lattice.dtype))
+        if rows:
+            yield from _in_file_order(_MATED, np.stack(held)[:, None, :], order)
+            del held
+        runs = [(pairs_a, pairs_b, order, times)]
+        if rows and self.key_major:
+            # one engine call per key pair, in file order
+            runs = [(pairs_a[[p]], pairs_b[[p]], np.zeros(1, dtype=np.intp), (1,)) for p in order]
+        for a, b, tile_order, weight in runs:
+            tile = None
+            for p, dist, popsum in engine.distinct_subjects(view, a, b, self.group):
+                cells = lattice.cells(dist, popsum)
+                non_mated.add(cells, weight[p])
+                if not rows:
+                    continue
+                if tile is None or tile.shape[1] < cells.size:
+                    tile = np.empty((len(a), cells.size), dtype=lattice.dtype)
+                tile[p, : cells.size] = cells
+                if p == len(a) - 1:  # every distinct key pair of the tile is scored
+                    run = tile[:, : cells.size].reshape(len(a), -1, self.group * self.group)
+                    yield from _in_file_order(_NON_MATED, run, tile_order)
+        self._tables = (mated.table(), non_mated.table())
+
+    def tables(self) -> tuple:
+        """The mated and non-mated count tables, from the last pass or a pass that makes no rows."""
+        if self._tables is None:
+            for _ in self._pass(rows=False):
+                pass
+        return self._tables
+
+    def counted(self) -> ScoreCounts:
+        return ScoreCounts(*self.tables(), self.source, warn_adequacy=False)
+
+    def csv_blocks(self):
+        """(label, text) blocks of the CSV rows; see scores.write_score_csv."""
+        text = tuple(_RowText(self.lattice, label) for label in (score_io.LABEL_MATED, score_io.LABEL_NON_MATED))
+        for side, cells in self._pass(rows=True):
+            yield text[side].label, text[side](cells)
+
+    def ordered(self) -> ScoreSet:
+        sides = (np.empty(self.n_mated), np.empty(self.n_non_mated))
+        filled = [0, 0]
+        for side, cells in self._pass(rows=True):
+            start = filled[side]
+            filled[side] += cells.size
+            sides[side][start : filled[side]] = self.lattice.scores(cells)
+        return ScoreSet(*sides, source=self.source)
 
 
 def _score_pairs(engine: _ScoreEngine, function: str, keys_a, keys_b, mated_samples,
-                 group: int, pair_major: bool, counted: bool, source: str):
+                 group: int, key_major: bool, counted: bool, streamed: bool, source: str):
     """Mated scores of same-subject pairs and non-mated ones of distinct subjects.
 
-    With counted, both sides are tallied straight from the distance blocks
-    into a ScoreCounts.  Otherwise they fill a ScoreSet: mated in (key
-    pair, sample pair, subject) order; non-mated in (subject pair, key
-    pair, sample pair) order when pair_major, else (key pair, subject
-    pair, sample pair).  The engine remembers its tallies only: a view
+    An ordered ScoreSet by default; with counted, a ScoreCounts tallied
+    straight from the distance blocks; with streamed, the _ScoreStream
+    itself, whose pass runs when its rows are written (checked and warned
+    about like a ScoreSet as it is made).  The engine remembers its tallies only: a view
     already tallied with the same pairs is not tallied again, and a result
     under source shares its tables.
     """
     view = engine.view(function)
+    stream = _ScoreStream(engine, view, keys_a, keys_b, mated_samples, group, key_major, source)
+    if streamed:
+        # the lattice scores are finite; the pair counts are known already
+        check_side(score_io.LABEL_MATED, stream.n_mated, np.empty(0))
+        check_side(score_io.LABEL_NON_MATED, stream.n_non_mated, np.empty(0))
+        warn_if_inadequate(stream.n_mated, stream.n_non_mated)
+        return stream
     if not counted:
-        return _score_view(engine, view, keys_a, keys_b, mated_samples, group, pair_major, counted, source)
+        return stream.ordered()
     # views of the same engine arrays compare the same bits; the engine owns
     # the arrays, so their ids stay unique while its memo lives
-    key = (id(view.packed), id(view.pops), view.length, view.by_popsum, group, pair_major,
+    key = (id(view.packed), id(view.pops), view.length, view.by_popsum, group, key_major,
            *(np.asarray(a).tobytes() for a in (keys_a, keys_b, *mated_samples)))
     done = engine.scored.get(key)
-    if done is not None:
-        return ScoreCounts(done.mated, done.non_mated, source)
-    engine.scored[key] = done = _score_view(
-        engine, view, keys_a, keys_b, mated_samples, group, pair_major, counted, source
-    )
-    return done
-
-
-def _score_view(engine: _ScoreEngine, view: _View, keys_a, keys_b, mated_samples,
-                group: int, pair_major: bool, counted: bool, source: str):
-    """Score each distinct pair of canonical keys once.
-
-    Key pairs (a, b) whose databases are the same to the view as those of
-    another pair give the same scores.  A computed block is tallied once
-    per key pair it stands for, or written into each of their slots.
-    (a, b) and (b, a) stay apart: the first template is always on key a.
-    """
-    n, n_keys = engine.n_subjects, len(keys_a)
-    canon = engine.canonical_keys(view)
-    pairs, slot_pair, times = np.unique(
-        canon[keys_a] * engine.k + canon[keys_b], return_inverse=True, return_counts=True
-    )
-    pairs_a, pairs_b = np.divmod(pairs, engine.k)
-    mated_blocks = engine.same_subject(view, pairs_a, pairs_b, mated_samples)
-    tiles = engine.distinct_subjects(view, pairs_a, pairs_b, group)
-    if counted:
-        mated, non_mated = _Tally(view), _Tally(view)
-        for p, dist, popsum in mated_blocks:
-            mated.add(dist, popsum, times[p])
-        for _, _, p, dist, popsum in tiles:
-            non_mated.add(dist, popsum, times[p])
-        return ScoreCounts(mated.table(), non_mated.table(), source)
-
-    slots = [np.flatnonzero(slot_pair == p) for p in range(len(pairs))]
-    mated = np.empty((n_keys, len(mated_samples[0]) * n))
-    for p, dist, popsum in mated_blocks:
-        mated[slots[p]] = view.scores(dist, popsum)
-    n_pairs = n * (n - 1) // 2
-    shape = (n_pairs, n_keys, group * group) if pair_major else (n_keys, n_pairs, group * group)
-    non_mated = np.empty(shape)
-    by_key_pair = non_mated.swapaxes(0, 1) if pair_major else non_mated
-    for lo, hi, p, dist, popsum in tiles:
-        run = slice(_pairs_before(lo, n), _pairs_before(hi, n))
-        by_key_pair[slots[p], run] = view.scores(dist, popsum).reshape(1, -1, group * group)
-    return ScoreSet(mated=mated, non_mated=non_mated, source=source)
+    if done is None:
+        engine.scored[key] = done = stream.tables()
+    return ScoreCounts(*done, source)
 
 
 def cross_database_scores(
@@ -566,6 +693,7 @@ def cross_database_scores(
     allow_approximate_bloom: bool = False,
     _engine: "_ScoreEngine | None" = None,
     _counted: bool = False,
+    _streamed: bool = False,
 ) -> ScoreSet:
     """Mated and non-mated cross-key linkage scores over K databases.
 
@@ -578,7 +706,9 @@ def cross_database_scores(
     pair appears once.  Mated scores come in (key pair, sample pair,
     subject) order, non-mated ones in (subject pair, key pair, sample
     pair) order.  _counted returns the same scores tallied into a
-    ScoreCounts instead, without ever holding them all.
+    ScoreCounts instead, without ever holding them all; _streamed returns
+    them unscored, as a source whose one pass writes their CSV rows and
+    tallies their count tables.
     """
     if mated_pairing not in (PAIRING_ALL_CROSS_KEY, PAIRING_DISTINCT_SAMPLES):
         raise InvalidConfigError(f"unknown mated_pairing {mated_pairing!r}")
@@ -589,7 +719,8 @@ def cross_database_scores(
     mated_samples = np.triu_indices(samples, 1) if mated_pairing == PAIRING_DISTINCT_SAMPLES else grid
     return _score_pairs(
         engine, function, *np.triu_indices(engine.k, 1), mated_samples,
-        group=samples if non_mated_all_pairs else 1, pair_major=True, counted=_counted,
+        group=samples if non_mated_all_pairs else 1, key_major=False,
+        counted=_counted, streamed=_streamed,
         source=f"{function}/{engine.scheme}/K={engine.k}/cross-key",
     )
 
@@ -600,19 +731,21 @@ def same_key_scores(
     ring: KeyRing | None = None,
     _engine: "_ScoreEngine | None" = None,
     _counted: bool = False,
+    _streamed: bool = False,
 ) -> ScoreSet:
     """Accuracy-scenario scores: both templates under the same key.
 
     Mated: every distinct-sample pair of each subject under each key, in
     (key, sample pair, subject) order.  Non-mated: first samples of
     distinct subjects under each key, in (key, subject pair) order.
-    _counted returns them tallied into a ScoreCounts instead.
+    _counted returns them tallied into a ScoreCounts instead, and
+    _streamed as a source of their CSV rows (see cross_database_scores).
     """
     engine = _engine or _ScoreEngine(databases, ring)
     keys = np.arange(engine.k)
     return _score_pairs(
         engine, function, keys, keys, np.triu_indices(engine.samples, 1),
-        group=1, pair_major=False, counted=_counted,
+        group=1, key_major=True, counted=_counted, streamed=_streamed,
         source=f"{function}/{engine.scheme}/K={engine.k}/same-key",
     )
 
@@ -747,11 +880,10 @@ def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
                 "key_seed": cfg.resolved_key_seed,
             }
         )
-    # score sets are ordered only when they are to be written; otherwise
-    # only their count tables are ever built
-    counted = cfg.out_dir is None
+    # without out_dir only count tables are ever built; with it, each
+    # function's one scoring pass writes its CSV rows and tallies its tables
 
-    def evaluate_function(fn: str) -> tuple:
+    def evaluate_function(fn: str) -> dict:
         if cfg.score_files is not None:
             paths = cfg.score_files[fn]
             scores = load_score_set(paths["mated"], paths["non_mated"])
@@ -761,32 +893,36 @@ def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
                 mated_pairing=cfg.mated_pairing,
                 non_mated_all_pairs=cfg.non_mated_all_pairs,
                 _engine=engine,
-                _counted=counted,
+                _counted=cfg.out_dir is None,
+                _streamed=cfg.out_dir is not None,
             )
-        result = assess(
-            scores, cfg.density, cfg.prior.omega, ORIENT_DISSIMILARITY, MODE_CROSSKEY, accuracy
-        )
+        path = None
+        try:
+            if cfg.out_dir is not None:
+                path = Path(cfg.out_dir) / f"{fn}_scores.csv"
+                path.parent.mkdir(parents=True, exist_ok=True)
+                score_io.write_score_csv(scores, path)
+            result = assess(
+                scores, cfg.density, cfg.prior.omega, ORIENT_DISSIMILARITY, MODE_CROSSKEY, accuracy
+            )
+        except BaseException:
+            # a function that fails leaves no score file
+            if path is not None:
+                path.unlink(missing_ok=True)
+            raise
         entry = result.to_json_dict()
         entry.update(adversary_model=ADVERSARY_MODELS[fn], n_mated=scores.n_mated, n_non_mated=scores.n_non_mated)
-        return entry, (None if counted else scores)
+        return entry
 
     per_function: dict = {}
     for fn in cfg.linkage_functions:
         try:
-            entry, scores = evaluate_function(fn)
+            per_function[fn] = evaluate_function(fn)
         except Exception as exc:
             per_function[fn] = {
                 "adversary_model": ADVERSARY_MODELS[fn],
                 "error": f"{type(exc).__name__}: {exc}",
             }
-            continue
-        per_function[fn] = entry
-        if scores is not None:
-            # written, and dropped, before the next function is scored
-            out = Path(cfg.out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            score_io.write_score_csv(scores, out / f"{fn}_scores.csv")
-            del scores
 
     d_values = [e["d_sys"] for e in per_function.values() if "d_sys" in e]
     aggregated = max(d_values) if d_values else None

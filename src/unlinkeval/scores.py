@@ -38,7 +38,8 @@ from .errors import (
 LABEL_MATED = "mated"
 LABEL_NON_MATED = "nonmated"
 _CSV_HEADER = "score,label"
-_CSV_BLOCK = 65536
+# rows of a score CSV rendered and written at a time
+CSV_BLOCK = 65536
 
 # Below this many scores per side, estimates are flagged as statistically
 # weak (warning, never an error).
@@ -61,7 +62,7 @@ class ScoreSet:
     def __post_init__(self):
         object.__setattr__(self, "mated", _as_score_array(self.mated, LABEL_MATED))
         object.__setattr__(self, "non_mated", _as_score_array(self.non_mated, LABEL_NON_MATED))
-        _warn_if_inadequate(self.mated.size, self.non_mated.size)
+        warn_if_inadequate(self.mated.size, self.non_mated.size)
 
     @property
     def n_mated(self) -> int:
@@ -70,6 +71,21 @@ class ScoreSet:
     @property
     def n_non_mated(self) -> int:
         return int(self.non_mated.size)
+
+    def csv_blocks(self):
+        """(label, text) blocks of CSV rows, mated rows first, CSV_BLOCK rows at a time.
+
+        Values are rendered with ``repr`` so reloading reproduces them
+        bit-exactly.  Each distinct bit pattern of a block is rendered once
+        (linkage scores repeat a few hundred values); comparing bits, not
+        floats, keeps -0.0 and 0.0 apart.
+        """
+        for values, label in ((self.mated, LABEL_MATED), (self.non_mated, LABEL_NON_MATED)):
+            for start in range(0, values.size, CSV_BLOCK):
+                block = values[start:start + CSV_BLOCK]
+                bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+                rendered = [f"{v!r},{label}\n" for v in bits.view(np.float64).tolist()]
+                yield label, "".join(map(rendered.__getitem__, inverse.tolist()))
 
     def counted(self) -> "ScoreCounts":
         """Both sides as count tables, built on first use and kept."""
@@ -119,7 +135,7 @@ def sorted_distinct(*arrays) -> np.ndarray:
     return out[keep]
 
 
-def _warn_if_inadequate(n_mated: int, n_non_mated: int) -> None:
+def warn_if_inadequate(n_mated: int, n_non_mated: int) -> None:
     for side, n in ((LABEL_MATED, n_mated), (LABEL_NON_MATED, n_non_mated)):
         if n < ADEQUATE_SCORES_PER_SIDE:
             warnings.warn(
@@ -235,7 +251,7 @@ class ScoreCounts:
         for side, table in ((LABEL_MATED, self.mated), (LABEL_NON_MATED, self.non_mated)):
             check_side(side, len(table), table.values)
         if warn_adequacy:
-            _warn_if_inadequate(len(self.mated), len(self.non_mated))
+            warn_if_inadequate(len(self.mated), len(self.non_mated))
 
     @property
     def n_mated(self) -> int:
@@ -479,31 +495,25 @@ def _parse_score_lines(path: Path, text: str, side: str) -> list[float]:
     return scores
 
 
-def _write_labeled_csv(path, *sides) -> None:
-    """Header ``score,label``, then one row per value of each (values, label) side.
+def write_score_csv(scores, path) -> None:
+    """Write both sides to one labeled CSV, mated rows first.
 
-    Values are rendered with ``repr`` so reloading reproduces them bit-exactly.
-    Rows are written _CSV_BLOCK at a time, so memory stays bounded whatever
-    the number of scores.  Each distinct bit pattern of a block is rendered
-    once (linkage scores repeat a few hundred values); comparing bits, not
-    floats, keeps -0.0 and 0.0 apart.
+    scores is a ScoreSet, or any source whose csv_blocks() yields (label,
+    text) blocks in file order, such as the streamed scores of the
+    protocol engine, whose scoring pass runs here.
     """
     with open(path, "w", encoding="utf-8") as out:
         out.write(_CSV_HEADER + "\n")
-        for values, label in sides:
-            for start in range(0, values.size, _CSV_BLOCK):
-                block = values[start:start + _CSV_BLOCK]
-                bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
-                rendered = [f"{v!r},{label}\n" for v in bits.view(np.float64).tolist()]
-                out.write("".join(map(rendered.__getitem__, inverse.tolist())))
+        for _, text in scores.csv_blocks():
+            out.write(text)
 
 
-def write_score_csv(scores: ScoreSet, path) -> None:
-    """Write both sides to one labeled CSV, mated rows first."""
-    _write_labeled_csv(path, (scores.mated, LABEL_MATED), (scores.non_mated, LABEL_NON_MATED))
-
-
-def write_score_sides(scores: ScoreSet, mated_path, non_mated_path) -> None:
-    """Write each side to its own labeled CSV file."""
-    _write_labeled_csv(mated_path, (scores.mated, LABEL_MATED))
-    _write_labeled_csv(non_mated_path, (scores.non_mated, LABEL_NON_MATED))
+def write_score_sides(scores, mated_path, non_mated_path) -> None:
+    """Write each side to its own labeled CSV file, in one pass over scores.csv_blocks()."""
+    with open(mated_path, "w", encoding="utf-8") as mated, \
+            open(non_mated_path, "w", encoding="utf-8") as non_mated:
+        files = {LABEL_MATED: mated, LABEL_NON_MATED: non_mated}
+        for out in files.values():
+            out.write(_CSV_HEADER + "\n")
+        for label, text in scores.csv_blocks():
+            files[label].write(text)

@@ -233,8 +233,23 @@ def _remap_blocks(bits: np.ndarray, perm: np.ndarray, block_size: int) -> np.nda
     return blocks[..., perm, :].reshape(bits.shape)
 
 
-def _msb_weights(h: int) -> np.ndarray:
-    return (1 << np.arange(h - 1, -1, -1)).astype(np.int64)
+def _bloom_dtype(w: int, h: int) -> np.dtype:
+    """The least unsigned type that holds 2**h and w + 1.
+
+    2**h bounds a filter's set bits and column values, w + 1 a decoded
+    block's columns with its spare.
+    """
+    return np.min_scalar_type(max(2**h, w + 1))
+
+
+def _msb_values(bits: np.ndarray, dtype) -> np.ndarray:
+    """The last axis of 0/1 bits read as one integer each, most significant bit first."""
+    bits = bits.astype(dtype, copy=False)
+    h = bits.shape[-1]
+    out = bits[..., 0] << (h - 1)
+    for j in range(1, h):
+        out |= bits[..., j] << (h - 1 - j)
+    return out
 
 
 def _bloom_encode(bits: np.ndarray, key: np.ndarray, w: int, h: int) -> np.ndarray:
@@ -247,11 +262,15 @@ def _bloom_encode(bits: np.ndarray, key: np.ndarray, w: int, h: int) -> np.ndarr
     """
     lead = bits.shape[:-1]
     n_blocks = bits.shape[-1] // (w * h)
-    cols = bits.reshape(*lead, n_blocks, w, h)
-    idx = (cols ^ key[:, None, :]) @ _msb_weights(h)
-    filters = np.zeros((*lead, n_blocks, 1 << h), dtype=np.uint8)
-    np.put_along_axis(filters, idx, 1, axis=-1)
-    return filters.reshape(*lead, n_blocks << h)
+    dtype = _bloom_dtype(w, h)
+    # XOR commutes with reading the bits as an integer
+    values = _msb_values(bits.reshape(*lead, n_blocks, w, h), dtype)
+    values ^= _msb_values(key, dtype)[:, None]
+    filters = np.zeros((*lead, n_blocks << h), dtype=np.uint8)
+    # each column sets bit `value` of its block's filter
+    starts = np.arange(0, filters.size, 1 << h).reshape(*lead, n_blocks, 1)
+    filters.reshape(-1)[(starts + values).reshape(-1)] = 1
+    return filters
 
 
 def _bloom_decode(bits: np.ndarray, key: np.ndarray, w: int, h: int) -> np.ndarray:
@@ -261,21 +280,27 @@ def _bloom_decode(bits: np.ndarray, key: np.ndarray, w: int, h: int) -> np.ndarr
     of each value among its filter's set bits is a running count, and the
     first w values land at their ranks.  Original order and multiplicity
     are lost, so a block with fewer than w distinct values is zero-padded.
+    Values, counts and slots stay in the least type that holds them.
     """
     lead = bits.shape[:-1]
     n_blocks = key.shape[0]
-    filters = bits.reshape(-1, n_blocks, 1 << h)
-    values = np.arange(1 << h)
-    keyed = values ^ (key @ _msb_weights(h))[:, None]
+    dtype = _bloom_dtype(w, h)
+    values = np.arange(1 << h, dtype=dtype)
+    keyed = values ^ _msb_values(key, dtype)[:, None]
     # present[r, b, v]: un-keyed column value v occurs in block b of row r
-    present = filters[:, np.arange(n_blocks)[:, None], keyed]
-    rank = np.cumsum(present, axis=-1, dtype=np.int64) - 1
-    # absent values and values past the first w go to a spare column w
-    slot = np.where((present == 1) & (rank < w), rank, w)
-    cols = np.zeros((*filters.shape[:2], w + 1), dtype=np.int64)
-    np.put_along_axis(cols, slot, np.broadcast_to(values, slot.shape), axis=-1)
-    col_bits = (cols[..., :w, None] >> (h - 1 - np.arange(h))) & 1
-    return col_bits.astype(np.uint8).reshape(*lead, -1)
+    at = ((np.arange(n_blocks)[:, None] << h) + keyed).reshape(-1)
+    present = bits.reshape(-1, n_blocks << h).take(at, axis=1).reshape(-1, n_blocks, 1 << h)
+    # the rank of each present value, capped at w: column w is a spare that
+    # also takes every absent value, whose count of 0 wraps round past w
+    slot = np.cumsum(present, axis=-1, dtype=dtype)
+    slot *= present
+    slot -= 1
+    np.minimum(slot, w, out=slot)
+    cols = np.zeros((*present.shape[:2], w + 1), dtype=dtype)
+    starts = np.arange(0, cols.size, w + 1).reshape(*cols.shape[:2], 1)
+    cols.reshape(-1)[(starts + slot).reshape(-1)] = np.broadcast_to(values, slot.shape).reshape(-1)
+    col_bits = ((values[:, None] >> np.arange(h - 1, -1, -1, dtype=dtype)) & 1).astype(np.uint8)
+    return col_bits.take(cols[..., :w], axis=0).reshape(*lead, -1)
 
 
 def protect_bits(bits: np.ndarray, ring: KeyRing, key_id: int, scheme: str) -> np.ndarray:

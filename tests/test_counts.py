@@ -42,14 +42,20 @@ def _same_bits(a, b) -> bool:
     return bool(np.all(zeros | (_bits(a) == _bits(b))))
 
 
+def _sentinels(values):
+    """The span beyond each extreme score, or the next float where that rounds back onto it."""
+    span = max(values[-1] - values[0], 1.0)
+    return [min(values[0] - span, np.nextafter(values[0], -np.inf)),
+            max(values[-1] + span, np.nextafter(values[-1], np.inf))]
+
+
 def _det_sorted(mated, non_mated, orientation):
     """The sort-and-search DET sweep that det_curve used before count tables."""
     mated = np.asarray(mated, dtype=np.float64)
     non_mated = np.asarray(non_mated, dtype=np.float64)
     values = np.unique(np.concatenate([mated, non_mated]))
     mids = (values[:-1] + values[1:]) / 2.0
-    span = max(values[-1] - values[0], 1.0)
-    thresholds = np.unique(np.concatenate([values, mids, [values[0] - span, values[-1] + span]]))
+    thresholds = np.unique(np.concatenate([values, mids, _sentinels(values)]))
     m_sorted, nm_sorted = np.sort(mated), np.sort(non_mated)
     if orientation == ORIENT_SIMILARITY:
         fnmr = np.searchsorted(m_sorted, thresholds, side="left") / mated.size
@@ -85,8 +91,8 @@ def _densities_by_scores(mated, non_mated, cfg):
 _POOL = [-0.0, 0.0, 0.25, 1 / 3, 0.5, 0.5 + 2**-52, 2.0, -1.5, 1e-300, 7.0]
 # their midpoints, sentinels and span overflow the float range
 _OVERFLOW = [1e308, 1.7e308, -1.7e308]
-# neighbouring floats at a power of two beyond 2**53: their midpoint and
-# one sentinel round onto a score, so the rates at the ends need not cross
+# neighbouring floats at a power of two beyond 2**53: their midpoint rounds
+# onto a score, and so does the span added beyond one end
 _ROUNDING_UP = [2.0**60 - 128, 2.0**60]
 _ROUNDING_DOWN = [-(2.0**60), -(2.0**60) + 128]
 _scores = st.lists(st.sampled_from(_POOL), min_size=1, max_size=60)
@@ -273,6 +279,8 @@ class TestCountDet:
         [-3.0, -0.0, 2.0, 1e300],
         [1e308, 1.7e308],  # the midpoint and the upper sentinel overflow
         [-1.7e308, 1.7e308],  # the span overflows
+        _ROUNDING_UP,  # the upper sentinel is the next float out
+        _ROUNDING_DOWN,  # the lower one
     ])
     def test_thresholds_equal_unique_of_the_candidates(self, values):
         from unlinkeval.baselines import _thresholds
@@ -280,10 +288,23 @@ class TestCountDet:
         values = np.asarray(values)
         with np.errstate(over="ignore"):
             mids = (values[:-1] + values[1:]) / 2.0
-            span = max(values[-1] - values[0], 1.0)
-            expected = np.unique(np.concatenate([values, mids, [values[0] - span, values[-1] + span]]))
+            expected = np.unique(np.concatenate([values, mids, _sentinels(values)]))
             got = _thresholds(values)
         assert np.array_equal(_bits(got), _bits(expected))
+        assert got[0] < values[0] and got[-1] > values[-1]
+
+    @pytest.mark.parametrize("points", [None, 2, 3])
+    def test_sentinels_beyond_rounding_scores_make_the_rates_cross(self, points):
+        # 2**60 + 128 rounds to 2**60, so the upper sentinel is 2**60 + 256:
+        # thresholds 2**60 - 256, 2**60 - 128, 2**60, 2**60 + 256 give
+        # fmr - fnmr = 1, 1, 0.5, -1, and the EER is interpolated at a third
+        # of the way from 2**60 (it read 0.25, the closest approach, when
+        # the sentinel rounded onto 2**60 and the rates did not cross)
+        det = ue.det_curve([2**60, 2**60], [2**60 - 128, 2**60], points=points)
+        assert det.eer == 0.5 / 1.5
+        full = ue.det_curve([2**60, 2**60], [2**60 - 128, 2**60])
+        assert full.thresholds.tolist() == [2.0**60 - 256, 2.0**60 - 128, 2.0**60, 2.0**60 + 256]
+        assert (full.fmr[-1], full.fnmr[-1]) == (0.0, 1.0)
 
     def test_too_few_counted_scores(self):
         with pytest.raises(TooFewScoresError):

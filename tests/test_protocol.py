@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 import unlinkeval as ue
-from unlinkeval import kernels
+from unlinkeval import kernels, scores
 from unlinkeval.errors import (
     InconsistentDatabasesError,
     InvalidConfigError,
@@ -146,11 +148,14 @@ def _oracle_score(fn, scheme, ring, raw1, a, raw2, b):
                 ids=lambda p: f"{p[0]}-tile{p[1] or 'default'}")
 def distance_blocks(request, monkeypatch):
     """Non-mated distances by row gathers or by the matrix product, in
-    default tiles or in tiles of two rows that split every corpus here."""
+    default tiles or in tiles of two rows that split every corpus here;
+    with the latter, ordered rows come in blocks of five, which split
+    every run of rows of a key pair or a subject pair."""
     kind, tile_rows = request.param
     monkeypatch.setattr(kernels, "GEMM_MIN_WORDS", 0 if kind == "gemm" else 1 << 62)
     if tile_rows is not None:
         monkeypatch.setattr(kernels, "TILE_ROWS", tile_rows)
+        monkeypatch.setattr(scores, "CSV_BLOCK", 5)
 
 
 def _assert_counts_of(tables, scores):
@@ -628,3 +633,106 @@ class TestScoreEachKeyPairOnce:
         assert np.array_equal(ordered.non_mated, want.non_mated)
         _assert_counts_of(counted, want)
         _assert_counts_of(want_counted, want)
+
+
+class TestStreamedCsvEqualsOrdered:
+    """A streamed pass writes the bytes that write_score_csv and
+    write_score_sides write from the ordered ScoreSet, whose order the
+    per-pair oracle tests check: in one tile, and in tiles of two rows
+    with blocks of five rows."""
+
+    @pytest.fixture(autouse=True, params=[None, 2], ids=["one-tile", "tile2"])
+    def tiles(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(kernels, "TILE_ROWS", request.param)
+            monkeypatch.setattr(scores, "CSV_BLOCK", 5)
+
+    @staticmethod
+    def _testbed(scheme, constant):
+        return _databases(n_subjects=5, samples=3, k=3, seed=6, scheme=scheme, constant=constant)
+
+    @pytest.mark.parametrize("constant", [False, True], ids=["keys", "constant-key"])
+    @pytest.mark.parametrize("non_mated_all_pairs", [False, True])
+    @pytest.mark.parametrize("mated_pairing", [PAIRING_ALL_CROSS_KEY, PAIRING_DISTINCT_SAMPLES])
+    @pytest.mark.parametrize("scheme,fn", _SUPPORTED)
+    def test_cross_key_files(self, tmp_path, scheme, fn, mated_pairing, non_mated_all_pairs, constant):
+        dbs, ring = self._testbed(scheme, constant)
+
+        def scores(streamed):
+            return ue.cross_database_scores(dbs, fn, ring, mated_pairing=mated_pairing,
+                                            non_mated_all_pairs=non_mated_all_pairs,
+                                            allow_approximate_bloom=True, _streamed=streamed)
+
+        self._assert_same_files(tmp_path, scores)
+
+    @pytest.mark.parametrize("constant", [False, True], ids=["keys", "constant-key"])
+    @pytest.mark.parametrize("scheme,fn", _SUPPORTED)
+    def test_same_key_files(self, tmp_path, scheme, fn, constant):
+        dbs, ring = self._testbed(scheme, constant)
+        engine = _ScoreEngine(dbs, ring, allow_approximate_bloom=True)
+        self._assert_same_files(
+            tmp_path, lambda streamed: ue.same_key_scores(dbs, fn, ring, _engine=engine, _streamed=streamed))
+
+    @staticmethod
+    def _assert_same_files(tmp_path, scores):
+        ordered, streamed = scores(False), scores(True)
+        assert (streamed.n_mated, streamed.n_non_mated) == (ordered.n_mated, ordered.n_non_mated)
+        for name, source in (("ordered", ordered), ("streamed", streamed)):
+            ue.write_score_csv(source, tmp_path / f"{name}.csv")
+            ue.write_score_sides(source, tmp_path / f"{name}_m.csv", tmp_path / f"{name}_nm.csv")
+        for suffix in (".csv", "_m.csv", "_nm.csv"):
+            assert (tmp_path / f"streamed{suffix}").read_bytes() == (tmp_path / f"ordered{suffix}").read_bytes()
+        # the pass that wrote the rows tallied them too
+        _assert_counts_of(streamed.counted(), ordered)
+
+
+class TestStreamedCsvMemory:
+    def test_held_memory_grows_with_the_subjects_not_the_pairs(self):
+        """Writing pic_hd's CSV under block re-mapping, 45 distinct key pairs.
+
+        Held at once, by the bound below: one tile's uint16 cells for every
+        key pair (at most TILE_ROWS x n pairs), the float32 bits the matrix
+        product reads (n first samples per key), the mated cells, and one
+        65,536-row block with its slots, strings and text, which with the
+        per-tile temporaries stays under 8 MB.  That is linear in n: from
+        250 to 500 subjects the pairs grow 4x, the held memory about 2x.
+        The non-mated float64 scores alone would take 45 MB at 500.
+        """
+
+        def bound(n):
+            return kernels.TILE_ROWS * n * 45 * 2 + 10 * n * 1024 * 4 + 45 * 16 * n * 2 + 8 * 2**20
+
+        peaks = []
+        for n in (250, 500):
+            dbs, ring = _databases(n_subjects=n, samples=4, bits=1024, k=10, seed=2, scheme="block-remap")
+            stream = ue.cross_database_scores(dbs, "pic_hd", ring, _streamed=True)
+            tracemalloc.start()
+            try:
+                ue.write_score_csv(stream, os.devnull)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert stream.counted().n_non_mated == 45 * n * (n - 1) // 2
+            assert peaks[-1] < bound(n)
+        assert peaks[1] < 2.5 * peaks[0]
+
+
+class TestFailedFunctionsLeaveNoScoreFile:
+    def test_view_and_assess_failures(self, tmp_path, monkeypatch):
+        import unlinkeval.protocol as protocol
+
+        real = protocol.assess
+
+        def assess(scores, *args, **kwargs):
+            if scores.source.startswith("hamming_weight/"):
+                raise ValueError("assess failed")
+            return real(scores, *args, **kwargs)
+
+        monkeypatch.setattr(protocol, "assess", assess)
+        report = ue.run_protocol(TestRunProtocol()._config(
+            linkage_functions=("pic_hd", "hamming_weight", "reconstruction"), scheme="bloom-filter",
+            out_dir=tmp_path))
+        # reconstruction fails before its file is opened, hamming_weight after its pass
+        assert report.per_function["hamming_weight"]["error"] == "ValueError: assess failed"
+        assert "SchemeNotInvertible" in report.per_function["reconstruction"]["error"]
+        assert sorted(p.name for p in tmp_path.glob("*_scores.csv")) == ["pic_hd_scores.csv"]

@@ -100,7 +100,7 @@ class TestCsvRoundTrip:
     def test_rows_across_blocks_render_per_row(self, tmp_path, rng):
         # more rows than one block, with signed zeros on both sides of a block edge
         mated = rng.integers(0, 257, 150_000) / 256
-        mated[scores._CSV_BLOCK - 2:scores._CSV_BLOCK + 2] = [0.0, -0.0, -0.0, 0.0]
+        mated[scores.CSV_BLOCK - 2:scores.CSV_BLOCK + 2] = [0.0, -0.0, -0.0, 0.0]
         non_mated = rng.random(70_000)
         path = tmp_path / "combined.csv"
         ue.write_score_csv(_quiet_set(mated, non_mated), path)

@@ -256,21 +256,43 @@ class TestLinkageFunctions:
         decoded = invert_bits(t, ring, 0, SCHEME_BLOOM, allow_approximate_bloom=True)
         assert list(decoded) == list(bits("011100"))
 
-    def test_bloom_decode_matches_per_block_oracle(self, rng):
+    # w < 2**h, w > 2**h, h = 8 (256 values), and w + 1 = 256 slots: the
+    # working type is uint8 for the first two and uint16 for the others
+    @pytest.mark.parametrize("w,h", [(4, 3), (20, 4), (5, 8), (255, 1)])
+    def test_bloom_decode_matches_per_block_oracle(self, rng, w, h):
         # any filter contents, including more set bits than columns: each
         # block decodes to its first w un-keyed values in ascending order
-        ring = ue.KeyRing.generate(2, 192, seed=5, bloom_width=4, bloom_height=3)
-        filters = (rng.random((40, 3, 192 // 12 * 8)) < 0.4).astype(np.uint8)
+        length = 4 * w * h
+        ring = ue.KeyRing.generate(2, length, seed=5, block_size=h, bloom_width=w, bloom_height=h)
+        filters = (rng.random((40, 3, 4 << h)) < 0.4).astype(np.uint8)
         got = invert_bits(filters, ring, 1, SCHEME_BLOOM, allow_approximate_bloom=True)
-        assert got.shape == (40, 3, 192)
-        key_ints = ring.bloom_keys[1] @ np.array([4, 2, 1])
-        for row, out in zip(filters.reshape(-1, filters.shape[-1]), got.reshape(-1, 192)):
-            for b, block in enumerate(row.reshape(-1, 8)):
-                values = np.sort(np.flatnonzero(block) ^ key_ints[b])[:4]
-                cols = np.zeros(4, dtype=np.int64)
+        assert got.shape == (40, 3, length) and got.dtype == np.uint8
+        weights = 1 << np.arange(h - 1, -1, -1)
+        key_ints = ring.bloom_keys[1] @ weights
+        for row, out in zip(filters.reshape(-1, filters.shape[-1]), got.reshape(-1, length)):
+            for b, block in enumerate(row.reshape(-1, 1 << h)):
+                values = np.sort(np.flatnonzero(block) ^ key_ints[b])[:w]
+                cols = np.zeros(w, dtype=np.int64)
                 cols[: values.size] = values
-                expected = ((cols[:, None] >> np.array([2, 1, 0])) & 1).reshape(-1)
-                assert np.array_equal(out[b * 12 : (b + 1) * 12], expected)
+                expected = ((cols[:, None] >> np.arange(h - 1, -1, -1)) & 1).reshape(-1)
+                assert np.array_equal(out[b * w * h : (b + 1) * w * h], expected)
+
+    @pytest.mark.parametrize("w,h", [(4, 3), (20, 4), (5, 8), (255, 1)])
+    def test_bloom_encode_matches_per_column_oracle(self, rng, w, h):
+        # each h-bit column, XORed with its block's key column and read most
+        # significant bit first, sets that bit of its block's filter
+        length = 4 * w * h
+        ring = ue.KeyRing.generate(2, length, seed=5, block_size=h, bloom_width=w, bloom_height=h)
+        raw = (rng.random((7, 3, length)) < 0.5).astype(np.uint8)
+        got = protect_bits(raw, ring, 1, SCHEME_BLOOM)
+        assert got.shape == (7, 3, 4 << h) and got.dtype == np.uint8
+        weights = 1 << np.arange(h - 1, -1, -1)
+        for row, out in zip(raw.reshape(-1, length), got.reshape(-1, 4 << h)):
+            expected = np.zeros(4 << h, dtype=np.uint8)
+            for b in range(4):
+                for col in row[b * w * h : (b + 1) * w * h].reshape(w, h):
+                    expected[(b << h) + int((col ^ ring.bloom_keys[1][b]) @ weights)] = 1
+            assert np.array_equal(out, expected)
 
     def test_reconstruction_linkage_equals_raw_distance(self, rng):
         ring = ue.KeyRing.generate(4, 512, seed=17)
