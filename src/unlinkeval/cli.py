@@ -27,6 +27,7 @@ from .protocol import (
     ADVERSARY_MODELS,
     SCHEMA_VERSION,
     ProtocolConfig,
+    _ScoreEngine,
     assess,
     cross_database_scores,
     run_protocol,
@@ -184,11 +185,13 @@ def cmd_synth(args) -> int:
         bloom_width=args.bloom_width,
         bloom_height=args.bloom_height,
     )
-    # scored as their rows are written
-    scores = cross_database_scores(
-        databases, args.function, ring, allow_approximate_bloom=args.experimental, _streamed=True
-    )
-    accuracy = same_key_scores(databases, "pic_hd", ring, _streamed=True)
+    # one engine packs the databases for both files, and the per-bit
+    # databases go before any pair is scored; pairs are scored as their
+    # rows are written
+    engine = _ScoreEngine(databases, ring, args.experimental)
+    del databases
+    scores = cross_database_scores(None, args.function, _engine=engine, _streamed=True)
+    accuracy = same_key_scores(None, "pic_hd", _engine=engine, _streamed=True)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

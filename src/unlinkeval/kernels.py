@@ -4,6 +4,14 @@ These are the hot loops of the whole package.  Inputs are C-contiguous
 uint64 matrices of packed template bits, one row per template.  Work is
 chunked so peak temporary memory stays bounded for large batches.
 
+The loops write into buffers allocated once per call, or given by the
+caller and reused across calls, not into fresh temporaries per chunk or
+tile.  glibc serves a block above its dynamic mmap threshold (128 kB,
+raised to the largest mapped block freed so far, up to 32 MB) with a
+fresh mapping whose every page faults on first touch, so a loop that
+allocates its temporaries afresh runs at a speed set by whatever the
+process freed before it.
+
 All-pairs blocks go through a float32 matrix product instead: for 0/1 bits
 HD(x, y) = w_x + w_y - 2 x.y, where w is the set-bit count.  Every product
 and partial sum of x.y is an integer of at most L, 2 x.y is exact as a
@@ -19,7 +27,7 @@ import numpy as np
 # (perfbench/worker.py) record it.
 USING_EXTENSION = False
 
-# rows per chunk; 2**14 rows x 64 words x 8 B = 8 MiB of temporaries
+# rows per chunk; 2**14 rows x 64 words x 8 B = 8 MiB per gathered side
 _CHUNK = 1 << 14
 
 # rows of the first operand per matrix-product tile: a 128 x 450 block of
@@ -48,11 +56,13 @@ def popcount_rows(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def hamming_rows(a: np.ndarray, b: np.ndarray, rows_a, rows_b) -> np.ndarray:
+def hamming_rows(a: np.ndarray, b: np.ndarray, rows_a, rows_b, out=None) -> np.ndarray:
     """Hamming distance between rows a[rows_a[i]] and b[rows_b[i]], shape (n,).
 
-    Rows are gathered a chunk at a time, so temporaries stay bounded however
-    many row pairs are asked for.
+    Each chunk of rows is gathered, XORed and popcounted in buffers
+    allocated once per call, so temporaries stay bounded however many row
+    pairs are asked for.  out, an int64 vector of at least n elements, takes
+    the distances when given; its first n elements are returned.
     """
     a = np.ascontiguousarray(a, dtype=np.uint64)
     b = np.ascontiguousarray(b, dtype=np.uint64)
@@ -60,11 +70,30 @@ def hamming_rows(a: np.ndarray, b: np.ndarray, rows_a, rows_b) -> np.ndarray:
         raise ValueError(f"row shape mismatch: {a.shape} vs {b.shape}")
     if len(rows_a) != len(rows_b):
         raise ValueError(f"{len(rows_a)} rows of a paired with {len(rows_b)} rows of b")
-    out = np.empty(len(rows_a), dtype=np.int64)
-    for lo in range(0, out.size, _CHUNK):
-        hi = min(lo + _CHUNK, out.size)
-        out[lo:hi] = np.bitwise_count(a[rows_a[lo:hi]] ^ b[rows_b[lo:hi]]).sum(axis=1, dtype=np.int64)
+    rows_a, rows_b = _row_index(rows_a, len(a)), _row_index(rows_b, len(b))
+    n = rows_a.size
+    out = np.empty(n, dtype=np.int64) if out is None else out[:n]
+    chunk = (min(_CHUNK, n), a.shape[1])
+    gathered_a, gathered_b = np.empty(chunk, dtype=np.uint64), np.empty(chunk, dtype=np.uint64)
+    counts = np.empty(chunk, dtype=np.uint8)
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        x, y, c = gathered_a[: hi - lo], gathered_b[: hi - lo], counts[: hi - lo]
+        # mode "raise" would gather into a fresh buffer; the rows are checked
+        np.take(a, rows_a[lo:hi], axis=0, out=x, mode="wrap")
+        np.take(b, rows_b[lo:hi], axis=0, out=y, mode="wrap")
+        np.bitwise_xor(x, y, out=x)
+        np.bitwise_count(x, out=c)
+        c.sum(axis=1, dtype=np.int64, out=out[lo:hi])
     return out
+
+
+def _row_index(rows, n_rows: int) -> np.ndarray:
+    """rows as an index array, refused unless every row lies in -n_rows..n_rows-1."""
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.size and (rows.min() < -n_rows or rows.max() >= n_rows):
+        raise IndexError(f"row index out of range for {n_rows} rows")
+    return rows
 
 
 def pack_rows(bits: np.ndarray) -> np.ndarray:
@@ -91,22 +120,27 @@ def unpack_rows(packed: np.ndarray, length: int) -> np.ndarray:
     return np.ascontiguousarray(bits[:, :length])
 
 
-def hamming_gemm(a: np.ndarray, b: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
+def hamming_gemm(a: np.ndarray, b: np.ndarray, wa: np.ndarray, wb: np.ndarray, out=None) -> np.ndarray:
     """Hamming distance of every row of a with every row of b, shape (len(a), len(b)).
 
     a and b are unpacked 0/1 bits as float32, wa and wb their rows' set-bit
     counts.  One float32 matrix product, exact while the row length is
-    below 2**24; the distances come back as int64.
+    below 2**24; the distances come back as float32 integers.  out, a
+    float32 vector of at least len(a) * len(b) elements, holds them when
+    given: the result is a view of its head.
     """
     if a.shape[1:] != b.shape[1:]:
         raise ValueError(f"row shape mismatch: {a.shape} vs {b.shape}")
     if a.shape[1] >= _GEMM_MAX_LENGTH:
         raise ValueError(f"rows of {a.shape[1]} bits; float32 distances are exact below 2**24")
-    dist = a @ b.T
+    size = len(a) * len(b)
+    dist = np.empty(size, dtype=np.float32) if out is None else out[:size]
+    dist = dist.reshape(len(a), len(b))
+    np.matmul(a, b.T, out=dist)
     dist *= -2.0
     dist += np.asarray(wa, dtype=np.float32)[:, None]
     dist += np.asarray(wb, dtype=np.float32)[None, :]
-    return dist.astype(np.int64)
+    return dist
 
 
 def triangle_tiles(n_groups: int, group: int = 1) -> list:

@@ -384,7 +384,10 @@ class _RowText:
 class _ScoreEngine:
     """Packed template representations shared by all linkage functions.
 
-    Read-only once built, except for the inverted view, which is built on
+    The engine holds each database's rows packed and their set-bit counts,
+    never the per-bit databases it was built from, so a caller that drops
+    those frees them before any pair is scored.  Read-only once built,
+    except for the inverted view, which is built from the packed rows on
     first use, and `scored`, the tallies computed so far: functions
     whose views compare the same bits over the same length (permuted_xor
     and reconstruction on block re-mapping) are tallied once.
@@ -409,13 +412,13 @@ class _ScoreEngine:
         self.raw_length = first.raw_bits
         self.ring = ring
 
-        flat = [db.bits.reshape(-1, self.protected_length) for db in databases]
-        self.packed = np.stack([kernels.pack_rows(f) for f in flat])
+        self.key_ids = [db.key_id for db in databases]
+        self.packed = np.stack([kernels.pack_rows(db.bits.reshape(-1, self.protected_length))
+                                for db in databases])
         self.pops = np.stack([kernels.popcount_rows(p) for p in self.packed])
 
         # the inverted view is built on first use so that a scheme that
         # cannot be inverted only fails the function that needs it
-        self._databases = list(databases)
         self._allow_approximate_bloom = allow_approximate_bloom
         self._packed_inverted = None
         self._inverted_pops = None
@@ -425,17 +428,18 @@ class _ScoreEngine:
         """Every template with its protection undone under its own key.
 
         For block re-mapping this is also the structurally aligned view
-        that permuted_xor compares.
+        that permuted_xor compares.  Each key's rows are unpacked, inverted
+        and packed again in turn.
         """
         if self._packed_inverted is None:
             if self.ring is None:
                 raise InvalidConfigError(f"{fn} requires the key ring")
             packed = np.stack([
                 kernels.pack_rows(invert_bits(
-                    db.bits.reshape(-1, self.protected_length), self.ring, db.key_id,
-                    db.scheme, self._allow_approximate_bloom,
+                    kernels.unpack_rows(rows, self.protected_length), self.ring, key_id,
+                    self.scheme, self._allow_approximate_bloom,
                 ))
-                for db in self._databases
+                for rows, key_id in zip(self.packed, self.key_ids)
             ])
             self._inverted_pops = np.stack([kernels.popcount_rows(p) for p in packed])
             self._packed_inverted = packed
@@ -504,10 +508,11 @@ class _ScoreEngine:
         subjects i in lo..hi-1 with subjects j > i, i under key keys_a[p]
         and j under key keys_b[p], in (subject pair, sample pair) order,
         which is one run of the triu order; popsum is None unless
-        view.by_popsum.  A call with at least
-        kernels.GEMM_MIN_WORDS words of work takes the tile from
-        kernels.hamming_gemm, a smaller one gathers just the pairs for
-        kernels.hamming_rows; both give the same integers.
+        view.by_popsum.  dist is a buffer that the next block
+        overwrites.  A call with at least kernels.GEMM_MIN_WORDS words of
+        work takes the tile from kernels.hamming_gemm, a smaller one
+        gathers just the pairs for kernels.hamming_rows; both give the same
+        integers, and both write into buffers allocated once per call.
         """
         rows = slice(None) if group == self.samples else slice(None, None, self.samples)
         n, n_rows = self.n_subjects, self.n_subjects * group
@@ -523,22 +528,37 @@ class _ScoreEngine:
                     for k in keys}
         elif gather:
             bits = {k: np.ascontiguousarray(view.packed[k, rows]) for k in keys}
+        buffer = None
         for lo, hi in kernels.triangle_tiles(n, group):
             r, c = slice(lo * group, hi * group), slice(lo * group, n_rows)
-            shape = (hi - lo, n - lo, group)
-            # the rows of a and of b that each pair of the tile compares
-            rows_a, rows_b = (
-                _tile_pairs(grid, *shape)
-                for grid in np.meshgrid(np.arange(r.start, r.stop), np.arange(c.start, c.stop), indexing="ij")
-            )
+            width = n_rows - c.start
+            # where each pair of the tile sits in the flattened (r, c) block
+            at = _tile_pairs(np.arange((r.stop - r.start) * width).reshape(-1, width), hi - lo, n - lo, group)
+            if buffer is None:
+                # the first tile is the largest: its buffers serve every tile
+                buffer = np.empty(at.size, dtype=np.intp)
+                if gemm:
+                    product = np.empty((r.stop - r.start) * width, dtype=np.float32)
+                    entries = np.empty(at.size, dtype=np.float32)
+            dist = buffer[: at.size]
+            if gemm:
+                taken = entries[: at.size]
+            if not gemm or view.by_popsum:
+                # the rows of a and of b that each pair compares
+                rows_a, rows_b = np.divmod(at, width)
+                rows_a += r.start
+                rows_b += c.start
             for p, (a, b) in enumerate(zip(keys_a, keys_b)):
                 if gemm:
-                    tile = kernels.hamming_gemm(bits[a][r], bits[b][c], pops[a][r], pops[b][c])
-                    dist = _tile_pairs(tile, *shape)
+                    tile = kernels.hamming_gemm(bits[a][r], bits[b][c], pops[a][r], pops[b][c], product)
+                    # at is in range; mode "raise" would take into a fresh buffer
+                    np.take(tile.reshape(-1), at, out=taken, mode="wrap")
+                    np.copyto(dist, taken, casting="unsafe")
                 elif gather:
-                    dist = kernels.hamming_rows(bits[a], bits[b], rows_a, rows_b)
+                    kernels.hamming_rows(bits[a], bits[b], rows_a, rows_b, dist)
                 else:
-                    dist = np.abs(pops[a][rows_a] - pops[b][rows_b])
+                    np.subtract(pops[a][rows_a], pops[b][rows_b], out=dist)
+                    np.abs(dist, out=dist)
                 yield p, dist, (pops[a][rows_a] + pops[b][rows_b] if view.by_popsum else None)
 
 
@@ -868,8 +888,10 @@ def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
             cfg.block_size, cfg.bloom_width, cfg.bloom_height,
         )
         engine = _ScoreEngine(databases, ring, cfg.allow_approximate_bloom)
+        # the engine holds packed rows: the per-bit databases go before any pair is scored
+        del databases
         # one tally of the same-key accuracy scores serves every linkage function
-        accuracy = same_key_scores(databases, "pic_hd", ring, _engine=engine, _counted=True)
+        accuracy = same_key_scores(None, "pic_hd", _engine=engine, _counted=True)
         metadata.update(
             {
                 "n_subjects": cfg.corpus.n_subjects,

@@ -46,6 +46,34 @@ def test_hamming_gathers_permuted_and_repeated_rows(rng, monkeypatch):
     assert np.array_equal(kernels.hamming_rows(pa, pb, rows_a, rows_b), expected)
 
 
+@pytest.mark.parametrize("n_rows", [0, 1, 4, 5, 8, 9, 23])
+def test_hamming_rows_across_chunks(rng, monkeypatch, n_rows):
+    """Chunks of four rows: none, part of one, exactly full, and crossing boundaries,
+    with and without a reused output buffer."""
+    monkeypatch.setattr(kernels, "_CHUNK", 4)
+    a, b = _random_bits(rng, 6, 130), _random_bits(rng, 5, 130)
+    pa, pb = kernels.pack_rows(a), kernels.pack_rows(b)
+    rows_a, rows_b = rng.integers(0, 6, n_rows), rng.integers(0, 5, n_rows)
+    expected = (a[rows_a] != b[rows_b]).sum(axis=1)
+    dist = kernels.hamming_rows(pa, pb, rows_a, rows_b)
+    assert dist.dtype == np.int64 and np.array_equal(dist, expected)
+    buf = np.full(30, -1, dtype=np.int64)
+    dist = kernels.hamming_rows(pa, pb, rows_a, rows_b, out=buf)
+    assert np.array_equal(dist, expected) and np.array_equal(buf[:n_rows], expected)
+    assert (buf[n_rows:] == -1).all()
+
+
+def test_hamming_rows_refuses_rows_out_of_range(rng):
+    a = kernels.pack_rows(_random_bits(rng, 3, 64))
+    # negative rows count from the end, as in indexing
+    assert kernels.hamming_rows(a, a, [-1, -3], [2, 0]).tolist() == [0, 0]
+    for bad in ([3], [-4]):
+        with pytest.raises(IndexError):
+            kernels.hamming_rows(a, a, bad, [0])
+        with pytest.raises(IndexError):
+            kernels.hamming_rows(a, a, [0], bad)
+
+
 def test_hamming_shape_mismatch(rng):
     a = kernels.pack_rows(_random_bits(rng, 3, 64))
     b = kernels.pack_rows(_random_bits(rng, 3, 128))
@@ -90,8 +118,21 @@ def test_gemm_matches_xor_popcount(rng, bits, rows_a, rows_b):
     fa, fb = _as_float32(pa, bits), _as_float32(pb, bits)
     assert fa.dtype == np.float32 and np.array_equal(fa, a)
     dist = kernels.hamming_gemm(fa, fb, kernels.popcount_rows(pa), kernels.popcount_rows(pb))
-    assert dist.dtype == np.int64 and dist.shape == (rows_a, rows_b)
+    # float32 integers, exact below 2**24 bits
+    assert dist.dtype == np.float32 and dist.shape == (rows_a, rows_b)
     assert np.array_equal(dist, _xor_popcount(a, b))
+
+
+def test_gemm_into_oversized_reused_buffer(rng):
+    """Each call writes the head of the buffer; nothing of an earlier call shows."""
+    buf = np.full(200, np.nan, dtype=np.float32)
+    for rows_a, rows_b, bits in [(9, 13, 65), (5, 3, 1000), (1, 7, 63), (0, 4, 65)]:
+        a, b = _random_bits(rng, rows_a, bits), _random_bits(rng, rows_b, bits)
+        pa, pb = kernels.pack_rows(a), kernels.pack_rows(b)
+        dist = kernels.hamming_gemm(_as_float32(pa, bits), _as_float32(pb, bits),
+                                    kernels.popcount_rows(pa), kernels.popcount_rows(pb), out=buf)
+        assert dist.shape == (rows_a, rows_b) and np.array_equal(dist, _xor_popcount(a, b))
+        assert np.array_equal(buf[: rows_a * rows_b], dist.reshape(-1))
 
 
 def test_gemm_extremes():

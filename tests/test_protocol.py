@@ -3,6 +3,7 @@ import json
 import os
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +250,46 @@ class TestEngineMatchesPerTemplateFunctionsConstantKey(TestEngineMatchesPerTempl
     databases, so each key pair's scores come from one pair of canonical keys."""
 
     CONSTANT_KEY = True
+
+
+@pytest.mark.usefixtures("distance_blocks")
+class TestEngineHoldsNoPerBitDatabase:
+    """The engine keeps packed rows only: the per-bit databases are freed once
+    the caller drops them, and the inverted view, built later from the packed
+    rows, still scores as the pair-by-pair oracle.  In the 120-bit geometry
+    pack_rows pads every row but the 64-bit Bloom filters."""
+
+    SUBJECTS, SAMPLES, K = 4, 2, 3
+
+    @pytest.mark.parametrize("bits,block_size,bloom", [(128, 16, (16, 4)), (120, 8, (5, 3))],
+                             ids=["128-bits", "120-bits"])
+    @pytest.mark.parametrize("scheme", ["xor-salt", "block-remap", "bloom-filter", "none"])
+    def test_inverted_views_after_the_databases_are_freed(self, scheme, bits, block_size, bloom):
+        n, S = self.SUBJECTS, self.SAMPLES
+        cfg = ue.CorpusConfig(n_subjects=n, samples_per_subject=S, template_bits=bits,
+                              intra_flip_rate=0.1, seed=5)
+        corpus = ue.generate_corpus(cfg)
+        ring = ue.KeyRing.generate(self.K, bits, 6, block_size, *bloom)
+        dbs = ue.generate_databases(corpus, ring, scheme)
+        engine = _ScoreEngine(dbs, ring, allow_approximate_bloom=True)
+        per_bit = [weakref.ref(db.bits) for db in dbs]
+        del dbs
+        assert [ref() for ref in per_bit] == [None] * self.K
+
+        def oracle(fn, pairs):
+            return [_oracle_score(fn, scheme, ring, corpus.bits[i, sa], a, corpus.bits[j, sb], b)
+                    for (i, sa, a), (j, sb, b) in pairs]
+
+        key_pairs = [(a, b) for a in range(self.K) for b in range(a + 1, self.K)]
+        for fn in ["reconstruction"] + (["permuted_xor"] if scheme == "block-remap" else []):
+            s = ue.cross_database_scores(None, fn, _engine=engine)
+            assert np.array_equal(s.mated, oracle(fn, [
+                ((subj, sa, a), (subj, sb, b))
+                for a, b in key_pairs for sa in range(S) for sb in range(S) for subj in range(n)
+            ]))
+            assert np.array_equal(s.non_mated, oracle(fn, [
+                ((i, 0, a), (j, 0, b)) for i in range(n) for j in range(i + 1, n) for a, b in key_pairs
+            ]))
 
 
 class TestEngineValidation:
@@ -715,6 +756,41 @@ class TestStreamedCsvMemory:
             assert stream.counted().n_non_mated == 45 * n * (n - 1) // 2
             assert peaks[-1] < bound(n)
         assert peaks[1] < 2.5 * peaks[0]
+
+
+class TestProtocolMemory:
+    def test_per_bit_databases_are_freed_before_scoring(self):
+        """run_protocol, block re-mapping, all four functions, no out_dir, K = 10.
+
+        Held at the peak, by the bound below: the float32 first-sample bits
+        that the matrix product reads (K n L 4 B), the packed rows and their
+        inverted view with the set-bit counts of both, one tile's buffers (the
+        product, the pair index and the taken entries, under 40 B per entry
+        of TILE_ROWS x n), and 6 MB for the rest.  The K per-bit databases (K n
+        S L B, as much again as the float32 bits) are not counted: the engine
+        does not hold them, so they are gone before a pair is scored.
+        """
+        k, samples, length = 10, 4, 1024
+
+        def bound(n):
+            packed = 2 * k * n * samples * (length // 8 + 8)
+            return k * n * length * 4 + packed + kernels.TILE_ROWS * n * 40 + 6 * 2**20
+
+        for n in (250, 500):
+            cfg = ue.ProtocolConfig.from_dict({
+                "linkage_functions": ["pic_hd", "hamming_weight", "permuted_xor", "reconstruction"],
+                "k": k, "scheme": "block-remap",
+                "corpus": {"n_subjects": n, "samples_per_subject": samples, "template_bits": length,
+                           "intra_flip_rate": 0.1, "seed": 3},
+            })
+            tracemalloc.start()
+            try:
+                report = ue.run_protocol(cfg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert all("d_sys" in entry for entry in report.per_function.values())
+            assert peak < bound(n)
 
 
 class TestFailedFunctionsLeaveNoScoreFile:
