@@ -20,14 +20,26 @@ weights each distinct value's kernel term by its count, so its cost follows
 the number of distinct scores, not the number of scores.  It is evaluated
 over fixed blocks of distinct values, so its memory is one (block, bins)
 buffer.  The blocked sum is the dense one bit for bit: row 0 of the buffer
-carries the running sum of every bin, and each block is reduced together
-with it along the value axis, so every bin adds its weighted terms one
-value after another in ascending order, as the (distinct values, bins)
+carries the running sums of the bins it covers, and each block is reduced
+together with it along the value axis, so every bin adds its weighted terms
+one value after another in ascending order, as the (distinct values, bins)
 matrix summed over its value axis does.  Floating-point addition is not
-associative: summing each block apart and then adding the block sums
-would make the last digits of the densities depend on the block size.
-Kernel terms whose exponent is below -746 are exactly +0.0 and are set so
-without calling exp, whose slow scalar path handles such arguments.
+associative: summing each block apart and then adding the block sums would
+make the last digits of the densities depend on the block size.
+
+A block touches only the bins where one of its terms can still change a
+bit, by two exact rules.  A term below half an ulp of a bin's running sum
+S = f*2**e (f in [0.5, 1)) leaves S unchanged, and later sums are no smaller,
+so exp(t)*w adds nothing for t < (e - 54)*ln 2 - ln w_max - 1 (the last nat
+covers the rounding of exp and of the count product); a zero sum keeps the
+floor -746, below which exp is +0.0.  And as the values are sorted and each
+rounded operation of the exponent -0.5*z*z is monotone in |center - value|,
+a block's largest exponent in a bin is the one at its value nearest the
+centre, computed the same way.  A block runs on the hull of the bins where
+that reaches the floor, widened to 2 columns at least: NumPy sums a
+one-column buffer pairwise, not row by row.  A hull whose smallest exponent
+(at a corner) is below -746 sets its terms below the floor to +0.0 without
+calling exp, whose slow scalar path handles such arguments.
 """
 
 from __future__ import annotations
@@ -64,10 +76,11 @@ _POINT_MASS_EPS = 1e-6
 NORMALIZATION_TOL = 1e-9
 
 # distinct values per KDE block: a 256 x 217-bin float64 block is 444 kB,
-# small enough for the block's eight passes to stay in a core's cache
+# small enough for the block's passes to stay in a core's cache
 _KDE_BLOCK = 256
 # exp(x) rounds to +0.0 for every x below this: the smallest subnormal,
-# 4.9e-324, is exp(-744.4), and below about -745.1 exp rounds to zero
+# 4.9e-324, is exp(-744.4), and below about -745.1 exp rounds to zero.  It
+# is the term floor of a bin whose running sum is still zero
 _EXP_ZERO_BELOW = -746.0
 
 
@@ -210,9 +223,10 @@ def estimate_densities(scores: ScoreSet | ScoreCounts, config: DensityConfig | N
         width = (hi - lo) / n_bins
         edges = np.linspace(lo - width, hi + width, n_bins + 3)
 
-    side_density = _kde_density if config.kde else _histogram_density
-    p_m = side_density(mated, edges)
-    p_nm = side_density(non_mated, edges)
+    if config.kde:
+        p_m, p_nm = _kde_density(mated, edges, "mated"), _kde_density(non_mated, edges, "non-mated")
+    else:
+        p_m, p_nm = _histogram_density(mated, edges), _histogram_density(non_mated, edges)
     return DensityPair(edges=edges, p_mated=p_m, p_non_mated=p_nm)
 
 
@@ -243,7 +257,7 @@ def _histogram_density(table: CountTable, edges: np.ndarray) -> np.ndarray:
     return counts / (n * np.diff(edges))
 
 
-def _kde_density(table: CountTable, edges: np.ndarray) -> np.ndarray:
+def _kde_density(table: CountTable, edges: np.ndarray, side: str = "given") -> np.ndarray:
     n = len(table)
     values, counts = table.values, table.counts
     # Silverman's rule on the tallied scores: the quartiles as np.percentile
@@ -256,32 +270,61 @@ def _kde_density(table: CountTable, edges: np.ndarray) -> np.ndarray:
     bw = 0.9 * spread * n ** (-1.0 / 5.0)
     if bw <= 0:
         bw = _POINT_MASS_EPS * max(1.0, abs(float(values[0])), abs(float(values[-1])))
-    centers = (edges[:-1] + edges[1:]) / 2.0
-    # mean of Gaussian kernels, evaluated at the bin centers; row 0 of acc
-    # is the running per-bin sum, rows 1.. the count-weighted kernel terms
-    # of one block of distinct values
-    acc = np.zeros((_KDE_BLOCK + 1, centers.size))
-    z = np.empty((_KDE_BLOCK, centers.size))
-    keep = np.empty((_KDE_BLOCK, centers.size), dtype=bool)
+    # mean of Gaussian kernels, evaluated at the bin centers
+    dens = _kernel_sums(values, counts, (edges[:-1] + edges[1:]) / 2.0, bw) / (n * bw * math.sqrt(2.0 * math.pi))
+    mass = float(np.sum(dens * np.diff(edges)))
+    if not mass > 0:
+        raise DegenerateSupportError(
+            f"every kernel term of the {side} scores underflows at the bin centres: bandwidth {bw:.3g} "
+            f"against a bin width of {float(np.min(np.diff(edges))):.3g}; use the histogram estimator")
+    # tail mass beyond the grid is cut off; rescale onto the grid
+    return dens / mass
+
+
+def _term_floor(sums: np.ndarray, w_max) -> np.ndarray:
+    """Per running sum, the exponent t below which exp(t)*w, w <= w_max, leaves its bits unchanged."""
+    _, e = np.frexp(sums)
+    floor = np.maximum((e - 54) * math.log(2.0) - (math.log(w_max) + 1.0), _EXP_ZERO_BELOW)
+    return np.where(sums > 0, floor, _EXP_ZERO_BELOW)
+
+
+def _kernel_sums(values: np.ndarray, counts: np.ndarray, centers: np.ndarray, bw: float) -> np.ndarray:
+    """Per bin, the count-weighted kernel terms of the sorted values, summed in ascending order."""
+    bins = centers.size
+    sums = np.zeros(bins)
+    # a block's hull of w bins: row 0 its running sums, rows 1.. its values' weighted terms
+    buf, zbuf, keep = np.empty((_KDE_BLOCK + 1) * bins), np.empty(_KDE_BLOCK * bins), np.empty(_KDE_BLOCK * bins, bool)
     for lo in range(0, values.size, _KDE_BLOCK):
-        m = min(_KDE_BLOCK, values.size - lo)
-        zb, terms, kb = z[:m], acc[1 : m + 1], keep[:m]
-        np.subtract(centers, values[lo : lo + m, None], out=zb)
+        block, weights = values[lo : lo + _KDE_BLOCK], counts[lo : lo + _KDE_BLOCK]
+        m, w_max = block.size, weights.max()
+        floor = _term_floor(sums, w_max)
+        z = (centers - np.clip(centers, block[0], block[-1])) / bw
+        live = np.flatnonzero(-0.5 * z * z >= floor)
+        if live.size == 0:
+            continue
+        j0 = min(live[0], bins - 2)
+        j1 = max(live[-1] + 1, j0 + 2)
+        w = j1 - j0
+        acc, zb = buf[: (m + 1) * w].reshape(m + 1, w), zbuf[: m * w].reshape(m, w)
+        terms = acc[1:]
+        acc[0] = sums[j0:j1]
+        np.subtract(centers[j0:j1], block[:, None], out=zb)
         zb /= bw
         np.multiply(-0.5, zb, out=terms)
         terms *= zb
-        np.greater_equal(terms, _EXP_ZERO_BELOW, out=kb)
-        np.exp(terms, out=terms, where=kb)
-        # the skipped terms still hold their exponent, below -746
-        np.maximum(terms, 0.0, out=terms)
-        weights = counts[lo : lo + m]
-        if weights.max() > 1:  # a product by 1 changes no bits
+        # by the same monotonicity, the hull's smallest exponent is at a corner
+        if min(terms[0, 0], terms[0, -1], terms[-1, 0], terms[-1, -1]) < _EXP_ZERO_BELOW:
+            kb = keep[: m * w].reshape(m, w)
+            np.greater_equal(terms, floor[j0:j1], out=kb)
+            np.exp(terms, out=terms, where=kb)
+            # the skipped terms still hold their exponent, below the floor
+            np.maximum(terms, 0.0, out=terms)
+        else:
+            np.exp(terms, out=terms)
+        if w_max > 1:  # a product by 1 changes no bits
             terms *= weights[:, None]
-        acc[0] = acc[: m + 1].sum(axis=0)
-    dens = acc[0] / (n * bw * math.sqrt(2.0 * math.pi))
-    mass = float(np.sum(dens * np.diff(edges)))
-    # tail mass beyond the grid is cut off; rescale onto the grid
-    return dens / mass
+        sums[j0:j1] = acc.sum(axis=0)
+    return sums
 
 
 def evaluate_density(dp: DensityPair, s: float) -> tuple[float, float]:

@@ -202,6 +202,26 @@ class TestCompare:
         assert 0.0 <= doc["d_sys"] <= 1.0
 
 
+    def test_kde_of_a_constant_side_that_reaches_no_bin_is_exit_2(self, tmp_path, capsys):
+        # a constant side's fallback bandwidth is 1e-6, far narrower than a
+        # bin: every kernel term underflows at the bin centres
+        rng = np.random.default_rng(5)
+        mated, non_mated = tmp_path / "m.csv", tmp_path / "nm.csv"
+        mated.write_text("0.3037\n" * 2000)
+        non_mated.write_text("".join(f"{float(v)!r}\n" for v in rng.normal(0.5, 0.1, 3000)))
+        argv = ["compare", "--accuracy-mated", str(mated), "--accuracy-nonmated", str(non_mated),
+                "--crosskey-mated", str(mated), "--crosskey-nonmated", str(non_mated)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv + ["--out", str(tmp_path / "hist")]) == 0
+            capsys.readouterr()
+            assert main(argv + ["--kde", "--out", str(tmp_path / "kde")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: every kernel term of the mated scores underflows at the bin centres")
+        assert "bandwidth 1e-06 against a bin width of" in err
+        assert err.count("\n") == 1
+
+
 class TestCrossCommandAgreement:
     """compare on synth's four score files and run_protocol on the same
     corpus, keys and linkage function report the same assessment."""

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import unlinkeval as ue
 from unlinkeval import density
@@ -154,6 +155,12 @@ class TestEvaluateDensity:
 
 
 class TestKde:
+    def test_constant_side_that_reaches_no_bin_is_degenerate(self, rng):
+        s = _set(np.full(2000, 0.3037), rng.normal(0.5, 0.1, 3000))
+        assert np.all(np.isfinite(ue.estimate_densities(s).p_mated))
+        with pytest.raises(DegenerateSupportError, match=r"of the mated scores .* bandwidth 1e-06 against a bin width of 0\.0"):
+            ue.estimate_densities(s, ue.DensityConfig(kde=True))
+
     def test_kde_is_smoother_than_histogram(self, rng):
         s = _set(rng.normal(0.5, 0.1, 300), rng.normal(0.5, 0.1, 300))
         hist = ue.estimate_densities(s, ue.DensityConfig(bins=60))
@@ -181,6 +188,23 @@ def _dense_kde(table, edges):
     dens = (np.exp(-0.5 * z * z) * counts[:, None]).sum(axis=0) / (n * bw * math.sqrt(2.0 * math.pi))
     mass = float(np.sum(dens * np.diff(edges)))
     return dens / mass
+
+
+def _silverman(table):
+    """Silverman's bandwidth of a count table, as _dense_kde computes it."""
+    values, counts = table.values, table.counts
+    n = int(counts.sum())
+    mean = np.sum(values * counts) / n
+    std = math.sqrt(np.sum((values - mean) ** 2 * counts) / n)
+    q75, q25 = table.percentile([75.0, 25.0])
+    spread = min(std, (q75 - q25) / 1.34) if q75 > q25 else std
+    return 0.9 * spread * n ** (-1.0 / 5.0)
+
+
+def _dense_sums(values, counts, centers, bw):
+    """The unnormalised dense KDE: each bin's count-weighted kernel terms summed in value order."""
+    z = (centers[None, :] - values[:, None]) / bw
+    return (np.exp(-0.5 * z * z) * counts[:, None]).sum(axis=0)
 
 
 def _bits(a):
@@ -225,13 +249,17 @@ class TestBlockedKde:
 
     def test_every_term_underflows(self, rng):
         # scores some 10^4 bandwidths from the grid: every kernel term is
-        # +0.0, the sum is zero and both normalise it to the same NaN
+        # +0.0, the blocked and the dense sums are both +0.0, and the
+        # density cannot be normalised
         table = _table(rng, 3000, 50.0, 0.1)
         edges = np.linspace(0.0, 1.0, 11)
-        with np.errstate(invalid="ignore"):
-            blocked, dense = density._kde_density(table, edges), _dense_kde(table, edges)
-        assert np.all(np.isnan(blocked))
+        centers, bw = (edges[:-1] + edges[1:]) / 2.0, _silverman(table)
+        blocked = density._kernel_sums(table.values, table.counts, centers, bw)
+        dense = _dense_sums(table.values, table.counts, centers, bw)
         assert np.array_equal(_bits(blocked), _bits(dense))
+        assert not np.any(_bits(dense))
+        with pytest.raises(DegenerateSupportError, match=r"of the given scores underflows .* bandwidth"):
+            density._kde_density(table, edges)
 
     def test_some_scores_far_outside(self, rng):
         values = np.concatenate([rng.normal(0.5, 0.05, 2500), rng.normal(40.0, 0.05, 2500)])
@@ -285,6 +313,127 @@ class TestBlockedKde:
                 tracemalloc.stop()
         # the (n, bins) matrix alone would be 200 MB at 400k scores
         assert abs(peaks[1] - peaks[0]) < 4e6
+
+
+class TestKdeWindow:
+    """Each block touches only the bins its terms can still change, with the same bits."""
+
+    def test_gap_between_clusters(self, rng):
+        # most scores sit at one bin centre; a small cluster lies midway
+        # between two centres, hundreds of bandwidths from both, so its
+        # blocks reach no bin at all
+        values = np.concatenate([rng.normal(0.5, 1e-3, 1800), rng.normal(0.55, 1e-3, 200)])
+        table = CountTable.from_scores(values)
+        edges = np.linspace(0.05, 0.95, 10)
+        centers = (edges[:-1] + edges[1:]) / 2.0
+        z = (centers[None, :] - table.values[-200:, None]) / _silverman(table)
+        assert np.all(-0.5 * z * z < density._EXP_ZERO_BELOW)
+        assert _same_kde(table, edges)
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 333])
+    @pytest.mark.parametrize("bins", [2, 3])
+    @pytest.mark.parametrize("at", [0, -1])
+    def test_windows_of_one_bin_are_widened(self, rng, monkeypatch, block, bins, at):
+        # the scores reach only the first or the last bin, a one-column
+        # window would be summed pairwise, and normalising one bin hides
+        # its sum: compare the sums
+        monkeypatch.setattr(density, "_KDE_BLOCK", block)
+        centers = np.arange(bins) + 0.5
+        table = _table(rng, 3000, centers[at], 1e-3, max_count=9)
+        bw = _silverman(table)
+        z = (np.delete(centers, at)[None, :] - table.values[:, None]) / bw
+        assert np.all(-0.5 * z * z < density._EXP_ZERO_BELOW)
+        blocked = density._kernel_sums(table.values, table.counts, centers, bw)
+        assert np.array_equal(_bits(blocked), _bits(_dense_sums(table.values, table.counts, centers, bw)))
+
+    def test_large_counts_lower_the_floor(self, rng):
+        # lattice scores tallied up to 10^12 times, a kernel two lattice
+        # steps wide: a term below half an ulp of its bin's sum still
+        # counts once multiplied by its count
+        values = np.arange(300, 700) / 1024
+        counts = np.round(1e12 * np.exp(-0.5 * ((values - 0.48) / 0.03) ** 2)).astype(np.int64) + 1
+        edges = np.linspace(values[0] - 0.01, values[-1] + 0.01, 301)
+        centers, bw = (edges[:-1] + edges[1:]) / 2.0, 2.0 / 1024
+        blocked = density._kernel_sums(values, counts, centers, bw)
+        assert np.array_equal(_bits(blocked), _bits(_dense_sums(values, counts, centers, bw)))
+
+    @pytest.mark.parametrize("lo, hi", [(-10.0, 10.0), (-300.0, 2.0)])
+    def test_cauchy_tails(self, rng, lo, hi):
+        table = CountTable.from_scores(np.repeat(rng.standard_cauchy(4000), rng.integers(1, 4, 4000)))
+        edges = np.linspace(lo, hi, 161)
+        assert _same_kde(table, edges)
+
+    def test_grid_range_cuts_one_sides_tail(self, rng):
+        mated, non_mated = rng.normal(0.3, 0.05, 3000), rng.normal(0.6, 0.02, 5000)
+        s = _set(mated, non_mated)
+        cfg = ue.DensityConfig(bins=80, kde=True, grid_range=(float(mated.min()), float(non_mated.max())))
+        dp = ue.estimate_densities(s, cfg)
+        tables = s.counted()
+        assert np.array_equal(_bits(dp.p_mated), _bits(_dense_kde(tables.mated, dp.edges)))
+        assert np.array_equal(_bits(dp.p_non_mated), _bits(_dense_kde(tables.non_mated, dp.edges)))
+
+    def test_subnormal_running_sums(self, rng):
+        # a small cluster on both sides of one wide bin, 38 to 39 bandwidths
+        # from its centre: that bin's running sums stay subnormal.  The
+        # bandwidth comes from the main cluster's quartiles alone
+        main = rng.normal(0.0, 1.0, 4000)
+        bw = _silverman(CountTable.from_scores(np.concatenate([main, 100.0 + np.arange(300)])))
+        c = 20.0
+        near = bw * rng.uniform(38.0, 39.0, 300)
+        table = CountTable.from_scores(np.concatenate([main, c - near[:150], c + near[150:]]))
+        assert _silverman(table) == bw
+        edges = np.concatenate([np.linspace(-4.0, 4.0, 41), [2 * c - 4.0]])
+        centers = (edges[:-1] + edges[1:]) / 2.0
+        far = _dense_sums(table.values, table.counts, centers, bw)[-1]
+        assert 0.0 < far < np.finfo(np.float64).tiny
+        assert _same_kde(table, edges)
+
+    def test_mixed_fuzz(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        for case in range(50):
+            n = int(rng.integers(1, 2000))
+            kind = case % 4
+            if kind == 0:
+                values = rng.normal(0.5, 0.1, n)
+            elif kind == 1:
+                values = rng.standard_cauchy(n)
+            elif kind == 2:
+                values = rng.binomial(1024, 0.45, n) / 1024
+            else:
+                values = np.concatenate([rng.normal(0.2, 0.01, n), rng.normal(0.8, 0.02, n // 3 + 1)])
+            values = np.unique(values)
+            counts = rng.integers(1, [2, 10, 10**6][case % 3] + 1, values.size)
+            q = np.quantile(values, rng.uniform(0.0, 0.3)), np.quantile(values, rng.uniform(0.7, 1.0))
+            span = q[1] - q[0] or 1.0
+            bins = int(rng.integers(2, 250))
+            edges = np.linspace(q[0] - rng.uniform(-0.2, 0.5) * span, q[1] + rng.uniform(-0.2, 0.5) * span, bins + 1)
+            centers = (edges[:-1] + edges[1:]) / 2.0
+            bw = span / bins * 10.0 ** rng.uniform(-3.0, 1.0)
+            monkeypatch.setattr(density, "_KDE_BLOCK", int(rng.choice([1, 2, 7, 64, 256, 333])))
+            blocked = density._kernel_sums(values, counts, centers, bw)
+            assert np.array_equal(_bits(blocked), _bits(_dense_sums(values, counts, centers, bw))), case
+
+
+class TestTermFloor:
+    """A kernel term below its bin's floor leaves the running sum's bits unchanged."""
+
+    _sums = st.one_of(
+        st.just(0.0),
+        st.floats(0.0, np.finfo(np.float64).tiny),
+        st.integers(-1074, 1023).map(lambda k: math.ldexp(1.0, k)),
+        st.floats(1e299, 1e301),
+        st.floats(0.0, 1e308),
+    )
+
+    @given(s=_sums, w=st.integers(1, 2**53), below=st.floats(0.0, 2000.0))
+    @settings(max_examples=1000)
+    def test_terms_below_the_floor_change_no_bit(self, s, w, below):
+        floor = float(density._term_floor(np.array([s]), np.int64(w))[0])
+        for t in (np.nextafter(floor, -np.inf), floor - below):
+            assert np.float64(s) + np.exp(t) * np.float64(w) == s
+
+    def test_a_zero_sum_keeps_the_exp_cut(self):
+        assert np.array_equal(density._term_floor(np.zeros(3), 7), np.full(3, density._EXP_ZERO_BELOW))
 
 
 class TestKdeReadsCountTables:
