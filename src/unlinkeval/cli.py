@@ -193,10 +193,6 @@ def cmd_synth(args) -> int:
     scores = cross_database_scores(None, args.function, _engine=engine, _streamed=True)
     accuracy = same_key_scores(None, "pic_hd", _engine=engine, _streamed=True)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_score_sides(scores, out / "mated.csv", out / "nonmated.csv")
-    write_score_sides(accuracy, out / "accuracy_mated.csv", out / "accuracy_nonmated.csv")
     manifest = {
         "scheme": scheme,
         "function": args.function,
@@ -212,9 +208,20 @@ def cmd_synth(args) -> int:
         "n_non_mated": scores.n_non_mated,
         "orientation": ORIENT_DISSIMILARITY,
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    opened: list = []
+    try:
+        for source, prefix in ((scores, ""), (accuracy, "accuracy_")):
+            opened += [out / f"{prefix}mated.csv", out / f"{prefix}nonmated.csv"]
+            write_score_sides(source, *opened[-2:])
+        opened.append(out / "manifest.json")
+        opened[-1].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    except BaseException:
+        # a run that fails while scoring or writing leaves no file it began
+        for path in opened:
+            path.unlink(missing_ok=True)
+        raise
     print(f"wrote {scores.n_mated} mated and {scores.n_non_mated} non-mated scores to {out}")
     return 0
 

@@ -8,11 +8,12 @@ the most effective linkage function an adversary could field.  Baseline
 accuracy metrics (DET/EER families, KL) are computed from the same scores
 so their verdicts can be compared directly against the global measure.
 
-Scores are tallied into count tables as their distance blocks are computed.
-Every statistic of the report, the Gaussian KDE included, reads only the
-count tables.  Where the ordered scores are needed, the same pass puts them
-in file order: with out_dir it writes each function's score CSV as it
-tallies, and cross_database_scores and same_key_scores fill ScoreSets.
+Scores are tallied into count tables as their distance blocks are computed,
+and cross_database_scores and same_key_scores return those tables.  Every
+statistic of the report, the Gaussian KDE included, reads only the count
+tables.  Only score files need the scores in order: with out_dir (and in
+`unlink-eval synth`) one pass per function writes its CSV rows in file
+order as it tallies.
 """
 
 from __future__ import annotations
@@ -595,20 +596,30 @@ class _ScoreStream:
     distinct pair of canonical keys once: key pairs (a, b) whose databases
     are the same to the view as those of another pair give the same
     scores.  (a, b) and (b, a) stay apart: the first template is always on
-    key a.  Every pass tallies each pair into count tables; a pass that
-    makes rows holds the mated cells, then one tile's cells of every
-    distinct key pair, as lattice cells, never as float64 scores.
+    key a.  Every pass tallies each pair into count tables, which the
+    engine remembers; a pass that makes rows holds the mated cells, then
+    one tile's cells of every distinct key pair, as lattice cells, never
+    as float64 scores.  The pair counts are checked and warned about as
+    the stream is built, before any pair is scored.
     """
 
-    def __init__(self, engine: "_ScoreEngine", view: _View, keys_a, keys_b, mated_samples,
+    def __init__(self, engine: "_ScoreEngine", function: str, keys_a, keys_b, mated_samples,
                  group: int, key_major: bool, source: str):
+        view = engine.view(function)
         self.engine, self.view, self.lattice = engine, view, _Lattice(view)
         self.keys_a, self.keys_b = np.asarray(keys_a), np.asarray(keys_b)
         self.mated_samples, self.group, self.key_major, self.source = mated_samples, group, key_major, source
         n = engine.n_subjects
         self.n_mated = len(self.keys_a) * len(mated_samples[0]) * n
         self.n_non_mated = len(self.keys_a) * (n * (n - 1) // 2) * group * group
-        self._tables = None
+        # the lattice scores are finite, so the counts are all there is to check
+        check_side(score_io.LABEL_MATED, self.n_mated, np.empty(0))
+        check_side(score_io.LABEL_NON_MATED, self.n_non_mated, np.empty(0))
+        warn_if_inadequate(self.n_mated, self.n_non_mated)
+        # views of the same engine arrays compare the same bits; the engine owns
+        # the arrays, so their ids stay unique while its memo lives
+        self._key = (id(view.packed), id(view.pops), view.length, view.by_popsum, group, key_major,
+                     *(np.asarray(a).tobytes() for a in (keys_a, keys_b, *mated_samples)))
 
     def _pass(self, rows: bool):
         """Tally every pair; when rows, yield (side, cells) blocks in file order too."""
@@ -645,14 +656,18 @@ class _ScoreStream:
                 if p == len(a) - 1:  # every distinct key pair of the tile is scored
                     run = tile[:, : cells.size].reshape(len(a), -1, self.group * self.group)
                     yield from _in_file_order(_NON_MATED, run, tile_order)
-        self._tables = (mated.table(), non_mated.table())
+        engine.scored[self._key] = (mated.table(), non_mated.table())
 
     def tables(self) -> tuple:
-        """The mated and non-mated count tables, from the last pass or a pass that makes no rows."""
-        if self._tables is None:
+        """The mated and non-mated count tables: the engine's, or those of a pass that makes no rows.
+
+        A view already tallied with the same pairs, under any function, is
+        not tallied again.
+        """
+        if self._key not in self.engine.scored:
             for _ in self._pass(rows=False):
                 pass
-        return self._tables
+        return self.engine.scored[self._key]
 
     def counted(self) -> ScoreCounts:
         return ScoreCounts(*self.tables(), self.source, warn_adequacy=False)
@@ -663,46 +678,6 @@ class _ScoreStream:
         for side, cells in self._pass(rows=True):
             yield text[side].label, text[side](cells)
 
-    def ordered(self) -> ScoreSet:
-        sides = (np.empty(self.n_mated), np.empty(self.n_non_mated))
-        filled = [0, 0]
-        for side, cells in self._pass(rows=True):
-            start = filled[side]
-            filled[side] += cells.size
-            sides[side][start : filled[side]] = self.lattice.scores(cells)
-        return ScoreSet(*sides, source=self.source)
-
-
-def _score_pairs(engine: _ScoreEngine, function: str, keys_a, keys_b, mated_samples,
-                 group: int, key_major: bool, counted: bool, streamed: bool, source: str):
-    """Mated scores of same-subject pairs and non-mated ones of distinct subjects.
-
-    An ordered ScoreSet by default; with counted, a ScoreCounts tallied
-    straight from the distance blocks; with streamed, the _ScoreStream
-    itself, whose pass runs when its rows are written (checked and warned
-    about like a ScoreSet as it is made).  The engine remembers its tallies only: a view
-    already tallied with the same pairs is not tallied again, and a result
-    under source shares its tables.
-    """
-    view = engine.view(function)
-    stream = _ScoreStream(engine, view, keys_a, keys_b, mated_samples, group, key_major, source)
-    if streamed:
-        # the lattice scores are finite; the pair counts are known already
-        check_side(score_io.LABEL_MATED, stream.n_mated, np.empty(0))
-        check_side(score_io.LABEL_NON_MATED, stream.n_non_mated, np.empty(0))
-        warn_if_inadequate(stream.n_mated, stream.n_non_mated)
-        return stream
-    if not counted:
-        return stream.ordered()
-    # views of the same engine arrays compare the same bits; the engine owns
-    # the arrays, so their ids stay unique while its memo lives
-    key = (id(view.packed), id(view.pops), view.length, view.by_popsum, group, key_major,
-           *(np.asarray(a).tobytes() for a in (keys_a, keys_b, *mated_samples)))
-    done = engine.scored.get(key)
-    if done is None:
-        engine.scored[key] = done = stream.tables()
-    return ScoreCounts(*done, source)
-
 
 def cross_database_scores(
     databases: list,
@@ -712,10 +687,9 @@ def cross_database_scores(
     non_mated_all_pairs: bool = False,
     allow_approximate_bloom: bool = False,
     _engine: "_ScoreEngine | None" = None,
-    _counted: bool = False,
     _streamed: bool = False,
-) -> ScoreSet:
-    """Mated and non-mated cross-key linkage scores over K databases.
+) -> ScoreCounts:
+    """Mated and non-mated cross-key linkage scores over K databases, tallied.
 
     Mated pairs conceal the same subject under different keys; with the
     default pairing every (sample, sample) combination counts, while
@@ -723,12 +697,11 @@ def cross_database_scores(
     pairs compare first samples of distinct subjects under distinct keys
     unless non_mated_all_pairs extends them.  Key pairs are a < b and the
     first template of each pair is on key a, so each unordered template
-    pair appears once.  Mated scores come in (key pair, sample pair,
-    subject) order, non-mated ones in (subject pair, key pair, sample
-    pair) order.  _counted returns the same scores tallied into a
-    ScoreCounts instead, without ever holding them all; _streamed returns
-    them unscored, as a source whose one pass writes their CSV rows and
-    tallies their count tables.
+    pair appears once.  The scores come as one count table per side,
+    never all held at once.  _streamed returns them unscored instead, as a
+    source whose one pass writes their CSV rows and tallies their tables:
+    mated rows in (key pair, sample pair, subject) order, non-mated ones
+    in (subject pair, key pair, sample pair) order.
     """
     if mated_pairing not in (PAIRING_ALL_CROSS_KEY, PAIRING_DISTINCT_SAMPLES):
         raise InvalidConfigError(f"unknown mated_pairing {mated_pairing!r}")
@@ -737,12 +710,12 @@ def cross_database_scores(
     # every (sample, sample) combination, first index outer
     grid = np.indices((samples, samples)).reshape(2, -1)
     mated_samples = np.triu_indices(samples, 1) if mated_pairing == PAIRING_DISTINCT_SAMPLES else grid
-    return _score_pairs(
+    stream = _ScoreStream(
         engine, function, *np.triu_indices(engine.k, 1), mated_samples,
         group=samples if non_mated_all_pairs else 1, key_major=False,
-        counted=_counted, streamed=_streamed,
         source=f"{function}/{engine.scheme}/K={engine.k}/cross-key",
     )
+    return stream if _streamed else stream.counted()
 
 
 def same_key_scores(
@@ -750,24 +723,23 @@ def same_key_scores(
     function: str = "pic_hd",
     ring: KeyRing | None = None,
     _engine: "_ScoreEngine | None" = None,
-    _counted: bool = False,
     _streamed: bool = False,
-) -> ScoreSet:
-    """Accuracy-scenario scores: both templates under the same key.
+) -> ScoreCounts:
+    """Accuracy-scenario scores, both templates under the same key, tallied.
 
-    Mated: every distinct-sample pair of each subject under each key, in
-    (key, sample pair, subject) order.  Non-mated: first samples of
-    distinct subjects under each key, in (key, subject pair) order.
-    _counted returns them tallied into a ScoreCounts instead, and
-    _streamed as a source of their CSV rows (see cross_database_scores).
+    Mated: every distinct-sample pair of each subject under each key.
+    Non-mated: first samples of distinct subjects under each key.
+    _streamed returns them as a source of their CSV rows (see
+    cross_database_scores): mated rows in (key, sample pair, subject)
+    order, non-mated ones in (key, subject pair) order.
     """
     engine = _engine or _ScoreEngine(databases, ring)
     keys = np.arange(engine.k)
-    return _score_pairs(
-        engine, function, keys, keys, np.triu_indices(engine.samples, 1),
-        group=1, key_major=True, counted=_counted, streamed=_streamed,
+    stream = _ScoreStream(
+        engine, function, keys, keys, np.triu_indices(engine.samples, 1), group=1, key_major=True,
         source=f"{function}/{engine.scheme}/K={engine.k}/same-key",
     )
+    return stream if _streamed else stream.counted()
 
 
 def synthetic_databases(
@@ -891,7 +863,7 @@ def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
         # the engine holds packed rows: the per-bit databases go before any pair is scored
         del databases
         # one tally of the same-key accuracy scores serves every linkage function
-        accuracy = same_key_scores(None, "pic_hd", _engine=engine, _counted=True)
+        accuracy = same_key_scores(None, "pic_hd", _engine=engine)
         metadata.update(
             {
                 "n_subjects": cfg.corpus.n_subjects,
@@ -915,7 +887,6 @@ def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
                 mated_pairing=cfg.mated_pairing,
                 non_mated_all_pairs=cfg.non_mated_all_pairs,
                 _engine=engine,
-                _counted=cfg.out_dir is None,
                 _streamed=cfg.out_dir is not None,
             )
         path = None

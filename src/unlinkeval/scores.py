@@ -89,7 +89,7 @@ class ScoreSet:
 
     def counted(self) -> "ScoreCounts":
         """Both sides as count tables, built on first use and kept."""
-        tables = self.__dict__.get("_counted")
+        tables = self.__dict__.get("_tables")
         if tables is None:
             tables = ScoreCounts(
                 CountTable.from_scores(self.mated),
@@ -97,7 +97,7 @@ class ScoreSet:
                 self.source,
                 warn_adequacy=False,
             )
-            object.__setattr__(self, "_counted", tables)
+            object.__setattr__(self, "_tables", tables)
         return tables
 
 

@@ -168,6 +168,31 @@ class TestSynth:
         assert rc == 2
         assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -3\n"
 
+    def test_failed_scoring_leaves_no_score_files(self, tmp_path, monkeypatch, capsys):
+        """Out of memory at the 21st non-mated block: the mated file is
+        complete and the non-mated one partly written when the pass fails."""
+        from unlinkeval import kernels, scores
+        from unlinkeval.protocol import _ScoreEngine
+
+        real = _ScoreEngine.distinct_subjects
+
+        def exhausted(*args):
+            for n, block in enumerate(real(*args)):
+                if n == 20:
+                    raise MemoryError("Unable to allocate 1.00 TiB")
+                yield block
+
+        monkeypatch.setattr(_ScoreEngine, "distinct_subjects", exhausted)
+        monkeypatch.setattr(kernels, "TILE_ROWS", 2)
+        monkeypatch.setattr(scores, "CSV_BLOCK", 5)
+        out = tmp_path / "synth"
+        rc = main(["synth", "--scheme", "xor", "--function", "pic_hd",
+                   "--subjects", "12", "--samples", "2", "--bits", "256",
+                   "--keys", "6", "--seed", "3", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 1.00 TiB\n"
+        assert list(out.iterdir()) == []
+
     def test_permuted_xor_needs_block_scheme(self, tmp_path, capsys):
         rc = main(["synth", "--scheme", "xor", "--function", "permuted_xor",
                    "--subjects", "4", "--samples", "2", "--bits", "256",

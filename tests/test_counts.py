@@ -3,7 +3,8 @@
 Every statistic computed from (sorted distinct value, count) tables must
 equal, bit for bit, the one NumPy or the former sort-based code computes
 from the scores themselves; and run_protocol's counted path must write the
-same report bytes as its ordered path.
+same report bytes as its streamed path, whose tallies come from the pass
+that writes the score files.
 """
 
 import json
@@ -397,8 +398,9 @@ def _run(cfg: dict):
     return report, sorted((w.category.__name__, str(w.message)) for w in caught)
 
 
-class TestCountedProtocolMatchesOrdered:
-    """run_protocol without out_dir tallies; with out_dir it orders the scores."""
+class TestCountedProtocolMatchesStreamed:
+    """run_protocol without out_dir tallies in a pass that makes no rows; with
+    out_dir each function's tables come from the pass that writes its CSV."""
 
     @given(cfg=_protocol_configs(), tile=st.sampled_from([1, 2, 3, 128]), gemm=st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -407,11 +409,11 @@ class TestCountedProtocolMatchesOrdered:
                 mock.patch.object(kernels, "GEMM_MIN_WORDS", 0 if gemm else kernels.GEMM_MIN_WORDS):
             counted, counted_warnings = _run(cfg)
             with tempfile.TemporaryDirectory() as out:
-                ordered, ordered_warnings = _run(dict(cfg, out_dir=out))
+                streamed, streamed_warnings = _run(dict(cfg, out_dir=out))
                 written = (Path(out) / "report.json").read_text(encoding="utf-8")
         assert counted.to_json() + "\n" == written
-        assert counted.to_json() == ordered.to_json()
-        assert counted_warnings == ordered_warnings
+        assert counted.to_json() == streamed.to_json()
+        assert counted_warnings == streamed_warnings
 
 
 class TestCountedProtocolMemory:

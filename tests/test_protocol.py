@@ -41,6 +41,16 @@ def _databases(n_subjects=2, samples=2, bits=128, k=2, seed=1, scheme=SCHEME_XOR
     return ue.generate_databases(corpus, ring, scheme), ring
 
 
+def _written(stream, tmp_path):
+    """The scores a streamed pass writes, read back in file order.
+
+    repr round-trips, so the values come back bit for bit.
+    """
+    path = tmp_path / "rows.csv"
+    ue.write_score_csv(stream, path)
+    return ue.load_score_set(path, path)
+
+
 class TestPairCounts:
     def test_smallest_corpus_all_cross_key(self):
         dbs, ring = _databases(n_subjects=2, samples=2, k=2)
@@ -87,11 +97,11 @@ class TestPairCounts:
 
 
 class TestScoreValues:
-    def test_mated_xor_scores_match_hand_computation(self):
+    def test_mated_xor_scores_match_hand_computation(self, tmp_path):
         dbs, ring = _databases(n_subjects=2, samples=2, k=2, bits=64)
-        s = ue.cross_database_scores(dbs, "pic_hd", ring,
-                                     mated_pairing=PAIRING_DISTINCT_SAMPLES,
-                                     non_mated_all_pairs=True)
+        s = _written(ue.cross_database_scores(dbs, "pic_hd", ring,
+                                              mated_pairing=PAIRING_DISTINCT_SAMPLES,
+                                              non_mated_all_pairs=True, _streamed=True), tmp_path)
         # template pair (subject, sample 0, key 0) vs (subject, sample 1, key 1)
         expected = []
         for subj in range(2):
@@ -100,18 +110,18 @@ class TestScoreValues:
             expected.append(np.mean(a != b))
         assert sorted(s.mated) == pytest.approx(sorted(expected))
 
-    def test_constant_ring_reduces_to_raw_comparison(self):
+    def test_constant_ring_reduces_to_raw_comparison(self, tmp_path):
         dbs, ring = _databases(n_subjects=3, samples=2, k=3, constant=True, bits=2048)
-        s = ue.cross_database_scores(dbs, "pic_hd", ring)
+        s = _written(ue.cross_database_scores(dbs, "pic_hd", ring, _streamed=True), tmp_path)
         # same mask on both sides cancels in the XOR, scores sit near the
         # raw intra-class distance, far below 0.5
         assert float(np.mean(s.mated)) < 0.3
         assert float(np.mean(s.non_mated)) == pytest.approx(0.5, abs=0.05)
 
-    def test_determinism(self):
+    def test_determinism(self, tmp_path):
         dbs, ring = _databases(n_subjects=4, samples=2, k=3, seed=11)
-        a = ue.cross_database_scores(dbs, "pic_hd", ring)
-        b = ue.cross_database_scores(dbs, "pic_hd", ring)
+        a, b = (_written(ue.cross_database_scores(dbs, "pic_hd", ring, _streamed=True), tmp_path)
+                for _ in range(2))
         assert np.array_equal(a.mated, b.mated)
         assert np.array_equal(a.non_mated, b.non_mated)
 
@@ -167,10 +177,53 @@ def _assert_counts_of(tables, scores):
         assert np.array_equal(got.counts, expected.counts)
 
 
+def _cross_key_pairs(n, samples, k, mated_pairing=PAIRING_ALL_CROSS_KEY, non_mated_all_pairs=False):
+    """The documented row order of cross_database_scores: mated and non-mated
+    pairs of templates, each template a (subject, sample, key)."""
+    key_pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    grid = [(sa, sb) for sa in range(samples) for sb in range(samples)]
+    distinct = [(sa, sb) for sa, sb in grid if sa < sb]
+    mated_samples = distinct if mated_pairing == PAIRING_DISTINCT_SAMPLES else grid
+    nm_samples = grid if non_mated_all_pairs else [(0, 0)]
+    # mated: (key pair, sample pair, subject)
+    mated = [((subj, sa, a), (subj, sb, b))
+             for a, b in key_pairs for sa, sb in mated_samples for subj in range(n)]
+    # non-mated: (subject pair, key pair, sample pair)
+    non_mated = [((i, sa, a), (j, sb, b))
+                 for i in range(n) for j in range(i + 1, n) for a, b in key_pairs for sa, sb in nm_samples]
+    return mated, non_mated
+
+
+def _same_key_pairs(n, samples, k):
+    """The documented row order of same_key_scores, as _cross_key_pairs."""
+    # mated: (key, distinct sample pair, subject)
+    mated = [((subj, sa, key), (subj, sb, key))
+             for key in range(k) for sa in range(samples) for sb in range(sa + 1, samples)
+             for subj in range(n)]
+    # non-mated: (key, subject pair), first samples
+    non_mated = [((i, 0, key), (j, 0, key)) for key in range(k) for i in range(n) for j in range(i + 1, n)]
+    return mated, non_mated
+
+
+def _oracle(fn, scheme, ring, corpus, pairs):
+    """The per-pair oracle's score of each pair of templates."""
+    return [_oracle_score(fn, scheme, ring, corpus.bits[i, sa], a, corpus.bits[j, sb], b)
+            for (i, sa, a), (j, sb, b) in pairs]
+
+
+def _assert_streamed(stream, tmp_path, mated, non_mated):
+    """The stream's rows are the given scores in order, and its pass tallied them."""
+    rows = _written(stream, tmp_path)
+    assert np.array_equal(rows.mated, mated)
+    assert np.array_equal(rows.non_mated, non_mated)
+    _assert_counts_of(stream.counted(), rows)
+    return rows
+
+
 @pytest.mark.usefixtures("distance_blocks")
 class TestEngineMatchesPerTemplateFunctions:
-    """Batch scores equal a per-pair oracle, in the documented order, and
-    the counted path tallies exactly those scores."""
+    """Streamed rows equal a per-pair oracle, in the documented order, and
+    the counted result tallies exactly those scores."""
 
     SUBJECTS, SAMPLES, K = 3, 3, 3
     CONSTANT_KEY = False
@@ -184,65 +237,33 @@ class TestEngineMatchesPerTemplateFunctions:
         dbs = ue.generate_databases(corpus, ring, scheme)
 
         def oracle(fn, pairs):
-            return [
-                _oracle_score(fn, scheme, ring, corpus.bits[i, sa], a, corpus.bits[j, sb], b)
-                for (i, sa, a), (j, sb, b) in pairs
-            ]
+            return _oracle(fn, scheme, ring, corpus, pairs)
 
         return dbs, ring, oracle
 
     @pytest.mark.parametrize("non_mated_all_pairs", [False, True])
     @pytest.mark.parametrize("mated_pairing", [PAIRING_ALL_CROSS_KEY, PAIRING_DISTINCT_SAMPLES])
     @pytest.mark.parametrize("scheme,fn", _SUPPORTED)
-    def test_cross_key_scores(self, scheme, fn, mated_pairing, non_mated_all_pairs):
+    def test_cross_key_scores(self, tmp_path, scheme, fn, mated_pairing, non_mated_all_pairs):
         dbs, ring, oracle = self._testbed(scheme)
-        s = ue.cross_database_scores(dbs, fn, ring, mated_pairing=mated_pairing,
-                                     non_mated_all_pairs=non_mated_all_pairs,
-                                     allow_approximate_bloom=True)
-        n, S = self.SUBJECTS, self.SAMPLES
-        key_pairs = [(a, b) for a in range(self.K) for b in range(a + 1, self.K)]
-        grid = [(sa, sb) for sa in range(S) for sb in range(S)]
-        distinct = [(sa, sb) for sa in range(S) for sb in range(sa + 1, S)]
-        mated_samples = distinct if mated_pairing == PAIRING_DISTINCT_SAMPLES else grid
-        nm_samples = grid if non_mated_all_pairs else [(0, 0)]
-        # mated: (key pair, sample pair, subject)
-        mated = oracle(fn, [
-            ((subj, sa, a), (subj, sb, b))
-            for a, b in key_pairs for sa, sb in mated_samples for subj in range(n)
-        ])
-        # non-mated: (subject pair, key pair, sample pair)
-        non_mated = oracle(fn, [
-            ((i, sa, a), (j, sb, b))
-            for i in range(n) for j in range(i + 1, n) for a, b in key_pairs
-            for sa, sb in nm_samples
-        ])
-        assert np.array_equal(s.mated, mated)
-        assert np.array_equal(s.non_mated, non_mated)
-        counted = ue.cross_database_scores(dbs, fn, ring, mated_pairing=mated_pairing,
-                                           non_mated_all_pairs=non_mated_all_pairs,
-                                           allow_approximate_bloom=True, _counted=True)
-        _assert_counts_of(counted, s)
+
+        def scores(streamed):
+            return ue.cross_database_scores(dbs, fn, ring, mated_pairing=mated_pairing,
+                                            non_mated_all_pairs=non_mated_all_pairs,
+                                            allow_approximate_bloom=True, _streamed=streamed)
+
+        pairs = _cross_key_pairs(self.SUBJECTS, self.SAMPLES, self.K, mated_pairing, non_mated_all_pairs)
+        rows = _assert_streamed(scores(True), tmp_path, *(oracle(fn, side) for side in pairs))
+        _assert_counts_of(scores(False), rows)
 
     @pytest.mark.parametrize("scheme,fn", _SUPPORTED)
-    def test_same_key_scores(self, scheme, fn):
+    def test_same_key_scores(self, tmp_path, scheme, fn):
         dbs, ring, oracle = self._testbed(scheme)
         engine = _ScoreEngine(dbs, ring, allow_approximate_bloom=True)
-        s = ue.same_key_scores(dbs, fn, ring, _engine=engine)
-        n, S = self.SUBJECTS, self.SAMPLES
-        # mated: (key, distinct sample pair, subject)
-        mated = oracle(fn, [
-            ((subj, sa, k), (subj, sb, k))
-            for k in range(self.K) for sa in range(S) for sb in range(sa + 1, S)
-            for subj in range(n)
-        ])
-        # non-mated: (key, subject pair), first samples
-        non_mated = oracle(fn, [
-            ((i, 0, k), (j, 0, k))
-            for k in range(self.K) for i in range(n) for j in range(i + 1, n)
-        ])
-        assert np.array_equal(s.mated, mated)
-        assert np.array_equal(s.non_mated, non_mated)
-        _assert_counts_of(ue.same_key_scores(dbs, fn, ring, _engine=engine, _counted=True), s)
+        stream = ue.same_key_scores(dbs, fn, ring, _engine=engine, _streamed=True)
+        pairs = _same_key_pairs(self.SUBJECTS, self.SAMPLES, self.K)
+        rows = _assert_streamed(stream, tmp_path, *(oracle(fn, side) for side in pairs))
+        _assert_counts_of(ue.same_key_scores(dbs, fn, ring, _engine=engine), rows)
 
 
 class TestEngineMatchesPerTemplateFunctionsConstantKey(TestEngineMatchesPerTemplateFunctions):
@@ -264,7 +285,7 @@ class TestEngineHoldsNoPerBitDatabase:
     @pytest.mark.parametrize("bits,block_size,bloom", [(128, 16, (16, 4)), (120, 8, (5, 3))],
                              ids=["128-bits", "120-bits"])
     @pytest.mark.parametrize("scheme", ["xor-salt", "block-remap", "bloom-filter", "none"])
-    def test_inverted_views_after_the_databases_are_freed(self, scheme, bits, block_size, bloom):
+    def test_inverted_views_after_the_databases_are_freed(self, tmp_path, scheme, bits, block_size, bloom):
         n, S = self.SUBJECTS, self.SAMPLES
         cfg = ue.CorpusConfig(n_subjects=n, samples_per_subject=S, template_bits=bits,
                               intra_flip_rate=0.1, seed=5)
@@ -276,20 +297,11 @@ class TestEngineHoldsNoPerBitDatabase:
         del dbs
         assert [ref() for ref in per_bit] == [None] * self.K
 
-        def oracle(fn, pairs):
-            return [_oracle_score(fn, scheme, ring, corpus.bits[i, sa], a, corpus.bits[j, sb], b)
-                    for (i, sa, a), (j, sb, b) in pairs]
-
-        key_pairs = [(a, b) for a in range(self.K) for b in range(a + 1, self.K)]
+        pairs = _cross_key_pairs(n, S, self.K)
         for fn in ["reconstruction"] + (["permuted_xor"] if scheme == "block-remap" else []):
-            s = ue.cross_database_scores(None, fn, _engine=engine)
-            assert np.array_equal(s.mated, oracle(fn, [
-                ((subj, sa, a), (subj, sb, b))
-                for a, b in key_pairs for sa in range(S) for sb in range(S) for subj in range(n)
-            ]))
-            assert np.array_equal(s.non_mated, oracle(fn, [
-                ((i, 0, a), (j, 0, b)) for i in range(n) for j in range(i + 1, n) for a, b in key_pairs
-            ]))
+            stream = ue.cross_database_scores(None, fn, _engine=engine, _streamed=True)
+            rows = _assert_streamed(stream, tmp_path, *(_oracle(fn, scheme, ring, corpus, side) for side in pairs))
+            _assert_counts_of(ue.cross_database_scores(None, fn, _engine=engine), rows)
 
 
 class TestEngineValidation:
@@ -580,7 +592,7 @@ class TestScoreEachComparisonOnce:
         _, one_passes = self._run(monkeypatch, ("permuted_xor",), out("one"))
         _, other_passes = self._run(monkeypatch, ("permuted_xor", "pic_hd"), out("other"))
         if not ordered:
-            # only tallies are remembered; ordered sets are scored per function
+            # only tallies are remembered; rows are scored per function
             assert both_passes == one_passes < other_passes
         permuted = dict(both.per_function["permuted_xor"])
         reconstruction = dict(both.per_function["reconstruction"])
@@ -595,11 +607,13 @@ class TestScoreEachComparisonOnce:
     def test_sources_name_each_function(self):
         databases, ring = _databases(n_subjects=4, k=3, scheme="block-remap")
         engine = _ScoreEngine(databases, ring)
-        permuted = ue.cross_database_scores(None, "permuted_xor", _engine=engine, _counted=True)
-        reconstruction = ue.cross_database_scores(None, "reconstruction", _engine=engine, _counted=True)
+        permuted = ue.cross_database_scores(None, "permuted_xor", _engine=engine)
+        reconstruction = ue.cross_database_scores(None, "reconstruction", _engine=engine)
         assert len(engine.scored) == 1
         assert permuted.source.startswith("permuted_xor/")
         assert reconstruction.source.startswith("reconstruction/")
+        streamed = ue.cross_database_scores(None, "reconstruction", _engine=engine, _streamed=True)
+        assert streamed.source == reconstruction.source
         for side in ("mated", "non_mated"):
             a, b = getattr(permuted, side), getattr(reconstruction, side)
             assert np.array_equal(a.values, b.values) and np.array_equal(a.counts, b.counts)
@@ -609,7 +623,7 @@ class TestScoreEachKeyPairOnce:
     """A view that sees byte-identical databases under several keys scores
     each distinct pair of them once: block re-mapping, K = 6, 15 key pairs."""
 
-    def _scored(self, monkeypatch, fn, constant, counted):
+    def _scored(self, monkeypatch, fn, constant, streamed):
         """The key pairs the engine is asked to score, and the kernel passes."""
         asked, passes = [], []
         for name in ("same_subject", "distinct_subjects"):
@@ -629,15 +643,17 @@ class TestScoreEachKeyPairOnce:
 
             monkeypatch.setattr(kernels, name, kernel_spy)
         dbs, ring = _databases(n_subjects=4, samples=2, k=6, scheme="block-remap", constant=constant)
-        ue.cross_database_scores(dbs, fn, ring, _counted=counted)
+        scores = ue.cross_database_scores(dbs, fn, ring, _streamed=streamed)
+        if streamed:
+            ue.write_score_csv(scores, os.devnull)
         monkeypatch.undo()
         return asked, len(passes)
 
-    @pytest.mark.parametrize("counted", [False, True], ids=["ordered", "counted"])
+    @pytest.mark.parametrize("streamed", [True, False], ids=["streamed", "counted"])
     @pytest.mark.parametrize("constant", [False, True], ids=["keys", "constant-key"])
     @pytest.mark.parametrize("fn", ["pic_hd", "hamming_weight", "permuted_xor", "reconstruction"])
-    def test_key_pairs_scored(self, monkeypatch, fn, constant, counted):
-        asked, passes = self._scored(monkeypatch, fn, constant, counted)
+    def test_key_pairs_scored(self, monkeypatch, fn, constant, streamed):
+        asked, passes = self._scored(monkeypatch, fn, constant, streamed)
         if fn == "pic_hd" and not constant:
             expected = [(a, b) for a in range(6) for b in range(a + 1, 6)]
         else:
@@ -650,7 +666,7 @@ class TestScoreEachKeyPairOnce:
 
     @pytest.mark.parametrize("non_mated_all_pairs", [False, True])
     @pytest.mark.parametrize("scheme,fn", _SUPPORTED)
-    def test_scores_as_without_dedupe(self, monkeypatch, scheme, fn, non_mated_all_pairs):
+    def test_scores_as_without_dedupe(self, monkeypatch, tmp_path, scheme, fn, non_mated_all_pairs):
         """Databases 0 and 2 share one key, so key pair (1, 2) is scored as
         (1, 0), which is not (0, 1): the first template of a pair is on its
         first key.  Every score equals that of an engine that dedupes nothing."""
@@ -663,24 +679,30 @@ class TestScoreEachKeyPairOnce:
         dbs = ue.generate_databases(ue.generate_corpus(cfg), ring, scheme)
 
         def both_ways():
-            return [ue.cross_database_scores(dbs, fn, ring, non_mated_all_pairs=non_mated_all_pairs,
-                                             allow_approximate_bloom=True, _counted=counted)
-                    for counted in (False, True)]
+            """The streamed rows, read back, and the counted result."""
+            stream, counted = (ue.cross_database_scores(dbs, fn, ring, non_mated_all_pairs=non_mated_all_pairs,
+                                                        allow_approximate_bloom=True, _streamed=streamed)
+                               for streamed in (True, False))
+            rows = _written(stream, tmp_path)
+            _assert_counts_of(stream.counted(), rows)
+            return rows, counted
 
-        ordered, counted = both_ways()
+        rows, counted = both_ways()
         monkeypatch.setattr(_ScoreEngine, "canonical_keys", lambda engine, view: np.arange(engine.k))
         want, want_counted = both_ways()
-        assert np.array_equal(ordered.mated, want.mated)
-        assert np.array_equal(ordered.non_mated, want.non_mated)
+        assert np.array_equal(rows.mated, want.mated)
+        assert np.array_equal(rows.non_mated, want.non_mated)
         _assert_counts_of(counted, want)
         _assert_counts_of(want_counted, want)
 
 
 class TestStreamedCsvEqualsOrdered:
     """A streamed pass writes the bytes that write_score_csv and
-    write_score_sides write from the ordered ScoreSet, whose order the
-    per-pair oracle tests check: in one tile, and in tiles of two rows
-    with blocks of five rows."""
+    write_score_sides write from a ScoreSet of the per-pair oracle's
+    scores in the documented order: in one tile, and in tiles of two rows
+    with blocks of five rows.  Five subjects make three such tiles."""
+
+    SUBJECTS, SAMPLES, K = 5, 3, 3
 
     @pytest.fixture(autouse=True, params=[None, 2], ids=["one-tile", "tile2"])
     def tiles(self, request, monkeypatch):
@@ -688,35 +710,39 @@ class TestStreamedCsvEqualsOrdered:
             monkeypatch.setattr(kernels, "TILE_ROWS", request.param)
             monkeypatch.setattr(scores, "CSV_BLOCK", 5)
 
-    @staticmethod
-    def _testbed(scheme, constant):
-        return _databases(n_subjects=5, samples=3, k=3, seed=6, scheme=scheme, constant=constant)
+    def _testbed(self, scheme, constant):
+        """The databases, their key ring, and the oracle of a list of pairs."""
+        cfg = ue.CorpusConfig(n_subjects=self.SUBJECTS, samples_per_subject=self.SAMPLES,
+                              template_bits=128, intra_flip_rate=0.1, seed=6)
+        corpus = ue.generate_corpus(cfg)
+        make = ue.KeyRing.constant_ring if constant else ue.KeyRing.generate
+        ring = make(self.K, 128, 7, block_size=16)
+        return (ue.generate_databases(corpus, ring, scheme), ring,
+                lambda fn, pairs: _oracle(fn, scheme, ring, corpus, pairs))
 
     @pytest.mark.parametrize("constant", [False, True], ids=["keys", "constant-key"])
     @pytest.mark.parametrize("non_mated_all_pairs", [False, True])
     @pytest.mark.parametrize("mated_pairing", [PAIRING_ALL_CROSS_KEY, PAIRING_DISTINCT_SAMPLES])
     @pytest.mark.parametrize("scheme,fn", _SUPPORTED)
     def test_cross_key_files(self, tmp_path, scheme, fn, mated_pairing, non_mated_all_pairs, constant):
-        dbs, ring = self._testbed(scheme, constant)
-
-        def scores(streamed):
-            return ue.cross_database_scores(dbs, fn, ring, mated_pairing=mated_pairing,
-                                            non_mated_all_pairs=non_mated_all_pairs,
-                                            allow_approximate_bloom=True, _streamed=streamed)
-
-        self._assert_same_files(tmp_path, scores)
+        dbs, ring, oracle = self._testbed(scheme, constant)
+        stream = ue.cross_database_scores(dbs, fn, ring, mated_pairing=mated_pairing,
+                                          non_mated_all_pairs=non_mated_all_pairs,
+                                          allow_approximate_bloom=True, _streamed=True)
+        pairs = _cross_key_pairs(self.SUBJECTS, self.SAMPLES, self.K, mated_pairing, non_mated_all_pairs)
+        self._assert_same_files(tmp_path, stream, ue.ScoreSet(*(oracle(fn, side) for side in pairs)))
 
     @pytest.mark.parametrize("constant", [False, True], ids=["keys", "constant-key"])
     @pytest.mark.parametrize("scheme,fn", _SUPPORTED)
     def test_same_key_files(self, tmp_path, scheme, fn, constant):
-        dbs, ring = self._testbed(scheme, constant)
+        dbs, ring, oracle = self._testbed(scheme, constant)
         engine = _ScoreEngine(dbs, ring, allow_approximate_bloom=True)
-        self._assert_same_files(
-            tmp_path, lambda streamed: ue.same_key_scores(dbs, fn, ring, _engine=engine, _streamed=streamed))
+        stream = ue.same_key_scores(dbs, fn, ring, _engine=engine, _streamed=True)
+        pairs = _same_key_pairs(self.SUBJECTS, self.SAMPLES, self.K)
+        self._assert_same_files(tmp_path, stream, ue.ScoreSet(*(oracle(fn, side) for side in pairs)))
 
     @staticmethod
-    def _assert_same_files(tmp_path, scores):
-        ordered, streamed = scores(False), scores(True)
+    def _assert_same_files(tmp_path, streamed, ordered):
         assert (streamed.n_mated, streamed.n_non_mated) == (ordered.n_mated, ordered.n_non_mated)
         for name, source in (("ordered", ordered), ("streamed", streamed)):
             ue.write_score_csv(source, tmp_path / f"{name}.csv")
