@@ -210,16 +210,16 @@ def cmd_synth(args) -> int:
     }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    opened: list = []
+    paths = [out / name for name in ("mated.csv", "nonmated.csv", "accuracy_mated.csv",
+                                     "accuracy_nonmated.csv", "manifest.json")]
     try:
-        for source, prefix in ((scores, ""), (accuracy, "accuracy_")):
-            opened += [out / f"{prefix}mated.csv", out / f"{prefix}nonmated.csv"]
-            write_score_sides(source, *opened[-2:])
-        opened.append(out / "manifest.json")
-        opened[-1].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_score_sides(scores, *paths[:2])
+        write_score_sides(accuracy, *paths[2:4])
+        paths[4].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     except BaseException:
-        # a run that fails while scoring or writing leaves no file it began
-        for path in opened:
+        # a run that fails while scoring or writing leaves none of its files,
+        # so none that an earlier run in the same directory wrote either
+        for path in paths:
             path.unlink(missing_ok=True)
         raise
     print(f"wrote {scores.n_mated} mated and {scores.n_non_mated} non-mated scores to {out}")

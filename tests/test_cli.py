@@ -168,12 +168,24 @@ class TestSynth:
         assert rc == 2
         assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -3\n"
 
-    def test_failed_scoring_leaves_no_score_files(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("earlier_run", [False, True], ids=["empty", "earlier-run"])
+    def test_failed_scoring_leaves_no_score_files(self, tmp_path, monkeypatch, capsys, earlier_run):
         """Out of memory at the 21st non-mated block: the mated file is
-        complete and the non-mated one partly written when the pass fails."""
+        complete and the non-mated one partly written when the pass fails.
+        Files of an earlier complete run in --out go too; other files stay."""
         from unlinkeval import kernels, scores
         from unlinkeval.protocol import _ScoreEngine
 
+        out = tmp_path / "synth"
+        argv = ["synth", "--scheme", "xor", "--function", "pic_hd",
+                "--subjects", "12", "--samples", "2", "--bits", "256",
+                "--keys", "6", "--seed", "3", "--out", str(out)]
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        if earlier_run:
+            assert main(argv) == 0
+            assert len(list(out.iterdir())) == 6
+        capsys.readouterr()
         real = _ScoreEngine.distinct_subjects
 
         def exhausted(*args):
@@ -185,13 +197,10 @@ class TestSynth:
         monkeypatch.setattr(_ScoreEngine, "distinct_subjects", exhausted)
         monkeypatch.setattr(kernels, "TILE_ROWS", 2)
         monkeypatch.setattr(scores, "CSV_BLOCK", 5)
-        out = tmp_path / "synth"
-        rc = main(["synth", "--scheme", "xor", "--function", "pic_hd",
-                   "--subjects", "12", "--samples", "2", "--bits", "256",
-                   "--keys", "6", "--seed", "3", "--out", str(out)])
+        rc = main(argv)
         assert rc == 2
         assert capsys.readouterr().err == "error: out of memory: Unable to allocate 1.00 TiB\n"
-        assert list(out.iterdir()) == []
+        assert [path.name for path in out.iterdir()] == ["notes.txt"]
 
     def test_permuted_xor_needs_block_scheme(self, tmp_path, capsys):
         rc = main(["synth", "--scheme", "xor", "--function", "permuted_xor",

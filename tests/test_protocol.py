@@ -211,6 +211,17 @@ def _oracle(fn, scheme, ring, corpus, pairs):
             for (i, sa, a), (j, sb, b) in pairs]
 
 
+def _testbed(scheme, subjects, samples, k, constant, seed):
+    """Databases of a corpus under scheme, their key ring, and the oracle of a list of pairs."""
+    cfg = ue.CorpusConfig(n_subjects=subjects, samples_per_subject=samples, template_bits=128,
+                          intra_flip_rate=0.1, seed=seed)
+    corpus = ue.generate_corpus(cfg)
+    make = ue.KeyRing.constant_ring if constant else ue.KeyRing.generate
+    ring = make(k, 128, seed + 1, block_size=16)
+    return (ue.generate_databases(corpus, ring, scheme), ring,
+            lambda fn, pairs: _oracle(fn, scheme, ring, corpus, pairs))
+
+
 def _assert_streamed(stream, tmp_path, mated, non_mated):
     """The stream's rows are the given scores in order, and its pass tallied them."""
     rows = _written(stream, tmp_path)
@@ -229,17 +240,7 @@ class TestEngineMatchesPerTemplateFunctions:
     CONSTANT_KEY = False
 
     def _testbed(self, scheme):
-        cfg = ue.CorpusConfig(n_subjects=self.SUBJECTS, samples_per_subject=self.SAMPLES,
-                              template_bits=128, intra_flip_rate=0.1, seed=8)
-        corpus = ue.generate_corpus(cfg)
-        make = ue.KeyRing.constant_ring if self.CONSTANT_KEY else ue.KeyRing.generate
-        ring = make(self.K, 128, 9, block_size=16)
-        dbs = ue.generate_databases(corpus, ring, scheme)
-
-        def oracle(fn, pairs):
-            return _oracle(fn, scheme, ring, corpus, pairs)
-
-        return dbs, ring, oracle
+        return _testbed(scheme, self.SUBJECTS, self.SAMPLES, self.K, self.CONSTANT_KEY, seed=8)
 
     @pytest.mark.parametrize("non_mated_all_pairs", [False, True])
     @pytest.mark.parametrize("mated_pairing", [PAIRING_ALL_CROSS_KEY, PAIRING_DISTINCT_SAMPLES])
@@ -263,6 +264,8 @@ class TestEngineMatchesPerTemplateFunctions:
         stream = ue.same_key_scores(dbs, fn, ring, _engine=engine, _streamed=True)
         pairs = _same_key_pairs(self.SUBJECTS, self.SAMPLES, self.K)
         rows = _assert_streamed(stream, tmp_path, *(oracle(fn, side) for side in pairs))
+        # the streamed pass left its tables in the memo; the counted pass must make its own
+        engine.scored.clear()
         _assert_counts_of(ue.same_key_scores(dbs, fn, ring, _engine=engine), rows)
 
 
@@ -301,6 +304,7 @@ class TestEngineHoldsNoPerBitDatabase:
         for fn in ["reconstruction"] + (["permuted_xor"] if scheme == "block-remap" else []):
             stream = ue.cross_database_scores(None, fn, _engine=engine, _streamed=True)
             rows = _assert_streamed(stream, tmp_path, *(_oracle(fn, scheme, ring, corpus, side) for side in pairs))
+            engine.scored.clear()
             _assert_counts_of(ue.cross_database_scores(None, fn, _engine=engine), rows)
 
 
@@ -711,14 +715,7 @@ class TestStreamedCsvEqualsOrdered:
             monkeypatch.setattr(scores, "CSV_BLOCK", 5)
 
     def _testbed(self, scheme, constant):
-        """The databases, their key ring, and the oracle of a list of pairs."""
-        cfg = ue.CorpusConfig(n_subjects=self.SUBJECTS, samples_per_subject=self.SAMPLES,
-                              template_bits=128, intra_flip_rate=0.1, seed=6)
-        corpus = ue.generate_corpus(cfg)
-        make = ue.KeyRing.constant_ring if constant else ue.KeyRing.generate
-        ring = make(self.K, 128, 7, block_size=16)
-        return (ue.generate_databases(corpus, ring, scheme), ring,
-                lambda fn, pairs: _oracle(fn, scheme, ring, corpus, pairs))
+        return _testbed(scheme, self.SUBJECTS, self.SAMPLES, self.K, constant, seed=6)
 
     @pytest.mark.parametrize("constant", [False, True], ids=["keys", "constant-key"])
     @pytest.mark.parametrize("non_mated_all_pairs", [False, True])

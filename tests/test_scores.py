@@ -52,8 +52,8 @@ class TestScoreSet:
             _quiet_set([0.1], [0.2, 0.3])
 
     def test_strided_view_is_copied_once(self):
-        # the layout cross_database_scores hands over: a key-pair-major
-        # block with its first two axes swapped
+        # a non-contiguous input (a block with its first two axes swapped)
+        # is copied into one contiguous array, once
         view = np.arange(2 * 500 * 1000, dtype=np.float64).reshape(2, 500, 1000).swapaxes(0, 1)
         mated = np.zeros(1000)
         tracemalloc.start()
