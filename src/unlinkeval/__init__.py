@@ -36,8 +36,9 @@ from .protocol import (
     same_key_scores,
 )
 from .scores import (
+    CountTable,
     PriorConfig,
-    ScoreSet,
+    ScoreCounts,
     load_score_set,
     omega_from_enrollment,
     write_score_csv,
@@ -56,6 +57,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ADVERSARY_MODELS",
     "CorpusConfig",
+    "CountTable",
     "DensityConfig",
     "DensityPair",
     "DetCurve",
@@ -66,7 +68,7 @@ __all__ = [
     "PriorConfig",
     "ProtocolConfig",
     "RawCorpus",
-    "ScoreSet",
+    "ScoreCounts",
     "UNDEFINED",
     "UnlinkEvalError",
     "assess",

@@ -228,8 +228,10 @@ def cmd_synth(args) -> int:
 
 def cmd_compare(args) -> int:
     prior = _resolve_prior(args.omega, None)
-    accuracy_scores = load_score_set(args.accuracy_mated, args.accuracy_nonmated)
+    # the cross-key tables are the ones held while the accuracy files, often
+    # the larger pair, are parsed
     crosskey_scores = load_score_set(args.crosskey_mated, args.crosskey_nonmated)
+    accuracy_scores = load_score_set(args.accuracy_mated, args.accuracy_nonmated)
     result = assess(
         crosskey_scores, DensityConfig(bins=args.bins, kde=args.kde), prior.omega,
         args.orientation, MODE_CROSSKEY, accuracy_scores,

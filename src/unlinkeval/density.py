@@ -12,7 +12,7 @@ each side's count table (sorted distinct scores with their multiplicities):
 the densities depend on which scores occur and how often, not on their
 order.  The grid, the bin count and the histogram repeat the integers and
 float operations of np.percentile and np.histogram over the scores
-themselves; a ScoreSet is tallied once and keeps its tables.
+themselves.
 
 The Gaussian KDE takes Silverman's bandwidth from the table (quartiles as
 np.percentile gives them, mean and variance as count-weighted sums) and
@@ -47,7 +47,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -62,9 +61,6 @@ from .errors import (
     check_number,
 )
 from .scores import CountTable, ScoreCounts
-
-if TYPE_CHECKING:
-    from .scores import ScoreSet
 
 AUTO_BINS = "auto"
 _MIN_AUTO_BINS = 20
@@ -180,18 +176,11 @@ class DensityPair:
         return cls.from_json_dict(json.loads(text))
 
 
-def estimate_densities(scores: ScoreSet | ScoreCounts, config: DensityConfig | None = None) -> DensityPair:
-    """Estimate both conditional densities on a shared grid.
-
-    Both estimators read only the count tables of scores.counted(), so a
-    ScoreSet and its ScoreCounts give the same densities, whatever the
-    order of the scores.
-    """
+def estimate_densities(scores: ScoreCounts, config: DensityConfig | None = None) -> DensityPair:
+    """Estimate both conditional densities on a shared grid from the two count tables."""
     if config is None:
         config = DensityConfig()
-    tables = scores.counted()
-    mated = tables.mated
-    non_mated = tables.non_mated
+    mated, non_mated = scores.mated, scores.non_mated
 
     m_const = mated.values.size == 1
     nm_const = non_mated.values.size == 1

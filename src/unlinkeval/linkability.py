@@ -24,7 +24,7 @@ import numpy as np
 
 from .density import DensityConfig, DensityPair, estimate_densities
 from .errors import GridMismatchError, InternalInvariantError, LengthMismatchError
-from .scores import PriorConfig, ScoreSet
+from .scores import PriorConfig, ScoreCounts
 
 # score regions where neither hypothesis has any density: no evidence
 # either way, treated as unlinkable and weightless downstream
@@ -171,7 +171,7 @@ def _decode_lr(v) -> float:
 
 
 def evaluate(
-    scores: ScoreSet,
+    scores: ScoreCounts,
     prior: PriorConfig | None = None,
     density_cfg: DensityConfig | None = None,
 ) -> LinkabilityProfile:

@@ -13,7 +13,9 @@ and cross_database_scores and same_key_scores return those tables.  Every
 statistic of the report, the Gaussian KDE included, reads only the count
 tables.  Only score files need the scores in order: with out_dir (and in
 `unlink-eval synth`) one pass per function writes its CSV rows in file
-order as it tallies.
+order as it tallies.  Score files given as input (score_files) are tallied
+as they are read, so with out_dir their copies are written from the
+tables, each side in ascending order.
 """
 
 from __future__ import annotations
@@ -52,11 +54,9 @@ from .scores import (
     CountTable,
     PriorConfig,
     ScoreCounts,
-    ScoreSet,
     check_side,
     load_score_set,
     sorted_distinct,
-    warn_if_inadequate,
 )
 from .synthbtp import (
     SCHEME_BLOCK,
@@ -599,8 +599,9 @@ class _ScoreStream:
     key a.  Every pass tallies each pair into count tables, which the
     engine remembers; a pass that makes rows holds the mated cells, then
     one tile's cells of every distinct key pair, as lattice cells, never
-    as float64 scores.  The pair counts are checked and warned about as
-    the stream is built, before any pair is scored.
+    as float64 scores.  The pair counts are checked as the stream is
+    built, before any pair is scored; a side with few pairs is warned about
+    only when its tables are taken, as writing rows estimates nothing.
     """
 
     def __init__(self, engine: "_ScoreEngine", function: str, keys_a, keys_b, mated_samples,
@@ -615,7 +616,6 @@ class _ScoreStream:
         # the lattice scores are finite, so the counts are all there is to check
         check_side(score_io.LABEL_MATED, self.n_mated, np.empty(0))
         check_side(score_io.LABEL_NON_MATED, self.n_non_mated, np.empty(0))
-        warn_if_inadequate(self.n_mated, self.n_non_mated)
         # views of the same engine arrays compare the same bits; the engine owns
         # the arrays, so their ids stay unique while its memo lives
         self._key = (id(view.packed), id(view.pops), view.length, view.by_popsum, group, key_major,
@@ -658,8 +658,8 @@ class _ScoreStream:
                     yield from _in_file_order(_NON_MATED, run, tile_order)
         engine.scored[self._key] = (mated.table(), non_mated.table())
 
-    def tables(self) -> tuple:
-        """The mated and non-mated count tables: the engine's, or those of a pass that makes no rows.
+    def tallied(self) -> ScoreCounts:
+        """The count tables: the engine's, or those of a pass that makes no rows.
 
         A view already tallied with the same pairs, under any function, is
         not tallied again.
@@ -667,10 +667,7 @@ class _ScoreStream:
         if self._key not in self.engine.scored:
             for _ in self._pass(rows=False):
                 pass
-        return self.engine.scored[self._key]
-
-    def counted(self) -> ScoreCounts:
-        return ScoreCounts(*self.tables(), self.source, warn_adequacy=False)
+        return ScoreCounts(*self.engine.scored[self._key], self.source)
 
     def csv_blocks(self):
         """(label, text) blocks of the CSV rows; see scores.write_score_csv."""
@@ -715,7 +712,7 @@ def cross_database_scores(
         group=samples if non_mated_all_pairs else 1, key_major=False,
         source=f"{function}/{engine.scheme}/K={engine.k}/cross-key",
     )
-    return stream if _streamed else stream.counted()
+    return stream if _streamed else stream.tallied()
 
 
 def same_key_scores(
@@ -739,7 +736,7 @@ def same_key_scores(
         engine, function, keys, keys, np.triu_indices(engine.samples, 1), group=1, key_major=True,
         source=f"{function}/{engine.scheme}/K={engine.k}/same-key",
     )
-    return stream if _streamed else stream.counted()
+    return stream if _streamed else stream.tallied()
 
 
 def synthetic_databases(
@@ -798,8 +795,8 @@ class Assessment:
 
 
 def assess(
-    scores: ScoreSet | ScoreCounts, density: DensityConfig, omega: float, orientation: str, mode: str,
-    accuracy: ScoreSet | ScoreCounts | None = None,
+    scores: ScoreCounts, density: DensityConfig, omega: float, orientation: str, mode: str,
+    accuracy: ScoreCounts | None = None,
 ) -> Assessment:
     """Densities -> profile (LR, D(s), D_sys) -> KL over the binned pmfs -> DET curves.
 
@@ -807,21 +804,18 @@ def assess(
     (accuracy mated against scores' non-mated) are swept too.  Each curve
     holds the DRAWN_POINTS points that plotting.det_svg draws and its exact
     EER (det_curve's points); det_curve without points gives a full sweep.
-    Every step reads only the count tables: either input may be a ScoreSet
-    or a ScoreCounts.
+    Every step reads only the count tables.
     """
     dp = estimate_densities(scores, density)
     profile = evaluate_densities(dp, omega)
     widths = dp.bin_widths
     kl = kl_divergence(dp.p_mated * widths, dp.p_non_mated * widths)
-    tables = scores.counted()
     acc_curve = rtmr = None
     if accuracy is not None:
-        same_key = accuracy.counted()
-        acc_curve = det_curve(same_key.mated, same_key.non_mated, orientation, MODE_ACCURACY, points=DRAWN_POINTS)
-        rtmr = rtmr_curve(same_key.mated, tables.non_mated, orientation, points=DRAWN_POINTS)
+        acc_curve = det_curve(accuracy.mated, accuracy.non_mated, orientation, MODE_ACCURACY, points=DRAWN_POINTS)
+        rtmr = rtmr_curve(accuracy.mated, scores.non_mated, orientation, points=DRAWN_POINTS)
     # swept last, as its temporaries are the smallest when accuracy scores are many
-    det = det_curve(tables.mated, tables.non_mated, orientation, mode, points=DRAWN_POINTS)
+    det = det_curve(scores.mated, scores.non_mated, orientation, mode, points=DRAWN_POINTS)
     return Assessment(densities=dp, profile=profile, kl=kl, det=det, accuracy=acc_curve, rtmr=rtmr)
 
 
@@ -895,6 +889,9 @@ def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
                 path = Path(cfg.out_dir) / f"{fn}_scores.csv"
                 path.parent.mkdir(parents=True, exist_ok=True)
                 score_io.write_score_csv(scores, path)
+            if isinstance(scores, _ScoreStream):
+                # the pass that wrote the rows tallied them
+                scores = scores.tallied()
             result = assess(
                 scores, cfg.density, cfg.prior.omega, ORIENT_DISSIMILARITY, MODE_CROSSKEY, accuracy
             )

@@ -1,4 +1,4 @@
-"""Core domain types for linkage scores: score sets, count tables, priors, CSV ingestion.
+"""Core domain types for linkage scores: count tables, priors, CSV ingestion.
 
 A linkage score is the output of some function comparing two protected
 templates.  Scores are grouped into a mated collection (both templates
@@ -7,16 +7,17 @@ instances).  Scores are accepted in either orientation, similarity or
 dissimilarity; the linkability metrics are orientation-agnostic because the
 likelihood ratio is computed point-wise.
 
-A ScoreSet holds the scores themselves, in order; a ScoreCounts holds one
-CountTable (sorted distinct scores and their counts) per side, which is all
-the histogram, Gaussian KDE, DET and RTMR statistics use.
+A ScoreCounts holds one CountTable (sorted distinct scores and their
+counts) per side.  The histogram, Gaussian KDE, DET and RTMR statistics use
+nothing else, as none of them depends on the order of the scores, so score
+files are tallied as they are read.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,69 +47,6 @@ CSV_BLOCK = 65536
 ADEQUATE_SCORES_PER_SIDE = 1000
 
 
-@dataclass(frozen=True)
-class ScoreSet:
-    """Labeled empirical linkage scores with provenance metadata.
-
-    Both sides are immutable float64 arrays with at least 2 finite entries.
-    Duplicate values are retained: empirical densities must reflect
-    multiplicity.
-    """
-
-    mated: np.ndarray
-    non_mated: np.ndarray
-    source: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "mated", _as_score_array(self.mated, LABEL_MATED))
-        object.__setattr__(self, "non_mated", _as_score_array(self.non_mated, LABEL_NON_MATED))
-        warn_if_inadequate(self.mated.size, self.non_mated.size)
-
-    @property
-    def n_mated(self) -> int:
-        return int(self.mated.size)
-
-    @property
-    def n_non_mated(self) -> int:
-        return int(self.non_mated.size)
-
-    def csv_blocks(self):
-        """(label, text) blocks of CSV rows, mated rows first, CSV_BLOCK rows at a time.
-
-        Values are rendered with ``repr`` so reloading reproduces them
-        bit-exactly.  Each distinct bit pattern of a block is rendered once
-        (linkage scores repeat a few hundred values); comparing bits, not
-        floats, keeps -0.0 and 0.0 apart.
-        """
-        for values, label in ((self.mated, LABEL_MATED), (self.non_mated, LABEL_NON_MATED)):
-            for start in range(0, values.size, CSV_BLOCK):
-                block = values[start:start + CSV_BLOCK]
-                bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
-                rendered = [f"{v!r},{label}\n" for v in bits.view(np.float64).tolist()]
-                yield label, "".join(map(rendered.__getitem__, inverse.tolist()))
-
-    def counted(self) -> "ScoreCounts":
-        """Both sides as count tables, built on first use and kept."""
-        tables = self.__dict__.get("_tables")
-        if tables is None:
-            tables = ScoreCounts(
-                CountTable.from_scores(self.mated),
-                CountTable.from_scores(self.non_mated),
-                self.source,
-                warn_adequacy=False,
-            )
-            object.__setattr__(self, "_tables", tables)
-        return tables
-
-
-def _as_score_array(values, side: str) -> np.ndarray:
-    # copied once into C order, so reshape(-1) is a view
-    arr = np.array(values, dtype=np.float64, order="C").reshape(-1)
-    check_side(side, arr.size, arr)
-    arr.setflags(write=False)
-    return arr
-
-
 def check_side(side: str, n: int, values: np.ndarray) -> None:
     """Each side's rule: n >= 2 scores, and values (the scores or their distinct values) all finite."""
     if n < 2:
@@ -133,17 +71,6 @@ def sorted_distinct(*arrays) -> np.ndarray:
     keep[:1] = True
     np.not_equal(out[1:], out[:-1], out=keep[1:])
     return out[keep]
-
-
-def warn_if_inadequate(n_mated: int, n_non_mated: int) -> None:
-    for side, n in ((LABEL_MATED, n_mated), (LABEL_NON_MATED, n_non_mated)):
-        if n < ADEQUATE_SCORES_PER_SIDE:
-            warnings.warn(
-                f"{side} side has {n} scores; below "
-                f"{ADEQUATE_SCORES_PER_SIDE} estimates may be unstable",
-                StatisticalAdequacyWarning,
-                stacklevel=4,
-            )
 
 
 @dataclass(frozen=True)
@@ -235,23 +162,34 @@ class CountTable:
 class ScoreCounts:
     """A score set held as one count table per side.
 
-    Everything but the ordered score files is computed from these tables:
-    the histogram and Gaussian KDE densities and the auto bin count, the
-    DET and RTMR curves, and the pair counts.  Checked and warned about
-    like a ScoreSet: at least 2 finite scores per side, and a warning below
-    ADEQUATE_SCORES_PER_SIDE.
+    Everything is computed from these tables: the histogram and Gaussian KDE
+    densities and the auto bin count, the DET and RTMR curves, and the pair
+    counts.  Each side needs at least 2 finite scores, and each side below
+    ADEQUATE_SCORES_PER_SIDE is warned about when the tables are built,
+    here and nowhere else.
     """
 
     mated: CountTable
     non_mated: CountTable
     source: str = ""
-    warn_adequacy: InitVar[bool] = True
 
-    def __post_init__(self, warn_adequacy):
-        for side, table in ((LABEL_MATED, self.mated), (LABEL_NON_MATED, self.non_mated)):
+    def __post_init__(self):
+        sides = ((LABEL_MATED, self.mated), (LABEL_NON_MATED, self.non_mated))
+        for side, table in sides:
             check_side(side, len(table), table.values)
-        if warn_adequacy:
-            warn_if_inadequate(len(self.mated), len(self.non_mated))
+        for side, table in sides:
+            if len(table) < ADEQUATE_SCORES_PER_SIDE:
+                warnings.warn(
+                    f"{side} side has {len(table)} scores; below "
+                    f"{ADEQUATE_SCORES_PER_SIDE} estimates may be unstable",
+                    StatisticalAdequacyWarning,
+                    stacklevel=3,
+                )
+
+    @classmethod
+    def from_scores(cls, mated, non_mated, source: str = "") -> "ScoreCounts":
+        """Both sides' scores, in any order, tallied."""
+        return cls(CountTable.from_scores(mated), CountTable.from_scores(non_mated), source)
 
     @property
     def n_mated(self) -> int:
@@ -261,8 +199,26 @@ class ScoreCounts:
     def n_non_mated(self) -> int:
         return len(self.non_mated)
 
-    def counted(self) -> "ScoreCounts":
-        return self
+    def csv_blocks(self):
+        """(label, text) blocks of CSV rows, mated rows first, CSV_BLOCK rows at a time.
+
+        Each side's rows come in ascending order, each distinct value's row
+        repeated by its count.  Each value is rendered once, with ``repr``,
+        so the file reloads to the same tables bit for bit.
+        """
+        for table, label in ((self.mated, LABEL_MATED), (self.non_mated, LABEL_NON_MATED)):
+            rows = [f"{v!r},{label}\n" for v in table.values.tolist()]
+            block, room = [], CSV_BLOCK
+            for row, count in zip(rows, table.counts.tolist()):
+                while count:
+                    take = min(count, room)
+                    block.append(row * take)
+                    count, room = count - take, room - take
+                    if not room:
+                        yield label, "".join(block)
+                        block, room = [], CSV_BLOCK
+            if block:
+                yield label, "".join(block)
 
 
 DERIVATION_EXPLICIT = "explicit"
@@ -336,25 +292,29 @@ def omega_from_enrollment(n: int) -> float:
         raise InvalidEnrollmentCountError(f"n_enrolled {n} is beyond the float range") from None
 
 
-def load_score_set(mated_path, non_mated_path, source: str | None = None) -> ScoreSet:
-    """Load a score set from CSV files, one per side.
+def load_score_set(mated_path, non_mated_path, source: str | None = None) -> ScoreCounts:
+    """Load a score set from CSV files, one per side, tallied as each side is parsed.
 
     Each file is either a labeled CSV with header ``score,label`` (rows for
     the other side are ignored, so both paths may point at one combined
     file, which is then read and parsed once) or a headerless single column
-    of scores.
+    of scores.  A file's text and parsed scores are freed before the next
+    file is read.
     """
-    parsed: dict[Path, tuple[str, dict[str, np.ndarray] | None]] = {}
-    sides = []
+    tables, read = [], None
     for path, side in ((Path(mated_path), LABEL_MATED), (Path(non_mated_path), LABEL_NON_MATED)):
-        if path not in parsed:
-            parsed[path] = _parse_score_file(path)
-        text, columns = parsed[path]
-        sides.append(_parse_score_lines(path, text, side) if columns is None else columns[side])
-    mated, non_mated = sides
+        if path != read:
+            # the previous file's text and scores go before this one is read
+            text = columns = None
+            text, columns = _parse_score_file(path)
+            if columns is not None:
+                text = None  # parsed whole: no line parse needs it
+            read = path
+        tables.append(CountTable.from_scores(
+            _parse_score_lines(path, text, side) if columns is None else columns[side]))
     if source is None:
         source = f"{mated_path};{non_mated_path}"
-    return ScoreSet(mated=mated, non_mated=non_mated, source=source)
+    return ScoreCounts(*tables, source)
 
 
 # Whitespace other than "\n": padding, and the line breaks that
@@ -498,9 +458,10 @@ def _parse_score_lines(path: Path, text: str, side: str) -> list[float]:
 def write_score_csv(scores, path) -> None:
     """Write both sides to one labeled CSV, mated rows first.
 
-    scores is a ScoreSet, or any source whose csv_blocks() yields (label,
-    text) blocks in file order, such as the streamed scores of the
-    protocol engine, whose scoring pass runs here.
+    scores is any source whose csv_blocks() yields (label, text) blocks in
+    file order: a ScoreCounts, whose rows come in ascending order per side,
+    or the streamed scores of the protocol engine, whose scoring pass runs
+    here and writes its rows in the order they are scored.
     """
     with open(path, "w", encoding="utf-8") as out:
         out.write(_CSV_HEADER + "\n")

@@ -158,12 +158,12 @@ def test_criterion_04_gaussian_overlap_and_separation():
     with _Budget(60):
         for seed in range(50):
             rng = np.random.default_rng(seed)
-            same = ue.ScoreSet(
+            same = ue.ScoreCounts.from_scores(
                 mated=rng.normal(0.5, 0.1, 10_000), non_mated=rng.normal(0.5, 0.1, 10_000)
             )
             assert ue.evaluate(same).d_sys < 0.05, f"seed {seed}"
 
-            apart = ue.ScoreSet(
+            apart = ue.ScoreCounts.from_scores(
                 mated=rng.normal(0.2, 0.02, 10_000), non_mated=rng.normal(0.8, 0.02, 10_000)
             )
             assert ue.evaluate(apart).d_sys > 0.99, f"seed {seed}"
@@ -184,7 +184,7 @@ def test_criterion_04_gaussian_overlap_and_separation():
 def test_criterion_05_omega_sweep_is_monotone():
     with _Budget(10):
         rng = np.random.default_rng(99)
-        scores = ue.ScoreSet(
+        scores = ue.ScoreCounts.from_scores(
             mated=rng.normal(0.45, 0.1, 20_000), non_mated=rng.normal(0.55, 0.1, 20_000)
         )
         values = [
@@ -298,12 +298,13 @@ def test_criterion_10_determinism_and_round_trip(tmp_path, capsys):
         json.loads(first)  # well-formed, no timestamps to diff away
 
         rng = np.random.default_rng(5150)
-        scores = ue.ScoreSet(mated=rng.random(5000), non_mated=rng.random(5000))
+        scores = ue.ScoreCounts.from_scores(mated=rng.random(5000), non_mated=rng.random(5000))
         path = tmp_path / "scores.csv"
         ue.write_score_csv(scores, path)
         loaded = ue.load_score_set(path, path)
-        assert np.array_equal(loaded.mated, scores.mated)
-        assert np.array_equal(loaded.non_mated, scores.non_mated)
+        for side in ("mated", "non_mated"):
+            a, b = getattr(loaded, side), getattr(scores, side)
+            assert np.array_equal(a.values, b.values) and np.array_equal(a.counts, b.counts)
         second_path = tmp_path / "scores2.csv"
         ue.write_score_csv(loaded, second_path)
         assert path.read_bytes() == second_path.read_bytes()

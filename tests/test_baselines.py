@@ -174,8 +174,8 @@ class TestCrossKeyDet:
         return result.accuracy, result.det
 
     def test_returns_accuracy_and_crosskey_curves(self, rng):
-        single = ue.ScoreSet(mated=rng.normal(0.2, 0.05, 2000), non_mated=rng.normal(0.8, 0.05, 2000))
-        cross = ue.ScoreSet(mated=rng.normal(0.75, 0.05, 2000), non_mated=rng.normal(0.8, 0.05, 2000))
+        single = ue.ScoreCounts.from_scores(mated=rng.normal(0.2, 0.05, 2000), non_mated=rng.normal(0.8, 0.05, 2000))
+        cross = ue.ScoreCounts.from_scores(mated=rng.normal(0.75, 0.05, 2000), non_mated=rng.normal(0.8, 0.05, 2000))
         acc, ck = self._curves(single, cross, orientation=ORIENT_DISSIMILARITY)
         assert acc.mode == MODE_ACCURACY
         assert ck.mode == MODE_CROSSKEY
@@ -184,8 +184,8 @@ class TestCrossKeyDet:
 
     def test_identical_cross_key_keeps_eer(self, rng):
         m, nm = rng.normal(0.3, 0.1, 3000), rng.normal(0.7, 0.1, 3000)
-        single = ue.ScoreSet(mated=m, non_mated=nm)
-        cross = ue.ScoreSet(mated=m.copy(), non_mated=nm.copy())
+        single = ue.ScoreCounts.from_scores(mated=m, non_mated=nm)
+        cross = ue.ScoreCounts.from_scores(mated=m.copy(), non_mated=nm.copy())
         acc, ck = self._curves(single, cross, orientation=ORIENT_DISSIMILARITY)
         assert ck.eer == pytest.approx(acc.eer, abs=1e-12)
 
@@ -196,8 +196,8 @@ class TestCrossKeyDet:
         # Peak: the accuracy sweep's 1M thresholds (8 MB) built beside the
         # 500k distinct values (4 MB) they come from, and the cumulative
         # counts (4 MB); under 24 MB.  The full sweeps held 50 MB.
-        single = ue.ScoreSet(rng.normal(0.20, 0.06, 320_000), rng.normal(0.48, 0.03, 180_000)).counted()
-        cross = ue.ScoreSet(rng.normal(0.44, 0.04, 60_000), rng.normal(0.48, 0.045, 90_000)).counted()
+        single = ue.ScoreCounts.from_scores(rng.normal(0.20, 0.06, 320_000), rng.normal(0.48, 0.03, 180_000))
+        cross = ue.ScoreCounts.from_scores(rng.normal(0.44, 0.04, 60_000), rng.normal(0.48, 0.045, 90_000))
         tracemalloc.start()
         try:
             result = ue.assess(cross, ue.DensityConfig(kde=True), 1.0, ORIENT_DISSIMILARITY, MODE_CROSSKEY, single)

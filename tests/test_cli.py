@@ -202,6 +202,23 @@ class TestSynth:
         assert capsys.readouterr().err == "error: out of memory: Unable to allocate 1.00 TiB\n"
         assert [path.name for path in out.iterdir()] == ["notes.txt"]
 
+    def test_writing_rows_warns_of_no_estimate(self, tmp_path, capsys):
+        """synth writes rows and estimates nothing, so it warns of no small
+        side; run_protocol on the same corpus warns once per small side."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["synth", "--scheme", "xor", "--function", "pic_hd", "--subjects", "6",
+                         "--keys", "6", "--bits", "256", "--out", str(tmp_path / "synth")]) == 0
+        assert [str(w.message) for w in caught] == []
+        corpus = ue.CorpusConfig(n_subjects=6, samples_per_subject=4, template_bits=256,
+                                 intra_flip_rate=0.1, seed=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ue.run_protocol(ue.ProtocolConfig(linkage_functions=("pic_hd",), k=6, corpus=corpus))
+        small = [str(w.message).split(";")[0] for w in caught if w.category is StatisticalAdequacyWarning]
+        # the same-key accuracy sides, then the cross-key non-mated one
+        assert small == ["mated side has 216 scores", "nonmated side has 90 scores", "nonmated side has 225 scores"]
+
     def test_permuted_xor_needs_block_scheme(self, tmp_path, capsys):
         rc = main(["synth", "--scheme", "xor", "--function", "permuted_xor",
                    "--subjects", "4", "--samples", "2", "--bits", "256",

@@ -213,9 +213,7 @@ class TestCountHistogram:
         mated = np.round(rng.normal(0.3, 0.1, 3000), decimals)
         non_mated = np.round(rng.normal(0.6, 0.1, 4000), decimals)
         expected = _densities_by_scores(mated, non_mated, cfg)
-        scores = ue.ScoreSet(mated, non_mated)
-        for given_scores in (scores, scores.counted()):
-            assert ue.estimate_densities(given_scores, cfg).to_json() == expected
+        assert ue.estimate_densities(ScoreCounts.from_scores(mated, non_mated), cfg).to_json() == expected
 
 
 class TestCountDet:
@@ -313,30 +311,23 @@ class TestCountDet:
 
 
 class TestScoreCounts:
-    def test_checks_and_warnings_match_score_set(self):
-        mated, non_mated = [0.1, 0.2, 0.2], [0.5, 0.6]
-        with warnings.catch_warnings(record=True) as from_set:
+    def test_warns_once_per_small_side(self):
+        with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            scores = ue.ScoreSet(mated, non_mated)
-        with warnings.catch_warnings(record=True) as from_counts:
-            warnings.simplefilter("always")
-            counts = ScoreCounts(CountTable.from_scores(mated), CountTable.from_scores(non_mated))
-        assert [str(w.message) for w in from_counts] == [str(w.message) for w in from_set]
-        assert all(w.category is StatisticalAdequacyWarning for w in from_counts)
-        assert (counts.n_mated, counts.n_non_mated) == (scores.n_mated, scores.n_non_mated)
-
-    def test_counted_is_built_once_and_silently(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            scores = ue.ScoreSet([0.1, 0.2, 0.2], [0.5, 0.6])
+            counts = ScoreCounts.from_scores([0.2, 0.1, 0.2], [0.5, 0.6])
+        assert [str(w.message) for w in caught] == [
+            "mated side has 3 scores; below 1000 estimates may be unstable",
+            "nonmated side has 2 scores; below 1000 estimates may be unstable",
+        ]
+        assert all(w.category is StatisticalAdequacyWarning for w in caught)
+        assert (counts.n_mated, counts.n_non_mated) == (3, 2)
+        assert counts.mated.values.tolist() == [0.1, 0.2] and counts.mated.counts.tolist() == [1, 2]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tables = scores.counted()
-        assert scores.counted() is tables
-        assert tables.counted() is tables
+            ScoreCounts.from_scores(np.arange(1000.0), np.arange(1000.0))
 
     @pytest.mark.parametrize("make", [
-        lambda m, n: ue.ScoreSet(m, n),
+        ScoreCounts.from_scores,
         lambda m, n: ScoreCounts(CountTable.from_scores(m), CountTable.from_scores(n)),
         lambda m, n: ue.det_curve(m, n),
         lambda m, n: ue.det_curve(CountTable.from_scores(m), CountTable.from_scores(n)),

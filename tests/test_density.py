@@ -21,7 +21,7 @@ warnings.simplefilter("ignore", StatisticalAdequacyWarning)
 
 
 def _set(mated, non_mated):
-    return ue.ScoreSet(mated=np.asarray(mated, float), non_mated=np.asarray(non_mated, float))
+    return ue.ScoreCounts.from_scores(mated, non_mated)
 
 
 def _integral(dp):
@@ -368,9 +368,8 @@ class TestKdeWindow:
         s = _set(mated, non_mated)
         cfg = ue.DensityConfig(bins=80, kde=True, grid_range=(float(mated.min()), float(non_mated.max())))
         dp = ue.estimate_densities(s, cfg)
-        tables = s.counted()
-        assert np.array_equal(_bits(dp.p_mated), _bits(_dense_kde(tables.mated, dp.edges)))
-        assert np.array_equal(_bits(dp.p_non_mated), _bits(_dense_kde(tables.non_mated, dp.edges)))
+        assert np.array_equal(_bits(dp.p_mated), _bits(_dense_kde(s.mated, dp.edges)))
+        assert np.array_equal(_bits(dp.p_non_mated), _bits(_dense_kde(s.non_mated, dp.edges)))
 
     def test_subnormal_running_sums(self, rng):
         # a small cluster on both sides of one wide bin, 38 to 39 bandwidths
@@ -441,27 +440,21 @@ class TestKdeReadsCountTables:
 
     def _scores(self, rng):
         # rounded, so that many scores repeat
-        return _set(np.round(rng.normal(0.3, 0.05, 3000), 3), np.round(rng.normal(0.5, 0.04, 5000), 3))
+        return np.round(rng.normal(0.3, 0.05, 3000), 3), np.round(rng.normal(0.5, 0.04, 5000), 3)
 
     def test_shuffling_keeps_the_bits(self, rng):
-        s = self._scores(rng)
+        mated, non_mated = self._scores(rng)
         cfg = ue.DensityConfig(kde=True)
-        shuffled = _set(rng.permutation(s.mated), rng.permutation(s.non_mated))
-        assert ue.estimate_densities(shuffled, cfg).to_json() == ue.estimate_densities(s, cfg).to_json()
-
-    @pytest.mark.parametrize("cfg", [ue.DensityConfig(kde=True), ue.DensityConfig(bins=37, kde=True),
-                                     ue.DensityConfig(bins=50, kde=True, grid_range=(-1.0, 2.0))])
-    def test_score_set_and_its_tables_agree(self, rng, cfg):
-        s = self._scores(rng)
-        assert ue.estimate_densities(s, cfg).to_json() == ue.estimate_densities(s.counted(), cfg).to_json()
+        ordered, shuffled = _set(mated, non_mated), _set(rng.permutation(mated), rng.permutation(non_mated))
+        assert ue.estimate_densities(shuffled, cfg).to_json() == ue.estimate_densities(ordered, cfg).to_json()
 
     @pytest.mark.parametrize("block", [1, 5, 1000])
     def test_block_size_keeps_the_bits(self, rng, monkeypatch, block):
-        s = self._scores(rng)
+        s = _set(*self._scores(rng))
         cfg = ue.DensityConfig(kde=True)
         expected = ue.estimate_densities(s, cfg).to_json()
         monkeypatch.setattr(density, "_KDE_BLOCK", block)
-        assert ue.estimate_densities(s.counted(), cfg).to_json() == expected
+        assert ue.estimate_densities(s, cfg).to_json() == expected
 
 
 class TestSerialization:

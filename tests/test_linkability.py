@@ -231,7 +231,7 @@ class TestGlobalLinkability:
 
 class TestEvaluate:
     def test_composition_matches_manual_pipeline(self, rng):
-        s = ue.ScoreSet(
+        s = ue.ScoreCounts.from_scores(
             mated=rng.normal(0.4, 0.1, 2000), non_mated=rng.normal(0.6, 0.1, 2000)
         )
         cfg = ue.DensityConfig(bins=50)
@@ -243,7 +243,7 @@ class TestEvaluate:
     def test_vanishing_omega_kills_linkability(self):
         # finite ratios everywhere (shared support), so a vanishing prior
         # pushes every product under the activation threshold
-        s = ue.ScoreSet(
+        s = ue.ScoreCounts.from_scores(
             mated=np.repeat([0.4, 0.5, 0.6], [600, 400, 200]).astype(float),
             non_mated=np.repeat([0.4, 0.5, 0.6], [200, 400, 600]).astype(float),
         )
@@ -258,7 +258,7 @@ class TestEvaluate:
         assert list(prof.boundary_scores) == [2.0]
 
     def test_profile_invariants_hold(self, rng):
-        s = ue.ScoreSet(mated=rng.normal(0.4, 0.1, 3000), non_mated=rng.normal(0.5, 0.1, 3000))
+        s = ue.ScoreCounts.from_scores(mated=rng.normal(0.4, 0.1, 3000), non_mated=rng.normal(0.5, 0.1, 3000))
         prof = ue.evaluate(s)
         finite = np.isfinite(prof.lr)
         prod = prof.lr[finite] * prof.omega
@@ -279,7 +279,7 @@ class TestProfileSerialization:
         assert np.array_equal(back.d_local, prof.d_local)
 
     def test_d_local_must_be_the_local_measure(self, rng):
-        s = ue.ScoreSet(mated=rng.normal(0.4, 0.1, 2000), non_mated=rng.normal(0.6, 0.1, 2000))
+        s = ue.ScoreCounts.from_scores(mated=rng.normal(0.4, 0.1, 2000), non_mated=rng.normal(0.6, 0.1, 2000))
         prof = ue.evaluate(s, density_cfg=ue.DensityConfig(kde=True))
         back = ue.LinkabilityProfile.from_json(prof.to_json())
         assert np.array_equal(back.d_local, prof.d_local)

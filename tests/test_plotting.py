@@ -35,8 +35,8 @@ def test_det_svg_thins_dense_curves_to_evenly_spaced_points(rng):
 
 @pytest.mark.parametrize("orientation", [ORIENT_SIMILARITY, ORIENT_DISSIMILARITY])
 def test_det_svg_of_assess_curves_equals_that_of_full_sweeps(rng, orientation):
-    single = ue.ScoreSet(rng.normal(0.3, 0.1, 3000), rng.normal(0.6, 0.1, 2000))
-    cross = ue.ScoreSet(rng.normal(0.55, 0.1, 1500), rng.normal(0.6, 0.1, 2500))
+    single = ue.ScoreCounts.from_scores(rng.normal(0.3, 0.1, 3000), rng.normal(0.6, 0.1, 2000))
+    cross = ue.ScoreCounts.from_scores(rng.normal(0.55, 0.1, 1500), rng.normal(0.6, 0.1, 2500))
     result = ue.assess(cross, ue.DensityConfig(), 1.0, orientation, MODE_CROSSKEY, single)
     accuracy = det_curve(single.mated, single.non_mated, orientation, MODE_ACCURACY)
     rtmr = rtmr_curve(single.mated, cross.non_mated, orientation)

@@ -23,7 +23,6 @@ from unlinkeval.protocol import (
     _ScoreEngine,
     write_report_artifacts,
 )
-from unlinkeval.scores import CountTable
 from unlinkeval.synthbtp import SCHEME_BLOOM, SCHEME_XOR, invert_bits, protect_bits, protect_corpus
 
 warnings.simplefilter("ignore", StatisticalAdequacyWarning)
@@ -41,14 +40,49 @@ def _databases(n_subjects=2, samples=2, bits=128, k=2, seed=1, scheme=SCHEME_XOR
     return ue.generate_databases(corpus, ring, scheme), ring
 
 
-def _written(stream, tmp_path):
-    """The scores a streamed pass writes, read back in file order.
+@dataclasses.dataclass
+class _Ordered:
+    """Both sides' scores in a given order, written one row per score in that order."""
+
+    mated: np.ndarray
+    non_mated: np.ndarray
+
+    def __post_init__(self):
+        self.mated, self.non_mated = (np.asarray(s, dtype=np.float64) for s in (self.mated, self.non_mated))
+
+    @property
+    def n_mated(self):
+        return self.mated.size
+
+    @property
+    def n_non_mated(self):
+        return self.non_mated.size
+
+    def csv_blocks(self):
+        for values, label in ((self.mated, scores.LABEL_MATED), (self.non_mated, scores.LABEL_NON_MATED)):
+            yield label, "".join(f"{v!r},{label}\n" for v in values.tolist())
+
+
+def _read_rows(path):
+    """A labeled score CSV's scores, each side in file order, mated rows first.
 
     repr round-trips, so the values come back bit for bit.
     """
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    assert header == "score,label"
+    sides = {scores.LABEL_MATED: [], scores.LABEL_NON_MATED: []}
+    for row in rows:
+        value, label = row.split(",")
+        assert not (label == scores.LABEL_MATED and sides[scores.LABEL_NON_MATED])
+        sides[label].append(float(value))
+    return _Ordered(sides[scores.LABEL_MATED], sides[scores.LABEL_NON_MATED])
+
+
+def _written(stream, tmp_path):
+    """The scores a streamed pass writes, read back in file order."""
     path = tmp_path / "rows.csv"
     ue.write_score_csv(stream, path)
-    return ue.load_score_set(path, path)
+    return _read_rows(path)
 
 
 class TestPairCounts:
@@ -169,12 +203,15 @@ def distance_blocks(request, monkeypatch):
         monkeypatch.setattr(scores, "CSV_BLOCK", 5)
 
 
-def _assert_counts_of(tables, scores):
+def _assert_same_tables(got, expected):
     for side in ("mated", "non_mated"):
-        expected = CountTable.from_scores(getattr(scores, side))
-        got = getattr(tables, side)
-        assert np.array_equal(got.values.view(np.uint64), expected.values.view(np.uint64))
-        assert np.array_equal(got.counts, expected.counts)
+        a, b = getattr(got, side), getattr(expected, side)
+        assert np.array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
+        assert np.array_equal(a.counts, b.counts)
+
+
+def _assert_counts_of(tables, scores):
+    _assert_same_tables(tables, ue.ScoreCounts.from_scores(scores.mated, scores.non_mated))
 
 
 def _cross_key_pairs(n, samples, k, mated_pairing=PAIRING_ALL_CROSS_KEY, non_mated_all_pairs=False):
@@ -227,7 +264,7 @@ def _assert_streamed(stream, tmp_path, mated, non_mated):
     rows = _written(stream, tmp_path)
     assert np.array_equal(rows.mated, mated)
     assert np.array_equal(rows.non_mated, non_mated)
-    _assert_counts_of(stream.counted(), rows)
+    _assert_counts_of(stream.tallied(), rows)
     return rows
 
 
@@ -548,6 +585,25 @@ class TestRunProtocol:
         direct = ue.evaluate(ue.load_score_set(mated, non_mated))
         assert entry["d_sys"] == direct.d_sys
 
+    def test_external_score_files_with_out_dir(self, tmp_path, rng):
+        """The copy of each function's scores is written from its tables,
+        each side in ascending order, and reloads to the same tables."""
+        mated, non_mated = tmp_path / "m.csv", tmp_path / "nm.csv"
+        # rounded, so that many scores repeat, and given in no order
+        mated.write_text("\n".join(repr(float(v)) for v in np.round(rng.normal(0.3, 0.05, 1500), 3)) + "\n")
+        non_mated.write_text("\n".join(repr(float(v)) for v in np.round(rng.normal(0.7, 0.05, 1500), 3)) + "\n")
+        files = {"pic_hd": {"mated": mated, "non_mated": non_mated}}
+        without = ue.run_protocol(ue.ProtocolConfig(linkage_functions=("pic_hd",), k=6, score_files=files))
+        out = tmp_path / "out"
+        report = ue.run_protocol(ue.ProtocolConfig(linkage_functions=("pic_hd",), k=6, score_files=files,
+                                                   out_dir=out))
+        assert report.to_json() == without.to_json()
+        assert (out / "report.json").read_text(encoding="utf-8") == without.to_json() + "\n"
+        written = out / "pic_hd_scores.csv"
+        _assert_same_tables(ue.load_score_set(written, written), ue.load_score_set(mated, non_mated))
+        rows = _read_rows(written)
+        assert np.all(np.diff(rows.mated) >= 0) and np.all(np.diff(rows.non_mated) >= 0)
+
     def test_artifacts_written(self, tmp_path):
         cfg = self._config(out_dir=tmp_path / "out")
         report = ue.run_protocol(cfg)
@@ -688,7 +744,7 @@ class TestScoreEachKeyPairOnce:
                                                         allow_approximate_bloom=True, _streamed=streamed)
                                for streamed in (True, False))
             rows = _written(stream, tmp_path)
-            _assert_counts_of(stream.counted(), rows)
+            _assert_counts_of(stream.tallied(), rows)
             return rows, counted
 
         rows, counted = both_ways()
@@ -702,8 +758,8 @@ class TestScoreEachKeyPairOnce:
 
 class TestStreamedCsvEqualsOrdered:
     """A streamed pass writes the bytes that write_score_csv and
-    write_score_sides write from a ScoreSet of the per-pair oracle's
-    scores in the documented order: in one tile, and in tiles of two rows
+    write_score_sides write from the per-pair oracle's scores, one row
+    per score in the documented order: in one tile, and in tiles of two rows
     with blocks of five rows.  Five subjects make three such tiles."""
 
     SUBJECTS, SAMPLES, K = 5, 3, 3
@@ -727,7 +783,7 @@ class TestStreamedCsvEqualsOrdered:
                                           non_mated_all_pairs=non_mated_all_pairs,
                                           allow_approximate_bloom=True, _streamed=True)
         pairs = _cross_key_pairs(self.SUBJECTS, self.SAMPLES, self.K, mated_pairing, non_mated_all_pairs)
-        self._assert_same_files(tmp_path, stream, ue.ScoreSet(*(oracle(fn, side) for side in pairs)))
+        self._assert_same_files(tmp_path, stream, _Ordered(*(oracle(fn, side) for side in pairs)))
 
     @pytest.mark.parametrize("constant", [False, True], ids=["keys", "constant-key"])
     @pytest.mark.parametrize("scheme,fn", _SUPPORTED)
@@ -736,7 +792,7 @@ class TestStreamedCsvEqualsOrdered:
         engine = _ScoreEngine(dbs, ring, allow_approximate_bloom=True)
         stream = ue.same_key_scores(dbs, fn, ring, _engine=engine, _streamed=True)
         pairs = _same_key_pairs(self.SUBJECTS, self.SAMPLES, self.K)
-        self._assert_same_files(tmp_path, stream, ue.ScoreSet(*(oracle(fn, side) for side in pairs)))
+        self._assert_same_files(tmp_path, stream, _Ordered(*(oracle(fn, side) for side in pairs)))
 
     @staticmethod
     def _assert_same_files(tmp_path, streamed, ordered):
@@ -747,7 +803,7 @@ class TestStreamedCsvEqualsOrdered:
         for suffix in (".csv", "_m.csv", "_nm.csv"):
             assert (tmp_path / f"streamed{suffix}").read_bytes() == (tmp_path / f"ordered{suffix}").read_bytes()
         # the pass that wrote the rows tallied them too
-        _assert_counts_of(streamed.counted(), ordered)
+        _assert_counts_of(streamed.tallied(), ordered)
 
 
 class TestStreamedCsvMemory:
@@ -776,7 +832,7 @@ class TestStreamedCsvMemory:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert stream.counted().n_non_mated == 45 * n * (n - 1) // 2
+            assert stream.tallied().n_non_mated == 45 * n * (n - 1) // 2
             assert peaks[-1] < bound(n)
         assert peaks[1] < 2.5 * peaks[0]
 

@@ -24,18 +24,22 @@ from unlinkeval.scores import write_score_sides
 def _quiet_set(mated, non_mated):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StatisticalAdequacyWarning)
-        return ue.ScoreSet(mated=np.asarray(mated, float), non_mated=np.asarray(non_mated, float))
+        return ue.ScoreCounts.from_scores(mated, non_mated)
 
 
-class TestScoreSet:
-    def test_arrays_are_float64_and_read_only(self):
-        s = _quiet_set([1, 2, 3], [4, 5])
-        assert s.mated.dtype == np.float64
-        assert not s.mated.flags.writeable
-        assert not s.non_mated.flags.writeable
-        with pytest.raises(ValueError):
-            s.mated[0] = 9.0
+def _tables(s):
+    """Both sides' distinct values, as bit patterns, and their counts."""
+    return [(t.values.view(np.uint64).tolist(), t.counts.tolist()) for t in (s.mated, s.non_mated)]
 
+
+def _sorted_rows(mated, non_mated):
+    """The CSV text of the scores, each side's rows in ascending order."""
+    rows = [f"{v!r},mated\n" for v in np.sort(mated).tolist()]
+    rows += [f"{v!r},nonmated\n" for v in np.sort(non_mated).tolist()]
+    return "score,label\n" + "".join(rows)
+
+
+class TestScoreCounts:
     def test_counts(self):
         s = _quiet_set([0.1, 0.2, 0.3], [0.4, 0.5])
         assert s.n_mated == 3
@@ -51,29 +55,14 @@ class TestScoreSet:
         with pytest.raises(TooFewScoresError):
             _quiet_set([0.1], [0.2, 0.3])
 
-    def test_strided_view_is_copied_once(self):
-        # a non-contiguous input (a block with its first two axes swapped)
-        # is copied into one contiguous array, once
-        view = np.arange(2 * 500 * 1000, dtype=np.float64).reshape(2, 500, 1000).swapaxes(0, 1)
-        mated = np.zeros(1000)
-        tracemalloc.start()
-        try:
-            s = ue.ScoreSet(mated=mated, non_mated=view)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(s.non_mated, view.reshape(-1))
-        # the copy and the isfinite masks; a second copy would double it
-        assert peak < 1.4 * view.nbytes
-
     def test_adequacy_warning_below_recommended_size(self, rng):
         small = rng.normal(size=999)
         big = rng.normal(size=1000)
         with pytest.warns(StatisticalAdequacyWarning):
-            ue.ScoreSet(mated=small, non_mated=big)
+            ue.ScoreCounts.from_scores(small, big)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ue.ScoreSet(mated=big, non_mated=big.copy())
+            ue.ScoreCounts.from_scores(big, big.copy())
 
 
 class TestCsvRoundTrip:
@@ -81,32 +70,32 @@ class TestCsvRoundTrip:
         s = _quiet_set(rng.random(50), rng.random(70))
         path = tmp_path / "combined.csv"
         ue.write_score_csv(s, path)
-        loaded = ue.load_score_set(path, path)
-        assert np.array_equal(loaded.mated, s.mated)
-        assert np.array_equal(loaded.non_mated, s.non_mated)
+        assert _tables(ue.load_score_set(path, path)) == _tables(s)
 
-    def test_repeated_values_and_signed_zeros_render_per_row(self, tmp_path, rng):
-        mated = np.concatenate([[0.0, -0.0, 0.25, -0.0], rng.integers(0, 9, 40) / 8])
+    def test_repeated_values_render_in_ascending_order(self, tmp_path, rng):
+        mated = np.concatenate([[0.25, -0.5, 0.25], rng.integers(1, 9, 40) / 8])
         non_mated = np.concatenate([[0.1 + 0.2, 0.3], rng.random(5).repeat(3)])
         s = _quiet_set(mated, non_mated)
         path = tmp_path / "combined.csv"
         ue.write_score_csv(s, path)
-        rows = [f"{v!r},mated" for v in mated.tolist()]
-        rows += [f"{v!r},nonmated" for v in non_mated.tolist()]
-        assert path.read_text() == "score,label\n" + "\n".join(rows) + "\n"
-        loaded = ue.load_score_set(path, path)
-        assert np.array_equal(np.signbit(loaded.mated), np.signbit(mated))
+        assert path.read_text() == _sorted_rows(mated, non_mated)
+        assert _tables(ue.load_score_set(path, path)) == _tables(s)
 
-    def test_rows_across_blocks_render_per_row(self, tmp_path, rng):
-        # more rows than one block, with signed zeros on both sides of a block edge
+    @pytest.mark.parametrize("block", [5, None])
+    def test_rows_across_blocks(self, tmp_path, rng, monkeypatch, block):
+        # more rows than one block; blocks of five split the runs of most values
+        if block is not None:
+            monkeypatch.setattr(scores, "CSV_BLOCK", block)
         mated = rng.integers(0, 257, 150_000) / 256
-        mated[scores.CSV_BLOCK - 2:scores.CSV_BLOCK + 2] = [0.0, -0.0, -0.0, 0.0]
         non_mated = rng.random(70_000)
+        s = _quiet_set(mated, non_mated)
         path = tmp_path / "combined.csv"
-        ue.write_score_csv(_quiet_set(mated, non_mated), path)
-        rows = [f"{v!r},mated" for v in mated.tolist()]
-        rows += [f"{v!r},nonmated" for v in non_mated.tolist()]
-        assert path.read_bytes() == ("score,label\n" + "\n".join(rows) + "\n").encode()
+        ue.write_score_csv(s, path)
+        assert path.read_bytes() == _sorted_rows(mated, non_mated).encode()
+        # every block but a side's last holds CSV_BLOCK rows
+        for label in ("mated", "nonmated"):
+            sizes = [text.count("\n") for side, text in s.csv_blocks() if side == label]
+            assert set(sizes[:-1]) == {scores.CSV_BLOCK} and 0 < sizes[-1] <= scores.CSV_BLOCK
 
     def test_writer_memory_is_one_block(self, tmp_path, rng):
         # Hamming-distance scores: a 2M-row file needs no more memory than a
@@ -129,22 +118,20 @@ class TestCsvRoundTrip:
         s = _quiet_set(rng.random(30), rng.random(40))
         mp, nmp = tmp_path / "m.csv", tmp_path / "nm.csv"
         write_score_sides(s, mp, nmp)
-        loaded = ue.load_score_set(mp, nmp)
-        assert np.array_equal(loaded.mated, s.mated)
-        assert np.array_equal(loaded.non_mated, s.non_mated)
+        assert _tables(ue.load_score_set(mp, nmp)) == _tables(s)
 
     def test_headerless_single_column(self, score_csv):
-        mp, nmp = score_csv([0.25, 0.5], [0.125, 0.75, 0.875])
+        mp, nmp = score_csv([0.5, 0.25, 0.5], [0.875, 0.125, 0.75])
         s = ue.load_score_set(mp, nmp)
-        assert list(s.mated) == [0.25, 0.5]
-        assert list(s.non_mated) == [0.125, 0.75, 0.875]
+        assert (s.mated.values.tolist(), s.mated.counts.tolist()) == ([0.25, 0.5], [1, 2])
+        assert (s.non_mated.values.tolist(), s.non_mated.counts.tolist()) == ([0.125, 0.75, 0.875], [1, 1, 1])
 
     def test_labeled_file_filters_by_side(self, tmp_path):
         path = tmp_path / "mixed.csv"
         path.write_text("score,label\n0.1,mated\n0.9,nonmated\n0.2,mated\n0.8,nonmated\n")
         s = ue.load_score_set(path, path)
-        assert list(s.mated) == [0.1, 0.2]
-        assert list(s.non_mated) == [0.9, 0.8]
+        assert s.mated.values.tolist() == [0.1, 0.2]
+        assert s.non_mated.values.tolist() == [0.8, 0.9]
 
     def test_parse_error_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -177,16 +164,16 @@ def _line_oracle(mated_path, non_mated_path):
     for path, side in ((mated_path, scores.LABEL_MATED), (non_mated_path, scores.LABEL_NON_MATED)):
         text = path.read_text(encoding="utf-8")
         sides.append(np.array(scores._parse_score_lines(path, text, side), dtype=np.float64))
-    return ue.ScoreSet(mated=sides[0], non_mated=sides[1])
+    return ue.ScoreCounts.from_scores(sides[0], sides[1])
 
 
 def _outcome(load, mated_path, non_mated_path):
-    """Bit patterns of both sides, or the error's type, line, side and count."""
+    """Both sides' tables, as bit patterns, or the error's type, line, side and count."""
     try:
         s = load(mated_path, non_mated_path)
     except (ScoreParseError, TooFewScoresError) as exc:
         return type(exc), *(getattr(exc, a, None) for a in ("line_no", "side", "count"))
-    return s.mated.view(np.uint64).tolist(), s.non_mated.view(np.uint64).tolist()
+    return _tables(s)
 
 
 _NUMBER = st.one_of(
@@ -284,7 +271,8 @@ class TestWholeFileParse:
         finally:
             tracemalloc.stop()
         assert s.n_mated + s.n_non_mated == n
-        assert np.array_equal(np.sort(np.concatenate([s.mated, s.non_mated])), np.sort(values))
+        pooled, expected = ue.CountTable.pooled(s.mated, s.non_mated), ue.CountTable.from_scores(values)
+        assert np.array_equal(pooled.values, expected.values) and np.array_equal(pooled.counts, expected.counts)
         assert peak < text_bytes + 4 * 8 * n
 
     @pytest.mark.parametrize(
@@ -347,8 +335,8 @@ class TestWholeFileParse:
             calls.clear()
             s = ue.load_score_set(path, path)
             assert calls == [path]
-            assert list(s.mated) == [0.1, 0.2]
-            assert list(s.non_mated) == [0.9, 0.8]
+            assert s.mated.values.tolist() == [0.1, 0.2]
+            assert s.non_mated.values.tolist() == [0.8, 0.9]
 
     def test_combined_file_error_order(self, tmp_path):
         # the mated side is read first: its bad number wins over an earlier
