@@ -311,6 +311,28 @@ class TestCountDet:
 
 
 class TestScoreCounts:
+    def test_checks_and_warnings_match_score_set(self, score_csv):
+        # a score set loaded from files is checked and warned about as its scores are
+        mated, non_mated = [0.1, 0.2, 0.2], [0.5, 0.6]
+        paths = score_csv(mated, non_mated)
+        with warnings.catch_warnings(record=True) as from_files:
+            warnings.simplefilter("always")
+            loaded = ue.load_score_set(*paths)
+        with warnings.catch_warnings(record=True) as from_scores:
+            warnings.simplefilter("always")
+            counts = ScoreCounts.from_scores(mated, non_mated)
+        assert [str(w.message) for w in from_files] == [str(w.message) for w in from_scores]
+        assert all(w.category is StatisticalAdequacyWarning for w in from_files)
+        assert (loaded.n_mated, loaded.n_non_mated) == (counts.n_mated, counts.n_non_mated) == (3, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StatisticalAdequacyWarning)
+            with pytest.raises(TooFewScoresError) as by_file:
+                ue.load_score_set(*score_csv([0.1], non_mated, name="one"))
+            with pytest.raises(TooFewScoresError) as by_scores:
+                ScoreCounts.from_scores([0.1], non_mated)
+        side_and_count = [(e.value.side, e.value.count) for e in (by_file, by_scores)]
+        assert side_and_count == [("mated", 1)] * 2
+
     def test_warns_once_per_small_side(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

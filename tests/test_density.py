@@ -448,6 +448,15 @@ class TestKdeReadsCountTables:
         ordered, shuffled = _set(mated, non_mated), _set(rng.permutation(mated), rng.permutation(non_mated))
         assert ue.estimate_densities(shuffled, cfg).to_json() == ue.estimate_densities(ordered, cfg).to_json()
 
+    @pytest.mark.parametrize("cfg", [ue.DensityConfig(kde=True), ue.DensityConfig(bins=37, kde=True),
+                                     ue.DensityConfig(bins=50, kde=True, grid_range=(-1.0, 2.0))])
+    def test_score_set_and_its_tables_agree(self, rng, score_csv, cfg):
+        # the tables tallied while a score file is read, and those of its scores
+        mated, non_mated = self._scores(rng)
+        loaded = ue.load_score_set(*score_csv(mated, non_mated))
+        expected = ue.estimate_densities(_set(mated, non_mated), cfg).to_json()
+        assert ue.estimate_densities(loaded, cfg).to_json() == expected
+
     @pytest.mark.parametrize("block", [1, 5, 1000])
     def test_block_size_keeps_the_bits(self, rng, monkeypatch, block):
         s = _set(*self._scores(rng))

@@ -40,6 +40,19 @@ def _sorted_rows(mated, non_mated):
 
 
 class TestScoreCounts:
+    def test_arrays_are_float64_and_read_only(self, score_csv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StatisticalAdequacyWarning)
+            loaded = ue.load_score_set(*score_csv([3, 1, 3], [4, 5]))
+        for s in (_quiet_set([3, 1, 3], [4, 5]), loaded):
+            for table in (s.mated, s.non_mated):
+                assert (table.values.dtype, table.counts.dtype) == (np.float64, np.int64)
+                assert not table.values.flags.writeable and not table.counts.flags.writeable
+            with pytest.raises(ValueError):
+                s.mated.values[0] = 9.0
+            with pytest.raises(ValueError):
+                s.mated.counts[0] = 9
+
     def test_counts(self):
         s = _quiet_set([0.1, 0.2, 0.3], [0.4, 0.5])
         assert s.n_mated == 3
