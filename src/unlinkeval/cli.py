@@ -11,6 +11,7 @@ import argparse
 import json
 import re
 import sys
+import warnings
 from pathlib import Path
 
 from .baselines import (
@@ -21,7 +22,13 @@ from .baselines import (
     UNDEFINED,
 )
 from .density import DensityConfig
-from .errors import FileParseError, InternalInvariantError, MissingFileError, UnlinkEvalError
+from .errors import (
+    FileParseError,
+    InternalInvariantError,
+    MissingFileError,
+    StatisticalAdequacyWarning,
+    UnlinkEvalError,
+)
 from .plotting import det_svg, linkability_svg
 from .protocol import (
     ADVERSARY_MODELS,
@@ -186,33 +193,34 @@ def cmd_synth(args) -> int:
         bloom_height=args.bloom_height,
     )
     # one engine packs the databases for both files, and the per-bit
-    # databases go before any pair is scored; pairs are scored as their
-    # rows are written
+    # databases go before any pair is scored
     engine = _ScoreEngine(databases, ring, args.experimental)
     del databases
-    scores = cross_database_scores(None, args.function, _engine=engine, _streamed=True)
-    accuracy = same_key_scores(None, "pic_hd", _engine=engine, _streamed=True)
-
-    manifest = {
-        "scheme": scheme,
-        "function": args.function,
-        "n_subjects": args.subjects,
-        "samples_per_subject": args.samples,
-        "template_bits": args.bits,
-        "intra_flip_rate": args.flip_rate,
-        "k": args.keys,
-        "seed": args.seed,
-        "constant_key": args.constant_key,
-        "experimental": args.experimental,
-        "n_mated": scores.n_mated,
-        "n_non_mated": scores.n_non_mated,
-        "orientation": ORIENT_DISSIMILARITY,
-    }
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     paths = [out / name for name in ("mated.csv", "nonmated.csv", "accuracy_mated.csv",
                                      "accuracy_nonmated.csv", "manifest.json")]
     try:
+        with warnings.catch_warnings():
+            # synth estimates nothing, so a small side is no warning here
+            warnings.simplefilter("ignore", StatisticalAdequacyWarning)
+            scores = cross_database_scores(None, args.function, _engine=engine)
+            accuracy = same_key_scores(None, "pic_hd", _engine=engine)
+        manifest = {
+            "scheme": scheme,
+            "function": args.function,
+            "n_subjects": args.subjects,
+            "samples_per_subject": args.samples,
+            "template_bits": args.bits,
+            "intra_flip_rate": args.flip_rate,
+            "k": args.keys,
+            "seed": args.seed,
+            "constant_key": args.constant_key,
+            "experimental": args.experimental,
+            "n_mated": scores.n_mated,
+            "n_non_mated": scores.n_non_mated,
+            "orientation": ORIENT_DISSIMILARITY,
+        }
+        out.mkdir(parents=True, exist_ok=True)
         write_score_sides(scores, *paths[:2])
         write_score_sides(accuracy, *paths[2:4])
         paths[4].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -11,16 +11,13 @@ so their verdicts can be compared directly against the global measure.
 Scores are tallied into count tables as their distance blocks are computed,
 and cross_database_scores and same_key_scores return those tables.  Every
 statistic of the report, the Gaussian KDE included, reads only the count
-tables.  Only score files need the scores in order: with out_dir (and in
-`unlink-eval synth`) one pass per function writes its CSV rows in file
-order as it tallies.  Score files given as input (score_files) are tallied
-as they are read, so with out_dir their copies are written from the
-tables, each side in ascending order.
+tables, and every score file (with out_dir, and in `unlink-eval synth`) is
+written from them, each side in ascending order.  Score files given as
+input (score_files) are tallied as they are read.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import warnings
@@ -266,20 +263,14 @@ def _same_subject_rows(n_subjects: int, samples: int, sample_pairs):
     return (s_a[:, None] + base).ravel(), (s_b[:, None] + base).ravel()
 
 
-@functools.lru_cache(maxsize=8)
-def _is_pair(rows: int, cols: int) -> np.ndarray:
-    """(rows, cols) mask of a tile's subject pairs: column subject above row subject."""
-    mask = np.arange(cols)[None, :] > np.arange(rows)[:, None]
-    mask.setflags(write=False)  # shared through the cache
-    return mask
+def _tile_pairs(rows: int, cols: int, group: int) -> np.ndarray:
+    """Where each pair of subjects sits in a flattened (rows * group, cols * group) tile.
 
-
-def _tile_pairs(block: np.ndarray, rows: int, cols: int, group: int) -> np.ndarray:
-    """The pair entries of a (rows * group, cols * group) tile, in (subject pair, sample pair) order."""
-    if group == 1:
-        return block[_is_pair(rows, cols)]
-    by_subject = block.reshape(rows, group, cols, group).transpose(0, 2, 1, 3)
-    return by_subject[_is_pair(rows, cols)].reshape(-1)
+    The tile's rows and columns count subjects from the same first one, so
+    a pair takes a row subject i and a column subject j > i.
+    """
+    subject = np.arange(max(rows, cols) * group) // group
+    return np.flatnonzero(subject[: cols * group] > subject[: rows * group, None])
 
 
 @dataclass(frozen=True)
@@ -318,8 +309,6 @@ class _Lattice:
             self.low, self.stride = 2 * least, 2 * (most - least) + 1
             top = min(top, 2 * most)
         self.size = (top + 1) * self.stride
-        # the integer type a pass holds cells in
-        self.dtype = np.min_scalar_type(self.size - 1)
 
     def cells(self, dist: np.ndarray, popsum) -> np.ndarray:
         return dist if popsum is None else dist * self.stride + (popsum - self.low)
@@ -356,30 +345,6 @@ class _Tally:
         scores, counts = scores[order], counts[order]
         first = np.flatnonzero(np.concatenate(([True], scores[1:] != scores[:-1])))
         return CountTable(scores[first], np.add.reduceat(counts, first))
-
-
-class _RowText:
-    """The CSV row of each lattice cell, ``f"{score!r},{label}\\n"``, rendered when first seen.
-
-    slot maps a cell to its row in rows, 0 for a cell not seen yet, so rows
-    holds one string per cell that occurs.
-    """
-
-    def __init__(self, lattice: _Lattice, label: str):
-        self.lattice, self.label = lattice, label
-        self.slot = np.zeros(lattice.size, dtype=np.min_scalar_type(lattice.size))
-        self.rows = np.array([None], dtype=object)
-
-    def __call__(self, cells: np.ndarray) -> str:
-        slots = self.slot[cells]
-        if not slots.all():
-            new = sorted_distinct(cells[slots == 0])
-            self.slot[new] = np.arange(self.rows.size, self.rows.size + new.size)
-            rendered = np.empty(new.size, dtype=object)
-            rendered[:] = [f"{v!r},{self.label}\n" for v in self.lattice.scores(new).tolist()]
-            self.rows = np.concatenate((self.rows, rendered))
-            slots = self.slot[cells]
-        return "".join(self.rows[slots].tolist())
 
 
 class _ScoreEngine:
@@ -507,13 +472,12 @@ class _ScoreEngine:
         Yields (p, dist, popsum) per kernels.triangle_tiles tile (lo, hi),
         for every key pair p of the tile in turn: dist holds the pairs of
         subjects i in lo..hi-1 with subjects j > i, i under key keys_a[p]
-        and j under key keys_b[p], in (subject pair, sample pair) order,
-        which is one run of the triu order; popsum is None unless
-        view.by_popsum.  dist is a buffer that the next block
-        overwrites.  A call with at least kernels.GEMM_MIN_WORDS words of
-        work takes the tile from kernels.hamming_gemm, a smaller one
-        gathers just the pairs for kernels.hamming_rows; both give the same
-        integers, and both write into buffers allocated once per call.
+        and j under key keys_b[p]; popsum is None unless view.by_popsum.
+        dist is a buffer that the next block overwrites.  A call with at
+        least kernels.GEMM_MIN_WORDS words of work takes the tile from
+        kernels.hamming_gemm, a smaller one gathers just the pairs for
+        kernels.hamming_rows; both give the same integers, and both write
+        into buffers allocated once per call.
         """
         rows = slice(None) if group == self.samples else slice(None, None, self.samples)
         n, n_rows = self.n_subjects, self.n_subjects * group
@@ -533,8 +497,7 @@ class _ScoreEngine:
         for lo, hi in kernels.triangle_tiles(n, group):
             r, c = slice(lo * group, hi * group), slice(lo * group, n_rows)
             width = n_rows - c.start
-            # where each pair of the tile sits in the flattened (r, c) block
-            at = _tile_pairs(np.arange((r.stop - r.start) * width).reshape(-1, width), hi - lo, n - lo, group)
+            at = _tile_pairs(hi - lo, n - lo, group)
             if buffer is None:
                 # the first tile is the largest: its buffers serve every tile
                 buffer = np.empty(at.size, dtype=np.intp)
@@ -563,117 +526,42 @@ class _ScoreEngine:
                 yield p, dist, (pops[a][rows_a] + pops[b][rows_b] if view.by_popsum else None)
 
 
-_MATED, _NON_MATED = 0, 1
+def _tallied(engine: _ScoreEngine, function: str, keys_a, keys_b, mated_samples, group: int,
+             source: str) -> ScoreCounts:
+    """One linkage function's count tables, tallied in one pass over the engine's blocks.
 
-
-def _in_file_order(side: int, cells: np.ndarray, order: np.ndarray):
-    """Yield (side, block): cells[order[q], t, s] in (t, q, s) order.
-
-    cells holds one run of rows per distinct key pair, shape (pairs, T,
-    S); order names the distinct pair of each key pair of the file.  A
-    block holds CSV_BLOCK rows or fewer, unless one (t, q) run alone is
-    longer.
+    Key pair p compares each template under keys_a[p] with one under
+    keys_b[p]: mated_samples names the sample pairs of each subject, and
+    group the samples compared per pair of distinct subjects (1, the first,
+    or all).  A pass scores each distinct pair of canonical keys once: key
+    pairs whose databases are the same to the view as those of another pair
+    give the same scores, and are counted once per key pair they stand
+    for.  (a, b) and (b, a) stay apart: the first template is always on key
+    a.  The pair counts are checked before any pair is scored.  The engine
+    remembers the tables, so a view already tallied with the same pairs,
+    under any function, is not tallied again.
     """
-    per_t = len(order) * cells.shape[2]
-    if per_t <= score_io.CSV_BLOCK:
-        step = score_io.CSV_BLOCK // per_t
-        for t in range(0, cells.shape[1], step):
-            yield side, cells[order, t:t + step].transpose(1, 0, 2).ravel()
-        return
-    step = max(1, score_io.CSV_BLOCK // cells.shape[2])
-    for t in range(cells.shape[1]):
-        for q in range(0, len(order), step):
-            yield side, cells[order[q:q + step], t].ravel()
-
-
-class _ScoreStream:
-    """One linkage function's scores, made in file order by one pass over the engine's blocks.
-
-    Mated rows come in (key pair, sample pair, subject) order.  Non-mated
-    rows come in (subject pair, key pair, sample pair) order, in which one
-    kernels.triangle_tiles tile is one run of rows, or, when key_major,
-    in (key pair, subject pair, sample pair) order.  A pass scores each
-    distinct pair of canonical keys once: key pairs (a, b) whose databases
-    are the same to the view as those of another pair give the same
-    scores.  (a, b) and (b, a) stay apart: the first template is always on
-    key a.  Every pass tallies each pair into count tables, which the
-    engine remembers; a pass that makes rows holds the mated cells, then
-    one tile's cells of every distinct key pair, as lattice cells, never
-    as float64 scores.  The pair counts are checked as the stream is
-    built, before any pair is scored; a side with few pairs is warned about
-    only when its tables are taken, as writing rows estimates nothing.
-    """
-
-    def __init__(self, engine: "_ScoreEngine", function: str, keys_a, keys_b, mated_samples,
-                 group: int, key_major: bool, source: str):
-        view = engine.view(function)
-        self.engine, self.view, self.lattice = engine, view, _Lattice(view)
-        self.keys_a, self.keys_b = np.asarray(keys_a), np.asarray(keys_b)
-        self.mated_samples, self.group, self.key_major, self.source = mated_samples, group, key_major, source
-        n = engine.n_subjects
-        self.n_mated = len(self.keys_a) * len(mated_samples[0]) * n
-        self.n_non_mated = len(self.keys_a) * (n * (n - 1) // 2) * group * group
-        # the lattice scores are finite, so the counts are all there is to check
-        check_side(score_io.LABEL_MATED, self.n_mated, np.empty(0))
-        check_side(score_io.LABEL_NON_MATED, self.n_non_mated, np.empty(0))
-        # views of the same engine arrays compare the same bits; the engine owns
-        # the arrays, so their ids stay unique while its memo lives
-        self._key = (id(view.packed), id(view.pops), view.length, view.by_popsum, group, key_major,
-                     *(np.asarray(a).tobytes() for a in (keys_a, keys_b, *mated_samples)))
-
-    def _pass(self, rows: bool):
-        """Tally every pair; when rows, yield (side, cells) blocks in file order too."""
-        engine, view, lattice = self.engine, self.view, self.lattice
+    view = engine.view(function)
+    n = engine.n_subjects
+    # the lattice scores are finite, so the counts are all there is to check
+    check_side(score_io.LABEL_MATED, len(keys_a) * len(mated_samples[0]) * n, np.empty(0))
+    check_side(score_io.LABEL_NON_MATED, len(keys_a) * (n * (n - 1) // 2) * group * group, np.empty(0))
+    # views of the same engine arrays compare the same bits; the engine owns
+    # the arrays, so their ids stay unique while its memo lives
+    key = (id(view.packed), id(view.pops), view.length, view.by_popsum, group,
+           *(a.tobytes() for a in (keys_a, keys_b, *mated_samples)))
+    if key not in engine.scored:
         canon = engine.canonical_keys(view)
-        pairs, order, times = np.unique(
-            canon[self.keys_a] * engine.k + canon[self.keys_b], return_inverse=True, return_counts=True
-        )
+        pairs, times = np.unique(canon[keys_a] * engine.k + canon[keys_b], return_counts=True)
         pairs_a, pairs_b = np.divmod(pairs, engine.k)
+        lattice = _Lattice(view)
         mated, non_mated = _Tally(lattice), _Tally(lattice)
-        held = []
-        for p, dist, popsum in engine.same_subject(view, pairs_a, pairs_b, self.mated_samples):
-            cells = lattice.cells(dist, popsum)
-            mated.add(cells, times[p])
-            if rows:
-                held.append(cells.astype(lattice.dtype))
-        if rows:
-            yield from _in_file_order(_MATED, np.stack(held)[:, None, :], order)
-            del held
-        runs = [(pairs_a, pairs_b, order, times)]
-        if rows and self.key_major:
-            # one engine call per key pair, in file order
-            runs = [(pairs_a[[p]], pairs_b[[p]], np.zeros(1, dtype=np.intp), (1,)) for p in order]
-        for a, b, tile_order, weight in runs:
-            tile = None
-            for p, dist, popsum in engine.distinct_subjects(view, a, b, self.group):
-                cells = lattice.cells(dist, popsum)
-                non_mated.add(cells, weight[p])
-                if not rows:
-                    continue
-                if tile is None or tile.shape[1] < cells.size:
-                    tile = np.empty((len(a), cells.size), dtype=lattice.dtype)
-                tile[p, : cells.size] = cells
-                if p == len(a) - 1:  # every distinct key pair of the tile is scored
-                    run = tile[:, : cells.size].reshape(len(a), -1, self.group * self.group)
-                    yield from _in_file_order(_NON_MATED, run, tile_order)
-        engine.scored[self._key] = (mated.table(), non_mated.table())
-
-    def tallied(self) -> ScoreCounts:
-        """The count tables: the engine's, or those of a pass that makes no rows.
-
-        A view already tallied with the same pairs, under any function, is
-        not tallied again.
-        """
-        if self._key not in self.engine.scored:
-            for _ in self._pass(rows=False):
-                pass
-        return ScoreCounts(*self.engine.scored[self._key], self.source)
-
-    def csv_blocks(self):
-        """(label, text) blocks of the CSV rows; see scores.write_score_csv."""
-        text = tuple(_RowText(self.lattice, label) for label in (score_io.LABEL_MATED, score_io.LABEL_NON_MATED))
-        for side, cells in self._pass(rows=True):
-            yield text[side].label, text[side](cells)
+        for p, dist, popsum in engine.same_subject(view, pairs_a, pairs_b, mated_samples):
+            mated.add(lattice.cells(dist, popsum), times[p])
+        for p, dist, popsum in engine.distinct_subjects(view, pairs_a, pairs_b, group):
+            non_mated.add(lattice.cells(dist, popsum), times[p])
+        engine.scored[key] = (mated.table(), non_mated.table())
+    return ScoreCounts(*engine.scored[key], source)
 
 
 def cross_database_scores(
@@ -684,7 +572,6 @@ def cross_database_scores(
     non_mated_all_pairs: bool = False,
     allow_approximate_bloom: bool = False,
     _engine: "_ScoreEngine | None" = None,
-    _streamed: bool = False,
 ) -> ScoreCounts:
     """Mated and non-mated cross-key linkage scores over K databases, tallied.
 
@@ -695,24 +582,20 @@ def cross_database_scores(
     unless non_mated_all_pairs extends them.  Key pairs are a < b and the
     first template of each pair is on key a, so each unordered template
     pair appears once.  The scores come as one count table per side,
-    never all held at once.  _streamed returns them unscored instead, as a
-    source whose one pass writes their CSV rows and tallies their tables:
-    mated rows in (key pair, sample pair, subject) order, non-mated ones
-    in (subject pair, key pair, sample pair) order.
+    never all held at once; scores.write_score_csv writes them out.
     """
     if mated_pairing not in (PAIRING_ALL_CROSS_KEY, PAIRING_DISTINCT_SAMPLES):
         raise InvalidConfigError(f"unknown mated_pairing {mated_pairing!r}")
     engine = _engine or _ScoreEngine(databases, ring, allow_approximate_bloom)
     samples = engine.samples
-    # every (sample, sample) combination, first index outer
+    # every (sample, sample) combination
     grid = np.indices((samples, samples)).reshape(2, -1)
     mated_samples = np.triu_indices(samples, 1) if mated_pairing == PAIRING_DISTINCT_SAMPLES else grid
-    stream = _ScoreStream(
+    return _tallied(
         engine, function, *np.triu_indices(engine.k, 1), mated_samples,
-        group=samples if non_mated_all_pairs else 1, key_major=False,
+        group=samples if non_mated_all_pairs else 1,
         source=f"{function}/{engine.scheme}/K={engine.k}/cross-key",
     )
-    return stream if _streamed else stream.tallied()
 
 
 def same_key_scores(
@@ -720,23 +603,19 @@ def same_key_scores(
     function: str = "pic_hd",
     ring: KeyRing | None = None,
     _engine: "_ScoreEngine | None" = None,
-    _streamed: bool = False,
 ) -> ScoreCounts:
     """Accuracy-scenario scores, both templates under the same key, tallied.
 
     Mated: every distinct-sample pair of each subject under each key.
-    Non-mated: first samples of distinct subjects under each key.
-    _streamed returns them as a source of their CSV rows (see
-    cross_database_scores): mated rows in (key, sample pair, subject)
-    order, non-mated ones in (key, subject pair) order.
+    Non-mated: first samples of distinct subjects under each key.  The
+    scores come as one count table per side, as in cross_database_scores.
     """
     engine = _engine or _ScoreEngine(databases, ring)
     keys = np.arange(engine.k)
-    stream = _ScoreStream(
-        engine, function, keys, keys, np.triu_indices(engine.samples, 1), group=1, key_major=True,
+    return _tallied(
+        engine, function, keys, keys, np.triu_indices(engine.samples, 1), group=1,
         source=f"{function}/{engine.scheme}/K={engine.k}/same-key",
     )
-    return stream if _streamed else stream.tallied()
 
 
 def synthetic_databases(
@@ -868,8 +747,6 @@ def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
                 "key_seed": cfg.resolved_key_seed,
             }
         )
-    # without out_dir only count tables are ever built; with it, each
-    # function's one scoring pass writes its CSV rows and tallies its tables
 
     def evaluate_function(fn: str) -> dict:
         if cfg.score_files is not None:
@@ -881,7 +758,6 @@ def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
                 mated_pairing=cfg.mated_pairing,
                 non_mated_all_pairs=cfg.non_mated_all_pairs,
                 _engine=engine,
-                _streamed=cfg.out_dir is not None,
             )
         path = None
         try:
@@ -889,9 +765,6 @@ def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
                 path = Path(cfg.out_dir) / f"{fn}_scores.csv"
                 path.parent.mkdir(parents=True, exist_ok=True)
                 score_io.write_score_csv(scores, path)
-            if isinstance(scores, _ScoreStream):
-                # the pass that wrote the rows tallied them
-                scores = scores.tallied()
             result = assess(
                 scores, cfg.density, cfg.prior.omega, ORIENT_DISSIMILARITY, MODE_CROSSKEY, accuracy
             )

@@ -16,6 +16,7 @@ files are tallied as they are read.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,6 +46,21 @@ CSV_BLOCK = 65536
 # Below this many scores per side, estimates are flagged as statistically
 # weak (warning, never an error).
 ADEQUATE_SCORES_PER_SIDE = 1000
+
+_PACKAGE = __name__.partition(".")[0]
+
+
+def _stacklevel_outside_package() -> int:
+    """The stacklevel at which a warning issued by the caller names the
+    first frame outside this package, the line that called into it.
+
+    Frames are told apart by their module's name, so the __init__ that
+    dataclasses generates, which runs in its class's module, is inside.
+    """
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == _PACKAGE:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def check_side(side: str, n: int, values: np.ndarray) -> None:
@@ -166,7 +182,8 @@ class ScoreCounts:
     densities and the auto bin count, the DET and RTMR curves, and the pair
     counts.  Each side needs at least 2 finite scores, and each side below
     ADEQUATE_SCORES_PER_SIDE is warned about when the tables are built,
-    here and nowhere else.
+    here and nowhere else; the warning names the line outside the package
+    that asked for the tables.
     """
 
     mated: CountTable
@@ -183,7 +200,7 @@ class ScoreCounts:
                     f"{side} side has {len(table)} scores; below "
                     f"{ADEQUATE_SCORES_PER_SIDE} estimates may be unstable",
                     StatisticalAdequacyWarning,
-                    stacklevel=3,
+                    stacklevel=_stacklevel_outside_package(),
                 )
 
     @classmethod
@@ -204,19 +221,21 @@ class ScoreCounts:
 
         Each side's rows come in ascending order, each distinct value's row
         repeated by its count.  Each value is rendered once, with ``repr``,
-        so the file reloads to the same tables bit for bit.
+        so the file reloads to the same tables bit for bit, and at most
+        CSV_BLOCK values are rendered at a time, however many are distinct.
         """
         for table, label in ((self.mated, LABEL_MATED), (self.non_mated, LABEL_NON_MATED)):
-            rows = [f"{v!r},{label}\n" for v in table.values.tolist()]
             block, room = [], CSV_BLOCK
-            for row, count in zip(rows, table.counts.tolist()):
-                while count:
-                    take = min(count, room)
-                    block.append(row * take)
-                    count, room = count - take, room - take
-                    if not room:
-                        yield label, "".join(block)
-                        block, room = [], CSV_BLOCK
+            for start in range(0, table.values.size, CSV_BLOCK):
+                rows = [f"{v!r},{label}\n" for v in table.values[start : start + CSV_BLOCK].tolist()]
+                for row, count in zip(rows, table.counts[start : start + CSV_BLOCK].tolist()):
+                    while count:
+                        take = min(count, room)
+                        block.append(row * take)
+                        count, room = count - take, room - take
+                        if not room:
+                            yield label, "".join(block)
+                            block, room = [], CSV_BLOCK
             if block:
                 yield label, "".join(block)
 
@@ -455,13 +474,12 @@ def _parse_score_lines(path: Path, text: str, side: str) -> list[float]:
     return scores
 
 
-def write_score_csv(scores, path) -> None:
+def write_score_csv(scores: ScoreCounts, path) -> None:
     """Write both sides to one labeled CSV, mated rows first.
 
-    scores is any source whose csv_blocks() yields (label, text) blocks in
-    file order: a ScoreCounts, whose rows come in ascending order per side,
-    or the streamed scores of the protocol engine, whose scoring pass runs
-    here and writes its rows in the order they are scored.
+    Each side's rows come in ascending order (ScoreCounts.csv_blocks), so a
+    file holds how often each score occurs and nothing of the order in
+    which the scores were made.
     """
     with open(path, "w", encoding="utf-8") as out:
         out.write(_CSV_HEADER + "\n")
@@ -469,7 +487,7 @@ def write_score_csv(scores, path) -> None:
             out.write(text)
 
 
-def write_score_sides(scores, mated_path, non_mated_path) -> None:
+def write_score_sides(scores: ScoreCounts, mated_path, non_mated_path) -> None:
     """Write each side to its own labeled CSV file, in one pass over scores.csv_blocks()."""
     with open(mated_path, "w", encoding="utf-8") as mated, \
             open(non_mated_path, "w", encoding="utf-8") as non_mated:

@@ -13,7 +13,7 @@ import pytest
 import unlinkeval as ue
 from unlinkeval.cli import main
 from unlinkeval.errors import KeyCountWarning, StatisticalAdequacyWarning
-from unlinkeval.protocol import SCHEMA_VERSION
+from unlinkeval.protocol import SCHEMA_VERSION, synthetic_databases
 
 warnings.simplefilter("ignore", StatisticalAdequacyWarning)
 warnings.simplefilter("ignore", KeyCountWarning)
@@ -127,6 +127,16 @@ class TestSynth:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["k"] == 4
         assert manifest["n_mated"] == 6 * 6 * 4  # subjects * key pairs * sample grid
+        # each file holds one side of the engine's tables, its rows ascending
+        corpus = ue.CorpusConfig(n_subjects=6, samples_per_subject=2, template_bits=256,
+                                 intra_flip_rate=0.1, seed=3)
+        databases, ring = synthetic_databases(corpus, 4, "xor-salt")
+        for prefix, tables in (("", ue.cross_database_scores(databases, "pic_hd", ring)),
+                               ("accuracy_", ue.same_key_scores(databases, "pic_hd", ring))):
+            for side, table in (("mated", tables.mated), ("nonmated", tables.non_mated)):
+                header, *rows = (out / f"{prefix}{side}.csv").read_text().splitlines()
+                assert header == "score,label"
+                assert rows == [f"{v!r},{side}" for v in np.repeat(table.values, table.counts).tolist()]
 
     def test_deterministic_across_runs(self, tmp_path, capsys):
         args = ["synth", "--scheme", "block", "--function", "pic_hd",
@@ -170,8 +180,7 @@ class TestSynth:
 
     @pytest.mark.parametrize("earlier_run", [False, True], ids=["empty", "earlier-run"])
     def test_failed_scoring_leaves_no_score_files(self, tmp_path, monkeypatch, capsys, earlier_run):
-        """Out of memory at the 21st non-mated block: the mated file is
-        complete and the non-mated one partly written when the pass fails.
+        """Out of memory at the 21st non-mated block of the cross-key tally.
         Files of an earlier complete run in --out go too; other files stay."""
         from unlinkeval import kernels, scores
         from unlinkeval.protocol import _ScoreEngine

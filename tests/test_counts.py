@@ -2,9 +2,8 @@
 
 Every statistic computed from (sorted distinct value, count) tables must
 equal, bit for bit, the one NumPy or the former sort-based code computes
-from the scores themselves; and run_protocol's counted path must write the
-same report bytes as its streamed path, whose tallies come from the pass
-that writes the score files.
+from the scores themselves; and run_protocol must write the same report
+bytes, with the same warnings, whether or not it also writes score files.
 """
 
 import json
@@ -23,6 +22,7 @@ from unlinkeval import kernels
 from unlinkeval.baselines import ORIENT_DISSIMILARITY, ORIENT_SIMILARITY, _interpolated_eer
 from unlinkeval.density import _histogram_density
 from unlinkeval.errors import InvalidConfigError, StatisticalAdequacyWarning, TooFewScoresError
+from unlinkeval.protocol import synthetic_databases
 from unlinkeval.scores import CountTable, ScoreCounts, sorted_distinct
 
 
@@ -348,6 +348,24 @@ class TestScoreCounts:
             warnings.simplefilter("error")
             ScoreCounts.from_scores(np.arange(1000.0), np.arange(1000.0))
 
+    def test_warnings_name_the_calling_line(self, score_csv):
+        """A small side is warned about at the caller's line, never at one of the package."""
+        corpus = ue.CorpusConfig(n_subjects=3, samples_per_subject=2, template_bits=256,
+                                 intra_flip_rate=0.1, seed=1)
+        databases, ring = synthetic_databases(corpus, 6, "xor-salt")
+        paths = score_csv([0.1, 0.2], [0.5, 0.6])
+        calls = {
+            "from_scores": lambda: ScoreCounts.from_scores([0.1, 0.2], [0.5, 0.6]),
+            "load_score_set": lambda: ue.load_score_set(*paths),
+            "cross_database_scores": lambda: ue.cross_database_scores(databases, "pic_hd", ring),
+        }
+        for name, call in calls.items():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert [w.category for w in caught] == [StatisticalAdequacyWarning] * 2, name
+            assert [w.filename for w in caught] == [__file__] * 2, name
+
     @pytest.mark.parametrize("make", [
         ScoreCounts.from_scores,
         lambda m, n: ScoreCounts(CountTable.from_scores(m), CountTable.from_scores(n)),
@@ -411,9 +429,9 @@ def _run(cfg: dict):
     return report, sorted((w.category.__name__, str(w.message)) for w in caught)
 
 
-class TestCountedProtocolMatchesStreamed:
-    """run_protocol without out_dir tallies in a pass that makes no rows; with
-    out_dir each function's tables come from the pass that writes its CSV."""
+class TestProtocolReportWithAndWithoutOutDir:
+    """With out_dir, run_protocol also writes each function's score file from
+    its tables; the report and its warnings stay those of a run without."""
 
     @given(cfg=_protocol_configs(), tile=st.sampled_from([1, 2, 3, 128]), gemm=st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -422,11 +440,11 @@ class TestCountedProtocolMatchesStreamed:
                 mock.patch.object(kernels, "GEMM_MIN_WORDS", 0 if gemm else kernels.GEMM_MIN_WORDS):
             counted, counted_warnings = _run(cfg)
             with tempfile.TemporaryDirectory() as out:
-                streamed, streamed_warnings = _run(dict(cfg, out_dir=out))
+                with_out_dir, with_out_dir_warnings = _run(dict(cfg, out_dir=out))
                 written = (Path(out) / "report.json").read_text(encoding="utf-8")
         assert counted.to_json() + "\n" == written
-        assert counted.to_json() == streamed.to_json()
-        assert counted_warnings == streamed_warnings
+        assert counted.to_json() == with_out_dir.to_json()
+        assert counted_warnings == with_out_dir_warnings
 
 
 class TestCountedProtocolMemory:

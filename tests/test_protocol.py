@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import os
 import tracemalloc
 import warnings
 import weakref
@@ -21,6 +20,7 @@ from unlinkeval.protocol import (
     PAIRING_ALL_CROSS_KEY,
     PAIRING_DISTINCT_SAMPLES,
     _ScoreEngine,
+    synthetic_databases,
     write_report_artifacts,
 )
 from unlinkeval.synthbtp import SCHEME_BLOOM, SCHEME_XOR, invert_bits, protect_bits, protect_corpus
@@ -40,29 +40,6 @@ def _databases(n_subjects=2, samples=2, bits=128, k=2, seed=1, scheme=SCHEME_XOR
     return ue.generate_databases(corpus, ring, scheme), ring
 
 
-@dataclasses.dataclass
-class _Ordered:
-    """Both sides' scores in a given order, written one row per score in that order."""
-
-    mated: np.ndarray
-    non_mated: np.ndarray
-
-    def __post_init__(self):
-        self.mated, self.non_mated = (np.asarray(s, dtype=np.float64) for s in (self.mated, self.non_mated))
-
-    @property
-    def n_mated(self):
-        return self.mated.size
-
-    @property
-    def n_non_mated(self):
-        return self.non_mated.size
-
-    def csv_blocks(self):
-        for values, label in ((self.mated, scores.LABEL_MATED), (self.non_mated, scores.LABEL_NON_MATED)):
-            yield label, "".join(f"{v!r},{label}\n" for v in values.tolist())
-
-
 def _read_rows(path):
     """A labeled score CSV's scores, each side in file order, mated rows first.
 
@@ -75,14 +52,12 @@ def _read_rows(path):
         value, label = row.split(",")
         assert not (label == scores.LABEL_MATED and sides[scores.LABEL_NON_MATED])
         sides[label].append(float(value))
-    return _Ordered(sides[scores.LABEL_MATED], sides[scores.LABEL_NON_MATED])
+    return np.array(sides[scores.LABEL_MATED]), np.array(sides[scores.LABEL_NON_MATED])
 
 
-def _written(stream, tmp_path):
-    """The scores a streamed pass writes, read back in file order."""
-    path = tmp_path / "rows.csv"
-    ue.write_score_csv(stream, path)
-    return _read_rows(path)
+def _scores_of(table):
+    """A count table's scores, in ascending order."""
+    return np.repeat(table.values, table.counts)
 
 
 class TestPairCounts:
@@ -131,33 +106,30 @@ class TestPairCounts:
 
 
 class TestScoreValues:
-    def test_mated_xor_scores_match_hand_computation(self, tmp_path):
+    def test_mated_xor_scores_match_hand_computation(self):
         dbs, ring = _databases(n_subjects=2, samples=2, k=2, bits=64)
-        s = _written(ue.cross_database_scores(dbs, "pic_hd", ring,
-                                              mated_pairing=PAIRING_DISTINCT_SAMPLES,
-                                              non_mated_all_pairs=True, _streamed=True), tmp_path)
+        s = ue.cross_database_scores(dbs, "pic_hd", ring, mated_pairing=PAIRING_DISTINCT_SAMPLES,
+                                     non_mated_all_pairs=True)
         # template pair (subject, sample 0, key 0) vs (subject, sample 1, key 1)
         expected = []
         for subj in range(2):
             a = dbs[0].bits[subj, 0]
             b = dbs[1].bits[subj, 1]
             expected.append(np.mean(a != b))
-        assert sorted(s.mated) == pytest.approx(sorted(expected))
+        assert _scores_of(s.mated).tolist() == pytest.approx(sorted(expected))
 
-    def test_constant_ring_reduces_to_raw_comparison(self, tmp_path):
+    def test_constant_ring_reduces_to_raw_comparison(self):
         dbs, ring = _databases(n_subjects=3, samples=2, k=3, constant=True, bits=2048)
-        s = _written(ue.cross_database_scores(dbs, "pic_hd", ring, _streamed=True), tmp_path)
+        s = ue.cross_database_scores(dbs, "pic_hd", ring)
         # same mask on both sides cancels in the XOR, scores sit near the
         # raw intra-class distance, far below 0.5
-        assert float(np.mean(s.mated)) < 0.3
-        assert float(np.mean(s.non_mated)) == pytest.approx(0.5, abs=0.05)
+        assert float(np.mean(_scores_of(s.mated))) < 0.3
+        assert float(np.mean(_scores_of(s.non_mated))) == pytest.approx(0.5, abs=0.05)
 
-    def test_determinism(self, tmp_path):
+    def test_determinism(self):
         dbs, ring = _databases(n_subjects=4, samples=2, k=3, seed=11)
-        a, b = (_written(ue.cross_database_scores(dbs, "pic_hd", ring, _streamed=True), tmp_path)
-                for _ in range(2))
-        assert np.array_equal(a.mated, b.mated)
-        assert np.array_equal(a.non_mated, b.non_mated)
+        # each call builds its own engine, so neither reads the other's tables
+        _assert_same_tables(*(ue.cross_database_scores(dbs, "pic_hd", ring) for _ in range(2)))
 
 
 # every linkage function each scheme supports
@@ -193,14 +165,11 @@ def _oracle_score(fn, scheme, ring, raw1, a, raw2, b):
                 ids=lambda p: f"{p[0]}-tile{p[1] or 'default'}")
 def distance_blocks(request, monkeypatch):
     """Non-mated distances by row gathers or by the matrix product, in
-    default tiles or in tiles of two rows that split every corpus here;
-    with the latter, ordered rows come in blocks of five, which split
-    every run of rows of a key pair or a subject pair."""
+    default tiles or in tiles of two rows that split every corpus here."""
     kind, tile_rows = request.param
     monkeypatch.setattr(kernels, "GEMM_MIN_WORDS", 0 if kind == "gemm" else 1 << 62)
     if tile_rows is not None:
         monkeypatch.setattr(kernels, "TILE_ROWS", tile_rows)
-        monkeypatch.setattr(scores, "CSV_BLOCK", 5)
 
 
 def _assert_same_tables(got, expected):
@@ -210,34 +179,32 @@ def _assert_same_tables(got, expected):
         assert np.array_equal(a.counts, b.counts)
 
 
-def _assert_counts_of(tables, scores):
-    _assert_same_tables(tables, ue.ScoreCounts.from_scores(scores.mated, scores.non_mated))
+def _assert_counts_of(tables, mated, non_mated):
+    """tables tally exactly the given scores of each side."""
+    _assert_same_tables(tables, ue.ScoreCounts.from_scores(mated, non_mated))
 
 
 def _cross_key_pairs(n, samples, k, mated_pairing=PAIRING_ALL_CROSS_KEY, non_mated_all_pairs=False):
-    """The documented row order of cross_database_scores: mated and non-mated
-    pairs of templates, each template a (subject, sample, key)."""
+    """Every pair that cross_database_scores scores, mated and non-mated,
+    each template a (subject, sample, key)."""
     key_pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
     grid = [(sa, sb) for sa in range(samples) for sb in range(samples)]
     distinct = [(sa, sb) for sa, sb in grid if sa < sb]
     mated_samples = distinct if mated_pairing == PAIRING_DISTINCT_SAMPLES else grid
     nm_samples = grid if non_mated_all_pairs else [(0, 0)]
-    # mated: (key pair, sample pair, subject)
     mated = [((subj, sa, a), (subj, sb, b))
              for a, b in key_pairs for sa, sb in mated_samples for subj in range(n)]
-    # non-mated: (subject pair, key pair, sample pair)
     non_mated = [((i, sa, a), (j, sb, b))
                  for i in range(n) for j in range(i + 1, n) for a, b in key_pairs for sa, sb in nm_samples]
     return mated, non_mated
 
 
 def _same_key_pairs(n, samples, k):
-    """The documented row order of same_key_scores, as _cross_key_pairs."""
-    # mated: (key, distinct sample pair, subject)
+    """Every pair that same_key_scores scores, as _cross_key_pairs."""
+    # mated: distinct sample pairs; non-mated: first samples
     mated = [((subj, sa, key), (subj, sb, key))
              for key in range(k) for sa in range(samples) for sb in range(sa + 1, samples)
              for subj in range(n)]
-    # non-mated: (key, subject pair), first samples
     non_mated = [((i, 0, key), (j, 0, key)) for key in range(k) for i in range(n) for j in range(i + 1, n)]
     return mated, non_mated
 
@@ -259,19 +226,9 @@ def _testbed(scheme, subjects, samples, k, constant, seed):
             lambda fn, pairs: _oracle(fn, scheme, ring, corpus, pairs))
 
 
-def _assert_streamed(stream, tmp_path, mated, non_mated):
-    """The stream's rows are the given scores in order, and its pass tallied them."""
-    rows = _written(stream, tmp_path)
-    assert np.array_equal(rows.mated, mated)
-    assert np.array_equal(rows.non_mated, non_mated)
-    _assert_counts_of(stream.tallied(), rows)
-    return rows
-
-
 @pytest.mark.usefixtures("distance_blocks")
 class TestEngineMatchesPerTemplateFunctions:
-    """Streamed rows equal a per-pair oracle, in the documented order, and
-    the counted result tallies exactly those scores."""
+    """The engine's count tables tally exactly the per-pair oracle's scores."""
 
     SUBJECTS, SAMPLES, K = 3, 3, 3
     CONSTANT_KEY = False
@@ -282,28 +239,20 @@ class TestEngineMatchesPerTemplateFunctions:
     @pytest.mark.parametrize("non_mated_all_pairs", [False, True])
     @pytest.mark.parametrize("mated_pairing", [PAIRING_ALL_CROSS_KEY, PAIRING_DISTINCT_SAMPLES])
     @pytest.mark.parametrize("scheme,fn", _SUPPORTED)
-    def test_cross_key_scores(self, tmp_path, scheme, fn, mated_pairing, non_mated_all_pairs):
+    def test_cross_key_scores(self, scheme, fn, mated_pairing, non_mated_all_pairs):
         dbs, ring, oracle = self._testbed(scheme)
-
-        def scores(streamed):
-            return ue.cross_database_scores(dbs, fn, ring, mated_pairing=mated_pairing,
-                                            non_mated_all_pairs=non_mated_all_pairs,
-                                            allow_approximate_bloom=True, _streamed=streamed)
-
+        tables = ue.cross_database_scores(dbs, fn, ring, mated_pairing=mated_pairing,
+                                          non_mated_all_pairs=non_mated_all_pairs,
+                                          allow_approximate_bloom=True)
         pairs = _cross_key_pairs(self.SUBJECTS, self.SAMPLES, self.K, mated_pairing, non_mated_all_pairs)
-        rows = _assert_streamed(scores(True), tmp_path, *(oracle(fn, side) for side in pairs))
-        _assert_counts_of(scores(False), rows)
+        _assert_counts_of(tables, *(oracle(fn, side) for side in pairs))
 
     @pytest.mark.parametrize("scheme,fn", _SUPPORTED)
-    def test_same_key_scores(self, tmp_path, scheme, fn):
+    def test_same_key_scores(self, scheme, fn):
         dbs, ring, oracle = self._testbed(scheme)
         engine = _ScoreEngine(dbs, ring, allow_approximate_bloom=True)
-        stream = ue.same_key_scores(dbs, fn, ring, _engine=engine, _streamed=True)
         pairs = _same_key_pairs(self.SUBJECTS, self.SAMPLES, self.K)
-        rows = _assert_streamed(stream, tmp_path, *(oracle(fn, side) for side in pairs))
-        # the streamed pass left its tables in the memo; the counted pass must make its own
-        engine.scored.clear()
-        _assert_counts_of(ue.same_key_scores(dbs, fn, ring, _engine=engine), rows)
+        _assert_counts_of(ue.same_key_scores(dbs, fn, ring, _engine=engine), *(oracle(fn, side) for side in pairs))
 
 
 class TestEngineMatchesPerTemplateFunctionsConstantKey(TestEngineMatchesPerTemplateFunctions):
@@ -325,7 +274,7 @@ class TestEngineHoldsNoPerBitDatabase:
     @pytest.mark.parametrize("bits,block_size,bloom", [(128, 16, (16, 4)), (120, 8, (5, 3))],
                              ids=["128-bits", "120-bits"])
     @pytest.mark.parametrize("scheme", ["xor-salt", "block-remap", "bloom-filter", "none"])
-    def test_inverted_views_after_the_databases_are_freed(self, tmp_path, scheme, bits, block_size, bloom):
+    def test_inverted_views_after_the_databases_are_freed(self, scheme, bits, block_size, bloom):
         n, S = self.SUBJECTS, self.SAMPLES
         cfg = ue.CorpusConfig(n_subjects=n, samples_per_subject=S, template_bits=bits,
                               intra_flip_rate=0.1, seed=5)
@@ -339,10 +288,10 @@ class TestEngineHoldsNoPerBitDatabase:
 
         pairs = _cross_key_pairs(n, S, self.K)
         for fn in ["reconstruction"] + (["permuted_xor"] if scheme == "block-remap" else []):
-            stream = ue.cross_database_scores(None, fn, _engine=engine, _streamed=True)
-            rows = _assert_streamed(stream, tmp_path, *(_oracle(fn, scheme, ring, corpus, side) for side in pairs))
+            # each function tallies its own tables, not those the other left in the memo
             engine.scored.clear()
-            _assert_counts_of(ue.cross_database_scores(None, fn, _engine=engine), rows)
+            _assert_counts_of(ue.cross_database_scores(None, fn, _engine=engine),
+                              *(_oracle(fn, scheme, ring, corpus, side) for side in pairs))
 
 
 class TestEngineValidation:
@@ -601,8 +550,7 @@ class TestRunProtocol:
         assert (out / "report.json").read_text(encoding="utf-8") == without.to_json() + "\n"
         written = out / "pic_hd_scores.csv"
         _assert_same_tables(ue.load_score_set(written, written), ue.load_score_set(mated, non_mated))
-        rows = _read_rows(written)
-        assert np.all(np.diff(rows.mated) >= 0) and np.all(np.diff(rows.non_mated) >= 0)
+        assert all(np.all(np.diff(side) >= 0) for side in _read_rows(written))
 
     def test_artifacts_written(self, tmp_path):
         cfg = self._config(out_dir=tmp_path / "out")
@@ -610,9 +558,15 @@ class TestRunProtocol:
         out = tmp_path / "out"
         assert (out / "report.json").exists()
         assert (out / "pic_hd_linkability.svg").exists()
-        assert (out / "pic_hd_scores.csv").exists()
         on_disk = json.loads((out / "report.json").read_text())
         assert on_disk == report.to_json_dict()
+        # each score file lists each side in ascending order and reloads to
+        # the tables that cross_database_scores tallies
+        databases, ring = synthetic_databases(cfg.corpus, cfg.k, cfg.scheme, cfg.resolved_key_seed)
+        for fn in cfg.linkage_functions:
+            written = out / f"{fn}_scores.csv"
+            _assert_same_tables(ue.load_score_set(written, written), ue.cross_database_scores(databases, fn, ring))
+            assert all(np.all(np.diff(side) >= 0) for side in _read_rows(written))
 
     def test_svg_metadata_round_trips_report_entry(self, tmp_path):
         cfg = self._config(out_dir=tmp_path / "out")
@@ -645,21 +599,19 @@ class TestScoreEachComparisonOnce:
         monkeypatch.undo()
         return report, len(passes)
 
-    @pytest.mark.parametrize("ordered", [False, True])
-    def test_one_scoring_pass(self, monkeypatch, tmp_path, ordered):
-        out = lambda name: tmp_path / name if ordered else None
+    @pytest.mark.parametrize("with_out_dir", [False, True])
+    def test_one_scoring_pass(self, monkeypatch, tmp_path, with_out_dir):
+        out = lambda name: tmp_path / name if with_out_dir else None
         both, both_passes = self._run(monkeypatch, ("permuted_xor", "reconstruction"), out("both"))
         _, one_passes = self._run(monkeypatch, ("permuted_xor",), out("one"))
         _, other_passes = self._run(monkeypatch, ("permuted_xor", "pic_hd"), out("other"))
-        if not ordered:
-            # only tallies are remembered; rows are scored per function
-            assert both_passes == one_passes < other_passes
+        assert both_passes == one_passes < other_passes
         permuted = dict(both.per_function["permuted_xor"])
         reconstruction = dict(both.per_function["reconstruction"])
         assert (permuted.pop("adversary_model"), reconstruction.pop("adversary_model")) == (
             "structural-knowledge", "key-knowledge")
         assert permuted == reconstruction
-        if ordered:
+        if with_out_dir:
             written = [(tmp_path / "both" / f"{fn}_scores.csv").read_bytes()
                        for fn in ("permuted_xor", "reconstruction")]
             assert written[0] == written[1]
@@ -672,8 +624,6 @@ class TestScoreEachComparisonOnce:
         assert len(engine.scored) == 1
         assert permuted.source.startswith("permuted_xor/")
         assert reconstruction.source.startswith("reconstruction/")
-        streamed = ue.cross_database_scores(None, "reconstruction", _engine=engine, _streamed=True)
-        assert streamed.source == reconstruction.source
         for side in ("mated", "non_mated"):
             a, b = getattr(permuted, side), getattr(reconstruction, side)
             assert np.array_equal(a.values, b.values) and np.array_equal(a.counts, b.counts)
@@ -683,7 +633,7 @@ class TestScoreEachKeyPairOnce:
     """A view that sees byte-identical databases under several keys scores
     each distinct pair of them once: block re-mapping, K = 6, 15 key pairs."""
 
-    def _scored(self, monkeypatch, fn, constant, streamed):
+    def _scored(self, monkeypatch, fn, constant):
         """The key pairs the engine is asked to score, and the kernel passes."""
         asked, passes = [], []
         for name in ("same_subject", "distinct_subjects"):
@@ -703,17 +653,14 @@ class TestScoreEachKeyPairOnce:
 
             monkeypatch.setattr(kernels, name, kernel_spy)
         dbs, ring = _databases(n_subjects=4, samples=2, k=6, scheme="block-remap", constant=constant)
-        scores = ue.cross_database_scores(dbs, fn, ring, _streamed=streamed)
-        if streamed:
-            ue.write_score_csv(scores, os.devnull)
+        ue.cross_database_scores(dbs, fn, ring)
         monkeypatch.undo()
         return asked, len(passes)
 
-    @pytest.mark.parametrize("streamed", [True, False], ids=["streamed", "counted"])
     @pytest.mark.parametrize("constant", [False, True], ids=["keys", "constant-key"])
     @pytest.mark.parametrize("fn", ["pic_hd", "hamming_weight", "permuted_xor", "reconstruction"])
-    def test_key_pairs_scored(self, monkeypatch, fn, constant, streamed):
-        asked, passes = self._scored(monkeypatch, fn, constant, streamed)
+    def test_key_pairs_scored(self, monkeypatch, fn, constant):
+        asked, passes = self._scored(monkeypatch, fn, constant)
         if fn == "pic_hd" and not constant:
             expected = [(a, b) for a in range(6) for b in range(a + 1, 6)]
         else:
@@ -726,10 +673,10 @@ class TestScoreEachKeyPairOnce:
 
     @pytest.mark.parametrize("non_mated_all_pairs", [False, True])
     @pytest.mark.parametrize("scheme,fn", _SUPPORTED)
-    def test_scores_as_without_dedupe(self, monkeypatch, tmp_path, scheme, fn, non_mated_all_pairs):
+    def test_scores_as_without_dedupe(self, monkeypatch, scheme, fn, non_mated_all_pairs):
         """Databases 0 and 2 share one key, so key pair (1, 2) is scored as
         (1, 0), which is not (0, 1): the first template of a pair is on its
-        first key.  Every score equals that of an engine that dedupes nothing."""
+        first key.  The tables equal those of an engine that dedupes nothing."""
         cfg = ue.CorpusConfig(n_subjects=5, samples_per_subject=3, template_bits=128,
                               intra_flip_rate=0.1, seed=3)
         two = ue.KeyRing.generate(2, 128, 4, block_size=16)
@@ -738,103 +685,13 @@ class TestScoreEachKeyPairOnce:
         })
         dbs = ue.generate_databases(ue.generate_corpus(cfg), ring, scheme)
 
-        def both_ways():
-            """The streamed rows, read back, and the counted result."""
-            stream, counted = (ue.cross_database_scores(dbs, fn, ring, non_mated_all_pairs=non_mated_all_pairs,
-                                                        allow_approximate_bloom=True, _streamed=streamed)
-                               for streamed in (True, False))
-            rows = _written(stream, tmp_path)
-            _assert_counts_of(stream.tallied(), rows)
-            return rows, counted
+        def tables():
+            return ue.cross_database_scores(dbs, fn, ring, non_mated_all_pairs=non_mated_all_pairs,
+                                            allow_approximate_bloom=True)
 
-        rows, counted = both_ways()
+        deduped = tables()
         monkeypatch.setattr(_ScoreEngine, "canonical_keys", lambda engine, view: np.arange(engine.k))
-        want, want_counted = both_ways()
-        assert np.array_equal(rows.mated, want.mated)
-        assert np.array_equal(rows.non_mated, want.non_mated)
-        _assert_counts_of(counted, want)
-        _assert_counts_of(want_counted, want)
-
-
-class TestStreamedCsvEqualsOrdered:
-    """A streamed pass writes the bytes that write_score_csv and
-    write_score_sides write from the per-pair oracle's scores, one row
-    per score in the documented order: in one tile, and in tiles of two rows
-    with blocks of five rows.  Five subjects make three such tiles."""
-
-    SUBJECTS, SAMPLES, K = 5, 3, 3
-
-    @pytest.fixture(autouse=True, params=[None, 2], ids=["one-tile", "tile2"])
-    def tiles(self, request, monkeypatch):
-        if request.param is not None:
-            monkeypatch.setattr(kernels, "TILE_ROWS", request.param)
-            monkeypatch.setattr(scores, "CSV_BLOCK", 5)
-
-    def _testbed(self, scheme, constant):
-        return _testbed(scheme, self.SUBJECTS, self.SAMPLES, self.K, constant, seed=6)
-
-    @pytest.mark.parametrize("constant", [False, True], ids=["keys", "constant-key"])
-    @pytest.mark.parametrize("non_mated_all_pairs", [False, True])
-    @pytest.mark.parametrize("mated_pairing", [PAIRING_ALL_CROSS_KEY, PAIRING_DISTINCT_SAMPLES])
-    @pytest.mark.parametrize("scheme,fn", _SUPPORTED)
-    def test_cross_key_files(self, tmp_path, scheme, fn, mated_pairing, non_mated_all_pairs, constant):
-        dbs, ring, oracle = self._testbed(scheme, constant)
-        stream = ue.cross_database_scores(dbs, fn, ring, mated_pairing=mated_pairing,
-                                          non_mated_all_pairs=non_mated_all_pairs,
-                                          allow_approximate_bloom=True, _streamed=True)
-        pairs = _cross_key_pairs(self.SUBJECTS, self.SAMPLES, self.K, mated_pairing, non_mated_all_pairs)
-        self._assert_same_files(tmp_path, stream, _Ordered(*(oracle(fn, side) for side in pairs)))
-
-    @pytest.mark.parametrize("constant", [False, True], ids=["keys", "constant-key"])
-    @pytest.mark.parametrize("scheme,fn", _SUPPORTED)
-    def test_same_key_files(self, tmp_path, scheme, fn, constant):
-        dbs, ring, oracle = self._testbed(scheme, constant)
-        engine = _ScoreEngine(dbs, ring, allow_approximate_bloom=True)
-        stream = ue.same_key_scores(dbs, fn, ring, _engine=engine, _streamed=True)
-        pairs = _same_key_pairs(self.SUBJECTS, self.SAMPLES, self.K)
-        self._assert_same_files(tmp_path, stream, _Ordered(*(oracle(fn, side) for side in pairs)))
-
-    @staticmethod
-    def _assert_same_files(tmp_path, streamed, ordered):
-        assert (streamed.n_mated, streamed.n_non_mated) == (ordered.n_mated, ordered.n_non_mated)
-        for name, source in (("ordered", ordered), ("streamed", streamed)):
-            ue.write_score_csv(source, tmp_path / f"{name}.csv")
-            ue.write_score_sides(source, tmp_path / f"{name}_m.csv", tmp_path / f"{name}_nm.csv")
-        for suffix in (".csv", "_m.csv", "_nm.csv"):
-            assert (tmp_path / f"streamed{suffix}").read_bytes() == (tmp_path / f"ordered{suffix}").read_bytes()
-        # the pass that wrote the rows tallied them too
-        _assert_counts_of(streamed.tallied(), ordered)
-
-
-class TestStreamedCsvMemory:
-    def test_held_memory_grows_with_the_subjects_not_the_pairs(self):
-        """Writing pic_hd's CSV under block re-mapping, 45 distinct key pairs.
-
-        Held at once, by the bound below: one tile's uint16 cells for every
-        key pair (at most TILE_ROWS x n pairs), the float32 bits the matrix
-        product reads (n first samples per key), the mated cells, and one
-        65,536-row block with its slots, strings and text, which with the
-        per-tile temporaries stays under 8 MB.  That is linear in n: from
-        250 to 500 subjects the pairs grow 4x, the held memory about 2x.
-        The non-mated float64 scores alone would take 45 MB at 500.
-        """
-
-        def bound(n):
-            return kernels.TILE_ROWS * n * 45 * 2 + 10 * n * 1024 * 4 + 45 * 16 * n * 2 + 8 * 2**20
-
-        peaks = []
-        for n in (250, 500):
-            dbs, ring = _databases(n_subjects=n, samples=4, bits=1024, k=10, seed=2, scheme="block-remap")
-            stream = ue.cross_database_scores(dbs, "pic_hd", ring, _streamed=True)
-            tracemalloc.start()
-            try:
-                ue.write_score_csv(stream, os.devnull)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            assert stream.tallied().n_non_mated == 45 * n * (n - 1) // 2
-            assert peaks[-1] < bound(n)
-        assert peaks[1] < 2.5 * peaks[0]
+        _assert_same_tables(deduped, tables())
 
 
 class TestProtocolMemory:
@@ -887,7 +744,7 @@ class TestFailedFunctionsLeaveNoScoreFile:
         report = ue.run_protocol(TestRunProtocol()._config(
             linkage_functions=("pic_hd", "hamming_weight", "reconstruction"), scheme="bloom-filter",
             out_dir=tmp_path))
-        # reconstruction fails before its file is opened, hamming_weight after its pass
+        # reconstruction fails before its file is opened, hamming_weight after it is written
         assert report.per_function["hamming_weight"]["error"] == "ValueError: assess failed"
         assert "SchemeNotInvertible" in report.per_function["reconstruction"]["error"]
         assert sorted(p.name for p in tmp_path.glob("*_scores.csv")) == ["pic_hd_scores.csv"]

@@ -110,22 +110,32 @@ class TestCsvRoundTrip:
             sizes = [text.count("\n") for side, text in s.csv_blocks() if side == label]
             assert set(sizes[:-1]) == {scores.CSV_BLOCK} and 0 < sizes[-1] <= scores.CSV_BLOCK
 
-    def test_writer_memory_is_one_block(self, tmp_path, rng):
-        # Hamming-distance scores: a 2M-row file needs no more memory than a
-        # 500k-row one, one block of rows plus slack
-        peaks = []
-        for n in (500_000, 2_000_000):
-            values = rng.integers(0, 1025, n) / 1024
-            s = _quiet_set(values[: n // 4], values[n // 4:])
-            tracemalloc.start()
-            try:
-                ue.write_score_csv(s, tmp_path / f"{n}.csv")
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            (tmp_path / f"{n}.csv").unlink()
-        assert peaks[1] < 16e6
-        assert peaks[1] <= peaks[0] + 1e6
+    def test_writer_memory_is_one_block(self, tmp_path, rng, monkeypatch):
+        # a file of 4x the rows needs no more memory than the smaller one, one
+        # block of rows plus slack, however many of its scores are distinct
+        def peaks(draw, sizes):
+            found = []
+            for n in sizes:
+                values = draw(n)
+                s = _quiet_set(values[: n // 4], values[n // 4:])
+                del values
+                tracemalloc.start()
+                try:
+                    ue.write_score_csv(s, tmp_path / f"{n}.csv")
+                    found.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                (tmp_path / f"{n}.csv").unlink()
+            return found
+
+        # Hamming-distance scores: 1025 distinct values
+        lattice = peaks(lambda n: rng.integers(0, 1025, n) / 1024, (500_000, 2_000_000))
+        assert lattice[1] < 16e6
+        assert lattice[1] <= lattice[0] + 1e6
+        # every score distinct; blocks of 4096 rows keep the rendering quick
+        monkeypatch.setattr(scores, "CSV_BLOCK", 4096)
+        distinct = peaks(rng.random, (50_000, 200_000))
+        assert distinct[1] <= distinct[0] + 1e6
 
     def test_per_side_files_round_trip(self, tmp_path, rng):
         s = _quiet_set(rng.random(30), rng.random(40))
