@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import tracemalloc
 import warnings
 import weakref
@@ -633,8 +634,9 @@ class TestScoreEachKeyPairOnce:
     """A view that sees byte-identical databases under several keys scores
     each distinct pair of them once: block re-mapping, K = 6, 15 key pairs."""
 
-    def _scored(self, monkeypatch, fn, constant):
-        """The key pairs the engine is asked to score, and the kernel passes."""
+    def _scored(self, monkeypatch, fn, constant, written):
+        """The key pairs the engine is asked to score, and the kernel passes,
+        while the tables are tallied and, if written, written to a file."""
         asked, passes = [], []
         for name in ("same_subject", "distinct_subjects"):
             real = getattr(_ScoreEngine, name)
@@ -653,14 +655,18 @@ class TestScoreEachKeyPairOnce:
 
             monkeypatch.setattr(kernels, name, kernel_spy)
         dbs, ring = _databases(n_subjects=4, samples=2, k=6, scheme="block-remap", constant=constant)
-        ue.cross_database_scores(dbs, fn, ring)
+        tables = ue.cross_database_scores(dbs, fn, ring)
+        if written:
+            ue.write_score_csv(tables, os.devnull)
         monkeypatch.undo()
         return asked, len(passes)
 
+    @pytest.mark.parametrize("written", [True, False], ids=["written", "counted"])
     @pytest.mark.parametrize("constant", [False, True], ids=["keys", "constant-key"])
     @pytest.mark.parametrize("fn", ["pic_hd", "hamming_weight", "permuted_xor", "reconstruction"])
-    def test_key_pairs_scored(self, monkeypatch, fn, constant):
-        asked, passes = self._scored(monkeypatch, fn, constant)
+    def test_key_pairs_scored(self, monkeypatch, fn, constant, written):
+        """Writing the tables to a file scores no pair again."""
+        asked, passes = self._scored(monkeypatch, fn, constant, written)
         if fn == "pic_hd" and not constant:
             expected = [(a, b) for a in range(6) for b in range(a + 1, 6)]
         else:
@@ -692,6 +698,100 @@ class TestScoreEachKeyPairOnce:
         deduped = tables()
         monkeypatch.setattr(_ScoreEngine, "canonical_keys", lambda engine, view: np.arange(engine.k))
         _assert_same_tables(deduped, tables())
+
+
+class _SortedRows:
+    """Both sides' scores, written one row per score in ascending order,
+    each rendered with repr, independently of ScoreCounts.csv_blocks."""
+
+    def __init__(self, mated, non_mated):
+        self.mated, self.non_mated = (np.sort(np.asarray(s, dtype=np.float64)) for s in (mated, non_mated))
+
+    def csv_blocks(self):
+        for values, label in ((self.mated, scores.LABEL_MATED), (self.non_mated, scores.LABEL_NON_MATED)):
+            yield label, "".join(f"{v!r},{label}\n" for v in values.tolist())
+
+
+class TestScoreFilesHoldSortedOracleRows:
+    """The files write_score_csv and write_score_sides write from the
+    engine's tables hold the per-pair oracle's scores, one row per score,
+    each side in ascending order: in one tile, and in tiles of two rows
+    with blocks of five rows, which split runs of equal scores.  Five
+    subjects make three such tiles."""
+
+    SUBJECTS, SAMPLES, K = 5, 3, 3
+
+    @pytest.fixture(autouse=True, params=[None, 2], ids=["one-tile", "tile2"])
+    def tiles(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(kernels, "TILE_ROWS", request.param)
+            monkeypatch.setattr(scores, "CSV_BLOCK", 5)
+
+    def _testbed(self, scheme, constant):
+        return _testbed(scheme, self.SUBJECTS, self.SAMPLES, self.K, constant, seed=6)
+
+    @pytest.mark.parametrize("constant", [False, True], ids=["keys", "constant-key"])
+    @pytest.mark.parametrize("non_mated_all_pairs", [False, True])
+    @pytest.mark.parametrize("mated_pairing", [PAIRING_ALL_CROSS_KEY, PAIRING_DISTINCT_SAMPLES])
+    @pytest.mark.parametrize("scheme,fn", _SUPPORTED)
+    def test_cross_key_files(self, tmp_path, scheme, fn, mated_pairing, non_mated_all_pairs, constant):
+        dbs, ring, oracle = self._testbed(scheme, constant)
+        tables = ue.cross_database_scores(dbs, fn, ring, mated_pairing=mated_pairing,
+                                          non_mated_all_pairs=non_mated_all_pairs,
+                                          allow_approximate_bloom=True)
+        pairs = _cross_key_pairs(self.SUBJECTS, self.SAMPLES, self.K, mated_pairing, non_mated_all_pairs)
+        self._assert_same_files(tmp_path, tables, _SortedRows(*(oracle(fn, side) for side in pairs)))
+
+    @pytest.mark.parametrize("constant", [False, True], ids=["keys", "constant-key"])
+    @pytest.mark.parametrize("scheme,fn", _SUPPORTED)
+    def test_same_key_files(self, tmp_path, scheme, fn, constant):
+        dbs, ring, oracle = self._testbed(scheme, constant)
+        engine = _ScoreEngine(dbs, ring, allow_approximate_bloom=True)
+        tables = ue.same_key_scores(dbs, fn, ring, _engine=engine)
+        pairs = _same_key_pairs(self.SUBJECTS, self.SAMPLES, self.K)
+        self._assert_same_files(tmp_path, tables, _SortedRows(*(oracle(fn, side) for side in pairs)))
+
+    @staticmethod
+    def _assert_same_files(tmp_path, tables, rows):
+        assert (tables.n_mated, tables.n_non_mated) == (rows.mated.size, rows.non_mated.size)
+        for name, source in (("rows", rows), ("tables", tables)):
+            ue.write_score_csv(source, tmp_path / f"{name}.csv")
+            ue.write_score_sides(source, tmp_path / f"{name}_m.csv", tmp_path / f"{name}_nm.csv")
+        for suffix in (".csv", "_m.csv", "_nm.csv"):
+            assert (tmp_path / f"tables{suffix}").read_bytes() == (tmp_path / f"rows{suffix}").read_bytes()
+        _assert_counts_of(tables, rows.mated, rows.non_mated)
+
+
+class TestScoreFileMemory:
+    def test_held_memory_grows_with_the_subjects_not_the_pairs(self):
+        """Tallying pic_hd under block re-mapping, 45 distinct key pairs, and
+        writing its CSV.
+
+        Held at once, by the bound below: one tile's buffers (at most
+        TILE_ROWS x n pairs), the float32 bits the matrix product reads (n
+        first samples per key), the set-bit counts, the count tables, and
+        one 65,536-row block with its strings and text, which with the
+        per-tile temporaries stays under 8 MB.  That is linear in n: from
+        250 to 500 subjects the pairs grow 4x, the held memory about 2x.
+        The non-mated float64 scores alone would take 45 MB at 500.
+        """
+
+        def bound(n):
+            return kernels.TILE_ROWS * n * 45 * 2 + 10 * n * 1024 * 4 + 45 * 16 * n * 2 + 8 * 2**20
+
+        peaks = []
+        for n in (250, 500):
+            dbs, ring = _databases(n_subjects=n, samples=4, bits=1024, k=10, seed=2, scheme="block-remap")
+            tracemalloc.start()
+            try:
+                tables = ue.cross_database_scores(dbs, "pic_hd", ring)
+                ue.write_score_csv(tables, os.devnull)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert tables.n_non_mated == 45 * n * (n - 1) // 2
+            assert peaks[-1] < bound(n)
+        assert peaks[1] < 2.5 * peaks[0]
 
 
 class TestProtocolMemory:
