@@ -30,6 +30,7 @@ from .protocol import (
     ADVERSARY_MODELS,
     EvaluationReport,
     ProtocolConfig,
+    ScoreEngine,
     assess,
     cross_database_scores,
     run_protocol,
@@ -69,6 +70,7 @@ __all__ = [
     "ProtocolConfig",
     "RawCorpus",
     "ScoreCounts",
+    "ScoreEngine",
     "UNDEFINED",
     "UnlinkEvalError",
     "assess",

@@ -34,12 +34,11 @@ from .protocol import (
     ADVERSARY_MODELS,
     SCHEMA_VERSION,
     ProtocolConfig,
-    _ScoreEngine,
     assess,
     cross_database_scores,
     run_protocol,
     same_key_scores,
-    synthetic_databases,
+    synthetic_engine,
 )
 from .scores import PriorConfig, load_score_set, read_utf8, write_score_sides
 from .synthbtp import SCHEME_BLOCK, SCHEME_BLOOM, SCHEME_NONE, SCHEME_XOR, CorpusConfig
@@ -177,6 +176,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    """Score one synthetic engine (protocol.synthetic_engine) cross-key with
+    --function and same-key with pic_hd, and write both as score files: all
+    five files in --out, or none of them when scoring or writing fails."""
     corpus_cfg = CorpusConfig(
         n_subjects=args.subjects,
         samples_per_subject=args.samples,
@@ -185,17 +187,10 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     scheme = _SCHEME_NAMES[args.scheme]
-    databases, ring = synthetic_databases(
-        corpus_cfg, args.keys, scheme,
-        constant_key=args.constant_key,
-        block_size=args.block_size,
-        bloom_width=args.bloom_width,
-        bloom_height=args.bloom_height,
+    engine = synthetic_engine(
+        corpus_cfg, args.keys, scheme, constant_key=args.constant_key, block_size=args.block_size,
+        bloom_width=args.bloom_width, bloom_height=args.bloom_height, allow_approximate_bloom=args.experimental,
     )
-    # one engine packs the databases for both files, and the per-bit
-    # databases go before any pair is scored
-    engine = _ScoreEngine(databases, ring, args.experimental)
-    del databases
     out = Path(args.out)
     paths = [out / name for name in ("mated.csv", "nonmated.csv", "accuracy_mated.csv",
                                      "accuracy_nonmated.csv", "manifest.json")]
@@ -203,8 +198,8 @@ def cmd_synth(args) -> int:
         with warnings.catch_warnings():
             # synth estimates nothing, so a small side is no warning here
             warnings.simplefilter("ignore", StatisticalAdequacyWarning)
-            scores = cross_database_scores(None, args.function, _engine=engine)
-            accuracy = same_key_scores(None, "pic_hd", _engine=engine)
+            scores = cross_database_scores(engine, args.function)
+            accuracy = same_key_scores(engine, "pic_hd")
         manifest = {
             "scheme": scheme,
             "function": args.function,

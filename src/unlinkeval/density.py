@@ -106,9 +106,14 @@ class DensityConfig:
         if self.bins != AUTO_BINS:
             object.__setattr__(self, "bins", check_int("bins", self.bins, 2))
         if self.grid_range is not None:
-            lo, hi = (check_number("grid_range", end) for end in self.grid_range)
-            if not lo < hi:
-                raise InvalidConfigError(f"grid_range must have low < high, got {self.grid_range!r}")
+            try:
+                lo, hi = self.grid_range
+            except (TypeError, ValueError):
+                raise InvalidConfigError(f"grid_range must be a (low, high) pair, got {self.grid_range!r}") from None
+            lo, hi = check_number("grid_range", lo), check_number("grid_range", hi)
+            if not (lo < hi and math.isfinite(hi - lo)):
+                raise InvalidConfigError(
+                    f"grid_range must have low < high within the float range, got {self.grid_range!r}")
             object.__setattr__(self, "grid_range", (lo, hi))
 
 
@@ -198,6 +203,9 @@ def estimate_densities(scores: ScoreCounts, config: DensityConfig | None = None)
         p = np.array([1.0 / eps])
         return DensityPair(edges=edges, p_mated=p, p_non_mated=p.copy())
 
+    beyond = f"scores from {lo!r} to {hi!r} span more than a float64 grid can hold; rescale them"
+    if not math.isfinite(hi - lo):
+        raise GridMismatchError(beyond)
     n_bins = _resolve_bins(config, mated, non_mated, lo, hi)
 
     if config.grid_range is not None:
@@ -210,7 +218,10 @@ def estimate_densities(scores: ScoreCounts, config: DensityConfig | None = None)
     else:
         # extend by one bin width per side so boundary scores stay interior
         width = (hi - lo) / n_bins
-        edges = np.linspace(lo - width, hi + width, n_bins + 3)
+        start, stop = lo - width, hi + width
+        if not math.isfinite(stop - start):
+            raise GridMismatchError(beyond)
+        edges = np.linspace(start, stop, n_bins + 3)
 
     if config.kde:
         p_m, p_nm = _kde_density(mated, edges, "mated"), _kde_density(non_mated, edges, "non-mated")

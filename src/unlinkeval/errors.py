@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package, and the config value checks."""
+"""Exception and warning types shared across the package, the config value checks and the warnings' stacklevel."""
 
 import numbers
 import sys
@@ -46,7 +46,7 @@ class DegenerateSupportError(UnlinkEvalError):
 
 
 class GridMismatchError(UnlinkEvalError):
-    """Arrays that must share a grid have inconsistent lengths."""
+    """A grid cannot hold the scores, or arrays that must share one disagree in length."""
 
 
 class LengthMismatchError(UnlinkEvalError):
@@ -100,6 +100,19 @@ def check_number(name: str, value):
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
         raise InvalidConfigError(f"{name} must be a finite number, got {value!r}")
     return value
+
+
+def stacklevel_outside_package() -> int:
+    """The stacklevel at which a warning issued by the caller names the
+    first frame outside this package, the line that called into it.
+
+    Frames are told apart by their module's name, so the __init__ that
+    dataclasses generates, which runs in its class's module, is inside.
+    """
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == __package__:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 class InconsistentDatabasesError(UnlinkEvalError):

@@ -8,12 +8,13 @@ the most effective linkage function an adversary could field.  Baseline
 accuracy metrics (DET/EER families, KL) are computed from the same scores
 so their verdicts can be compared directly against the global measure.
 
-Scores are tallied into count tables as their distance blocks are computed,
-and cross_database_scores and same_key_scores return those tables.  Every
-statistic of the report, the Gaussian KDE included, reads only the count
-tables, and every score file (with out_dir, and in `unlink-eval synth`) is
-written from them, each side in ascending order.  Score files given as
-input (score_files) are tallied as they are read.
+cross_database_scores and same_key_scores take one ScoreEngine, which packs
+the K databases once, and tally its scores into count tables as their
+distance blocks are computed.  Every statistic of the report, the Gaussian
+KDE included, reads only the count tables, and every score file (with
+out_dir, and in `unlink-eval synth`) is written from them, each side in
+ascending order.  Score files given as input (score_files) are tallied as
+they are read.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .errors import (
     KeyCountWarning,
     check_bool,
     check_int,
+    stacklevel_outside_package,
 )
 from .linkability import LinkabilityProfile, evaluate_densities
 from .scores import (
@@ -127,6 +129,8 @@ class ProtocolConfig:
         if not self.linkage_functions:
             raise InvalidConfigError("linkage_functions must not be empty")
         for fn in self.linkage_functions:
+            if not isinstance(fn, str):
+                raise InvalidConfigError(f"linkage_functions must list names, got {fn!r}")
             if fn not in ADVERSARY_MODELS:
                 raise InvalidConfigError(
                     f"unknown linkage function {fn!r}; available: {sorted(ADVERSARY_MODELS)}"
@@ -139,7 +143,7 @@ class ProtocolConfig:
                 f"K = {self.k} keys; at least {RECOMMENDED_MIN_KEYS} are recommended "
                 "for stable cross-key score distributions",
                 KeyCountWarning,
-                stacklevel=3,
+                stacklevel=stacklevel_outside_package(),
             )
         if self.scheme not in SCHEMES:
             raise InvalidConfigError(f"unknown scheme {self.scheme!r}")
@@ -347,19 +351,20 @@ class _Tally:
         return CountTable(scores[first], np.add.reduceat(counts, first))
 
 
-class _ScoreEngine:
+class ScoreEngine:
     """Packed template representations shared by all linkage functions.
 
     The engine holds each database's rows packed and their set-bit counts,
     never the per-bit databases it was built from, so a caller that drops
-    those frees them before any pair is scored.  Read-only once built,
-    except for the inverted view, which is built from the packed rows on
-    first use, and `scored`, the tallies computed so far: functions
-    whose views compare the same bits over the same length (permuted_xor
-    and reconstruction on block re-mapping) are tallied once.
+    those frees them before any pair is scored.  The key ring is needed only
+    to undo the protection (permuted_xor, reconstruction).  Read-only once
+    built, except for the inverted view, which is built from the packed rows
+    on first use, and `scored`, the tallies computed so far: functions whose
+    views compare the same bits over the same length (permuted_xor and
+    reconstruction on block re-mapping) are tallied once.
     """
 
-    def __init__(self, databases: list, ring: KeyRing | None, allow_approximate_bloom=False):
+    def __init__(self, databases: list, ring: KeyRing | None = None, allow_approximate_bloom: bool = False):
         if len(databases) < 2:
             raise InconsistentDatabasesError(
                 f"cross-key comparison needs at least 2 databases, got {len(databases)}"
@@ -526,7 +531,7 @@ class _ScoreEngine:
                 yield p, dist, (pops[a][rows_a] + pops[b][rows_b] if view.by_popsum else None)
 
 
-def _tallied(engine: _ScoreEngine, function: str, keys_a, keys_b, mated_samples, group: int,
+def _tallied(engine: ScoreEngine, function: str, keys_a, keys_b, mated_samples, group: int,
              source: str) -> ScoreCounts:
     """One linkage function's count tables, tallied in one pass over the engine's blocks.
 
@@ -565,15 +570,12 @@ def _tallied(engine: _ScoreEngine, function: str, keys_a, keys_b, mated_samples,
 
 
 def cross_database_scores(
-    databases: list,
+    engine: ScoreEngine,
     function: str,
-    ring: KeyRing | None = None,
     mated_pairing: str = PAIRING_ALL_CROSS_KEY,
     non_mated_all_pairs: bool = False,
-    allow_approximate_bloom: bool = False,
-    _engine: "_ScoreEngine | None" = None,
 ) -> ScoreCounts:
-    """Mated and non-mated cross-key linkage scores over K databases, tallied.
+    """Mated and non-mated cross-key linkage scores over the engine's K databases, tallied.
 
     Mated pairs conceal the same subject under different keys; with the
     default pairing every (sample, sample) combination counts, while
@@ -586,7 +588,6 @@ def cross_database_scores(
     """
     if mated_pairing not in (PAIRING_ALL_CROSS_KEY, PAIRING_DISTINCT_SAMPLES):
         raise InvalidConfigError(f"unknown mated_pairing {mated_pairing!r}")
-    engine = _engine or _ScoreEngine(databases, ring, allow_approximate_bloom)
     samples = engine.samples
     # every (sample, sample) combination
     grid = np.indices((samples, samples)).reshape(2, -1)
@@ -598,19 +599,13 @@ def cross_database_scores(
     )
 
 
-def same_key_scores(
-    databases: list,
-    function: str = "pic_hd",
-    ring: KeyRing | None = None,
-    _engine: "_ScoreEngine | None" = None,
-) -> ScoreCounts:
+def same_key_scores(engine: ScoreEngine, function: str = "pic_hd") -> ScoreCounts:
     """Accuracy-scenario scores, both templates under the same key, tallied.
 
     Mated: every distinct-sample pair of each subject under each key.
     Non-mated: first samples of distinct subjects under each key.  The
     scores come as one count table per side, as in cross_database_scores.
     """
-    engine = _engine or _ScoreEngine(databases, ring)
     keys = np.arange(engine.k)
     return _tallied(
         engine, function, keys, keys, np.triu_indices(engine.samples, 1), group=1,
@@ -618,7 +613,7 @@ def same_key_scores(
     )
 
 
-def synthetic_databases(
+def synthetic_engine(
     corpus_cfg: CorpusConfig,
     k: int,
     scheme: str,
@@ -627,18 +622,19 @@ def synthetic_databases(
     block_size: int = 64,
     bloom_width: int = 16,
     bloom_height: int = 4,
-) -> tuple[list, KeyRing]:
-    """Corpus, then key ring, then one protected database per key.
+    allow_approximate_bloom: bool = False,
+) -> ScoreEngine:
+    """Key ring, corpus, one protected database per key, packed into an engine.
 
     Without key_seed the keys follow from the corpus seed, so one seed
-    fixes the whole testbed.
+    fixes the whole testbed.  The corpus and the databases go on return.
     """
     if key_seed is None:
         key_seed = default_key_seed(corpus_cfg.seed)
-    corpus = generate_corpus(corpus_cfg)
     make_ring = KeyRing.constant_ring if constant_key else KeyRing.generate
     ring = make_ring(k, corpus_cfg.template_bits, key_seed, block_size, bloom_width, bloom_height)
-    return generate_databases(corpus, ring, scheme), ring
+    databases = generate_databases(generate_corpus(corpus_cfg), ring, scheme)
+    return ScoreEngine(databases, ring, allow_approximate_bloom)
 
 
 @dataclass(frozen=True)
@@ -728,15 +724,12 @@ def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
         "score_source": "synthetic-corpus" if cfg.corpus else "external-files",
     }
     if cfg.corpus is not None:
-        databases, ring = synthetic_databases(
+        engine = synthetic_engine(
             cfg.corpus, cfg.k, cfg.scheme, cfg.resolved_key_seed, cfg.constant_key,
-            cfg.block_size, cfg.bloom_width, cfg.bloom_height,
+            cfg.block_size, cfg.bloom_width, cfg.bloom_height, cfg.allow_approximate_bloom,
         )
-        engine = _ScoreEngine(databases, ring, cfg.allow_approximate_bloom)
-        # the engine holds packed rows: the per-bit databases go before any pair is scored
-        del databases
         # one tally of the same-key accuracy scores serves every linkage function
-        accuracy = same_key_scores(None, "pic_hd", _engine=engine)
+        accuracy = same_key_scores(engine, "pic_hd")
         metadata.update(
             {
                 "n_subjects": cfg.corpus.n_subjects,
@@ -754,10 +747,7 @@ def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:
             scores = load_score_set(paths["mated"], paths["non_mated"])
         else:
             scores = cross_database_scores(
-                None, fn,
-                mated_pairing=cfg.mated_pairing,
-                non_mated_all_pairs=cfg.non_mated_all_pairs,
-                _engine=engine,
+                engine, fn, mated_pairing=cfg.mated_pairing, non_mated_all_pairs=cfg.non_mated_all_pairs,
             )
         path = None
         try:

@@ -16,7 +16,6 @@ files are tallied as they are read.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,6 +34,7 @@ from .errors import (
     TooFewScoresError,
     check_int,
     check_number,
+    stacklevel_outside_package,
 )
 
 LABEL_MATED = "mated"
@@ -46,21 +46,6 @@ CSV_BLOCK = 65536
 # Below this many scores per side, estimates are flagged as statistically
 # weak (warning, never an error).
 ADEQUATE_SCORES_PER_SIDE = 1000
-
-_PACKAGE = __name__.partition(".")[0]
-
-
-def _stacklevel_outside_package() -> int:
-    """The stacklevel at which a warning issued by the caller names the
-    first frame outside this package, the line that called into it.
-
-    Frames are told apart by their module's name, so the __init__ that
-    dataclasses generates, which runs in its class's module, is inside.
-    """
-    frame, level = sys._getframe(1), 1
-    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == _PACKAGE:
-        frame, level = frame.f_back, level + 1
-    return level
 
 
 def check_side(side: str, n: int, values: np.ndarray) -> None:
@@ -200,7 +185,7 @@ class ScoreCounts:
                     f"{side} side has {len(table)} scores; below "
                     f"{ADEQUATE_SCORES_PER_SIDE} estimates may be unstable",
                     StatisticalAdequacyWarning,
-                    stacklevel=_stacklevel_outside_package(),
+                    stacklevel=stacklevel_outside_package(),
                 )
 
     @classmethod
@@ -281,7 +266,7 @@ class PriorConfig:
                 f"omega = {self.omega} exceeds 1; the cross-database linkage "
                 "setting implies omega <= 1",
                 PriorRangeWarning,
-                stacklevel=3,
+                stacklevel=stacklevel_outside_package(),
             )
 
     @classmethod

@@ -13,7 +13,7 @@ import pytest
 import unlinkeval as ue
 from unlinkeval.cli import main
 from unlinkeval.errors import KeyCountWarning, StatisticalAdequacyWarning
-from unlinkeval.protocol import SCHEMA_VERSION, synthetic_databases
+from unlinkeval.protocol import SCHEMA_VERSION, ScoreEngine, synthetic_engine
 
 warnings.simplefilter("ignore", StatisticalAdequacyWarning)
 warnings.simplefilter("ignore", KeyCountWarning)
@@ -102,6 +102,14 @@ class TestEval:
                    "--omega", "1", "--subjects", "10"])
         assert rc == 2
 
+    @pytest.mark.parametrize("options", [[], ["--bins", "10"], ["--kde"]], ids=["auto-bins", "bins-10", "kde"])
+    def test_scores_beyond_the_float_range_are_exit_2(self, score_csv, capsys, options):
+        mated, non_mated = score_csv([1e308, -1e308], [0.1, 0.2])
+        rc = main(["eval", "--mated", str(mated), "--nonmated", str(non_mated), *options])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: scores from -1e+308 to 1e+308 span more than a float64 grid can hold; rescale them\n")
+
     def test_missing_file_is_exit_2(self, tmp_path, capsys):
         rc = main(["eval", "--mated", str(tmp_path / "no.csv"),
                    "--nonmated", str(tmp_path / "no.csv")])
@@ -130,9 +138,9 @@ class TestSynth:
         # each file holds one side of the engine's tables, its rows ascending
         corpus = ue.CorpusConfig(n_subjects=6, samples_per_subject=2, template_bits=256,
                                  intra_flip_rate=0.1, seed=3)
-        databases, ring = synthetic_databases(corpus, 4, "xor-salt")
-        for prefix, tables in (("", ue.cross_database_scores(databases, "pic_hd", ring)),
-                               ("accuracy_", ue.same_key_scores(databases, "pic_hd", ring))):
+        engine = synthetic_engine(corpus, 4, "xor-salt")
+        for prefix, tables in (("", ue.cross_database_scores(engine, "pic_hd")),
+                               ("accuracy_", ue.same_key_scores(engine, "pic_hd"))):
             for side, table in (("mated", tables.mated), ("nonmated", tables.non_mated)):
                 header, *rows = (out / f"{prefix}{side}.csv").read_text().splitlines()
                 assert header == "score,label"
@@ -183,7 +191,6 @@ class TestSynth:
         """Out of memory at the 21st non-mated block of the cross-key tally.
         Files of an earlier complete run in --out go too; other files stay."""
         from unlinkeval import kernels, scores
-        from unlinkeval.protocol import _ScoreEngine
 
         out = tmp_path / "synth"
         argv = ["synth", "--scheme", "xor", "--function", "pic_hd",
@@ -195,7 +202,7 @@ class TestSynth:
             assert main(argv) == 0
             assert len(list(out.iterdir())) == 6
         capsys.readouterr()
-        real = _ScoreEngine.distinct_subjects
+        real = ScoreEngine.distinct_subjects
 
         def exhausted(*args):
             for n, block in enumerate(real(*args)):
@@ -203,7 +210,7 @@ class TestSynth:
                     raise MemoryError("Unable to allocate 1.00 TiB")
                 yield block
 
-        monkeypatch.setattr(_ScoreEngine, "distinct_subjects", exhausted)
+        monkeypatch.setattr(ScoreEngine, "distinct_subjects", exhausted)
         monkeypatch.setattr(kernels, "TILE_ROWS", 2)
         monkeypatch.setattr(scores, "CSV_BLOCK", 5)
         rc = main(argv)

@@ -22,7 +22,7 @@ from unlinkeval import kernels
 from unlinkeval.baselines import ORIENT_DISSIMILARITY, ORIENT_SIMILARITY, _interpolated_eer
 from unlinkeval.density import _histogram_density
 from unlinkeval.errors import InvalidConfigError, StatisticalAdequacyWarning, TooFewScoresError
-from unlinkeval.protocol import synthetic_databases
+from unlinkeval.protocol import synthetic_engine
 from unlinkeval.scores import CountTable, ScoreCounts, sorted_distinct
 
 
@@ -352,12 +352,12 @@ class TestScoreCounts:
         """A small side is warned about at the caller's line, never at one of the package."""
         corpus = ue.CorpusConfig(n_subjects=3, samples_per_subject=2, template_bits=256,
                                  intra_flip_rate=0.1, seed=1)
-        databases, ring = synthetic_databases(corpus, 6, "xor-salt")
+        engine = synthetic_engine(corpus, 6, "xor-salt")
         paths = score_csv([0.1, 0.2], [0.5, 0.6])
         calls = {
             "from_scores": lambda: ScoreCounts.from_scores([0.1, 0.2], [0.5, 0.6]),
             "load_score_set": lambda: ue.load_score_set(*paths),
-            "cross_database_scores": lambda: ue.cross_database_scores(databases, "pic_hd", ring),
+            "cross_database_scores": lambda: ue.cross_database_scores(engine, "pic_hd"),
         }
         for name, call in calls.items():
             with warnings.catch_warnings(record=True) as caught:

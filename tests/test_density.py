@@ -13,6 +13,7 @@ from unlinkeval.scores import CountTable
 from unlinkeval.errors import (
     DegenerateSupportError,
     GridMismatchError,
+    InvalidConfigError,
     NotNormalizedError,
     StatisticalAdequacyWarning,
 )
@@ -93,6 +94,11 @@ class TestNormalizationAndGrid:
         assert dp.edges[-1] == 2.0
         assert dp.n_bins == 10
 
+    @pytest.mark.parametrize("grid_range", [(1.0,), (0.0, 1.0, 2.0), 5, (0.0, float("inf")), (-1.7e308, 1.7e308)])
+    def test_grid_range_must_be_a_finite_pair(self, grid_range):
+        with pytest.raises(InvalidConfigError, match="grid_range"):
+            ue.DensityConfig(grid_range=grid_range)
+
     def test_grid_range_must_cover_support(self, rng):
         s = _set(rng.random(100), rng.random(100))
         with pytest.raises(GridMismatchError):
@@ -103,6 +109,23 @@ class TestNormalizationAndGrid:
         dp = ue.estimate_densities(s, ue.DensityConfig(bins=20, grid_range=(0.0, 1.0)))
         mid = dp.p_mated[8:12]
         assert np.all(mid == 0.0)
+
+
+class TestScoresBeyondTheFloatRange:
+    """Scores whose span, or whose grid extended by a bin width per side,
+    exceeds the float range raise one named error, whatever the estimator."""
+
+    @pytest.mark.parametrize("config", [ue.DensityConfig(), ue.DensityConfig(bins=10), ue.DensityConfig(kde=True)],
+                             ids=["auto-bins", "bins-10", "kde"])
+    @pytest.mark.parametrize("mated", [[1e308, -1e308], [1.7e308, -1.7e308], [0.0, 1.7e308]],
+                             ids=["span", "widest-span", "extended-grid"])
+    def test_one_named_error(self, config, mated):
+        with pytest.raises(GridMismatchError, match="span more than a float64 grid can hold"):
+            ue.estimate_densities(_set(mated, [0.1, 0.2]), config)
+
+    def test_a_wide_span_within_the_range_is_estimated(self):
+        dp = ue.estimate_densities(_set([0.0, 1e307], [0.1, 0.2]), ue.DensityConfig(bins=10))
+        assert np.isfinite(dp.edges).all() and dp.n_bins == 12
 
 
 class TestDegenerateSupport:

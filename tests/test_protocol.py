@@ -15,13 +15,14 @@ from unlinkeval.errors import (
     InconsistentDatabasesError,
     InvalidConfigError,
     KeyCountWarning,
+    PriorRangeWarning,
     StatisticalAdequacyWarning,
 )
 from unlinkeval.protocol import (
     PAIRING_ALL_CROSS_KEY,
     PAIRING_DISTINCT_SAMPLES,
-    _ScoreEngine,
-    synthetic_databases,
+    ScoreEngine,
+    synthetic_engine,
     write_report_artifacts,
 )
 from unlinkeval.synthbtp import SCHEME_BLOOM, SCHEME_XOR, invert_bits, protect_bits, protect_corpus
@@ -39,6 +40,11 @@ def _databases(n_subjects=2, samples=2, bits=128, k=2, seed=1, scheme=SCHEME_XOR
     # 16-bit blocks keep the permutation space large enough for k up to 10
     ring = make(k, bits, seed + 1, block_size=16)
     return ue.generate_databases(corpus, ring, scheme), ring
+
+
+def _engine(**kwargs):
+    """A ScoreEngine over _databases(**kwargs)."""
+    return ScoreEngine(*_databases(**kwargs))
 
 
 def _read_rows(path):
@@ -63,8 +69,7 @@ def _scores_of(table):
 
 class TestPairCounts:
     def test_smallest_corpus_all_cross_key(self):
-        dbs, ring = _databases(n_subjects=2, samples=2, k=2)
-        s = ue.cross_database_scores(dbs, "pic_hd", ring,
+        s = ue.cross_database_scores(_engine(n_subjects=2, samples=2, k=2), "pic_hd",
                                      mated_pairing=PAIRING_ALL_CROSS_KEY,
                                      non_mated_all_pairs=True)
         # per subject: one key pair x 2x2 sample grid = 4; two subjects = 8
@@ -72,8 +77,7 @@ class TestPairCounts:
         assert s.n_non_mated == 4
 
     def test_smallest_corpus_distinct_samples(self):
-        dbs, ring = _databases(n_subjects=2, samples=2, k=2)
-        s = ue.cross_database_scores(dbs, "pic_hd", ring,
+        s = ue.cross_database_scores(_engine(n_subjects=2, samples=2, k=2), "pic_hd",
                                      mated_pairing=PAIRING_DISTINCT_SAMPLES,
                                      non_mated_all_pairs=True)
         assert s.n_mated == 2
@@ -82,26 +86,25 @@ class TestPairCounts:
     def test_reference_corpus_counts(self):
         """210 subjects, 4 samples, 10 keys: the published corpus geometry."""
         # 256 bits so all schemes can draw ten distinct keys
-        dbs, ring = _databases(n_subjects=210, samples=4, bits=256, k=10, seed=3)
-        s = ue.cross_database_scores(dbs, "pic_hd", ring, mated_pairing=PAIRING_DISTINCT_SAMPLES)
+        engine = _engine(n_subjects=210, samples=4, bits=256, k=10, seed=3)
+        s = ue.cross_database_scores(engine, "pic_hd", mated_pairing=PAIRING_DISTINCT_SAMPLES)
         assert s.n_mated == 56_700  # 210 * C(4,2) * C(10,2)
         assert s.n_non_mated == 987_525  # C(210,2) * C(10,2)
 
     def test_all_cross_key_counts(self):
-        dbs, ring = _databases(n_subjects=5, samples=3, k=4, seed=3)
-        s = ue.cross_database_scores(dbs, "pic_hd", ring, mated_pairing=PAIRING_ALL_CROSS_KEY)
+        engine = _engine(n_subjects=5, samples=3, k=4, seed=3)
+        s = ue.cross_database_scores(engine, "pic_hd", mated_pairing=PAIRING_ALL_CROSS_KEY)
         assert s.n_mated == 5 * 6 * 9  # subjects * key pairs * sample grid
         assert s.n_non_mated == 10 * 6  # subject pairs * key pairs
 
     def test_non_mated_all_pairs(self):
-        dbs, ring = _databases(n_subjects=3, samples=2, k=3, seed=5)
-        s = ue.cross_database_scores(dbs, "pic_hd", ring, non_mated_all_pairs=True)
+        s = ue.cross_database_scores(_engine(n_subjects=3, samples=2, k=3, seed=5), "pic_hd",
+                                     non_mated_all_pairs=True)
         # every sample of every distinct-subject pair, over each key pair
         assert s.n_non_mated == 3 * (2 * 2) * 3
 
     def test_same_key_counts(self):
-        dbs, ring = _databases(n_subjects=4, samples=3, k=2, seed=7)
-        s = ue.same_key_scores(dbs, "pic_hd", ring)
+        s = ue.same_key_scores(_engine(n_subjects=4, samples=3, k=2, seed=7), "pic_hd")
         assert s.n_mated == 2 * 4 * 3  # keys * subjects * C(3,2)
         assert s.n_non_mated == 2 * 6  # keys * C(4,2)
 
@@ -109,7 +112,7 @@ class TestPairCounts:
 class TestScoreValues:
     def test_mated_xor_scores_match_hand_computation(self):
         dbs, ring = _databases(n_subjects=2, samples=2, k=2, bits=64)
-        s = ue.cross_database_scores(dbs, "pic_hd", ring, mated_pairing=PAIRING_DISTINCT_SAMPLES,
+        s = ue.cross_database_scores(ScoreEngine(dbs, ring), "pic_hd", mated_pairing=PAIRING_DISTINCT_SAMPLES,
                                      non_mated_all_pairs=True)
         # template pair (subject, sample 0, key 0) vs (subject, sample 1, key 1)
         expected = []
@@ -120,8 +123,7 @@ class TestScoreValues:
         assert _scores_of(s.mated).tolist() == pytest.approx(sorted(expected))
 
     def test_constant_ring_reduces_to_raw_comparison(self):
-        dbs, ring = _databases(n_subjects=3, samples=2, k=3, constant=True, bits=2048)
-        s = ue.cross_database_scores(dbs, "pic_hd", ring)
+        s = ue.cross_database_scores(_engine(n_subjects=3, samples=2, k=3, constant=True, bits=2048), "pic_hd")
         # same mask on both sides cancels in the XOR, scores sit near the
         # raw intra-class distance, far below 0.5
         assert float(np.mean(_scores_of(s.mated))) < 0.3
@@ -129,8 +131,8 @@ class TestScoreValues:
 
     def test_determinism(self):
         dbs, ring = _databases(n_subjects=4, samples=2, k=3, seed=11)
-        # each call builds its own engine, so neither reads the other's tables
-        _assert_same_tables(*(ue.cross_database_scores(dbs, "pic_hd", ring) for _ in range(2)))
+        # each call gets its own engine, so neither reads the other's tables
+        _assert_same_tables(*(ue.cross_database_scores(ScoreEngine(dbs, ring), "pic_hd") for _ in range(2)))
 
 
 # every linkage function each scheme supports
@@ -217,13 +219,14 @@ def _oracle(fn, scheme, ring, corpus, pairs):
 
 
 def _testbed(scheme, subjects, samples, k, constant, seed):
-    """Databases of a corpus under scheme, their key ring, and the oracle of a list of pairs."""
+    """An engine over the databases of a corpus under scheme, approximate
+    Bloom decoding allowed, and the oracle of a list of pairs."""
     cfg = ue.CorpusConfig(n_subjects=subjects, samples_per_subject=samples, template_bits=128,
                           intra_flip_rate=0.1, seed=seed)
     corpus = ue.generate_corpus(cfg)
     make = ue.KeyRing.constant_ring if constant else ue.KeyRing.generate
     ring = make(k, 128, seed + 1, block_size=16)
-    return (ue.generate_databases(corpus, ring, scheme), ring,
+    return (ScoreEngine(ue.generate_databases(corpus, ring, scheme), ring, allow_approximate_bloom=True),
             lambda fn, pairs: _oracle(fn, scheme, ring, corpus, pairs))
 
 
@@ -241,19 +244,17 @@ class TestEngineMatchesPerTemplateFunctions:
     @pytest.mark.parametrize("mated_pairing", [PAIRING_ALL_CROSS_KEY, PAIRING_DISTINCT_SAMPLES])
     @pytest.mark.parametrize("scheme,fn", _SUPPORTED)
     def test_cross_key_scores(self, scheme, fn, mated_pairing, non_mated_all_pairs):
-        dbs, ring, oracle = self._testbed(scheme)
-        tables = ue.cross_database_scores(dbs, fn, ring, mated_pairing=mated_pairing,
-                                          non_mated_all_pairs=non_mated_all_pairs,
-                                          allow_approximate_bloom=True)
+        engine, oracle = self._testbed(scheme)
+        tables = ue.cross_database_scores(engine, fn, mated_pairing=mated_pairing,
+                                          non_mated_all_pairs=non_mated_all_pairs)
         pairs = _cross_key_pairs(self.SUBJECTS, self.SAMPLES, self.K, mated_pairing, non_mated_all_pairs)
         _assert_counts_of(tables, *(oracle(fn, side) for side in pairs))
 
     @pytest.mark.parametrize("scheme,fn", _SUPPORTED)
     def test_same_key_scores(self, scheme, fn):
-        dbs, ring, oracle = self._testbed(scheme)
-        engine = _ScoreEngine(dbs, ring, allow_approximate_bloom=True)
+        engine, oracle = self._testbed(scheme)
         pairs = _same_key_pairs(self.SUBJECTS, self.SAMPLES, self.K)
-        _assert_counts_of(ue.same_key_scores(dbs, fn, ring, _engine=engine), *(oracle(fn, side) for side in pairs))
+        _assert_counts_of(ue.same_key_scores(engine, fn), *(oracle(fn, side) for side in pairs))
 
 
 class TestEngineMatchesPerTemplateFunctionsConstantKey(TestEngineMatchesPerTemplateFunctions):
@@ -282,7 +283,7 @@ class TestEngineHoldsNoPerBitDatabase:
         corpus = ue.generate_corpus(cfg)
         ring = ue.KeyRing.generate(self.K, bits, 6, block_size, *bloom)
         dbs = ue.generate_databases(corpus, ring, scheme)
-        engine = _ScoreEngine(dbs, ring, allow_approximate_bloom=True)
+        engine = ScoreEngine(dbs, ring, allow_approximate_bloom=True)
         per_bit = [weakref.ref(db.bits) for db in dbs]
         del dbs
         assert [ref() for ref in per_bit] == [None] * self.K
@@ -291,15 +292,37 @@ class TestEngineHoldsNoPerBitDatabase:
         for fn in ["reconstruction"] + (["permuted_xor"] if scheme == "block-remap" else []):
             # each function tallies its own tables, not those the other left in the memo
             engine.scored.clear()
-            _assert_counts_of(ue.cross_database_scores(None, fn, _engine=engine),
+            _assert_counts_of(ue.cross_database_scores(engine, fn),
                               *(_oracle(fn, scheme, ring, corpus, side) for side in pairs))
+
+
+class TestSyntheticEngine:
+    @pytest.mark.parametrize("scheme", ["xor-salt", "block-remap", "bloom-filter", "none"])
+    def test_corpus_and_per_bit_databases_are_freed_when_it_returns(self, monkeypatch, scheme):
+        """synthetic_engine keeps neither the corpus nor the per-bit databases
+        it protects and packs: only the engine's packed rows outlive it."""
+        import unlinkeval.protocol as protocol
+
+        per_bit = []
+        for name in ("generate_corpus", "generate_databases"):
+            def keep_refs(*args, _real=getattr(protocol, name)):
+                made = _real(*args)
+                per_bit.extend(weakref.ref(m.bits) for m in (made if isinstance(made, list) else [made]))
+                return made
+
+            monkeypatch.setattr(protocol, name, keep_refs)
+        cfg = ue.CorpusConfig(n_subjects=4, samples_per_subject=2, template_bits=128,
+                              intra_flip_rate=0.1, seed=5)
+        engine = synthetic_engine(cfg, 3, scheme, block_size=16)
+        assert engine.k == 3 and len(per_bit) == 1 + 3
+        assert [ref() for ref in per_bit] == [None] * 4
 
 
 class TestEngineValidation:
     def test_needs_two_databases(self):
         dbs, ring = _databases()
         with pytest.raises(InconsistentDatabasesError):
-            ue.cross_database_scores(dbs[:1], "pic_hd", ring)
+            ScoreEngine(dbs[:1], ring)
 
     def test_rejects_mixed_schemes(self):
         cfg = ue.CorpusConfig(n_subjects=2, samples_per_subject=2, template_bits=128,
@@ -309,7 +332,7 @@ class TestEngineValidation:
         a = protect_corpus(corpus, ring, 0, SCHEME_XOR)
         b = protect_corpus(corpus, ring, 1, SCHEME_BLOOM)
         with pytest.raises(InconsistentDatabasesError):
-            ue.cross_database_scores([a, b], "pic_hd", ring)
+            ScoreEngine([a, b], ring)
 
     def test_rejects_duplicate_key_ids(self):
         cfg = ue.CorpusConfig(n_subjects=2, samples_per_subject=2, template_bits=128,
@@ -318,17 +341,15 @@ class TestEngineValidation:
         ring = ue.KeyRing.generate(2, 128, 2)
         a = protect_corpus(corpus, ring, 0, SCHEME_XOR)
         with pytest.raises(InconsistentDatabasesError):
-            ue.cross_database_scores([a, a], "pic_hd", ring)
+            ScoreEngine([a, a], ring)
 
     def test_unknown_function(self):
-        dbs, ring = _databases()
         with pytest.raises(InvalidConfigError):
-            ue.cross_database_scores(dbs, "psychic_guess", ring)
+            ue.cross_database_scores(_engine(), "psychic_guess")
 
     def test_unknown_mated_pairing(self):
-        dbs, ring = _databases()
         with pytest.raises(InvalidConfigError, match="mated_pairing"):
-            ue.cross_database_scores(dbs, "pic_hd", ring, mated_pairing="distinct")
+            ue.cross_database_scores(_engine(), "pic_hd", mated_pairing="distinct")
 
 
 class TestProtocolConfig:
@@ -426,6 +447,9 @@ class TestProtocolConfig:
         {"density": {"bins": 1}},
         {"density": {"grid_range": [False, 1.0]}},
         {"density": {"grid_range": [1.0, 0.0]}},
+        {"density": {"grid_range": [1.0]}},
+        {"density": {"grid_range": [0.0, 1.0, 2.0]}},
+        {"linkage_functions": [["pic_hd"]]},
         {"prior": {"n_enrolled": True}},
         {"prior": {"n_enrolled": 1}},
         {"prior": {"omega": float("nan")}},
@@ -447,6 +471,29 @@ class TestProtocolConfig:
         data.update(change)
         with pytest.raises(InvalidConfigError):
             ue.ProtocolConfig.from_dict(data, base_dir=tmp_path)
+
+    def test_function_that_is_no_name_rejected(self):
+        with pytest.raises(InvalidConfigError, match="linkage_functions"):
+            ue.ProtocolConfig(linkage_functions=[["pic_hd"]], k=6, corpus=self._corpus_cfg())
+
+    def test_warnings_name_the_calling_line(self):
+        """KeyCountWarning and PriorRangeWarning name the caller's line, also
+        when the config is built through from_dict."""
+        data = {"linkage_functions": ["pic_hd"], "k": 3, "prior": {"omega": 2.0},
+                "corpus": {"n_subjects": 4, "samples_per_subject": 2, "template_bits": 128,
+                           "intra_flip_rate": 0.1, "seed": 2}}
+        calls = {
+            "from_dict": (lambda: ue.ProtocolConfig.from_dict(data), [PriorRangeWarning, KeyCountWarning]),
+            "ProtocolConfig": (lambda: ue.ProtocolConfig(linkage_functions=("pic_hd",), k=3,
+                                                         corpus=self._corpus_cfg()), [KeyCountWarning]),
+            "PriorConfig.explicit": (lambda: ue.PriorConfig.explicit(2.0), [PriorRangeWarning]),
+        }
+        for name, (call, categories) in calls.items():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert [w.category for w in caught] == categories, name
+            assert [w.filename for w in caught] == [__file__] * len(categories), name
 
     @pytest.mark.parametrize("prior,omega", [
         ({"n_enrolled": 101}, 0.01),
@@ -563,10 +610,10 @@ class TestRunProtocol:
         assert on_disk == report.to_json_dict()
         # each score file lists each side in ascending order and reloads to
         # the tables that cross_database_scores tallies
-        databases, ring = synthetic_databases(cfg.corpus, cfg.k, cfg.scheme, cfg.resolved_key_seed)
+        engine = synthetic_engine(cfg.corpus, cfg.k, cfg.scheme, cfg.resolved_key_seed)
         for fn in cfg.linkage_functions:
             written = out / f"{fn}_scores.csv"
-            _assert_same_tables(ue.load_score_set(written, written), ue.cross_database_scores(databases, fn, ring))
+            _assert_same_tables(ue.load_score_set(written, written), ue.cross_database_scores(engine, fn))
             assert all(np.all(np.diff(side) >= 0) for side in _read_rows(written))
 
     def test_svg_metadata_round_trips_report_entry(self, tmp_path):
@@ -618,10 +665,9 @@ class TestScoreEachComparisonOnce:
             assert written[0] == written[1]
 
     def test_sources_name_each_function(self):
-        databases, ring = _databases(n_subjects=4, k=3, scheme="block-remap")
-        engine = _ScoreEngine(databases, ring)
-        permuted = ue.cross_database_scores(None, "permuted_xor", _engine=engine)
-        reconstruction = ue.cross_database_scores(None, "reconstruction", _engine=engine)
+        engine = _engine(n_subjects=4, k=3, scheme="block-remap")
+        permuted = ue.cross_database_scores(engine, "permuted_xor")
+        reconstruction = ue.cross_database_scores(engine, "reconstruction")
         assert len(engine.scored) == 1
         assert permuted.source.startswith("permuted_xor/")
         assert reconstruction.source.startswith("reconstruction/")
@@ -639,13 +685,13 @@ class TestScoreEachKeyPairOnce:
         while the tables are tallied and, if written, written to a file."""
         asked, passes = [], []
         for name in ("same_subject", "distinct_subjects"):
-            real = getattr(_ScoreEngine, name)
+            real = getattr(ScoreEngine, name)
 
             def engine_spy(engine, view, keys_a, keys_b, *args, _real=real):
                 asked.append(list(zip(np.asarray(keys_a).tolist(), np.asarray(keys_b).tolist())))
                 return _real(engine, view, keys_a, keys_b, *args)
 
-            monkeypatch.setattr(_ScoreEngine, name, engine_spy)
+            monkeypatch.setattr(ScoreEngine, name, engine_spy)
         for name in ("hamming_rows", "hamming_gemm"):
             real = getattr(kernels, name)
 
@@ -654,8 +700,8 @@ class TestScoreEachKeyPairOnce:
                 return _real(*args)
 
             monkeypatch.setattr(kernels, name, kernel_spy)
-        dbs, ring = _databases(n_subjects=4, samples=2, k=6, scheme="block-remap", constant=constant)
-        tables = ue.cross_database_scores(dbs, fn, ring)
+        engine = _engine(n_subjects=4, samples=2, k=6, scheme="block-remap", constant=constant)
+        tables = ue.cross_database_scores(engine, fn)
         if written:
             ue.write_score_csv(tables, os.devnull)
         monkeypatch.undo()
@@ -692,11 +738,11 @@ class TestScoreEachKeyPairOnce:
         dbs = ue.generate_databases(ue.generate_corpus(cfg), ring, scheme)
 
         def tables():
-            return ue.cross_database_scores(dbs, fn, ring, non_mated_all_pairs=non_mated_all_pairs,
-                                            allow_approximate_bloom=True)
+            engine = ScoreEngine(dbs, ring, allow_approximate_bloom=True)
+            return ue.cross_database_scores(engine, fn, non_mated_all_pairs=non_mated_all_pairs)
 
         deduped = tables()
-        monkeypatch.setattr(_ScoreEngine, "canonical_keys", lambda engine, view: np.arange(engine.k))
+        monkeypatch.setattr(ScoreEngine, "canonical_keys", lambda engine, view: np.arange(engine.k))
         _assert_same_tables(deduped, tables())
 
 
@@ -735,19 +781,17 @@ class TestScoreFilesHoldSortedOracleRows:
     @pytest.mark.parametrize("mated_pairing", [PAIRING_ALL_CROSS_KEY, PAIRING_DISTINCT_SAMPLES])
     @pytest.mark.parametrize("scheme,fn", _SUPPORTED)
     def test_cross_key_files(self, tmp_path, scheme, fn, mated_pairing, non_mated_all_pairs, constant):
-        dbs, ring, oracle = self._testbed(scheme, constant)
-        tables = ue.cross_database_scores(dbs, fn, ring, mated_pairing=mated_pairing,
-                                          non_mated_all_pairs=non_mated_all_pairs,
-                                          allow_approximate_bloom=True)
+        engine, oracle = self._testbed(scheme, constant)
+        tables = ue.cross_database_scores(engine, fn, mated_pairing=mated_pairing,
+                                          non_mated_all_pairs=non_mated_all_pairs)
         pairs = _cross_key_pairs(self.SUBJECTS, self.SAMPLES, self.K, mated_pairing, non_mated_all_pairs)
         self._assert_same_files(tmp_path, tables, _SortedRows(*(oracle(fn, side) for side in pairs)))
 
     @pytest.mark.parametrize("constant", [False, True], ids=["keys", "constant-key"])
     @pytest.mark.parametrize("scheme,fn", _SUPPORTED)
     def test_same_key_files(self, tmp_path, scheme, fn, constant):
-        dbs, ring, oracle = self._testbed(scheme, constant)
-        engine = _ScoreEngine(dbs, ring, allow_approximate_bloom=True)
-        tables = ue.same_key_scores(dbs, fn, ring, _engine=engine)
+        engine, oracle = self._testbed(scheme, constant)
+        tables = ue.same_key_scores(engine, fn)
         pairs = _same_key_pairs(self.SUBJECTS, self.SAMPLES, self.K)
         self._assert_same_files(tmp_path, tables, _SortedRows(*(oracle(fn, side) for side in pairs)))
 
@@ -784,7 +828,7 @@ class TestScoreFileMemory:
             dbs, ring = _databases(n_subjects=n, samples=4, bits=1024, k=10, seed=2, scheme="block-remap")
             tracemalloc.start()
             try:
-                tables = ue.cross_database_scores(dbs, "pic_hd", ring)
+                tables = ue.cross_database_scores(ScoreEngine(dbs, ring), "pic_hd")
                 ue.write_score_csv(tables, os.devnull)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:

@@ -3,7 +3,7 @@ import pytest
 
 import unlinkeval as ue
 from unlinkeval.errors import InvalidConfigError, NotDivisibleError, SchemeNotInvertibleError
-from unlinkeval.protocol import _ScoreEngine
+from unlinkeval.protocol import ScoreEngine
 from unlinkeval.synthbtp import (
     SCHEME_BLOCK,
     SCHEME_BLOOM,
@@ -154,7 +154,7 @@ def engine_score(fn, t1, t2, scheme, ring=None, key_ids=(0, 1)):
     dbs = [ProtectedDatabase(bits=np.asarray(t, dtype=np.uint8).reshape(1, 1, -1), key_id=k,
                              scheme=scheme, raw_bits=len(t))
            for k, t in zip(key_ids, (t1, t2))]
-    engine = _ScoreEngine(dbs, ring)
+    engine = ScoreEngine(dbs, ring)
     view = engine.view(fn)
     [(_, dist, popsum)] = engine.same_subject(view, [0], [1], (np.zeros(1, int), np.zeros(1, int)))
     return float(view.scores(dist, popsum)[0])
