@@ -261,17 +261,20 @@ def _kde_density(table: CountTable, edges: np.ndarray, side: str = "given") -> n
     n = len(table)
     values, counts = table.values, table.counts
     # Silverman's rule on the tallied scores: the quartiles as np.percentile
-    # gives them over the scores, count-weighted sums for the mean and the
-    # variance (no np.dot: a BLAS call wakes its idle threads)
+    # gives them over the scores, and the standard deviation from count-
+    # weighted sums (no np.dot: a BLAS call wakes its idle threads)
     q75, q25 = table.percentile([75.0, 25.0])
-    mean = np.sum(values * counts) / n
-    std = math.sqrt(np.sum((values - mean) ** 2 * counts) / n)
+    std = _weighted_std(values, counts, n)
     spread = min(std, (q75 - q25) / 1.34) if q75 > q25 else std
     bw = 0.9 * spread * n ** (-1.0 / 5.0)
     if bw <= 0:
         bw = _POINT_MASS_EPS * max(1.0, abs(float(values[0])), abs(float(values[-1])))
+    with np.errstate(over="ignore"):
+        centers = (edges[:-1] + edges[1:]) / 2.0
+    if np.isinf(centers[[0, -1]]).any():  # edges beyond half the float range
+        centers = edges[:-1] / 2.0 + edges[1:] / 2.0
     # mean of Gaussian kernels, evaluated at the bin centers
-    dens = _kernel_sums(values, counts, (edges[:-1] + edges[1:]) / 2.0, bw) / (n * bw * math.sqrt(2.0 * math.pi))
+    dens = _kernel_sums(values, counts, centers, bw) / (n * bw * math.sqrt(2.0 * math.pi))
     mass = float(np.sum(dens * np.diff(edges)))
     if not mass > 0:
         raise DegenerateSupportError(
@@ -279,6 +282,19 @@ def _kde_density(table: CountTable, edges: np.ndarray, side: str = "given") -> n
             f"against a bin width of {float(np.min(np.diff(edges))):.3g}; use the histogram estimator")
     # tail mass beyond the grid is cut off; rescale onto the grid
     return dens / mass
+
+
+def _weighted_std(values: np.ndarray, counts: np.ndarray, n: int) -> float:
+    """Standard deviation of the sorted values, each counted counts times.
+
+    Where its sums overflow, it is taken over the values scaled by a power of two.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = math.sqrt(np.sum((values - np.sum(values * counts) / n) ** 2 * counts) / n)
+    if math.isfinite(std):
+        return std
+    scale = 2.0 ** -float(np.frexp(max(-values[0], values[-1]))[1])
+    return _weighted_std(values * scale, counts, n) / scale
 
 
 def _term_floor(sums: np.ndarray, w_max) -> np.ndarray:

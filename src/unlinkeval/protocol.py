@@ -121,7 +121,7 @@ class ProtocolConfig:
     allow_approximate_bloom: bool = False
 
     def __post_init__(self):
-        if isinstance(self.linkage_functions, str):
+        if isinstance(self.linkage_functions, str) or not hasattr(self.linkage_functions, "__iter__"):
             raise InvalidConfigError(
                 f"linkage_functions must be a list of names, got {self.linkage_functions!r}"
             )
@@ -277,39 +277,24 @@ def _tile_pairs(rows: int, cols: int, group: int) -> np.ndarray:
     return np.flatnonzero(subject[: cols * group] > subject[: rows * group, None])
 
 
-@dataclass(frozen=True)
 class _View:
-    """What one linkage function compares.
+    """What one linkage function compares, and the lattice its scores fall on.
 
     packed: packed template bits per key, or None to compare set-bit
-    counts only (hamming_weight); pops: set-bit counts per key and row;
-    the score is the distance over length, or over the two rows' summed
-    set-bit counts when by_popsum (Bloom pic_hd).
+    counts only (hamming_weight); pops: set-bit counts per key and row.  A
+    score is the distance over length, or when by_popsum (Bloom pic_hd)
+    over the two rows' summed set-bit counts.  A cell is a distance, or
+    when by_popsum a (distance, popsum) pair keyed distance * stride +
+    popsum - low.  A popsum lies between low, twice the least set-bit
+    count, and twice the largest, which also bounds the distance, so every
+    cell is below size.
     """
 
-    packed: np.ndarray | None
-    pops: np.ndarray
-    length: int
-    by_popsum: bool
-
-    def scores(self, dist: np.ndarray, popsum) -> np.ndarray:
-        return np.divide(dist, popsum if self.by_popsum else self.length)
-
-
-class _Lattice:
-    """The cells a view's scores fall on, keyed by small integers.
-
-    A cell is a distance, or when by_popsum a (distance, popsum) pair keyed
-    distance * stride + popsum - low.  A distance is at most the length,
-    and at most the popsum, which lies between low, twice the least set-bit
-    count, and twice the largest.
-    """
-
-    def __init__(self, view: _View):
-        self.view = view
-        top, self.stride, self.low = view.length, 1, 0
-        if view.by_popsum:
-            least, most = int(view.pops.min()), int(view.pops.max())
+    def __init__(self, packed: np.ndarray | None, pops: np.ndarray, length: int, by_popsum: bool):
+        self.packed, self.pops, self.length, self.by_popsum = packed, pops, length, by_popsum
+        top, self.stride, self.low = length, 1, 0
+        if by_popsum:
+            least, most = int(pops.min()), int(pops.max())
             self.low, self.stride = 2 * least, 2 * (most - least) + 1
             top = min(top, 2 * most)
         self.size = (top + 1) * self.stride
@@ -317,49 +302,29 @@ class _Lattice:
     def cells(self, dist: np.ndarray, popsum) -> np.ndarray:
         return dist if popsum is None else dist * self.stride + (popsum - self.low)
 
-    def scores(self, cells) -> np.ndarray:
-        """The float64 score of each cell: the view's quotient of the same integers."""
-        cells = np.asarray(cells, dtype=np.int64)
-        if not self.view.by_popsum:
-            return self.view.scores(cells, None)
+    def table(self, counts: np.ndarray) -> CountTable:
+        """The count table of counts, pairs per cell: a cell's score is the quotient of its integers."""
+        cells = np.flatnonzero(counts)
         dist, rest = np.divmod(cells, self.stride)
-        return self.view.scores(dist, rest + self.low)
-
-
-class _Tally:
-    """Pair counts per cell of a lattice."""
-
-    def __init__(self, lattice: _Lattice):
-        self.lattice = lattice
-        self.counts = np.zeros(lattice.size, dtype=np.int64)
-
-    def add(self, cells: np.ndarray, times: int) -> None:
-        """Count every pair of cells, times over: once per key pair it stands for."""
-        found = np.bincount(cells)
-        self.counts[: found.size] += found * times
-
-    def table(self) -> CountTable:
-        cells = np.flatnonzero(self.counts)
-        counts = self.counts[cells]
-        scores = self.lattice.scores(cells)
-        if not self.lattice.view.by_popsum:
-            return CountTable(scores, counts)
+        scores = np.divide(dist, rest + self.low if self.by_popsum else self.length)
         # equal quotients of different (distance, popsum) cells merge
         order = np.argsort(scores, kind="stable")
-        scores, counts = scores[order], counts[order]
+        scores, counts = scores[order], counts[cells][order]
         first = np.flatnonzero(np.concatenate(([True], scores[1:] != scores[:-1])))
         return CountTable(scores[first], np.add.reduceat(counts, first))
 
 
 class ScoreEngine:
-    """Packed template representations shared by all linkage functions.
+    """The K databases packed once, and what each linkage function compares of them.
 
     The engine holds each database's rows packed and their set-bit counts,
     never the per-bit databases it was built from, so a caller that drops
-    those frees them before any pair is scored.  The key ring is needed only
-    to undo the protection (permuted_xor, reconstruction).  Read-only once
-    built, except for the inverted view, which is built from the packed rows
-    on first use, and `scored`, the tallies computed so far: functions whose
+    those frees them before any pair is scored.  view(function) is the
+    _View of a function; same_subject and distinct_subjects yield a view's
+    distances block by block.  The key ring is needed only to undo the
+    protection (permuted_xor, reconstruction).  Read-only once built,
+    except for the inverted view, built from the packed rows on first use,
+    and `scored`, the count tables _tallied has built: functions whose
     views compare the same bits over the same length (permuted_xor and
     reconstruction on block re-mapping) are tallied once.
     """
@@ -442,16 +407,13 @@ class ScoreEngine:
         Any pair of templates then scores the same under either key.
         """
         canon = np.arange(self.k)
-        firsts: list = []
         for k in range(self.k):
-            for first in firsts:
+            # the keys before k that are their own first
+            for first in np.flatnonzero(canon[:k] == np.arange(k)):
                 if np.array_equal(view.pops[k], view.pops[first]) and (
-                    view.packed is None or np.array_equal(view.packed[k], view.packed[first])
-                ):
+                        view.packed is None or np.array_equal(view.packed[k], view.packed[first])):
                     canon[k] = first
                     break
-            else:
-                firsts.append(k)
         return canon
 
     def same_subject(self, view: _View, keys_a, keys_b, sample_pairs):
@@ -478,25 +440,23 @@ class ScoreEngine:
         for every key pair p of the tile in turn: dist holds the pairs of
         subjects i in lo..hi-1 with subjects j > i, i under key keys_a[p]
         and j under key keys_b[p]; popsum is None unless view.by_popsum.
-        dist is a buffer that the next block overwrites.  A call with at
-        least kernels.GEMM_MIN_WORDS words of work takes the tile from
-        kernels.hamming_gemm, a smaller one gathers just the pairs for
-        kernels.hamming_rows; both give the same integers, and both write
-        into buffers allocated once per call.
+        dist is a buffer that the next block overwrites.  A view without
+        packed rows compares set-bit counts.  One with them takes each tile
+        from kernels.hamming_gemm when the call has at least
+        kernels.GEMM_MIN_WORDS words of work, and otherwise gathers just the
+        pairs for kernels.hamming_rows; both give the same integers into
+        buffers allocated once per call.
         """
         rows = slice(None) if group == self.samples else slice(None, None, self.samples)
         n, n_rows = self.n_subjects, self.n_subjects * group
         keys = sorted_distinct(keys_a, keys_b)
         pops = {k: view.pops[k, rows] for k in keys}
-        gemm = gather = False
-        if view.packed is not None:
-            words = len(keys_a) * n_rows * n_rows // 2 * view.packed.shape[-1]
-            gemm = words >= kernels.GEMM_MIN_WORDS
-            gather = not gemm
+        gemm = view.packed is not None and (
+            len(keys_a) * n_rows * n_rows // 2 * view.packed.shape[-1] >= kernels.GEMM_MIN_WORDS)
         if gemm:
             bits = {k: kernels.unpack_rows(view.packed[k, rows], view.length).astype(np.float32)
                     for k in keys}
-        elif gather:
+        elif view.packed is not None:
             bits = {k: np.ascontiguousarray(view.packed[k, rows]) for k in keys}
         buffer = None
         for lo, hi in kernels.triangle_tiles(n, group):
@@ -510,20 +470,17 @@ class ScoreEngine:
                     product = np.empty((r.stop - r.start) * width, dtype=np.float32)
                     entries = np.empty(at.size, dtype=np.float32)
             dist = buffer[: at.size]
-            if gemm:
-                taken = entries[: at.size]
-            if not gemm or view.by_popsum:
-                # the rows of a and of b that each pair compares
-                rows_a, rows_b = np.divmod(at, width)
-                rows_a += r.start
-                rows_b += c.start
+            # the rows of a and of b that each pair compares
+            rows_a, rows_b = np.divmod(at, width)
+            rows_a += r.start
+            rows_b += c.start
             for p, (a, b) in enumerate(zip(keys_a, keys_b)):
                 if gemm:
                     tile = kernels.hamming_gemm(bits[a][r], bits[b][c], pops[a][r], pops[b][c], product)
                     # at is in range; mode "raise" would take into a fresh buffer
-                    np.take(tile.reshape(-1), at, out=taken, mode="wrap")
-                    np.copyto(dist, taken, casting="unsafe")
-                elif gather:
+                    np.take(tile.reshape(-1), at, out=entries[: at.size], mode="wrap")
+                    np.copyto(dist, entries[: at.size], casting="unsafe")
+                elif view.packed is not None:
                     kernels.hamming_rows(bits[a], bits[b], rows_a, rows_b, dist)
                 else:
                     np.subtract(pops[a][rows_a], pops[b][rows_b], out=dist)
@@ -538,13 +495,14 @@ def _tallied(engine: ScoreEngine, function: str, keys_a, keys_b, mated_samples, 
     Key pair p compares each template under keys_a[p] with one under
     keys_b[p]: mated_samples names the sample pairs of each subject, and
     group the samples compared per pair of distinct subjects (1, the first,
-    or all).  A pass scores each distinct pair of canonical keys once: key
-    pairs whose databases are the same to the view as those of another pair
-    give the same scores, and are counted once per key pair they stand
-    for.  (a, b) and (b, a) stay apart: the first template is always on key
-    a.  The pair counts are checked before any pair is scored.  The engine
-    remembers the tables, so a view already tallied with the same pairs,
-    under any function, is not tallied again.
+    or all).  Both sides count pairs per cell of the view, and view.table
+    makes the counts count tables.  A pass scores each distinct pair of
+    canonical keys once: key pairs whose databases are the same to the
+    view as those of another pair give the same scores, and are counted
+    once per key pair they stand for.  (a, b) and (b, a) stay apart: the
+    first template is always on key a.  The pair counts are checked before
+    any pair is scored.  The engine remembers the tables, so a view already
+    tallied with the same pairs, under any function, is not tallied again.
     """
     view = engine.view(function)
     n = engine.n_subjects
@@ -559,13 +517,14 @@ def _tallied(engine: ScoreEngine, function: str, keys_a, keys_b, mated_samples, 
         canon = engine.canonical_keys(view)
         pairs, times = np.unique(canon[keys_a] * engine.k + canon[keys_b], return_counts=True)
         pairs_a, pairs_b = np.divmod(pairs, engine.k)
-        lattice = _Lattice(view)
-        mated, non_mated = _Tally(lattice), _Tally(lattice)
-        for p, dist, popsum in engine.same_subject(view, pairs_a, pairs_b, mated_samples):
-            mated.add(lattice.cells(dist, popsum), times[p])
-        for p, dist, popsum in engine.distinct_subjects(view, pairs_a, pairs_b, group):
-            non_mated.add(lattice.cells(dist, popsum), times[p])
-        engine.scored[key] = (mated.table(), non_mated.table())
+        counts = np.zeros((2, view.size), dtype=np.int64)
+        blocks = (engine.same_subject(view, pairs_a, pairs_b, mated_samples),
+                  engine.distinct_subjects(view, pairs_a, pairs_b, group))
+        for side, block in zip(counts, blocks):
+            for p, dist, popsum in block:
+                found = np.bincount(view.cells(dist, popsum))
+                side[: found.size] += found * times[p]
+        engine.scored[key] = tuple(view.table(side) for side in counts)
     return ScoreCounts(*engine.scored[key], source)
 
 

@@ -127,6 +127,24 @@ class TestScoresBeyondTheFloatRange:
         dp = ue.estimate_densities(_set([0.0, 1e307], [0.1, 0.2]), ue.DensityConfig(bins=10))
         assert np.isfinite(dp.edges).all() and dp.n_bins == 12
 
+    @pytest.mark.parametrize("power", [600, 1000, 1023])
+    def test_kde_of_huge_scores_is_the_scaled_kde(self, power):
+        """Scaling the scores by a power of two scales the KDE's grid and
+        densities, also where its sums of squares, its mean's sum (2**1023)
+        or its bin centres (2**1023) would overflow.  The scores are evenly
+        spread, so that their standard deviation, not the IQR, sets the
+        bandwidth."""
+        mated, non_mated = np.linspace(1.0, 1.5, 6), np.linspace(1.05, 1.45, 5)
+        config = ue.DensityConfig(kde=True)
+        base = ue.estimate_densities(_set(mated, non_mated), config)
+        scale = 2.0 ** power
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            dp = ue.estimate_densities(_set(mated * scale, non_mated * scale), config)
+        np.testing.assert_allclose(dp.edges / scale, base.edges, rtol=1e-12)
+        np.testing.assert_allclose(dp.p_mated * scale, base.p_mated, rtol=1e-12)
+        np.testing.assert_allclose(dp.p_non_mated * scale, base.p_non_mated, rtol=1e-12)
+
 
 class TestDegenerateSupport:
     def test_point_mass_gets_epsilon_bin(self):

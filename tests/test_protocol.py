@@ -22,6 +22,7 @@ from unlinkeval.protocol import (
     PAIRING_ALL_CROSS_KEY,
     PAIRING_DISTINCT_SAMPLES,
     ScoreEngine,
+    _View,
     synthetic_engine,
     write_report_artifacts,
 )
@@ -133,6 +134,45 @@ class TestScoreValues:
         dbs, ring = _databases(n_subjects=4, samples=2, k=3, seed=11)
         # each call gets its own engine, so neither reads the other's tables
         _assert_same_tables(*(ue.cross_database_scores(ScoreEngine(dbs, ring), "pic_hd") for _ in range(2)))
+
+
+class TestViewLattice:
+    """The cells of a hand-built view and the count tables they give."""
+
+    # rows with 2 and 4 set bits: popsums from low = 4 to 2 * most = 8
+    POPS = np.array([[2, 4], [3, 4]])
+
+    def _bloom(self, length=16):
+        return _View(None, self.POPS, length, True)
+
+    def test_equal_bloom_quotients_merge(self):
+        view = self._bloom()
+        counts = np.zeros(view.size, dtype=np.int64)
+        # (distance 1, popsum 4) three times and (2, 8) four times
+        cells = view.cells(np.array([1, 2]), np.array([4, 8]))
+        counts[cells] = [3, 4]
+        table = view.table(counts)
+        assert table.values.tolist() == [0.25]
+        assert table.counts.tolist() == [7]
+
+    @pytest.mark.parametrize("length", [16, 6])
+    def test_extreme_cells_lie_below_size(self, length):
+        view = self._bloom(length)
+        most = int(self.POPS.max())
+        top = min(length, 2 * most)
+        cells = view.cells(np.array([0, 0, top, top]), np.array([view.low, 2 * most] * 2))
+        assert cells.min() >= 0
+        assert cells.max() < view.size
+
+    def test_distance_scores_are_the_quotients_bit_for_bit(self):
+        view = _View(None, self.POPS, 7, False)
+        counts = np.zeros(view.size, dtype=np.int64)
+        cells = np.array([0, 1, 3, 5, 7])
+        counts[cells] = [1, 2, 3, 4, 5]
+        table = view.table(counts)
+        expected = np.array([c / 7 for c in cells])
+        assert np.array_equal(table.values.view(np.uint64), expected.view(np.uint64))
+        assert table.counts.tolist() == [1, 2, 3, 4, 5]
 
 
 # every linkage function each scheme supports
@@ -450,6 +490,7 @@ class TestProtocolConfig:
         {"density": {"grid_range": [1.0]}},
         {"density": {"grid_range": [0.0, 1.0, 2.0]}},
         {"linkage_functions": [["pic_hd"]]},
+        {"linkage_functions": None},
         {"prior": {"n_enrolled": True}},
         {"prior": {"n_enrolled": 1}},
         {"prior": {"omega": float("nan")}},
@@ -472,9 +513,14 @@ class TestProtocolConfig:
         with pytest.raises(InvalidConfigError):
             ue.ProtocolConfig.from_dict(data, base_dir=tmp_path)
 
-    def test_function_that_is_no_name_rejected(self):
+    @pytest.mark.parametrize("functions", [[["pic_hd"]], 5, None], ids=["nested-list", "int", "none"])
+    def test_function_that_is_no_name_rejected(self, functions):
         with pytest.raises(InvalidConfigError, match="linkage_functions"):
-            ue.ProtocolConfig(linkage_functions=[["pic_hd"]], k=6, corpus=self._corpus_cfg())
+            ue.ProtocolConfig(linkage_functions=functions, k=6, corpus=self._corpus_cfg())
+        data = {"linkage_functions": functions, "k": 6,
+                "corpus": dataclasses.asdict(self._corpus_cfg())}
+        with pytest.raises(InvalidConfigError, match="linkage_functions"):
+            ue.ProtocolConfig.from_dict(data)
 
     def test_warnings_name_the_calling_line(self):
         """KeyCountWarning and PriorRangeWarning name the caller's line, also

@@ -157,7 +157,8 @@ def engine_score(fn, t1, t2, scheme, ring=None, key_ids=(0, 1)):
     engine = ScoreEngine(dbs, ring)
     view = engine.view(fn)
     [(_, dist, popsum)] = engine.same_subject(view, [0], [1], (np.zeros(1, int), np.zeros(1, int)))
-    return float(view.scores(dist, popsum)[0])
+    [score] = view.table(np.bincount(view.cells(dist, popsum), minlength=view.size)).values
+    return float(score)
 
 
 class TestSchemes:
