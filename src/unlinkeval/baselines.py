@@ -236,23 +236,24 @@ def _thresholds(values: np.ndarray) -> np.ndarray:
 
     values is sorted and distinct, so the candidates are laid out already
     in order and only repeats (a midpoint that rounds onto a neighbour) are
-    dropped: the same as np.unique over them, with a third less memory.  A
-    midpoint that overflows breaks the order, and then sorted_distinct sorts.
+    dropped: the same as np.unique over them, with a third less memory.
+    Near the float maximum a midpoint whose sum overflows is a/2 + b/2, and
+    a sentinel that overflows the next float out; only those are recomputed.
     """
-    span = max(values[-1] - values[0], 1.0)
     out = np.empty(2 * values.size + 1)
-    out[0] = values[0] - span
     out[1::2] = values
     mids = out[2:-1:2]
-    np.add(values[:-1], values[1:], out=mids)
+    with np.errstate(over="ignore"):
+        span = max(values[-1] - values[0], 1.0)
+        np.add(values[:-1], values[1:], out=mids)
+        low, high = values[0] - span, values[-1] + span
+        # beyond 2**53 adding the span can round back onto the extreme score
+        low_out, high_out = np.nextafter(values[0], -np.inf), np.nextafter(values[-1], np.inf)
     mids /= 2.0
-    out[-1] = values[-1] + span
-    # beyond 2**53 adding the span can round back onto the extreme score;
-    # a sentinel is then the next float out
-    out[0] = min(out[0], np.nextafter(values[0], -np.inf))
-    out[-1] = max(out[-1], np.nextafter(values[-1], np.inf))
-    if not np.all(out[1:] >= out[:-1]):
-        return sorted_distinct(out)
+    overflowed = np.flatnonzero(np.isinf(mids))
+    mids[overflowed] = values[overflowed] / 2.0 + values[overflowed + 1] / 2.0
+    out[0] = low if -np.inf < low < low_out else low_out
+    out[-1] = high if high_out < high < np.inf else high_out
     repeats = out[1:] == out[:-1]
     return out[np.concatenate(([True], ~repeats))] if repeats.any() else out
 

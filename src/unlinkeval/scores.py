@@ -302,8 +302,10 @@ def load_score_set(mated_path, non_mated_path, source: str | None = None) -> Sco
     Each file is either a labeled CSV with header ``score,label`` (rows for
     the other side are ignored, so both paths may point at one combined
     file, which is then read and parsed once) or a headerless single column
-    of scores.  A file's text and parsed scores are freed before the next
-    file is read.
+    of scores.  A file in the plain form (see `_parse_score_file`) is
+    converted by one np.loadtxt pass and never held as text; any other file
+    is read whole and parsed line by line.  A file's text and parsed scores
+    are freed before the next file is read.
     """
     tables, read = [], None
     for path, side in ((Path(mated_path), LABEL_MATED), (Path(non_mated_path), LABEL_NON_MATED)):
@@ -311,8 +313,6 @@ def load_score_set(mated_path, non_mated_path, source: str | None = None) -> Sco
             # the previous file's text and scores go before this one is read
             text = columns = None
             text, columns = _parse_score_file(path)
-            if columns is not None:
-                text = None  # parsed whole: no line parse needs it
             read = path
         tables.append(CountTable.from_scores(
             _parse_score_lines(path, text, side) if columns is None else columns[side]))
@@ -321,75 +321,73 @@ def load_score_set(mated_path, non_mated_path, source: str | None = None) -> Sco
     return ScoreCounts(*tables, source)
 
 
-# Whitespace other than "\n": padding, and the line breaks that
-# str.splitlines knows besides "\n" and "\r" (reading translates "\r").
-_PLAIN_FORM_EXCLUDES = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
-
-# Characters of a plain file converted at a time: the row strings of one
-# chunk, not of the whole file, are alive at once.  With 1 MiB chunks
-# `compare --kde` on 650k lines peaked 5 MB higher on some inputs than
-# with 64 KiB ones, and took no less time.
-_PARSE_CHUNK = 1 << 16
+# Bytes that rule the plain form out: whitespace other than "\n" and "\r",
+# which np.loadtxt neither splits at nor strips as the line parser does,
+# and NUL, which a bytes label drops from its end ("mated\0" reads "mated").
+_PLAIN_FORM_EXCLUDES = b" \t\x0b\x0c\x1c\x1d\x1e\x1f\x00"
+# 9 bytes hold "nonmated" and one more: a longer label is not cut to a match
+_LABELED_ROW = np.dtype([("score", "f8"), ("label", "S9")])
 
 
-def _parse_score_file(path: Path) -> tuple[str, dict[str, np.ndarray] | None]:
-    """Read a score file and convert it a chunk of rows at a time when it
-    has the plain form.
+def _parse_score_file(path: Path) -> tuple[str | None, dict[str, np.ndarray] | None]:
+    """None and each side's scores for a file in the plain form, which one
+    np.loadtxt pass converts, or the text and None for any other, which
+    `_parse_score_lines` reads line by line, naming the line of any fault.
 
-    Returns the text and the scores of each side, or the text and None when
-    the file is not in the plain form; `_parse_score_lines` then reads it
-    line by line and names the line of any fault.  The plain form is ASCII
-    without whitespace other than line ends and either starts with the
-    exact line ``score,label``, with every further row ``<score>,mated`` or
-    ``<score>,nonmated``, or has one score per row and no header.  Every
-    score must be a finite float.  Such a file holds nothing the line
-    parser would strip, skip or reject, and it splits into the same rows,
-    so both parsers give the same values.
+    The plain form is ASCII with no NUL and no whitespace but line ends, and
+    either the exact header ``score,label`` with rows ``<score>,mated`` or
+    ``<score>,nonmated``, or headerless rows of one score; blank rows are
+    skipped, and every score is finite.  np.loadtxt converts a score with
+    PyOS_string_to_double, the routine behind float(), so both parsers give
+    the same values bit for bit; it refuses the underscores float() takes.
     """
     if not path.is_file():
         raise MissingFileError(f"score file not found: {path}")
-    text = read_utf8(path, ScoreParseError)
-    if not text.isascii() or any(c in text for c in _PLAIN_FORM_EXCLUDES):
-        return text, None
-    header = _CSV_HEADER + "\n"
-    labeled = text.startswith(header)
-    start = len(header) if labeled else 0
-    # a last row without its line end is a row too
-    rows = text.count("\n", start) + (len(text) > start and not text.endswith("\n"))
-    scores = np.empty(rows)
-    is_mated = np.empty(rows, dtype=bool)
-    done = 0
-    for chunk in _row_chunks(text, start):
-        n = chunk.count("\n")
-        if labeled:
-            # every row ends in ",mated" or ",nonmated": no row end is counted
-            # twice, since "mated" follows "n" in ",nonmated"
-            if chunk.count(",mated\n") + chunk.count(",nonmated\n") != n:
-                return text, None
-            is_mated[done : done + n] = _mated_rows(chunk)
-            values = chunk.replace(",nonmated\n", ",mated\n").split(",mated\n")[:n]
-        else:
-            values = chunk.split("\n")[:n]
+    labeled = _plain_form(path)
+    columns = None if labeled is None else _load_plain(path, labeled)
+    return (read_utf8(path, ScoreParseError), None) if columns is None else (None, columns)
+
+
+def _plain_form(path: Path) -> bool | None:
+    """Whether a score file is labeled, or None when its bytes, checked
+    1 MiB at a time, or a name that np.loadtxt would open through a
+    decompressor rule the plain form out."""
+    if path.suffix in (".bz2", ".gz", ".xz", ".lzma"):
+        return None
+    labeled = None
+    with open(path, "rb") as f:
+        while block := f.read(1 << 20):
+            if labeled is None:
+                line_end = block[len(_CSV_HEADER):][:1]
+                labeled = block.startswith(_CSV_HEADER.encode()) and line_end in (b"\n", b"\r", b"")
+            if not block.isascii() or any(byte in block for byte in _PLAIN_FORM_EXCLUDES):
+                return None
+    return bool(labeled)
+
+
+def _load_plain(path: Path, labeled: bool) -> dict[str, np.ndarray] | None:
+    """Each side's scores of a file whose bytes may have the plain form,
+    or None when one of its rows has not."""
+    with warnings.catch_warnings():
+        # np.loadtxt warns about a file with no rows; the line parser does not
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            scores[done : done + n] = np.fromiter(map(float, values), np.float64, n)
-        except ValueError:  # a blank row, a non-number or a further comma
-            return text, None
-        done += n
-    if not np.all(np.isfinite(scores)):
-        return text, None
+            # headerless rows stay 2-D even when there is one, so that a row
+            # of several numbers is not read as several scores
+            rows = np.loadtxt(path, _LABELED_ROW if labeled else np.float64, delimiter=",", comments=None,
+                              skiprows=int(labeled), encoding="utf-8", ndmin=1 if labeled else 2)
+        except ValueError:  # a non-number, or a row with more or fewer columns
+            return None
     if not labeled:
-        return text, {LABEL_MATED: scores, LABEL_NON_MATED: scores}
-    return text, {LABEL_MATED: scores[is_mated], LABEL_NON_MATED: scores[~is_mated]}
-
-
-def _row_chunks(text: str, start: int):
-    """text from start in slices of about _PARSE_CHUNK characters, each
-    ending at a line end; a last row without one is given one."""
-    while start < len(text):
-        end = text.find("\n", min(start + _PARSE_CHUNK, len(text)) - 1) + 1 or len(text)
-        chunk = text[start:end]
-        yield chunk if chunk.endswith("\n") else chunk + "\n"
-        start = end
+        scores = rows.reshape(-1)
+        if rows.shape[1] != 1 or not np.isfinite(scores).all():
+            return None
+        return {LABEL_MATED: scores, LABEL_NON_MATED: scores}
+    scores, labels = rows["score"], rows["label"]
+    is_mated = labels == LABEL_MATED.encode()
+    if not (np.isfinite(scores).all() and np.all(is_mated | (labels == LABEL_NON_MATED.encode()))):
+        return None
+    return {LABEL_MATED: scores[is_mated], LABEL_NON_MATED: scores[~is_mated]}
 
 
 def read_utf8(path: Path, error=FileParseError) -> str:
@@ -411,18 +409,11 @@ def read_utf8(path: Path, error=FileParseError) -> str:
     raise error(path, line_no, f"not UTF-8 text: byte 0x{raw[bad]:02x}")
 
 
-def _mated_rows(rows: str) -> np.ndarray:
-    """Which rows of plain labeled text are mated: six characters before
-    its end a row has the comma of ",mated" or the "n" of ",nonmated"."""
-    raw = np.frombuffer(rows.encode("ascii"), np.uint8)
-    return raw[np.flatnonzero(raw == ord("\n")) - 6] == ord(",")
-
-
 def _parse_score_lines(path: Path, text: str, side: str) -> list[float]:
     """The scores of one side, parsed line by line.
 
-    Accepts every form the whole-file parse leaves to it (padding, upper
-    case, blank rows) and raises the line-numbered error of the first
+    Accepts every form the np.loadtxt parse leaves to it (padding, upper
+    case, non-ASCII text) and raises the line-numbered error of the first
     faulty row; rows of the other side are skipped unparsed.
     """
     lines = text.splitlines()

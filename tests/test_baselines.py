@@ -12,6 +12,7 @@ from unlinkeval.baselines import (
     MODE_RTMR,
     ORIENT_DISSIMILARITY,
     ORIENT_SIMILARITY,
+    _thresholds,
 )
 from unlinkeval.errors import LengthMismatchError, NotNormalizedError, StatisticalAdequacyWarning
 
@@ -163,6 +164,26 @@ class TestDetCurve:
         det = ue.det_curve(rng.normal(0.6, 0.1, 40), rng.normal(0.4, 0.1, 40), mode=MODE_CROSSKEY)
         header = det.to_csv().splitlines()[0]
         assert header == "threshold,cmr,fcmr"
+
+
+class TestThresholdsNearTheFloatMaximum:
+    """DET thresholds where neighbour sums and sentinels overflow; the
+    other overflow cases are in tests/test_counts.py, checked against
+    np.unique of the candidates."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_score_at_the_float_maximum(self):
+        top = np.finfo(np.float64).max
+        assert _thresholds(np.array([1.0, top])).tolist() == [1.0 - top, 1.0, 1.0 / 2.0 + top / 2.0, top, np.inf]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_det_of_huge_scores_is_the_scaled_det(self):
+        # every neighbour sum and the upper sentinel overflow; the rates
+        # depend on the order of the scores only
+        mated, non_mated = np.array([1e308, 1.5e308, 1.2e308]), np.array([1.1e308, 1.3e308])
+        det = ue.det_curve(mated, non_mated)
+        assert np.isfinite(det.thresholds).all()
+        assert det.eer == ue.det_curve(mated / 1e300, non_mated / 1e300).eer
 
 
 class TestCrossKeyDet:

@@ -43,11 +43,22 @@ def _same_bits(a, b) -> bool:
     return bool(np.all(zeros | (_bits(a) == _bits(b))))
 
 
+def _mids(values):
+    """Each pair of neighbours' midpoint, halved before the sum where the sum overflows."""
+    with np.errstate(over="ignore"):
+        mids = (values[:-1] + values[1:]) / 2.0
+    return np.where(np.isinf(mids), values[:-1] / 2.0 + values[1:] / 2.0, mids)
+
+
 def _sentinels(values):
-    """The span beyond each extreme score, or the next float where that rounds back onto it."""
-    span = max(values[-1] - values[0], 1.0)
-    return [min(values[0] - span, np.nextafter(values[0], -np.inf)),
-            max(values[-1] + span, np.nextafter(values[-1], np.inf))]
+    """The span beyond each extreme score, or the next float where that
+    rounds back onto it or overflows."""
+    with np.errstate(over="ignore"):
+        span = max(values[-1] - values[0], 1.0)
+        low, high = values[0] - span, values[-1] + span
+        low_out, high_out = np.nextafter(values[0], -np.inf), np.nextafter(values[-1], np.inf)
+    return [min(low, low_out) if np.isfinite(low) else low_out,
+            max(high, high_out) if np.isfinite(high) else high_out]
 
 
 def _det_sorted(mated, non_mated, orientation):
@@ -55,8 +66,7 @@ def _det_sorted(mated, non_mated, orientation):
     mated = np.asarray(mated, dtype=np.float64)
     non_mated = np.asarray(non_mated, dtype=np.float64)
     values = np.unique(np.concatenate([mated, non_mated]))
-    mids = (values[:-1] + values[1:]) / 2.0
-    thresholds = np.unique(np.concatenate([values, mids, _sentinels(values)]))
+    thresholds = np.unique(np.concatenate([values, _mids(values), _sentinels(values)]))
     m_sorted, nm_sorted = np.sort(mated), np.sort(non_mated)
     if orientation == ORIENT_SIMILARITY:
         fnmr = np.searchsorted(m_sorted, thresholds, side="left") / mated.size
@@ -276,8 +286,9 @@ class TestCountDet:
         [0.5],
         [0.5, 0.5 + 2**-52, 0.5 + 2**-51],  # midpoints round onto neighbours
         [-3.0, -0.0, 2.0, 1e300],
-        [1e308, 1.7e308],  # the midpoint and the upper sentinel overflow
+        [1e308, 1.7e308],  # the midpoint's sum and the upper sentinel overflow
         [-1.7e308, 1.7e308],  # the span overflows
+        [-1.7e308, -1e308, 0.5, 1e308, 1.7e308],  # both sums of each sign overflow
         _ROUNDING_UP,  # the upper sentinel is the next float out
         _ROUNDING_DOWN,  # the lower one
     ])
@@ -285,12 +296,10 @@ class TestCountDet:
         from unlinkeval.baselines import _thresholds
 
         values = np.asarray(values)
-        with np.errstate(over="ignore"):
-            mids = (values[:-1] + values[1:]) / 2.0
-            expected = np.unique(np.concatenate([values, mids, _sentinels(values)]))
-            got = _thresholds(values)
+        expected = np.unique(np.concatenate([values, _mids(values), _sentinels(values)]))
+        got = _thresholds(values)
         assert np.array_equal(_bits(got), _bits(expected))
-        assert got[0] < values[0] and got[-1] > values[-1]
+        assert np.isfinite(got).all() and got[0] < values[0] and got[-1] > values[-1]
 
     @pytest.mark.parametrize("points", [None, 2, 3])
     def test_sentinels_beyond_rounding_scores_make_the_rates_cross(self, points):

@@ -2,7 +2,6 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -212,14 +211,19 @@ _PAD = st.sampled_from(["", "", "", "", "", "", " ", "\t", "\x0c", "\x1c", "\u20
 
 
 @st.composite
-def _row(draw, labeled, plain):
+def _row(draw, labeled, plain, width=None):
+    """A row of a score file; a width gives a headerless row of that many numbers."""
+    if width:
+        return ",".join(draw(_NUMBER) for _ in range(width))
     if plain:
         value = draw(_NUMBER)
         return f"{value},{draw(st.sampled_from(['mated', 'nonmated']))}" if labeled else value
-    kinds = ["row"] * 6 + ["blank", "extra", "bare"] if labeled else ["bare"] * 6 + ["blank", "row"]
+    kinds = ["row"] * 6 + ["blank", "extra", "bare"] if labeled else ["bare"] * 6 + ["blank", "row", "joined"]
     kind = draw(st.sampled_from(kinds))
     if kind == "blank":
         return draw(st.sampled_from(["", "", "  "]))
+    if kind == "joined":
+        return ",".join(draw(st.lists(_NUMBER, min_size=2, max_size=3)))
     value = draw(_PAD) + draw(_VALUE) + draw(_PAD)
     if kind == "bare":
         return value
@@ -231,13 +235,17 @@ def _row(draw, labeled, plain):
 
 @st.composite
 def _score_file(draw):
-    """A score file: plain, plain but for one row, or of mixed form."""
-    form = draw(st.sampled_from(["plain", "one-odd-row", "mixed"]))
+    """A score file: plain, plain but for one row, of mixed form, or
+    headerless with every row the same count of numbers joined by commas."""
+    form = draw(st.sampled_from(["plain", "one-odd-row", "mixed", "joined"]))
     header = draw(st.sampled_from(["score,label"] * 4 + ["SCORE,Label", " score,label", None, None]))
-    if form != "mixed":
+    if form in ("plain", "one-odd-row"):
         header = draw(st.sampled_from(["score,label", None]))
+    elif form == "joined":
+        header = None
     labeled = header is not None
-    rows = draw(st.lists(_row(labeled, plain=form != "mixed"), max_size=10))
+    width = draw(st.integers(2, 3)) if form == "joined" else None
+    rows = draw(st.lists(_row(labeled, plain=form != "mixed", width=width), max_size=10))
     if form == "one-odd-row":
         at = draw(st.integers(0, len(rows)))
         rows.insert(at, draw(_row(labeled, plain=False)))
@@ -248,39 +256,27 @@ def _score_file(draw):
 
 
 class TestWholeFileParse:
-    """The chunked plain-form parse against the line parser as oracle."""
+    """The plain-form parse by np.loadtxt against the line parser as oracle."""
 
     @settings(max_examples=300, deadline=None)
-    @given(first=_score_file(), second=_score_file(), chunk=st.sampled_from([1, 2, 7, 1 << 20]))
-    @example(first="score,label\n0.5,mated\n0.25,mated,0.75\n\n0.125,nonmated\n0.0,nonmated\n", second="",
-             chunk=1 << 20)
-    @example(first="score,label\n0.5,mated\n-0.0,mated\n0.0,nonmated\n-0.0,nonmated\n", second="",
-             chunk=1 << 20)
-    @example(first="0.5\n1,5\n0.25\n", second="0.25\n0.25\n", chunk=1 << 20)
-    # a faulty row in the last of several chunks, and a last row without its line end
-    @example(first="score,label\n0.5,mated\n0.25,nonmated\n0.125,mated\n0.5,nonmated,1\n", second="",
-             chunk=2)
-    @example(first="score,label\n0.5,mated\n0.25,nonmated\n0.125,mated", second="0.5\n0.25", chunk=1)
-    def test_loader_matches_line_parser(self, first, second, chunk):
-        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(scores, "_PARSE_CHUNK", chunk):
+    @given(first=_score_file(), second=_score_file())
+    @example(first="score,label\n0.5,mated\n0.25,mated,0.75\n\n0.125,nonmated\n0.0,nonmated\n", second="")
+    @example(first="score,label\n0.5,mated\n-0.0,mated\n0.0,nonmated\n-0.0,nonmated\n", second="")
+    @example(first="0.5\n1,5\n0.25\n", second="0.25\n0.25\n")
+    # a faulty last row, and a last row without its line end
+    @example(first="score,label\n0.5,mated\n0.25,nonmated\n0.125,mated\n0.5,nonmated,1\n", second="")
+    @example(first="score,label\n0.5,mated\n0.25,nonmated\n0.125,mated", second="0.5\n0.25")
+    def test_loader_matches_line_parser(self, first, second):
+        with tempfile.TemporaryDirectory() as tmp:
             a, b = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
             a.write_bytes(first.encode("utf-8"))
             b.write_bytes(second.encode("utf-8"))
             for paths in ((a, a), (a, b), (b, a)):
                 assert _outcome(ue.load_score_set, *paths) == _outcome(_line_oracle, *paths)
 
-    def test_chunks_end_at_line_ends(self):
-        text = "score,label\n0.5,mated\n0.25,nonmated\n0.125,mated"
-        for chunk in (1, 3, 11, 12, 1 << 20):
-            with mock.patch.object(scores, "_PARSE_CHUNK", chunk):
-                pieces = list(scores._row_chunks(text, len("score,label\n")))
-            assert "".join(pieces) == text[len("score,label\n"):] + "\n"
-            assert all(p.endswith("\n") for p in pieces)
-            assert all(len(p) >= chunk for p in pieces[:-1])
-
     def test_plain_file_memory_is_bounded(self, tmp_path, rng):
-        """A million plain labeled rows peak below the text plus four times
-        the scores: the rows are converted a chunk at a time."""
+        """A million plain labeled rows peak below 1.5 times the file's
+        size: np.loadtxt reads the file in blocks, and no text is held."""
         n = 1_000_000
         values = rng.normal(0.45, 0.05, n)
         labels = np.where(rng.random(n) < 0.3, ",mated\n", ",nonmated\n")
@@ -296,7 +292,7 @@ class TestWholeFileParse:
         assert s.n_mated + s.n_non_mated == n
         pooled, expected = ue.CountTable.pooled(s.mated, s.non_mated), ue.CountTable.from_scores(values)
         assert np.array_equal(pooled.values, expected.values) and np.array_equal(pooled.counts, expected.counts)
-        assert peak < text_bytes + 4 * 8 * n
+        assert peak < 1.5 * text_bytes
 
     @pytest.mark.parametrize(
         "text",
@@ -308,8 +304,12 @@ class TestWholeFileParse:
             "0.5\n-0.0\n0.5\n",
             "0.5\r\n0.25",
             "",
+            # blank rows are skipped, as the line parser skips them
+            "score,label\n0.5,mated\n\n0.25,nonmated\n",
+            "0.5\n\n0.25\n",
         ],
     )
+    @pytest.mark.filterwarnings("error")  # an empty file raises no loadtxt warning
     def test_plain_form_is_parsed_whole(self, tmp_path, text):
         path = tmp_path / "plain.csv"
         path.write_bytes(text.encode("utf-8"))
@@ -330,22 +330,54 @@ class TestWholeFileParse:
             " score,label\n0.5,mated\n0.25,nonmated\n",
             "score,label\n0.5, mated\n0.25,nonmated\n",
             "score,label\n0.5,Mated\n0.25,nonmated\n",
-            "score,label\n0.5,mated\n\n0.25,nonmated\n",
             "score,label\n0.5,mated,0.75\n\n0.25,nonmated\n",
             "score,label\ninf,mated\n0.25,nonmated\n",
             "score,label\nabc,nonmated\n0.25,mated\n",
-            "0.5\n\n0.25\n",
             "0.5\t\n0.25\n",
             "0.5\x0c0.25\n",
             "score,label\n0.5\x0c,mated\n0.25,nonmated\n",
             "score,label\n0.5,mated\n0.25\x1e,nonmated\n",
             "\u0661.5\n0.25\n",
+            "0.5\n1_0\n",
+            "0.5,0.25\n",
+            # a bytes label drops a NUL from its end
+            "score,label\n0.5,mated\x00\n0.25,nonmated\n",
+            "score,label\n0.5,nonmatedmated\n0.25,mated\n",
         ],
     )
     def test_other_forms_go_to_the_line_parser(self, tmp_path, text):
         path = tmp_path / "other.csv"
         path.write_bytes(text.encode("utf-8"))
         assert scores._parse_score_file(path)[1] is None
+
+    @pytest.mark.parametrize(
+        "text, line_no, message",
+        [
+            ("0.5,0.25\n", 1, "headerless files must have a single score column"),
+            ("0.5,0.25\n0.125,1\n-0.5,2e-3\n", 1, "headerless files must have a single score column"),
+            ("0.5,0.25,1\n0.125,1,2\n", 1, "headerless files must have a single score column"),
+            ("\n0.5,0.25,1\r\n0.125,1,2", 2, "headerless files must have a single score column"),
+            ("score,label\n0.5,mated,1\n0.25,nonmated,2\n", 2, "expected 'score,label'"),
+            ("score,label\n0.5,mated,\n0.25,nonmated,\n0.125,mated,\n", 2, "expected 'score,label'"),
+        ],
+    )
+    def test_rows_of_extra_columns_get_the_line_parsers_error(self, tmp_path, text, line_no, message):
+        path = tmp_path / "wide.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ScoreParseError, match=message) as exc:
+            ue.load_score_set(path, path)
+        assert exc.value.line_no == line_no
+        with pytest.raises(ScoreParseError) as oracle:
+            scores._parse_score_lines(path, path.read_text(encoding="utf-8"), scores.LABEL_MATED)
+        assert str(exc.value) == str(oracle.value)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_is_read_as_text(self, tmp_path, suffix):
+        # np.loadtxt would open these names through a decompressor
+        path = tmp_path / f"scores{suffix}"
+        path.write_text("0.5\n0.25\n")
+        assert scores._parse_score_file(path)[1] is None
+        assert ue.load_score_set(path, path).mated.values.tolist() == [0.25, 0.5]
 
     def test_combined_file_is_read_once(self, tmp_path, monkeypatch):
         calls = []

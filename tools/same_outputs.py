@@ -10,7 +10,11 @@ directory:
   supports and an out_dir (report.json, score CSVs, SVGs);
 - `protocol` with distinct-samples mated pairs and non_mated_all_pairs;
 - `synth` for every scheme;
-- `eval --out --plot` and `compare --kde --out` on one synth output.
+- `eval --out --plot` and `compare --kde --out` on one synth output;
+- `eval --out` on two copies of that output's score files that the tool
+  writes itself: a headerless single column, which the loader converts
+  with np.loadtxt, and one with CRLF line ends, an upper-case header and
+  padded labels, which it parses line by line.
 
 For every command it compares the exit code, stdout (with the run
 directory and the source tree replaced by placeholders) and the sha256 of
@@ -49,18 +53,36 @@ SCHEMES = {
 
 # the synth output that eval and compare read
 SCORES = "../synth-block/out/"
+EVAL_COPY = ["eval", "--mated", "mated.csv", "--nonmated", "nonmated.csv", "--out", "out"]
+
+
+def write_config(config: dict):
+    """A step that writes config.json into a command's directory."""
+    return lambda where: (where / "config.json").write_text(json.dumps(config, indent=2), encoding="utf-8")
+
+
+def copy_scores(header: str, row):
+    """A step that writes each side of the synth output into a command's
+    directory: the header, then every data row rewritten by row(score, label)."""
+    def write(where: Path):
+        for side in ("mated", "nonmated"):
+            lines = (where / SCORES / f"{side}.csv").read_text(encoding="utf-8").splitlines()
+            text = header + "".join(row(*line.split(",")) for line in lines[1:])
+            (where / f"{side}.csv").write_bytes(text.encode("utf-8"))
+    return write
 
 
 def commands() -> list:
-    """(name, config or None, cli arguments) of every command, in run order."""
+    """(name, step that prepares the command's directory or None, cli
+    arguments) of every command, in run order."""
     runs = []
     for scheme, (_, functions) in SCHEMES.items():
         config = {"linkage_functions": functions, "scheme": scheme, "corpus": CORPUS, "out_dir": "out",
                   "allow_approximate_bloom": True, **GEOMETRY}
-        runs.append((f"protocol-{scheme}", config, ["protocol", "config.json"]))
+        runs.append((f"protocol-{scheme}", write_config(config), ["protocol", "config.json"]))
     config = {"linkage_functions": SCHEMES["block-remap"][1], "scheme": "block-remap", "corpus": ALL_PAIRS_CORPUS,
               "out_dir": "out", "mated_pairing": "distinct-samples", "non_mated_all_pairs": True, **GEOMETRY}
-    runs.append(("protocol-all-pairs", config, ["protocol", "config.json"]))
+    runs.append(("protocol-all-pairs", write_config(config), ["protocol", "config.json"]))
     for name, _ in SCHEMES.values():
         runs.append((f"synth-{name}", None, [
             "synth", "--scheme", name, "--function", "pic_hd", "--subjects", str(CORPUS["n_subjects"]),
@@ -75,6 +97,11 @@ def commands() -> list:
         "--accuracy-nonmated", SCORES + "accuracy_nonmated.csv", "--crosskey-mated", SCORES + "mated.csv",
         "--crosskey-nonmated", SCORES + "nonmated.csv", "--kde", "--out", "out",
     ]))
+    # the same scores in the form the loader converts with np.loadtxt, and
+    # in a form that only its line parser reads
+    runs.append(("eval-headerless", copy_scores("", lambda score, label: f"{score}\n"), EVAL_COPY))
+    runs.append(("eval-padded", copy_scores("SCORE,LABEL\r\n", lambda score, label: f"{score}, {label} \r\n"),
+                 EVAL_COPY))
     return runs
 
 
@@ -82,11 +109,11 @@ def run_tree(src: Path, root: Path) -> dict:
     """Every command's exit code, stdout and written files' digests, run from src in root."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     results = {}
-    for name, config, args in commands():
+    for name, prepare, args in commands():
         where = root / name
         where.mkdir()
-        if config is not None:
-            (where / "config.json").write_text(json.dumps(config, indent=2), encoding="utf-8")
+        if prepare is not None:
+            prepare(where)
         done = subprocess.run([sys.executable, "-m", "unlinkeval.cli", *args], cwd=where, env=env,
                               capture_output=True, text=True)
         stdout = done.stdout.replace(str(where), "<run>").replace(str(src), "<src>")
