@@ -40,7 +40,7 @@ from .protocol import (
     same_key_scores,
     synthetic_engine,
 )
-from .scores import PriorConfig, load_score_set, read_utf8, write_score_sides
+from .scores import PriorConfig, load_score_set, write_score_sides
 from .synthbtp import SCHEME_BLOCK, SCHEME_BLOOM, SCHEME_NONE, SCHEME_XOR, CorpusConfig
 
 # Not called here (protocol.assess runs the chain), but kept as names of
@@ -279,7 +279,13 @@ def cmd_protocol(args) -> int:
     path = Path(args.config)
     if not path.is_file():
         raise MissingFileError(f"config file not found: {path}")
-    text = read_utf8(path)
+    # read whole, as json and tomllib parse it, but for a leading byte-order mark;
+    # a byte that is not UTF-8 reads as one of U+DC80..U+DCFF, which no UTF-8 text holds
+    text = path.read_text(encoding="utf-8-sig", errors="surrogateescape")
+    if bad := re.search("[\udc80-\udcff]", text):
+        # a stand-in for the bad byte ends the text before it, so the last line counted holds it
+        line_no = len((text[: bad.start()] + "?").splitlines())
+        raise FileParseError(path, line_no, f"not UTF-8 text: byte 0x{ord(bad[0]) - 0xDC00:02x}")
     if path.suffix.lower() == ".toml":
         try:
             import tomllib

@@ -16,14 +16,16 @@ files are tallied as they are read.
 from __future__ import annotations
 
 import math
+import re
 import warnings
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
-    FileParseError,
     InvalidConfigError,
     InvalidEnrollmentCountError,
     MissingFileError,
@@ -42,6 +44,7 @@ LABEL_NON_MATED = "nonmated"
 _CSV_HEADER = "score,label"
 # rows of a score CSV rendered and written at a time
 CSV_BLOCK = 65536
+_READ_CHARS = 65536  # characters of a score file the line parser reads at a time
 
 # Below this many scores per side, estimates are flagged as statistically
 # weak (warning, never an error).
@@ -301,21 +304,16 @@ def load_score_set(mated_path, non_mated_path, source: str | None = None) -> Sco
 
     Each file is either a labeled CSV with header ``score,label`` (rows for
     the other side are ignored, so both paths may point at one combined
-    file, which is then read and parsed once) or a headerless single column
-    of scores.  A file in the plain form (see `_parse_score_file`) is
-    converted by one np.loadtxt pass and never held as text; any other file
-    is read whole and parsed line by line.  A file's text and parsed scores
-    are freed before the next file is read.
+    file) or a headerless single column of scores.  No file is held as
+    text: one in the plain form (see `_parse_score_file`) is read once, and
+    any other streamed line by line once per side it gives.  Each side's
+    scores are freed once its count table is built.
     """
-    tables, read = [], None
-    for path, side in ((Path(mated_path), LABEL_MATED), (Path(non_mated_path), LABEL_NON_MATED)):
-        if path != read:
-            # the previous file's text and scores go before this one is read
-            text = columns = None
-            text, columns = _parse_score_file(path)
-            read = path
-        tables.append(CountTable.from_scores(
-            _parse_score_lines(path, text, side) if columns is None else columns[side]))
+    sides = {Path(mated_path): [LABEL_MATED]}  # the sides each file gives, in order
+    sides.setdefault(Path(non_mated_path), []).append(LABEL_NON_MATED)
+    tables = []
+    for path, given in sides.items():  # map lets go of each side's scores once they are tallied
+        tables += map(CountTable.from_scores, _parse_score_file(path, given))
     if source is None:
         source = f"{mated_path};{non_mated_path}"
     return ScoreCounts(*tables, source)
@@ -329,10 +327,10 @@ _PLAIN_FORM_EXCLUDES = b" \t\x0b\x0c\x1c\x1d\x1e\x1f\x00"
 _LABELED_ROW = np.dtype([("score", "f8"), ("label", "S9")])
 
 
-def _parse_score_file(path: Path) -> tuple[str | None, dict[str, np.ndarray] | None]:
-    """None and each side's scores for a file in the plain form, which one
-    np.loadtxt pass converts, or the text and None for any other, which
-    `_parse_score_lines` reads line by line, naming the line of any fault.
+def _parse_score_file(path: Path, sides: list[str]):
+    """The scores of each of the given sides in turn, by one np.loadtxt
+    pass for a file in the plain form, or else by `_parse_score_lines`,
+    which streams the file once per side and names the line of any fault.
 
     The plain form is ASCII with no NUL and no whitespace but line ends, and
     either the exact header ``score,label`` with rows ``<score>,mated`` or
@@ -345,7 +343,8 @@ def _parse_score_file(path: Path) -> tuple[str | None, dict[str, np.ndarray] | N
         raise MissingFileError(f"score file not found: {path}")
     labeled = _plain_form(path)
     columns = None if labeled is None else _load_plain(path, labeled)
-    return (read_utf8(path, ScoreParseError), None) if columns is None else (None, columns)
+    for side in sides:
+        yield _parse_score_lines(path, side) if columns is None else columns[side]
 
 
 def _plain_form(path: Path) -> bool | None:
@@ -390,39 +389,21 @@ def _load_plain(path: Path, labeled: bool) -> dict[str, np.ndarray] | None:
     return {LABEL_MATED: scores[is_mated], LABEL_NON_MATED: scores[~is_mated]}
 
 
-def read_utf8(path: Path, error=FileParseError) -> str:
-    """The text of a UTF-8 file, with every line end read as a newline.
-
-    A byte that is not UTF-8 raises error(path, line_no, message), a
-    FileParseError, for the line of the first such byte, numbered as
-    str.splitlines numbers the text's lines.
-    """
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        # read_text decodes the whole file in one call, so exc.object is
-        # every byte of it and exc.start the offset of the first bad one
-        raw, bad = exc.object, exc.start
-    # a stand-in for the bad byte ends the text decoded before it, so the
-    # last line counted is the one that holds it
-    line_no = len((raw[:bad].decode("utf-8") + "?").splitlines())
-    raise error(path, line_no, f"not UTF-8 text: byte 0x{raw[bad]:02x}")
-
-
-def _parse_score_lines(path: Path, text: str, side: str) -> list[float]:
-    """The scores of one side, parsed line by line.
+def _parse_score_lines(path: Path, side: str) -> array:
+    """The scores of one side, parsed line by line as the file is read.
 
     Accepts every form the np.loadtxt parse leaves to it (padding, upper
-    case, non-ASCII text) and raises the line-numbered error of the first
-    faulty row; rows of the other side are skipped unparsed.
+    case, non-ASCII text, a leading byte-order mark) and raises the
+    line-numbered error of the first faulty row, a byte that is not UTF-8
+    included; rows of the other side are skipped unparsed.
     """
-    lines = text.splitlines()
-
-    labeled = bool(lines) and lines[0].strip().lower() == _CSV_HEADER
-    scores: list[float] = []
-    start = 1 if labeled else 0
-    for line_no, raw in enumerate(lines[start:], start=start + 1):
+    scores = array("d")
+    for line_no, raw in enumerate(chain.from_iterable(_line_blocks(path)), start=1):
+        if not raw.isascii() and (bad := re.search("[\udc80-\udcff]", raw)):
+            raise ScoreParseError(path, line_no, f"not UTF-8 text: byte 0x{ord(bad[0]) - 0xDC00:02x}")
         line = raw.strip()
+        if line_no == 1 and (labeled := line.lower() == _CSV_HEADER):  # a header, or a row
+            continue
         if not line:
             continue
         if labeled:
@@ -448,6 +429,19 @@ def _parse_score_lines(path: Path, text: str, side: str) -> list[float]:
             raise NonFiniteScoreError(path, line_no, f"non-finite score {value_text!r}")
         scores.append(value)
     return scores
+
+
+def _line_blocks(path: Path):
+    """Each read's lines of a UTF-8 file, with their ends, as str.splitlines(keepends=True) splits the
+    text after a leading byte-order mark; a byte that is not UTF-8 reads as one of U+DC80..U+DCFF."""
+    rest = ""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as f:
+        # the last line may go on in the next read, or its "\r" start a "\r\n";
+        # reading at least what is carried keeps a long line's cost linear
+        while chunk := f.read(max(_READ_CHARS, len(rest))):
+            *lines, rest = (rest + chunk).splitlines(keepends=True)
+            yield lines
+    yield rest.splitlines(keepends=True)
 
 
 def write_score_csv(scores: ScoreCounts, path) -> None:

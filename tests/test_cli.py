@@ -368,6 +368,17 @@ class TestProtocol:
         assert rc == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        text = cfg.read_bytes()
+        cfg.write_bytes(b"\xef\xbb\xbf" + text)
+        assert main(["protocol", str(cfg)]) == 0
+        assert "D_sys = " in capsys.readouterr().out
+        # a second mark is text, which JSON does not allow
+        cfg.write_bytes(b"\xef\xbb\xbf" * 2 + text)
+        assert main(["protocol", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:1: config is not valid JSON: Unexpected UTF-8 BOM")
+
     @pytest.mark.parametrize("name, text, line, kind", [
         ("bad.json", '{"k": 3,}', 1, "JSON"),
         ("bad.toml", "k = 3\nk = 4\n", 2, "TOML"),

@@ -1,7 +1,10 @@
+import contextlib
+import math
 import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -180,22 +183,88 @@ class TestCsvRoundTrip:
             ue.load_score_set(tmp_path / "absent.csv", tmp_path / "absent.csv")
 
 
-def _line_oracle(mated_path, non_mated_path):
-    """load_score_set as the line parser alone does it: one side at a time."""
-    sides = []
-    for path, side in ((mated_path, scores.LABEL_MATED), (non_mated_path, scores.LABEL_NON_MATED)):
+_SIDES = [scores.LABEL_MATED, scores.LABEL_NON_MATED]
+
+
+def _whole_text_lines(path, side):
+    """The line parser that the streamed one replaced, kept as its oracle:
+    the whole file decoded at once, then split with str.splitlines."""
+    try:
         text = path.read_text(encoding="utf-8")
-        sides.append(np.array(scores._parse_score_lines(path, text, side), dtype=np.float64))
+    except UnicodeDecodeError as exc:
+        # read_text decodes the whole file in one call, so exc.object is
+        # every byte of it and exc.start the offset of the first bad one
+        raw, bad = exc.object, exc.start
+        # a stand-in for the bad byte ends the text decoded before it, so the
+        # last line counted is the one that holds it
+        line_no = len((raw[:bad].decode("utf-8") + "?").splitlines())
+        raise ScoreParseError(path, line_no, f"not UTF-8 text: byte 0x{raw[bad]:02x}") from None
+    lines = text.splitlines()
+
+    labeled = bool(lines) and lines[0].strip().lower() == "score,label"
+    found = []
+    start = 1 if labeled else 0
+    for line_no, raw_line in enumerate(lines[start:], start=start + 1):
+        line = raw_line.strip()
+        if not line:
+            continue
+        if labeled:
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise ScoreParseError(path, line_no, f"expected 'score,label', got {line!r}")
+            value_text, label = parts[0].strip(), parts[1].strip().lower()
+            if label not in _SIDES:
+                raise ScoreParseError(path, line_no, f"unknown label {label!r}")
+            if label != side:
+                continue
+        else:
+            if "," in line:
+                raise ScoreParseError(path, line_no, "headerless files must have a single score column")
+            value_text = line
+        try:
+            value = float(value_text)
+        except ValueError:
+            raise ScoreParseError(path, line_no, f"not a number: {value_text!r}") from None
+        if not math.isfinite(value):
+            raise NonFiniteScoreError(path, line_no, f"non-finite score {value_text!r}")
+        found.append(value)
+    return found
+
+
+def _line_oracle(mated_path, non_mated_path, parse=None):
+    """load_score_set as a line parser alone does it, the streamed one by
+    default: one side at a time."""
+    parse = parse or scores._parse_score_lines
+    sides = [np.array(parse(path, side), dtype=np.float64)
+             for path, side in ((mated_path, scores.LABEL_MATED), (non_mated_path, scores.LABEL_NON_MATED))]
     return ue.ScoreCounts.from_scores(sides[0], sides[1])
 
 
 def _outcome(load, mated_path, non_mated_path):
-    """Both sides' tables, as bit patterns, or the error's type, line, side and count."""
+    """Both sides' tables, as bit patterns, or the error's type, line, side,
+    count and message."""
     try:
         s = load(mated_path, non_mated_path)
     except (ScoreParseError, TooFewScoresError) as exc:
-        return type(exc), *(getattr(exc, a, None) for a in ("line_no", "side", "count"))
+        return type(exc), *(getattr(exc, a, None) for a in ("line_no", "side", "count")), str(exc)
     return _tables(s)
+
+
+def _parsed(parse, path, side):
+    """One side's scores, as bit patterns, or the error's type, line and message."""
+    try:
+        found = parse(path, side)
+    except ScoreParseError as exc:
+        return type(exc), exc.line_no, str(exc)
+    return np.array(found, dtype=np.float64).view(np.uint64).tolist()
+
+
+def _line_parser_sides(monkeypatch):
+    """The sides that _parse_score_file hands to the line parser from now on."""
+    calls = []
+    parse = scores._parse_score_lines
+    monkeypatch.setattr(scores, "_parse_score_lines", lambda path, side: calls.append(side) or parse(path, side))
+    return calls
 
 
 _NUMBER = st.one_of(
@@ -310,18 +379,14 @@ class TestWholeFileParse:
         ],
     )
     @pytest.mark.filterwarnings("error")  # an empty file raises no loadtxt warning
-    def test_plain_form_is_parsed_whole(self, tmp_path, text):
+    def test_plain_form_is_parsed_whole(self, tmp_path, monkeypatch, text):
         path = tmp_path / "plain.csv"
         path.write_bytes(text.encode("utf-8"))
-        _, columns = scores._parse_score_file(path)
-        assert columns is not None
-        for side in (scores.LABEL_MATED, scores.LABEL_NON_MATED):
-            try:
-                expected = scores._parse_score_lines(path, path.read_text(encoding="utf-8"), side)
-            except TooFewScoresError:
-                assert columns[side].size < 2
-                continue
-            assert columns[side].view(np.uint64).tolist() == np.array(expected).view(np.uint64).tolist()
+        expected = [_parsed(scores._parse_score_lines, path, side) for side in _SIDES]
+        by_lines = _line_parser_sides(monkeypatch)
+        columns = list(scores._parse_score_file(path, _SIDES))
+        assert not by_lines
+        assert [column.view(np.uint64).tolist() for column in columns] == expected
 
     @pytest.mark.parametrize(
         "text",
@@ -345,10 +410,13 @@ class TestWholeFileParse:
             "score,label\n0.5,nonmatedmated\n0.25,mated\n",
         ],
     )
-    def test_other_forms_go_to_the_line_parser(self, tmp_path, text):
+    def test_other_forms_go_to_the_line_parser(self, tmp_path, monkeypatch, text):
         path = tmp_path / "other.csv"
         path.write_bytes(text.encode("utf-8"))
-        assert scores._parse_score_file(path)[1] is None
+        by_lines = _line_parser_sides(monkeypatch)
+        with contextlib.suppress(ScoreParseError):
+            next(scores._parse_score_file(path, _SIDES))
+        assert by_lines == [scores.LABEL_MATED]
 
     @pytest.mark.parametrize(
         "text, line_no, message",
@@ -368,21 +436,23 @@ class TestWholeFileParse:
             ue.load_score_set(path, path)
         assert exc.value.line_no == line_no
         with pytest.raises(ScoreParseError) as oracle:
-            scores._parse_score_lines(path, path.read_text(encoding="utf-8"), scores.LABEL_MATED)
+            scores._parse_score_lines(path, scores.LABEL_MATED)
         assert str(exc.value) == str(oracle.value)
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
-    def test_compressed_suffix_is_read_as_text(self, tmp_path, suffix):
+    def test_compressed_suffix_is_read_as_text(self, tmp_path, monkeypatch, suffix):
         # np.loadtxt would open these names through a decompressor
         path = tmp_path / f"scores{suffix}"
         path.write_text("0.5\n0.25\n")
-        assert scores._parse_score_file(path)[1] is None
+        by_lines = _line_parser_sides(monkeypatch)
         assert ue.load_score_set(path, path).mated.values.tolist() == [0.25, 0.5]
+        # a combined file in any form but the plain one is read once per side
+        assert by_lines == _SIDES
 
     def test_combined_file_is_read_once(self, tmp_path, monkeypatch):
         calls = []
         parse = scores._parse_score_file
-        monkeypatch.setattr(scores, "_parse_score_file", lambda path: calls.append(path) or parse(path))
+        monkeypatch.setattr(scores, "_parse_score_file", lambda path, sides: calls.append(path) or parse(path, sides))
         for text in ("score,label\n0.1,mated\n0.9,nonmated\n0.2,mated\n0.8,nonmated\n",
                      "score,label\n0.1, mated\n0.9,nonmated\n0.2,mated\n0.8,NONMATED\n"):
             path = tmp_path / "combined.csv"
@@ -405,6 +475,142 @@ class TestWholeFileParse:
         with pytest.raises(ScoreParseError) as exc:
             ue.load_score_set(path, path)
         assert exc.value.line_no == 2
+
+
+def _whole_text_load(mated_path, non_mated_path):
+    return _line_oracle(mated_path, non_mated_path, _whole_text_lines)
+
+
+def _check_against_whole_text(paths, read_chars):
+    """Each side of each file parsed alike by the streamed parser, reading
+    read_chars characters at a time, and by the whole-text one; and
+    load_score_set's outcome on each pairing, the same file as both sides
+    included, the whole-text one's."""
+    with mock.patch.object(scores, "_READ_CHARS", read_chars):
+        for path in paths:
+            for side in _SIDES:
+                assert _parsed(scores._parse_score_lines, path, side) == _parsed(_whole_text_lines, path, side)
+    first, second = paths
+    for pairing in ((first, first), (first, second), (second, first)):
+        assert _outcome(ue.load_score_set, *pairing) == _outcome(_whole_text_load, *pairing)
+
+
+def _line_ends_across_a_read(newline):
+    """A padded labeled file whose first read ends on the first character of
+    a line end, followed by a row longer than one read."""
+    head = "score,label" + newline + ("0.5, mated" + newline) * 5000
+    pad = scores._READ_CHARS - 1 - len(head) - len("0.25,nonmated")
+    return head + "0.25," + " " * pad + "nonmated" + newline + "0.75" + " " * 70_000 + ",mated" + newline
+
+
+class TestStreamedLineParse:
+    """The streamed line parser against the whole-text parser it replaced:
+    the same scores bit for bit, and the same error type, line and message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(first=_score_file(), second=_score_file(), read_chars=st.integers(1, 8))
+    def test_matches_whole_text_parser(self, first, second, read_chars):
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+            a.write_bytes(first.encode("utf-8"))
+            b.write_bytes(second.encode("utf-8"))
+            for chars in (scores._READ_CHARS, read_chars):
+                _check_against_whole_text((a, b), chars)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"score,label\r0.5, mated\r0.25,nonmated\r0.125,mated\r-0.5,nonmated\r",
+            b"score,label\r\n0.5, mated\r\n0.25,nonmated\r\n0.125,mated\r\n-0.5,nonmated\r\n",
+            b"0.5 \r0.25\r\n\r0.125\n\r\n-0.5\r",
+            # form feed, file separator, next line and U+2028 end a line too
+            b"score,label\n0.5\x0c,mated\n0.25,nonmated\n",
+            b"score,label\n0.5,mated\x1c0.25,nonmated\x1c0.125,mated\n-0.5,nonmated\n",
+            "score,label\n0.5,mated\u20280.25,nonmated\u2028\u20280.125,mated\n-0.5,nonmated".encode(),
+            "0.5\x850.25\u2029\n0.125\x0c\x0c-0.5".encode(),
+            b"0.5\x1c,0.25\n0.125\n",
+            # a last line without its line end
+            b"score,label\n0.5,mated\n0.25,nonmated\n0.125,mated\n-0.5,nonmated",
+            b"0.5\n0.25\n 0.125",
+            # a byte that is not UTF-8: in the header, a mated row, a
+            # non-mated row, after a "\r", and at the end of the file
+            b"sc\xffore,label\n0.5,mated\n0.25,nonmated\n",
+            b"score,label\n0.5,mated\n0.2\xe95,mated\n0.25,nonmated\n0.125,nonmated\n",
+            b"score,label\n0.5,mated\n0.125,mated\n0.25,non\xffmated\n",
+            b"0.5\r\xff\n0.25\n",
+            "0.5\u2028".encode() + b"0.25\xff\n",
+            b"0.5\n0.25\n0.125\xe2\x82",
+            b"0.5\n\xed\xa0\x80\n",
+            # a byte-order mark anywhere but at the start is text
+            b"score,label\n\xef\xbb\xbf0.5,mated\n",
+            b"\xef\xbb\xbf\xef\xbb\xbfscore,label\n0.5,mated\n",
+            *(pytest.param(_line_ends_across_a_read(end).encode(), id=f"across-a-read-{name}")
+              for end, name in (("\r", "cr"), ("\r\n", "crlf"), ("\u2028", "u2028"))),
+        ],
+    )
+    def test_listed_files_match_whole_text_parser(self, tmp_path, data):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_bytes(data)
+        b.write_bytes(b"score,label\n0.5,nonmated\n0.25,mated\n0.125,nonmated\n-0.5,mated\n")
+        for chars in (scores._READ_CHARS, 1, 3):
+            _check_against_whole_text((a, b), chars)
+            _check_against_whole_text((b, a), chars)
+
+    def test_fault_before_a_bad_byte_is_reported(self, tmp_path):
+        # the file is no longer decoded whole before a row is parsed
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"score,label\nabc,mated\n0.5,mated\xff\n")
+        assert _parsed(scores._parse_score_lines, path, "mated") == (
+            ScoreParseError, 2, f"{path}:2: not a number: 'abc'")
+        assert _parsed(_whole_text_lines, path, "mated") == (
+            ScoreParseError, 3, f"{path}:3: not UTF-8 text: byte 0xff")
+
+    @pytest.mark.parametrize("read_chars", [scores._READ_CHARS, 1])
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, read_chars):
+        # a spreadsheet's "CSV UTF-8" export starts with one
+        rows = "score,label\r\n0.5,mated\r\n0.25,mated\r\n0.75,nonmated\r\n0.875,nonmated\r\n"
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + rows.encode())
+        with mock.patch.object(scores, "_READ_CHARS", read_chars), warnings.catch_warnings():
+            warnings.simplefilter("ignore", StatisticalAdequacyWarning)
+            s = ue.load_score_set(path, path)
+        assert (s.mated.values.tolist(), s.non_mated.values.tolist()) == ([0.25, 0.5], [0.75, 0.875])
+
+    @pytest.mark.parametrize(
+        "data, line_no, message",
+        [
+            (b"\xef\xbb\xbf\xef\xbb\xbfscore,label\n0.5,mated\n", 1,
+             "headerless files must have a single score column"),
+            (b"\xef\xbb\xbfscore,label\n\xef\xbb\xbf0.5,mated\n", 2, "not a number: '\\ufeff0.5'"),
+        ],
+    )
+    def test_byte_order_mark_elsewhere_is_an_error(self, tmp_path, data, line_no, message):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(data)
+        with pytest.raises(ScoreParseError) as exc:
+            ue.load_score_set(path, path)
+        assert str(exc.value) == f"{path}:{line_no}: {message}"
+
+    def test_line_parser_memory_is_bounded(self, tmp_path, rng):
+        """A million labeled rows with padded labels, which only the line
+        parser reads, peak below 1.5 times the file's size: the file is
+        streamed once per side, and only each side's scores are held."""
+        n = 1_000_000
+        values = rng.normal(0.45, 0.05, n)
+        labels = np.where(rng.random(n) < 0.3, ", mated\n", ", nonmated\n")
+        path = tmp_path / "padded.csv"
+        path.write_text("score,label\n" + "".join(map(str.__add__, map(repr, values.tolist()), labels)))
+        text_bytes = path.stat().st_size
+        tracemalloc.start()
+        try:
+            s = ue.load_score_set(path, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.n_mated + s.n_non_mated == n
+        pooled, expected = ue.CountTable.pooled(s.mated, s.non_mated), ue.CountTable.from_scores(values)
+        assert np.array_equal(pooled.values, expected.values) and np.array_equal(pooled.counts, expected.counts)
+        assert peak < 1.5 * text_bytes
 
 
 class TestPriorConfig:

@@ -11,10 +11,11 @@ directory:
 - `protocol` with distinct-samples mated pairs and non_mated_all_pairs;
 - `synth` for every scheme;
 - `eval --out --plot` and `compare --kde --out` on one synth output;
-- `eval --out` on two copies of that output's score files that the tool
+- `eval --out` on three copies of that output's score files that the tool
   writes itself: a headerless single column, which the loader converts
-  with np.loadtxt, and one with CRLF line ends, an upper-case header and
-  padded labels, which it parses line by line.
+  with np.loadtxt; one with CRLF line ends, an upper-case header and
+  padded labels, which it parses line by line; and one file in that form
+  holding both sides, named as both, which it streams once per side.
 
 For every command it compares the exit code, stdout (with the run
 directory and the source tree replaced by placeholders) and the sha256 of
@@ -54,6 +55,7 @@ SCHEMES = {
 # the synth output that eval and compare read
 SCORES = "../synth-block/out/"
 EVAL_COPY = ["eval", "--mated", "mated.csv", "--nonmated", "nonmated.csv", "--out", "out"]
+EVAL_COMBINED = ["eval", "--mated", "scores.csv", "--nonmated", "scores.csv", "--out", "out"]
 
 
 def write_config(config: dict):
@@ -61,14 +63,18 @@ def write_config(config: dict):
     return lambda where: (where / "config.json").write_text(json.dumps(config, indent=2), encoding="utf-8")
 
 
-def copy_scores(header: str, row):
+def copy_scores(header: str, row, names=("mated.csv", "nonmated.csv")):
     """A step that writes each side of the synth output into a command's
-    directory: the header, then every data row rewritten by row(score, label)."""
+    directory, to the file of the same place in names: the header, then
+    every data row rewritten by row(score, label).  Sides given the same
+    name share one file, mated rows first."""
     def write(where: Path):
-        for side in ("mated", "nonmated"):
+        texts = {}
+        for side, name in zip(("mated", "nonmated"), names):
             lines = (where / SCORES / f"{side}.csv").read_text(encoding="utf-8").splitlines()
-            text = header + "".join(row(*line.split(",")) for line in lines[1:])
-            (where / f"{side}.csv").write_bytes(text.encode("utf-8"))
+            texts[name] = texts.get(name, header) + "".join(row(*line.split(",")) for line in lines[1:])
+        for name, text in texts.items():
+            (where / name).write_bytes(text.encode("utf-8"))
     return write
 
 
@@ -98,10 +104,12 @@ def commands() -> list:
         "--crosskey-nonmated", SCORES + "nonmated.csv", "--kde", "--out", "out",
     ]))
     # the same scores in the form the loader converts with np.loadtxt, and
-    # in a form that only its line parser reads
+    # in a form that only its line parser reads, one file per side or both
+    # sides in one
+    padded = ("SCORE,LABEL\r\n", lambda score, label: f"{score}, {label} \r\n")
     runs.append(("eval-headerless", copy_scores("", lambda score, label: f"{score}\n"), EVAL_COPY))
-    runs.append(("eval-padded", copy_scores("SCORE,LABEL\r\n", lambda score, label: f"{score}, {label} \r\n"),
-                 EVAL_COPY))
+    runs.append(("eval-padded", copy_scores(*padded), EVAL_COPY))
+    runs.append(("eval-padded-combined", copy_scores(*padded, names=("scores.csv", "scores.csv")), EVAL_COMBINED))
     return runs
 
 
