@@ -1,8 +1,8 @@
 """Bit kernels: row-wise popcount and Hamming distance over packed templates.
 
-These are the hot loops of the whole package.  Inputs are C-contiguous
-uint64 matrices of packed template bits, one row per template.  Work is
-chunked so peak temporary memory stays bounded for large batches.
+These are the hot loops of the whole package.  Inputs are uint64 matrices
+of packed template bits, one row per template (hamming_cross reads them
+word-major).  Work is chunked so peak temporary memory stays bounded.
 
 The loops write into buffers allocated once per call, or given by the
 caller and reused across calls, not into fresh temporaries per chunk or
@@ -12,7 +12,8 @@ fresh mapping whose every page faults on first touch, so a loop that
 allocates its temporaries afresh runs at a speed set by whatever the
 process freed before it.
 
-All-pairs blocks go through a float32 matrix product instead: for 0/1 bits
+Large all-pairs blocks go through a float32 matrix product instead
+(GEMM_MIN_WORDS): for 0/1 bits
 HD(x, y) = w_x + w_y - 2 x.y, where w is the set-bit count.  Every product
 and partial sum of x.y is an integer of at most L, 2 x.y is exact as a
 doubling, and w_x - 2 x.y and the distance itself lie in [-L, L], so every
@@ -21,14 +22,19 @@ step is exact in float32 while the template length L is below 2**24.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # There is no compiled variant; the constant stays because run stamps
 # (perfbench/worker.py) record it.
 USING_EXTENSION = False
 
-# rows per chunk; 2**14 rows x 64 words x 8 B = 8 MiB per gathered side
+# rows per popcount chunk; 2**14 rows x 64 words x 8 B = 8 MiB
 _CHUNK = 1 << 14
+
+# words per XOR chunk of hamming_cross: 512 KiB, and 64 KiB of popcounts
+_CROSS_WORDS = 1 << 16
 
 # rows of the first operand per matrix-product tile: a 128 x 450 block of
 # float32 distances is 230 kB and stays in cache through the conversion
@@ -38,11 +44,10 @@ TILE_ROWS = 128
 # float32 integers are exact up to 2**24
 _GEMM_MAX_LENGTH = 1 << 24
 
-# Below this many 64-bit words of XOR-popcount work, about 0.07 s of
-# gathering on one core, all-pairs blocks are better gathered for
-# hamming_rows than multiplied: OpenBLAS worker threads spin-wait for up to
-# about 0.1 s after every product, and on small blocks that costs more CPU
-# time than the product saves.
+# Below this many 64-bit words of XOR-popcount work, all-pairs blocks are
+# better XORed by hamming_cross than multiplied: OpenBLAS worker threads
+# spin-wait for up to about 0.1 s after every product, and on small blocks
+# that costs more CPU time than the product saves.
 GEMM_MIN_WORDS = 1 << 22
 
 
@@ -56,44 +61,38 @@ def popcount_rows(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def hamming_rows(a: np.ndarray, b: np.ndarray, rows_a, rows_b, out=None) -> np.ndarray:
-    """Hamming distance between rows a[rows_a[i]] and b[rows_b[i]], shape (n,).
+def hamming_cross(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """Hamming distance of every row of a with every row of b in its batch.
 
-    Each chunk of rows is gathered, XORed and popcounted in buffers
-    allocated once per call, so temporaries stay bounded however many row
-    pairs are asked for.  out, an int64 vector of at least n elements, takes
-    the distances when given; its first n elements are returned.
+    a (W, ..., m) and b (W, ..., n) hold packed rows word-major: a[:, i, r]
+    is row r of batch i, W words.  The result, of shape (..., m, n), is in
+    the least unsigned type that holds 64 W, and out, a vector of that
+    type, holds it when given.  Chunks of about _CROSS_WORDS words are
+    XORed by broadcasting, and their popcounts summed by one vector add
+    per word, the outermost axis.
     """
-    a = np.ascontiguousarray(a, dtype=np.uint64)
-    b = np.ascontiguousarray(b, dtype=np.uint64)
-    if a.shape[1:] != b.shape[1:]:
-        raise ValueError(f"row shape mismatch: {a.shape} vs {b.shape}")
-    if len(rows_a) != len(rows_b):
-        raise ValueError(f"{len(rows_a)} rows of a paired with {len(rows_b)} rows of b")
-    rows_a, rows_b = _row_index(rows_a, len(a)), _row_index(rows_b, len(b))
-    n = rows_a.size
-    out = np.empty(n, dtype=np.int64) if out is None else out[:n]
-    chunk = (min(_CHUNK, n), a.shape[1])
-    gathered_a, gathered_b = np.empty(chunk, dtype=np.uint64), np.empty(chunk, dtype=np.uint64)
-    counts = np.empty(chunk, dtype=np.uint8)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        x, y, c = gathered_a[: hi - lo], gathered_b[: hi - lo], counts[: hi - lo]
-        # mode "raise" would gather into a fresh buffer; the rows are checked
-        np.take(a, rows_a[lo:hi], axis=0, out=x, mode="wrap")
-        np.take(b, rows_b[lo:hi], axis=0, out=y, mode="wrap")
-        np.bitwise_xor(x, y, out=x)
-        np.bitwise_count(x, out=c)
-        c.sum(axis=1, dtype=np.int64, out=out[lo:hi])
-    return out
-
-
-def _row_index(rows, n_rows: int) -> np.ndarray:
-    """rows as an index array, refused unless every row lies in -n_rows..n_rows-1."""
-    rows = np.asarray(rows, dtype=np.intp)
-    if rows.size and (rows.min() < -n_rows or rows.max() >= n_rows):
-        raise IndexError(f"row index out of range for {n_rows} rows")
-    return rows
+    if a.shape[:-1] != b.shape[:-1]:
+        raise ValueError(f"batch or word shape mismatch: {a.shape} vs {b.shape}")
+    words, batches, m, n = a.shape[0], math.prod(a.shape[1:-1]), a.shape[-1], b.shape[-1]
+    x, y = a.reshape(words, batches, m), b.reshape(words, batches, n)
+    dtype = np.min_scalar_type(64 * words)
+    size = batches * m * n
+    dist = (np.empty(size, dtype=dtype) if out is None else out[:size]).reshape(batches, m, n)
+    # rows of a per chunk, and whole batches per chunk when a batch fits
+    rows = max(1, min(m, _CROSS_WORDS // max(1, words * n)))
+    span = max(1, min(batches, _CROSS_WORDS // max(1, words * m * n))) if rows >= m else 1
+    xor = np.empty(words * span * rows * n, dtype=np.uint64)
+    counts = np.empty(xor.size, dtype=np.uint8)
+    for lo in range(0, batches, span):
+        for r in range(0, m, rows):
+            xa, yb = x[:, lo : lo + span, r : r + rows, None], y[:, lo : lo + span, None, :]
+            shape = (words, xa.shape[1], xa.shape[2], n)
+            t, c = xor[: math.prod(shape)].reshape(shape), counts[: math.prod(shape)].reshape(shape)
+            np.bitwise_xor(xa, yb, out=t)
+            np.bitwise_count(t, out=c)
+            # summed over the outermost axis, one vector add per word
+            c.sum(axis=0, dtype=dtype, out=dist[lo : lo + span, r : r + rows])
+    return dist.reshape(*a.shape[1:-1], m, n)
 
 
 def pack_rows(bits: np.ndarray) -> np.ndarray:

@@ -67,6 +67,7 @@ from .synthbtp import (
     generate_corpus,
     generate_databases,
     invert_bits,
+    relative_key,
 )
 
 SCHEMA_VERSION = 1
@@ -162,7 +163,8 @@ class ProtocolConfig:
         for name in ("block_size", "bloom_width", "bloom_height"):
             object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
         if self.corpus is not None:
-            _validate_geometry(self.corpus.template_bits, self.block_size, self.bloom_width, self.bloom_height)
+            _validate_geometry(self.corpus.template_bits, self.block_size, self.bloom_width, self.bloom_height,
+                               self.scheme)
 
     @property
     def resolved_key_seed(self) -> int:
@@ -257,16 +259,6 @@ class EvaluationReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-def _same_subject_rows(n_subjects: int, samples: int, sample_pairs):
-    """Row pairs of each subject's sample pairs, in (sample pair, subject) order.
-
-    Rows index the flattened (subject, sample) order of a database.
-    """
-    s_a, s_b = sample_pairs
-    base = np.arange(n_subjects) * samples
-    return (s_a[:, None] + base).ravel(), (s_b[:, None] + base).ravel()
-
-
 def _tile_pairs(rows: int, cols: int, group: int) -> np.ndarray:
     """Where each pair of subjects sits in a flattened (rows * group, cols * group) tile.
 
@@ -317,15 +309,16 @@ class _View:
 class ScoreEngine:
     """The K databases packed once, and what each linkage function compares of them.
 
-    The engine holds each database's rows packed and their set-bit counts,
-    never the per-bit databases it was built from, so a caller that drops
-    those frees them before any pair is scored.  view(function) is the
-    _View of a function; same_subject and distinct_subjects yield a view's
-    distances block by block.  The key ring is needed only to undo the
-    protection (permuted_xor, reconstruction).  Read-only once built,
-    except for the inverted view, built from the packed rows on first use,
-    and `scored`, the count tables _tallied has built: functions whose
-    views compare the same bits over the same length (permuted_xor and
+    The databases protect one corpus, each under its key of the ring
+    (generate_databases).  The engine holds their rows packed and set-bit
+    counts, never the per-bit databases, so a caller that drops those frees
+    them before any pair is scored.  view(function) is the _View of a
+    function; same_subject and distinct_subjects yield a view's distances
+    block by block for the key pairs that pair_groups leaves.  The ring
+    undoes the protection (permuted_xor, reconstruction) and gives the
+    relative keys.  Read-only once built, except for the inverted view,
+    built on first use, and `scored`, the count tables _tallied has built:
+    views of the same bits over the same length (permuted_xor and
     reconstruction on block re-mapping) are tallied once.
     """
 
@@ -341,10 +334,8 @@ class ScoreEngine:
         if len({db.key_id for db in databases}) != len(databases):
             raise InconsistentDatabasesError("databases carry duplicate key ids")
         self.scheme = first.scheme
-        self.n_subjects = first.n_subjects
-        self.samples = first.samples_per_subject
+        self.n_subjects, self.samples, self.protected_length = first.bits.shape
         self.k = len(databases)
-        self.protected_length = first.template_length
         self.raw_length = first.raw_bits
         self.ring = ring
 
@@ -364,21 +355,21 @@ class ScoreEngine:
         """Every template with its protection undone under its own key.
 
         For block re-mapping this is also the structurally aligned view
-        that permuted_xor compares.  Each key's rows are unpacked, inverted
-        and packed again in turn.
+        that permuted_xor compares.  Each scheme's inverse, Bloom's
+        approximate decode included, gives a template the same bits under
+        every key, so key 0's rows are unpacked, inverted and packed once,
+        and broadcast, read-only, to all K keys.
         """
         if self._packed_inverted is None:
             if self.ring is None:
                 raise InvalidConfigError(f"{fn} requires the key ring")
-            packed = np.stack([
-                kernels.pack_rows(invert_bits(
-                    kernels.unpack_rows(rows, self.protected_length), self.ring, key_id,
-                    self.scheme, self._allow_approximate_bloom,
-                ))
-                for rows, key_id in zip(self.packed, self.key_ids)
-            ])
-            self._inverted_pops = np.stack([kernels.popcount_rows(p) for p in packed])
-            self._packed_inverted = packed
+            packed = kernels.pack_rows(invert_bits(
+                kernels.unpack_rows(self.packed[0], self.protected_length), self.ring, self.key_ids[0],
+                self.scheme, self._allow_approximate_bloom,
+            ))
+            pops = kernels.popcount_rows(packed)
+            self._inverted_pops = np.broadcast_to(pops, (self.k, *pops.shape))
+            self._packed_inverted = np.broadcast_to(packed, (self.k, *packed.shape))
         return self._packed_inverted
 
     def view(self, function: str) -> _View:
@@ -406,31 +397,47 @@ class ScoreEngine:
         re-mapping and Bloom filters, and every view under a constant key.
         Any pair of templates then scores the same under either key.
         """
-        canon = np.arange(self.k)
-        for k in range(self.k):
-            # the keys before k that are their own first
-            for first in np.flatnonzero(canon[:k] == np.arange(k)):
-                if np.array_equal(view.pops[k], view.pops[first]) and (
-                        view.packed is None or np.array_equal(view.packed[k], view.packed[first])):
-                    canon[k] = first
-                    break
-        return canon
+        first: dict = {}
+        return np.array([first.setdefault((view.pops[k].tobytes(), None if view.packed is None
+                                           else view.packed[k].tobytes()), k) for k in range(self.k)])
+
+    def pair_groups(self, view: _View, keys_a, keys_b) -> np.ndarray:
+        """A label per key pair (keys_a[p], keys_b[p]); pairs of one label score alike.
+
+        Given the key ring, the protected rows label a pair by its relative
+        key (synthbtp.relative_key).  Other views label it by its canonical
+        keys: the inverted view's rows are the same under every key, and
+        set-bit counts under XOR salting are no function of the relative key.
+        """
+        if view.packed is self.packed and self.ring is not None:
+            labels: dict = {}
+            return np.array([labels.setdefault(relative_key(self.ring, self.key_ids[a], self.key_ids[b],
+                                                            self.scheme), len(labels))
+                             for a, b in zip(keys_a, keys_b)], dtype=np.intp)
+        canon = self.canonical_keys(view)
+        return canon[keys_a] * self.k + canon[keys_b]
 
     def same_subject(self, view: _View, keys_a, keys_b, sample_pairs):
         """Distances of every subject's sample pairs, one key pair at a time.
 
-        Yields (p, dist, popsum): row i compares sample pair i // n of
-        subject i % n under key keys_a[p] with that under keys_b[p]; popsum
-        is None unless view.by_popsum.
+        Yields (p, dist, popsum): dist[i * P + q] compares sample pair q of
+        the P in sample_pairs of subject i under key keys_a[p] with that
+        under keys_b[p]; popsum is None unless view.by_popsum.  Packed rows
+        compare all samples of each subject (kernels.hamming_cross).
         """
-        rows_a, rows_b = _same_subject_rows(self.n_subjects, self.samples, sample_pairs)
+        n, samples = self.n_subjects, self.samples
+        s_a, s_b = sample_pairs
+        if view.packed is not None:
+            # word-major (W, n, S), as hamming_cross reads rows
+            words = {k: np.ascontiguousarray(view.packed[k].T).reshape(-1, n, samples)
+                     for k in sorted_distinct(keys_a, keys_b)}
         for p, (a, b) in enumerate(zip(keys_a, keys_b)):
-            wa, wb = view.pops[a, rows_a], view.pops[b, rows_b]
+            wa, wb = view.pops[a].reshape(n, samples)[:, s_a], view.pops[b].reshape(n, samples)[:, s_b]
             if view.packed is None:
                 dist = np.abs(wa - wb)
             else:
-                dist = kernels.hamming_rows(view.packed[a], view.packed[b], rows_a, rows_b)
-            yield p, dist, (wa + wb if view.by_popsum else None)
+                dist = kernels.hamming_cross(words[a], words[b])[:, s_a, s_b].astype(np.intp)
+            yield p, dist.reshape(-1), ((wa + wb).reshape(-1) if view.by_popsum else None)
 
     def distinct_subjects(self, view: _View, keys_a, keys_b, group: int):
         """Distances of distinct subjects' pairs, one tile of subjects at a time.
@@ -441,11 +448,10 @@ class ScoreEngine:
         subjects i in lo..hi-1 with subjects j > i, i under key keys_a[p]
         and j under key keys_b[p]; popsum is None unless view.by_popsum.
         dist is a buffer that the next block overwrites.  A view without
-        packed rows compares set-bit counts.  One with them takes each tile
-        from kernels.hamming_gemm when the call has at least
-        kernels.GEMM_MIN_WORDS words of work, and otherwise gathers just the
-        pairs for kernels.hamming_rows; both give the same integers into
-        buffers allocated once per call.
+        packed rows compares set-bit counts.  One with them takes its pairs
+        from the whole tile, by kernels.hamming_gemm with at least
+        kernels.GEMM_MIN_WORDS words of work in the call, else by
+        kernels.hamming_cross, into buffers allocated once per call.
         """
         rows = slice(None) if group == self.samples else slice(None, None, self.samples)
         n, n_rows = self.n_subjects, self.n_subjects * group
@@ -457,7 +463,8 @@ class ScoreEngine:
             bits = {k: kernels.unpack_rows(view.packed[k, rows], view.length).astype(np.float32)
                     for k in keys}
         elif view.packed is not None:
-            bits = {k: np.ascontiguousarray(view.packed[k, rows]) for k in keys}
+            # word-major (W, rows), as hamming_cross reads rows
+            bits = {k: np.ascontiguousarray(view.packed[k, rows].T) for k in keys}
         buffer = None
         for lo, hi in kernels.triangle_tiles(n, group):
             r, c = slice(lo * group, hi * group), slice(lo * group, n_rows)
@@ -466,25 +473,27 @@ class ScoreEngine:
             if buffer is None:
                 # the first tile is the largest: its buffers serve every tile
                 buffer = np.empty(at.size, dtype=np.intp)
-                if gemm:
-                    product = np.empty((r.stop - r.start) * width, dtype=np.float32)
-                    entries = np.empty(at.size, dtype=np.float32)
+                if view.packed is not None:
+                    kind = np.float32 if gemm else np.min_scalar_type(64 * view.packed.shape[-1])
+                    product = np.empty((r.stop - r.start) * width, dtype=kind)
+                    entries = np.empty(at.size, dtype=kind)
             dist = buffer[: at.size]
             # the rows of a and of b that each pair compares
             rows_a, rows_b = np.divmod(at, width)
             rows_a += r.start
             rows_b += c.start
             for p, (a, b) in enumerate(zip(keys_a, keys_b)):
-                if gemm:
-                    tile = kernels.hamming_gemm(bits[a][r], bits[b][c], pops[a][r], pops[b][c], product)
+                if view.packed is None:
+                    np.subtract(pops[a][rows_a], pops[b][rows_b], out=dist)
+                    np.abs(dist, out=dist)
+                else:
+                    if gemm:
+                        tile = kernels.hamming_gemm(bits[a][r], bits[b][c], pops[a][r], pops[b][c], product)
+                    else:
+                        tile = kernels.hamming_cross(bits[a][:, r], bits[b][:, c], product)
                     # at is in range; mode "raise" would take into a fresh buffer
                     np.take(tile.reshape(-1), at, out=entries[: at.size], mode="wrap")
                     np.copyto(dist, entries[: at.size], casting="unsafe")
-                elif view.packed is not None:
-                    kernels.hamming_rows(bits[a], bits[b], rows_a, rows_b, dist)
-                else:
-                    np.subtract(pops[a][rows_a], pops[b][rows_b], out=dist)
-                    np.abs(dist, out=dist)
                 yield p, dist, (pops[a][rows_a] + pops[b][rows_b] if view.by_popsum else None)
 
 
@@ -496,11 +505,10 @@ def _tallied(engine: ScoreEngine, function: str, keys_a, keys_b, mated_samples, 
     keys_b[p]: mated_samples names the sample pairs of each subject, and
     group the samples compared per pair of distinct subjects (1, the first,
     or all).  Both sides count pairs per cell of the view, and view.table
-    makes the counts count tables.  A pass scores each distinct pair of
-    canonical keys once: key pairs whose databases are the same to the
-    view as those of another pair give the same scores, and are counted
-    once per key pair they stand for.  (a, b) and (b, a) stay apart: the
-    first template is always on key a.  The pair counts are checked before
+    makes the counts count tables.  A pass scores the first key pair of
+    each group (engine.pair_groups) once, and counts its scores once per
+    key pair of the group: pairs of one relative key, or of the same
+    canonical keys, give the same scores.  The pair counts are checked before
     any pair is scored.  The engine remembers the tables, so a view already
     tallied with the same pairs, under any function, is not tallied again.
     """
@@ -514,9 +522,9 @@ def _tallied(engine: ScoreEngine, function: str, keys_a, keys_b, mated_samples, 
     key = (id(view.packed), id(view.pops), view.length, view.by_popsum, group,
            *(a.tobytes() for a in (keys_a, keys_b, *mated_samples)))
     if key not in engine.scored:
-        canon = engine.canonical_keys(view)
-        pairs, times = np.unique(canon[keys_a] * engine.k + canon[keys_b], return_counts=True)
-        pairs_a, pairs_b = np.divmod(pairs, engine.k)
+        _, first, times = np.unique(engine.pair_groups(view, keys_a, keys_b),
+                                    return_index=True, return_counts=True)
+        pairs_a, pairs_b = keys_a[first], keys_b[first]
         counts = np.zeros((2, view.size), dtype=np.int64)
         blocks = (engine.same_subject(view, pairs_a, pairs_b, mated_samples),
                   engine.distinct_subjects(view, pairs_a, pairs_b, group))
@@ -591,7 +599,7 @@ def synthetic_engine(
     if key_seed is None:
         key_seed = default_key_seed(corpus_cfg.seed)
     make_ring = KeyRing.constant_ring if constant_key else KeyRing.generate
-    ring = make_ring(k, corpus_cfg.template_bits, key_seed, block_size, bloom_width, bloom_height)
+    ring = make_ring(k, corpus_cfg.template_bits, key_seed, block_size, bloom_width, bloom_height, scheme)
     databases = generate_databases(generate_corpus(corpus_cfg), ring, scheme)
     return ScoreEngine(databases, ring, allow_approximate_bloom)
 

@@ -128,53 +128,37 @@ class KeyRing:
         block_size: int = 64,
         bloom_width: int = 16,
         bloom_height: int = 4,
+        scheme: str | None = None,
     ) -> "KeyRing":
-        """Draw K pairwise-distinct keys for every scheme."""
-        sizes = _validate_geometry(template_bits, block_size, bloom_width, bloom_height)
+        """Draw K keys for every scheme, pairwise distinct for `scheme`.
+
+        The geometry and the keys' distinctness are checked for `scheme`
+        only (for all schemes when None), so XOR salting takes any length.
+        """
+        sizes = _validate_geometry(template_bits, block_size, bloom_width, bloom_height, scheme)
         template_bits, block_size, bloom_width, bloom_height = sizes
         k, seed = check_int("k", k, 1), check_int("seed", seed, 0)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         n_blocks = template_bits // block_size
         n_bloom = template_bits // (bloom_width * bloom_height)
 
-        masks = _draw_distinct(
-            lambda n: rng.integers(0, 2, (n, template_bits), dtype=np.uint8), k
-        )
-        perms = _draw_distinct(
-            lambda n: np.array([rng.permutation(n_blocks) for _ in range(n)]), k
-        )
-        bloom = _draw_distinct(
-            lambda n: rng.integers(0, 2, (n, n_bloom, bloom_height), dtype=np.uint8), k
-        )
-        return cls(
-            k=k,
-            template_bits=template_bits,
-            block_size=block_size,
-            bloom_width=bloom_width,
-            bloom_height=bloom_height,
-            xor_masks=masks,
-            block_perms=perms,
-            bloom_keys=bloom,
-            seed=seed,
-        )
+        # one stream and order, with the same redraws, whatever `scheme` is
+        masks, perms, bloom = (_draw_distinct(draw, k, scheme in (None, name)) for name, draw in (
+            (SCHEME_XOR, lambda n: rng.integers(0, 2, (n, template_bits), dtype=np.uint8)),
+            (SCHEME_BLOCK, lambda n: np.array([rng.permutation(n_blocks) for _ in range(n)])),
+            (SCHEME_BLOOM, lambda n: rng.integers(0, 2, (n, n_bloom, bloom_height), dtype=np.uint8)),
+        ))
+        return cls(k, template_bits, block_size, bloom_width, bloom_height, masks, perms, bloom, seed)
 
     @classmethod
-    def constant_ring(
-        cls,
-        k: int,
-        template_bits: int,
-        seed: int,
-        block_size: int = 64,
-        bloom_width: int = 16,
-        bloom_height: int = 4,
-    ) -> "KeyRing":
+    def constant_ring(cls, k: int, *args, **kwargs) -> "KeyRing":
         """All K entries share one key: the no-renewal control experiment.
 
-        Key distinctness is deliberately waived so the cross-key scoring
-        machinery can run unchanged while every template is protected
-        identically.
+        The other arguments are generate's.  Key distinctness is
+        deliberately waived so the cross-key scoring machinery can run
+        unchanged while every template is protected identically.
         """
-        one = cls.generate(1, template_bits, seed, block_size, bloom_width, bloom_height)
+        one = cls.generate(1, *args, **kwargs)
         k = check_int("k", k, 1)
         return replace(
             one,
@@ -186,16 +170,18 @@ class KeyRing:
         )
 
 
-def _validate_geometry(template_bits: int, block_size: int, bloom_width: int, bloom_height: int):
-    """The four sizes as ints: each positive, the template length a multiple of both blocks."""
+def _validate_geometry(template_bits: int, block_size: int, bloom_width: int, bloom_height: int,
+                       scheme: str | None = None):
+    """The four sizes as ints: each positive, the template length a multiple
+    of the blocks `scheme` uses, or of both when it is None."""
     sizes = {"template_bits": template_bits, "block_size": block_size,
              "bloom_width": bloom_width, "bloom_height": bloom_height}
     template_bits, block_size, bloom_width, bloom_height = (check_int(n, v, 1) for n, v in sizes.items())
-    if template_bits % block_size:
+    if scheme in (None, SCHEME_BLOCK) and template_bits % block_size:
         raise NotDivisibleError(
             f"template length {template_bits} is not a multiple of block size {block_size}"
         )
-    if template_bits % (bloom_width * bloom_height):
+    if scheme in (None, SCHEME_BLOOM) and template_bits % (bloom_width * bloom_height):
         raise NotDivisibleError(
             f"template length {template_bits} is not a multiple of the "
             f"{bloom_width}x{bloom_height} filter block"
@@ -203,7 +189,8 @@ def _validate_geometry(template_bits: int, block_size: int, bloom_width: int, bl
     return template_bits, block_size, bloom_width, bloom_height
 
 
-def _draw_distinct(draw, k: int, max_tries: int = 100) -> np.ndarray:
+def _draw_distinct(draw, k: int, required: bool, max_tries: int = 100) -> np.ndarray:
+    """k keys from draw, repeats redrawn; unless required, repeats may stay."""
     out = draw(k)
     for _ in range(max_tries):
         flat = out.reshape(k, -1)
@@ -215,6 +202,8 @@ def _draw_distinct(draw, k: int, max_tries: int = 100) -> np.ndarray:
         repeats[first] = False
         dup = np.flatnonzero(repeats)
         out[dup] = draw(dup.size)
+    if not required:
+        return out
     raise InvalidConfigError(f"could not draw {k} distinct keys; key space too small")
 
 
@@ -337,6 +326,21 @@ def invert_bits(
     raise InvalidConfigError(f"unknown scheme {scheme!r}")
 
 
+def relative_key(ring: KeyRing, key_a: int, key_b: int, scheme: str) -> bytes:
+    """The key g_a^-1 g_b of two keys of the ring, as bytes.
+
+    Each scheme is a Hamming isometry under its key, so x under key_a and
+    y under key_b differ where x under the identity and y under this key
+    do: the XOR of the masks or of the Bloom keys (which relabel each
+    block's filter bits), or block map perm_b[perm_a^-1].  `none` has one
+    key.  Key pairs with one relative key compare all templates alike.
+    """
+    if scheme == SCHEME_BLOCK:
+        return ring.block_perms[key_b][np.argsort(ring.block_perms[key_a])].tobytes()
+    keys = {SCHEME_XOR: ring.xor_masks, SCHEME_BLOOM: ring.bloom_keys}.get(scheme)
+    return b"" if keys is None else (keys[key_a] ^ keys[key_b]).tobytes()
+
+
 @dataclass(frozen=True)
 class ProtectedDatabase:
     """One corpus protected under one key, indexed [subject, sample, bit]."""
@@ -348,18 +352,6 @@ class ProtectedDatabase:
 
     def __post_init__(self):
         self.bits.setflags(write=False)
-
-    @property
-    def n_subjects(self) -> int:
-        return int(self.bits.shape[0])
-
-    @property
-    def samples_per_subject(self) -> int:
-        return int(self.bits.shape[1])
-
-    @property
-    def template_length(self) -> int:
-        return int(self.bits.shape[2])
 
 
 def protect_corpus(corpus: RawCorpus, ring: KeyRing, key_id: int, scheme: str) -> ProtectedDatabase:

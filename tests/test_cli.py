@@ -156,6 +156,17 @@ class TestSynth:
         for name in ("mated.csv", "nonmated.csv", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize("bits", ["64", "100"])
+    def test_xor_salting_needs_no_other_schemes_geometry(self, tmp_path, capsys, bits):
+        """One 64-bit block has one order, and 100 bits fill neither block."""
+        rc = main(["synth", "--scheme", "xor", "--function", "pic_hd", "--subjects", "5",
+                   "--bits", bits, "--out", str(tmp_path / "x")])
+        assert rc == 0
+        assert json.loads((tmp_path / "x" / "manifest.json").read_text())["template_bits"] == int(bits)
+        rc = main(["synth", "--scheme", "block", "--function", "pic_hd", "--subjects", "5",
+                   "--bits", bits, "--out", str(tmp_path / "y")])
+        assert rc == 2
+
     def test_single_key_is_an_error(self, tmp_path, capsys):
         rc = main(["synth", "--scheme", "xor", "--function", "pic_hd",
                    "--subjects", "4", "--samples", "2", "--bits", "256",

@@ -24,90 +24,77 @@ def test_popcount_matches_bit_sum(rng):
     assert np.array_equal(kernels.popcount_rows(packed), bits_arr.sum(axis=1))
 
 
-def test_hamming_matches_xor_sum(rng):
-    a = _random_bits(rng, 50, 777)
-    b = _random_bits(rng, 50, 777)
+def _word_major(packed):
+    """Packed rows (..., m, W) as hamming_cross reads them: (W, ..., m)."""
+    return np.ascontiguousarray(np.moveaxis(packed, -1, 0))
+
+
+def _xor_popcount(a_bits, b_bits):
+    return (a_bits[:, None, :] != b_bits[None, :, :]).sum(axis=2)
+
+
+def test_cross_matches_xor_sum(rng):
+    a, b = _random_bits(rng, 50, 777), _random_bits(rng, 30, 777)
     pa, pb = kernels.pack_rows(a), kernels.pack_rows(b)
-    expected = (a != b).sum(axis=1)
-    rows = np.arange(50)
-    assert np.array_equal(kernels.hamming_rows(pa, pb, rows, rows), expected)
+    dist = kernels.hamming_cross(_word_major(pa), _word_major(pb))
+    assert dist.shape == (50, 30) and np.array_equal(dist, _xor_popcount(a, b))
 
 
-def test_hamming_gathers_permuted_and_repeated_rows(rng, monkeypatch):
-    a = _random_bits(rng, 9, 200)
-    b = _random_bits(rng, 6, 200)
-    pa, pb = kernels.pack_rows(a), kernels.pack_rows(b)
-    rows_a = np.array([8, 0, 8, 3, 3, 5, 1, 0, 7, 2, 8])
-    rows_b = np.array([0, 5, 5, 2, 4, 0, 1, 3, 5, 5, 2])
-    expected = [(a[i] != b[j]).sum() for i, j in zip(rows_a, rows_b)]
-    assert np.array_equal(kernels.hamming_rows(pa, pb, rows_a, rows_b), expected)
-    # chunk boundaries fall inside the gathered rows
-    monkeypatch.setattr(kernels, "_CHUNK", 4)
-    assert np.array_equal(kernels.hamming_rows(pa, pb, rows_a, rows_b), expected)
+@pytest.mark.parametrize("cross_words", [1, 7, 40, 1 << 17])
+@pytest.mark.parametrize("batches,m,n", [(1, 0, 3), (1, 5, 1), (1, 9, 13), (4, 3, 3), (7, 4, 5), (2, 3, 0),
+                                       (0, 2, 2)])
+def test_cross_across_chunks(rng, monkeypatch, cross_words, batches, m, n):
+    """Chunks of one row, of a few rows, of whole batches, and one chunk for
+    all, with and without a reused output buffer."""
+    monkeypatch.setattr(kernels, "_CROSS_WORDS", cross_words)
+    a, b = _random_bits(rng, batches * m, 130), _random_bits(rng, batches * n, 130)
+    # three words of at most 192 set bits: the distances fit uint8
+    pa = kernels.pack_rows(a).reshape(batches, m, 3)
+    pb = kernels.pack_rows(b).reshape(batches, n, 3)
+    expected = np.array([_xor_popcount(x, y) for x, y in zip(a.reshape(batches, m, 130),
+                                                              b.reshape(batches, n, 130))])
+    dist = kernels.hamming_cross(_word_major(pa), _word_major(pb))
+    assert dist.dtype == np.uint8 and dist.shape == (batches, m, n)
+    assert np.array_equal(dist, expected.reshape(batches, m, n))
+    buf = np.full(200, 255, dtype=np.uint8)
+    dist = kernels.hamming_cross(_word_major(pa), _word_major(pb), out=buf)
+    assert np.array_equal(dist, expected.reshape(batches, m, n))
+    assert np.array_equal(buf[: dist.size], dist.reshape(-1)) and (buf[dist.size :] == 255).all()
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, 4, 5, 8, 9, 23])
-def test_hamming_rows_across_chunks(rng, monkeypatch, n_rows):
-    """Chunks of four rows: none, part of one, exactly full, and crossing boundaries,
-    with and without a reused output buffer."""
-    monkeypatch.setattr(kernels, "_CHUNK", 4)
-    a, b = _random_bits(rng, 6, 130), _random_bits(rng, 5, 130)
-    pa, pb = kernels.pack_rows(a), kernels.pack_rows(b)
-    rows_a, rows_b = rng.integers(0, 6, n_rows), rng.integers(0, 5, n_rows)
-    expected = (a[rows_a] != b[rows_b]).sum(axis=1)
-    dist = kernels.hamming_rows(pa, pb, rows_a, rows_b)
-    assert dist.dtype == np.int64 and np.array_equal(dist, expected)
-    buf = np.full(30, -1, dtype=np.int64)
-    dist = kernels.hamming_rows(pa, pb, rows_a, rows_b, out=buf)
-    assert np.array_equal(dist, expected) and np.array_equal(buf[:n_rows], expected)
-    assert (buf[n_rows:] == -1).all()
-
-
-def test_hamming_rows_refuses_rows_out_of_range(rng):
-    a = kernels.pack_rows(_random_bits(rng, 3, 64))
-    # negative rows count from the end, as in indexing
-    assert kernels.hamming_rows(a, a, [-1, -3], [2, 0]).tolist() == [0, 0]
-    for bad in ([3], [-4]):
-        with pytest.raises(IndexError):
-            kernels.hamming_rows(a, a, bad, [0])
-        with pytest.raises(IndexError):
-            kernels.hamming_rows(a, a, [0], bad)
-
-
-def test_hamming_shape_mismatch(rng):
-    a = kernels.pack_rows(_random_bits(rng, 3, 64))
-    b = kernels.pack_rows(_random_bits(rng, 3, 128))
-    rows = np.arange(3)
+def test_cross_shape_mismatch(rng):
+    a = _word_major(kernels.pack_rows(_random_bits(rng, 3, 64)))
+    b = _word_major(kernels.pack_rows(_random_bits(rng, 3, 128)))
     with pytest.raises(ValueError):
-        kernels.hamming_rows(a, b, rows, rows)
+        kernels.hamming_cross(a, b)
     with pytest.raises(ValueError):
-        kernels.hamming_rows(a, a, rows, rows[:2])
+        kernels.hamming_cross(a.reshape(1, 3, 1), a.reshape(1, 1, 3))
 
 
 def test_fallback_agrees_with_numpy_oracle(rng):
     a = _random_bits(rng, 33, 4096)
     b = _random_bits(rng, 33, 4096)
     pa, pb = kernels.pack_rows(a), kernels.pack_rows(b)
-    rows = np.arange(33)
-    assert np.array_equal(kernels.hamming_rows(pa, pb, rows, rows), (a != b).sum(axis=1))
+    dist = kernels.hamming_cross(_word_major(pa), _word_major(pb))
+    assert np.array_equal(np.diagonal(dist), (a != b).sum(axis=1))
     assert np.array_equal(kernels.popcount_rows(pa), a.sum(axis=1))
 
 
-def test_all_ones_and_all_zeros():
-    ones = np.ones((2, 192), dtype=np.uint8)
-    zeros = np.zeros((2, 192), dtype=np.uint8)
+@pytest.mark.parametrize("bits,kind", [(192, np.uint8), (256, np.uint16), (64 * 1023, np.uint16),
+                                       (64 * 1024, np.uint32)])
+def test_all_ones_and_all_zeros(bits, kind):
+    """The distance type holds the longest distance of its rows."""
+    ones = np.ones((2, bits), dtype=np.uint8)
+    zeros = np.zeros((2, bits), dtype=np.uint8)
     po, pz = kernels.pack_rows(ones), kernels.pack_rows(zeros)
-    assert list(kernels.popcount_rows(po)) == [192, 192]
+    assert list(kernels.popcount_rows(po)) == [bits, bits]
     assert list(kernels.popcount_rows(pz)) == [0, 0]
-    assert list(kernels.hamming_rows(po, pz, [0, 1], [1, 0])) == [192, 192]
+    dist = kernels.hamming_cross(_word_major(po), _word_major(pz))
+    assert dist.dtype == kind and dist.tolist() == [[bits, bits], [bits, bits]]
 
 
 def _as_float32(packed, bits):
     return kernels.unpack_rows(packed, bits).astype(np.float32)
-
-
-def _xor_popcount(a_bits, b_bits):
-    return (a_bits[:, None, :] != b_bits[None, :, :]).sum(axis=2)
 
 
 @pytest.mark.parametrize("bits", [1, 63, 65, 1000])

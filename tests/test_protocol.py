@@ -15,6 +15,7 @@ from unlinkeval.errors import (
     InconsistentDatabasesError,
     InvalidConfigError,
     KeyCountWarning,
+    NotDivisibleError,
     PriorRangeWarning,
     StatisticalAdequacyWarning,
 )
@@ -204,11 +205,12 @@ def _oracle_score(fn, scheme, ring, raw1, a, raw2, b):
     return np.count_nonzero(r1 != r2) / r1.size
 
 
-@pytest.fixture(params=[("gather", None), ("gather", 2), ("gemm", None), ("gemm", 2)],
+@pytest.fixture(params=[("xor", None), ("xor", 2), ("gemm", None), ("gemm", 2)],
                 ids=lambda p: f"{p[0]}-tile{p[1] or 'default'}")
 def distance_blocks(request, monkeypatch):
-    """Non-mated distances by row gathers or by the matrix product, in
-    default tiles or in tiles of two rows that split every corpus here."""
+    """Non-mated distances by broadcast XOR-popcount or by the matrix
+    product, in default tiles or in tiles of two rows that split every
+    corpus here."""
     kind, tile_rows = request.param
     monkeypatch.setattr(kernels, "GEMM_MIN_WORDS", 0 if kind == "gemm" else 1 << 62)
     if tile_rows is not None:
@@ -396,6 +398,18 @@ class TestProtocolConfig:
     def _corpus_cfg(self):
         return ue.CorpusConfig(n_subjects=4, samples_per_subject=2, template_bits=128,
                                intra_flip_rate=0.1, seed=2)
+
+    @pytest.mark.parametrize("scheme,error", [("xor-salt", None), ("none", None),
+                                              ("block-remap", "block size"), ("bloom-filter", "filter block")])
+    def test_geometry_is_checked_for_the_scheme_in_use(self, scheme, error):
+        corpus = ue.CorpusConfig(n_subjects=4, samples_per_subject=2, template_bits=100,
+                                 intra_flip_rate=0.1, seed=2)
+        make = lambda: ue.ProtocolConfig(linkage_functions=("pic_hd",), k=6, scheme=scheme, corpus=corpus)
+        if error is None:
+            assert "d_sys" in ue.run_protocol(make()).per_function["pic_hd"]
+        else:
+            with pytest.raises(NotDivisibleError, match=error):
+                make()
 
     def test_k_below_two_rejected(self):
         with pytest.raises(InvalidConfigError):
@@ -680,7 +694,7 @@ class TestScoreEachComparisonOnce:
 
     def _run(self, monkeypatch, functions, out_dir=None):
         passes = []
-        for name in ("hamming_rows", "hamming_gemm"):
+        for name in ("hamming_cross", "hamming_gemm"):
             real = getattr(kernels, name)
 
             def spy(*args, _real=real, _name=name, **kwargs):
@@ -723,10 +737,11 @@ class TestScoreEachComparisonOnce:
 
 
 class TestScoreEachKeyPairOnce:
-    """A view that sees byte-identical databases under several keys scores
-    each distinct pair of them once: block re-mapping, K = 6, 15 key pairs."""
+    """Key pairs that score alike are scored once: block re-mapping, K = 6,
+    15 key pairs.  pic_hd scores one pair per relative key, the other views
+    one pair in all, and the same-key pass one pair for every view."""
 
-    def _scored(self, monkeypatch, fn, constant, written):
+    def _scored(self, monkeypatch, fn, constant, written, scores_of=ue.cross_database_scores):
         """The key pairs the engine is asked to score, and the kernel passes,
         while the tables are tallied and, if written, written to a file."""
         asked, passes = [], []
@@ -738,7 +753,7 @@ class TestScoreEachKeyPairOnce:
                 return _real(engine, view, keys_a, keys_b, *args)
 
             monkeypatch.setattr(ScoreEngine, name, engine_spy)
-        for name in ("hamming_rows", "hamming_gemm"):
+        for name in ("hamming_cross", "hamming_gemm"):
             real = getattr(kernels, name)
 
             def kernel_spy(*args, _real=real):
@@ -747,7 +762,7 @@ class TestScoreEachKeyPairOnce:
 
             monkeypatch.setattr(kernels, name, kernel_spy)
         engine = _engine(n_subjects=4, samples=2, k=6, scheme="block-remap", constant=constant)
-        tables = ue.cross_database_scores(engine, fn)
+        tables = scores_of(engine, fn)
         if written:
             ue.write_score_csv(tables, os.devnull)
         monkeypatch.undo()
@@ -760,21 +775,29 @@ class TestScoreEachKeyPairOnce:
         """Writing the tables to a file scores no pair again."""
         asked, passes = self._scored(monkeypatch, fn, constant, written)
         if fn == "pic_hd" and not constant:
+            # 8 blocks of 16 bits: the 15 relative keys are distinct
             expected = [(a, b) for a in range(6) for b in range(a + 1, 6)]
         else:
-            expected = [(0, 0)]
+            expected = [(0, 1)]
         # one call for the mated pairs, one for the non-mated ones
         assert asked == [expected, expected]
         # four subjects make one tile: one kernel pass per key pair and side,
         # none for hamming_weight, which compares set-bit counts
         assert passes == (0 if fn == "hamming_weight" else 2 * len(expected))
 
+    @pytest.mark.parametrize("constant", [False, True], ids=["keys", "constant-key"])
+    @pytest.mark.parametrize("fn", ["pic_hd", "hamming_weight", "permuted_xor", "reconstruction"])
+    def test_same_key_pass_scores_one_key_pair(self, monkeypatch, fn, constant):
+        asked, passes = self._scored(monkeypatch, fn, constant, False, ue.same_key_scores)
+        assert asked == [[(0, 0)], [(0, 0)]]
+        assert passes == (0 if fn == "hamming_weight" else 2)
+
     @pytest.mark.parametrize("non_mated_all_pairs", [False, True])
     @pytest.mark.parametrize("scheme,fn", _SUPPORTED)
     def test_scores_as_without_dedupe(self, monkeypatch, scheme, fn, non_mated_all_pairs):
-        """Databases 0 and 2 share one key, so key pair (1, 2) is scored as
+        """Databases 0 and 2 share one key, so key pair (1, 2) scores as
         (1, 0), which is not (0, 1): the first template of a pair is on its
-        first key.  The tables equal those of an engine that dedupes nothing."""
+        first key.  The tables equal those of an engine that groups nothing."""
         cfg = ue.CorpusConfig(n_subjects=5, samples_per_subject=3, template_bits=128,
                               intra_flip_rate=0.1, seed=3)
         two = ue.KeyRing.generate(2, 128, 4, block_size=16)
@@ -787,9 +810,77 @@ class TestScoreEachKeyPairOnce:
             engine = ScoreEngine(dbs, ring, allow_approximate_bloom=True)
             return ue.cross_database_scores(engine, fn, non_mated_all_pairs=non_mated_all_pairs)
 
-        deduped = tables()
-        monkeypatch.setattr(ScoreEngine, "canonical_keys", lambda engine, view: np.arange(engine.k))
-        _assert_same_tables(deduped, tables())
+        grouped = tables()
+        _ungrouped(monkeypatch)
+        _assert_same_tables(grouped, tables())
+
+
+def _ungrouped(monkeypatch):
+    """Make every engine score each key pair on its own."""
+    monkeypatch.setattr(ScoreEngine, "pair_groups", lambda engine, view, keys_a, keys_b: np.arange(len(keys_a)))
+
+
+class TestGroupedTalliesMatchUngrouped:
+    """Tallies that score one key pair per group equal those that score
+    every key pair, on 128 bits in blocks of 32: four blocks have 24
+    orders, so the 15 key pairs of K = 6 share relative keys."""
+
+    SUBJECTS, SAMPLES, K = 5, 3, 6
+
+    def _engine(self, scheme, constant):
+        cfg = ue.CorpusConfig(n_subjects=self.SUBJECTS, samples_per_subject=self.SAMPLES, template_bits=128,
+                              intra_flip_rate=0.1, seed=11)
+        make = ue.KeyRing.constant_ring if constant else ue.KeyRing.generate
+        ring = make(self.K, 128, 12, block_size=32, bloom_width=8, bloom_height=2)
+        return ScoreEngine(ue.generate_databases(ue.generate_corpus(cfg), ring, scheme), ring,
+                           allow_approximate_bloom=True)
+
+    @pytest.mark.usefixtures("distance_blocks")
+    @pytest.mark.parametrize("constant", [False, True], ids=["keys", "constant-key"])
+    @pytest.mark.parametrize("non_mated_all_pairs", [False, True])
+    @pytest.mark.parametrize("mated_pairing", [PAIRING_ALL_CROSS_KEY, PAIRING_DISTINCT_SAMPLES])
+    @pytest.mark.parametrize("scheme,fn", _SUPPORTED)
+    def test_cross_key_and_same_key(self, monkeypatch, scheme, fn, mated_pairing, non_mated_all_pairs,
+                                    constant):
+        def tallies():
+            engine = self._engine(scheme, constant)
+            return (ue.cross_database_scores(engine, fn, mated_pairing=mated_pairing,
+                                             non_mated_all_pairs=non_mated_all_pairs),
+                    ue.same_key_scores(engine, fn))
+
+        grouped = tallies()
+        _ungrouped(monkeypatch)
+        for got, expected in zip(grouped, tallies()):
+            _assert_same_tables(got, expected)
+
+    def test_block_size_32_shares_relative_keys(self):
+        engine = self._engine("block-remap", False)
+        groups = engine.pair_groups(engine.view("pic_hd"), *np.triu_indices(self.K, 1))
+        assert len(np.unique(groups)) < len(groups) == 15
+
+    @pytest.mark.parametrize("bits,block_size,bloom", [(128, 16, (16, 4)), (120, 8, (5, 3))],
+                             ids=["128-bits", "120-bits"])
+    @pytest.mark.parametrize("scheme", ["xor-salt", "block-remap", "bloom-filter", "none"])
+    def test_every_key_inverts_to_the_same_rows(self, scheme, bits, block_size, bloom):
+        """Each key's rows, inverted under that key (Bloom's approximate
+        decode included), equal the one inverted view the engine builds."""
+        cfg = ue.CorpusConfig(n_subjects=4, samples_per_subject=2, template_bits=bits,
+                              intra_flip_rate=0.1, seed=5)
+        ring = ue.KeyRing.generate(4, bits, 6, block_size, *bloom)
+        dbs = ue.generate_databases(ue.generate_corpus(cfg), ring, scheme)
+        engine = ScoreEngine(dbs, ring, allow_approximate_bloom=True)
+        inverted = engine.packed_inverted("reconstruction")
+        for db, rows in zip(dbs, inverted):
+            own = invert_bits(db.bits, ring, db.key_id, scheme, allow_approximate_bloom=True)
+            assert np.array_equal(kernels.pack_rows(own.reshape(-1, own.shape[-1])), rows)
+
+    def test_hamming_weight_same_key_under_xor_salting(self):
+        """Set-bit counts under XOR salting are not a function of the
+        relative key: each key's same-key scores are its own."""
+        engine, oracle = _testbed("xor-salt", self.SUBJECTS, self.SAMPLES, self.K, False, seed=8)
+        pairs = _same_key_pairs(self.SUBJECTS, self.SAMPLES, self.K)
+        _assert_counts_of(ue.same_key_scores(engine, "hamming_weight"),
+                          *(oracle("hamming_weight", side) for side in pairs))
 
 
 class _SortedRows:

@@ -101,6 +101,33 @@ class TestKeyRing:
         with pytest.raises(NotDivisibleError):
             ue.KeyRing.generate(4, 100, seed=0, block_size=64)
 
+    @pytest.mark.parametrize("scheme", ["xor-salt", "block-remap", "bloom-filter", "none"])
+    def test_keys_do_not_depend_on_the_scheme(self, scheme):
+        """A geometry every scheme takes gives the same keys, drawn in one
+        stream, for any scheme and for none named, as a positional call."""
+        every = ue.KeyRing.generate(10, 1024, 7, 64, 16, 4)
+        ring = ue.KeyRing.generate(10, 1024, 7, 64, 16, 4, scheme=scheme)
+        for name in ("xor_masks", "block_perms", "bloom_keys"):
+            assert np.array_equal(getattr(ring, name), getattr(every, name)), name
+
+    @pytest.mark.parametrize("bits", [64, 100, 8])
+    def test_xor_salting_takes_any_length(self, bits):
+        """One 64-bit block has one order, and 100 bits fill neither block:
+        only the scheme in use is checked."""
+        ring = ue.KeyRing.generate(10, bits, 3, scheme=SCHEME_XOR)
+        assert np.unique(ring.xor_masks, axis=0).shape == (10, bits)
+        assert ue.KeyRing.constant_ring(10, bits, 3, scheme=SCHEME_XOR).xor_masks.shape == (10, bits)
+
+    def test_the_scheme_in_use_is_checked(self):
+        with pytest.raises(InvalidConfigError, match="could not draw 10 distinct keys"):
+            ue.KeyRing.generate(10, 64, 3, scheme=SCHEME_BLOCK)
+        with pytest.raises(NotDivisibleError, match="block size"):
+            ue.KeyRing.generate(10, 100, 3, scheme=SCHEME_BLOCK)
+        with pytest.raises(NotDivisibleError, match="filter block"):
+            ue.KeyRing.generate(10, 100, 3, block_size=4, scheme=SCHEME_BLOOM)
+        with pytest.raises(InvalidConfigError, match="could not draw 10 distinct keys"):
+            ue.KeyRing.generate(10, 3, 3, block_size=1, bloom_width=1, bloom_height=1, scheme=SCHEME_XOR)
+
     @pytest.mark.parametrize("make", [ue.KeyRing.generate, ue.KeyRing.constant_ring])
     @pytest.mark.parametrize("bad", [
         dict(k=True),
@@ -150,13 +177,25 @@ def one_key_ring(template_bits, block_size=None, block_perm=(0,), xor_mask=None,
 
 
 def engine_score(fn, t1, t2, scheme, ring=None, key_ids=(0, 1)):
-    """The score engine's fn on one pair: t1 under key_ids[0], t2 under key_ids[1]."""
-    dbs = [ProtectedDatabase(bits=np.asarray(t, dtype=np.uint8).reshape(1, 1, -1), key_id=k,
-                             scheme=scheme, raw_bits=len(t))
-           for k, t in zip(key_ids, (t1, t2))]
+    """The score engine's fn on one pair: t1 under key_ids[0], t2 under key_ids[1].
+
+    Without a ring, t1 and t2 are the protected templates.  With one, they
+    are raw: the two samples of one subject, protected under every key, as
+    the engine's databases protect one corpus.
+    """
+    if ring is None:
+        dbs = [ProtectedDatabase(bits=np.asarray(t, dtype=np.uint8).reshape(1, 1, -1), key_id=k,
+                                 scheme=scheme, raw_bits=len(t))
+               for k, t in zip(key_ids, (t1, t2))]
+    else:
+        raw = np.stack([t1, t2]).astype(np.uint8)[None]
+        dbs = [ProtectedDatabase(bits=protect_bits(raw, ring, k, scheme), key_id=k, scheme=scheme,
+                                 raw_bits=raw.shape[-1])
+               for k in key_ids]
     engine = ScoreEngine(dbs, ring)
     view = engine.view(fn)
-    [(_, dist, popsum)] = engine.same_subject(view, [0], [1], (np.zeros(1, int), np.zeros(1, int)))
+    samples = (np.zeros(1, int), np.full(1, int(ring is not None)))
+    [(_, dist, popsum)] = engine.same_subject(view, [0], [1], samples)
     [score] = view.table(np.bincount(view.cells(dist, popsum), minlength=view.size)).values
     return float(score)
 
@@ -220,9 +259,7 @@ class TestLinkageFunctions:
         raw2 = raw1.copy()
         flip = rng.random(512) < 0.05
         raw2[flip] ^= 1
-        t1 = protect_bits(raw1, ring, 1, SCHEME_BLOCK)
-        t2 = protect_bits(raw2, ring, 3, SCHEME_BLOCK)
-        got = engine_score("permuted_xor", t1, t2, SCHEME_BLOCK, ring, key_ids=(1, 3))
+        got = engine_score("permuted_xor", raw1, raw2, SCHEME_BLOCK, ring, key_ids=(1, 3))
         assert got == pytest.approx(np.mean(raw1 != raw2))
 
     def test_reconstruction_restores_raw_bits(self, rng):
@@ -299,9 +336,7 @@ class TestLinkageFunctions:
         ring = ue.KeyRing.generate(4, 512, seed=17)
         raw1 = (rng.random(512) < 0.5).astype(np.uint8)
         raw2 = (rng.random(512) < 0.5).astype(np.uint8)
-        t1 = protect_bits(raw1, ring, 0, SCHEME_XOR)
-        t2 = protect_bits(raw2, ring, 3, SCHEME_XOR)
-        got = engine_score("reconstruction", t1, t2, SCHEME_XOR, ring, key_ids=(0, 3))
+        got = engine_score("reconstruction", raw1, raw2, SCHEME_XOR, ring, key_ids=(0, 3))
         assert got == pytest.approx(np.mean(raw1 != raw2))
 
 

@@ -41,7 +41,8 @@ CORPUS = {"n_subjects": 20, "samples_per_subject": 3, "template_bits": 256,
           "intra_flip_rate": 0.1, "seed": 5}
 GEOMETRY = {"k": 10, "block_size": 16, "bloom_width": 16, "bloom_height": 4}
 # large enough that the non-mated pic_hd pass takes its distances from the
-# matrix product (kernels.GEMM_MIN_WORDS), where the others gather rows
+# matrix product (kernels.GEMM_MIN_WORDS), where the others XOR-popcount
+# whole tiles by broadcasting (kernels.hamming_cross)
 ALL_PAIRS_CORPUS = dict(CORPUS, n_subjects=40, template_bits=1024)
 
 # scheme: (its synth name, the linkage functions it supports)
