@@ -25,12 +25,7 @@ MODE_ACCURACY = "accuracy"
 MODE_CROSSKEY = "crosskey"
 MODE_RTMR = "rtmr"
 
-# column labels per mode: (false-match-side name, false-non-match-side name)
-_RATE_NAMES = {
-    MODE_ACCURACY: ("fmr", "fnmr"),
-    MODE_CROSSKEY: ("cmr", "fcmr"),
-    MODE_RTMR: ("rtmr", "fnmr"),
-}
+_MODES = (MODE_ACCURACY, MODE_CROSSKEY, MODE_RTMR)
 
 _EXACT_EQUAL_TOL = 1e-12
 
@@ -90,8 +85,8 @@ class DetCurve:
     """Empirical detection-error trade-off over a threshold sweep, or over
     evenly spaced points of one (det_curve's points).
 
-    `fmr` holds the false-match-side rate, renamed per mode (fmr, cmr, or
-    rtmr); `fnmr` the false-non-match side (fnmr or fcmr).
+    `fmr` holds the false-match-side rate, which the mode names fmr, cmr
+    or rtmr; `fnmr` the false-non-match side (fnmr or fcmr).
     """
 
     thresholds: np.ndarray
@@ -102,7 +97,7 @@ class DetCurve:
     orientation: str = ORIENT_SIMILARITY
 
     def __post_init__(self):
-        if self.mode not in _RATE_NAMES:
+        if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.orientation not in (ORIENT_SIMILARITY, ORIENT_DISSIMILARITY):
             raise ValueError(f"unknown orientation {self.orientation!r}")
@@ -123,10 +118,6 @@ class DetCurve:
         object.__setattr__(self, "thresholds", t)
         object.__setattr__(self, "fmr", fmr)
         object.__setattr__(self, "fnmr", fnmr)
-
-    @property
-    def rate_names(self) -> tuple[str, str]:
-        return _RATE_NAMES[self.mode]
 
     def to_json_dict(self) -> dict:
         return {
@@ -151,15 +142,6 @@ class DetCurve:
             mode=data["mode"],
             orientation=data["orientation"],
         )
-
-    def to_csv(self) -> str:
-        fm_name, fnm_name = self.rate_names
-        rows = [f"threshold,{fm_name},{fnm_name}"]
-        rows.extend(
-            f"{t!r},{a!r},{b!r}"
-            for t, a, b in zip(self.thresholds.tolist(), self.fmr.tolist(), self.fnmr.tolist())
-        )
-        return "\n".join(rows) + "\n"
 
 
 def _as_side(values, side: str) -> CountTable:

@@ -33,10 +33,6 @@ NO_EVIDENCE = float("nan")
 _BOUND_TOL = 1e-9
 
 
-def is_no_evidence(lr: float) -> bool:
-    return isinstance(lr, float) and math.isnan(lr)
-
-
 def likelihood_ratio(p_m, p_nm):
     """LR = p_m/p_nm, +inf where only p_nm vanishes, NO_EVIDENCE where both do.
 

@@ -44,6 +44,7 @@ from .errors import (
     InconsistentDatabasesError,
     InvalidConfigError,
     KeyCountWarning,
+    SchemeNotInvertibleError,
     check_bool,
     check_int,
     stacklevel_outside_package,
@@ -57,18 +58,7 @@ from .scores import (
     load_score_set,
     sorted_distinct,
 )
-from .synthbtp import (
-    SCHEME_BLOCK,
-    SCHEME_BLOOM,
-    SCHEMES,
-    CorpusConfig,
-    KeyRing,
-    _validate_geometry,
-    generate_corpus,
-    generate_databases,
-    invert_bits,
-    relative_key,
-)
+from .synthbtp import CorpusConfig, KeyRing, generate_corpus, generate_databases, scheme_named
 
 SCHEMA_VERSION = 1
 
@@ -146,8 +136,7 @@ class ProtocolConfig:
                 KeyCountWarning,
                 stacklevel=stacklevel_outside_package(),
             )
-        if self.scheme not in SCHEMES:
-            raise InvalidConfigError(f"unknown scheme {self.scheme!r}")
+        scheme = scheme_named(self.scheme)
         if (self.corpus is None) == (self.score_files is None):
             raise InvalidConfigError("exactly one of corpus and score_files must be set")
         if self.score_files is not None:
@@ -163,8 +152,7 @@ class ProtocolConfig:
         for name in ("block_size", "bloom_width", "bloom_height"):
             object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
         if self.corpus is not None:
-            _validate_geometry(self.corpus.template_bits, self.block_size, self.bloom_width, self.bloom_height,
-                               self.scheme)
+            scheme.check(self.corpus.template_bits, self.block_size, self.bloom_width, self.bloom_height)
 
     @property
     def resolved_key_seed(self) -> int:
@@ -310,7 +298,8 @@ class ScoreEngine:
     """The K databases packed once, and what each linkage function compares of them.
 
     The databases protect one corpus, each under its key of the ring
-    (generate_databases).  The engine holds their rows packed and set-bit
+    (generate_databases); given the ring, the engine checks that it
+    fits them.  The engine holds their rows packed and set-bit
     counts, never the per-bit databases, so a caller that drops those frees
     them before any pair is scored.  view(function) is the _View of a
     function; same_subject and distinct_subjects yield a view's distances
@@ -333,13 +322,23 @@ class ScoreEngine:
                 raise InconsistentDatabasesError("databases disagree on corpus shape or scheme")
         if len({db.key_id for db in databases}) != len(databases):
             raise InconsistentDatabasesError("databases carry duplicate key ids")
-        self.scheme = first.scheme
+        self.scheme = scheme_named(first.scheme)
         self.n_subjects, self.samples, self.protected_length = first.bits.shape
         self.k = len(databases)
         self.raw_length = first.raw_bits
         self.ring = ring
 
         self.key_ids = [db.key_id for db in databases]
+        if ring is not None:
+            # the relative keys and the inverted views read the ring, so a
+            # ring that does not fit the databases would score them wrongly
+            if ring.template_bits != self.raw_length:
+                raise InconsistentDatabasesError(
+                    f"key ring built for {ring.template_bits}-bit templates, databases hold {self.raw_length}")
+            if not all(0 <= key_id < ring.k for key_id in self.key_ids):
+                raise InconsistentDatabasesError(f"key ids {self.key_ids} outside a ring of {ring.k} keys")
+            if len({self.scheme.invert(db.bits[0, 0], ring, db.key_id).tobytes() for db in databases}) > 1:
+                raise InconsistentDatabasesError("the databases do not protect one corpus under the ring's keys")
         self.packed = np.stack([kernels.pack_rows(db.bits.reshape(-1, self.protected_length))
                                 for db in databases])
         self.pops = np.stack([kernels.popcount_rows(p) for p in self.packed])
@@ -363,10 +362,12 @@ class ScoreEngine:
         if self._packed_inverted is None:
             if self.ring is None:
                 raise InvalidConfigError(f"{fn} requires the key ring")
-            packed = kernels.pack_rows(invert_bits(
-                kernels.unpack_rows(self.packed[0], self.protected_length), self.ring, self.key_ids[0],
-                self.scheme, self._allow_approximate_bloom,
-            ))
+            if self.scheme.approximate_inverse and not self._allow_approximate_bloom:
+                raise SchemeNotInvertibleError(
+                    "Bloom-filter encoding is not invertible; approximate reconstruction is opt-in"
+                )
+            packed = kernels.pack_rows(self.scheme.invert(
+                kernels.unpack_rows(self.packed[0], self.protected_length), self.ring, self.key_ids[0]))
             pops = kernels.popcount_rows(packed)
             self._inverted_pops = np.broadcast_to(pops, (self.k, *pops.shape))
             self._packed_inverted = np.broadcast_to(packed, (self.k, *packed.shape))
@@ -377,9 +378,9 @@ class ScoreEngine:
         if function == "hamming_weight":
             return _View(None, self.pops, self.protected_length, False)
         if function == "pic_hd":
-            return _View(self.packed, self.pops, self.protected_length, self.scheme == SCHEME_BLOOM)
+            return _View(self.packed, self.pops, self.protected_length, self.scheme.by_popsum)
         if function == "permuted_xor":
-            if self.scheme != SCHEME_BLOCK:
+            if not self.scheme.aligned_inverse:
                 raise InconsistentDatabasesError(
                     "permuted_xor needs a block-remapping scheme with known structure"
                 )
@@ -405,15 +406,14 @@ class ScoreEngine:
         """A label per key pair (keys_a[p], keys_b[p]); pairs of one label score alike.
 
         Given the key ring, the protected rows label a pair by its relative
-        key (synthbtp.relative_key).  Other views label it by its canonical
+        key (the scheme's relative).  Other views label it by its canonical
         keys: the inverted view's rows are the same under every key, and
         set-bit counts under XOR salting are no function of the relative key.
         """
         if view.packed is self.packed and self.ring is not None:
             labels: dict = {}
-            return np.array([labels.setdefault(relative_key(self.ring, self.key_ids[a], self.key_ids[b],
-                                                            self.scheme), len(labels))
-                             for a, b in zip(keys_a, keys_b)], dtype=np.intp)
+            return np.array([labels.setdefault(self.scheme.relative(self.ring, self.key_ids[a], self.key_ids[b]),
+                                               len(labels)) for a, b in zip(keys_a, keys_b)], dtype=np.intp)
         canon = self.canonical_keys(view)
         return canon[keys_a] * self.k + canon[keys_b]
 
@@ -562,7 +562,7 @@ def cross_database_scores(
     return _tallied(
         engine, function, *np.triu_indices(engine.k, 1), mated_samples,
         group=samples if non_mated_all_pairs else 1,
-        source=f"{function}/{engine.scheme}/K={engine.k}/cross-key",
+        source=f"{function}/{engine.scheme.name}/K={engine.k}/cross-key",
     )
 
 
@@ -576,7 +576,7 @@ def same_key_scores(engine: ScoreEngine, function: str = "pic_hd") -> ScoreCount
     keys = np.arange(engine.k)
     return _tallied(
         engine, function, keys, keys, np.triu_indices(engine.samples, 1), group=1,
-        source=f"{function}/{engine.scheme}/K={engine.k}/same-key",
+        source=f"{function}/{engine.scheme.name}/K={engine.k}/same-key",
     )
 
 

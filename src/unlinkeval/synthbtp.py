@@ -4,8 +4,9 @@ Real biometric databases are out of reach for a desk-scale artifact, so the
 evaluation protocol runs against synthetic subjects instead: each subject
 has one latent random bit template, and samples of that subject are derived
 by independent per-bit flips.  Three protection schemes operate on those
-bits (XOR salting, block re-mapping, Bloom-filter encoding), each written
-once as a forward transform and its inverse over whole bit arrays.  The
+bits (XOR salting, block re-mapping, Bloom-filter encoding), beside `none`,
+each one object of SCHEMES: its geometry check, key draw, forward
+transform and inverse over whole bit arrays, and relative key.  The
 linkage functions that compare the protected templates live in the
 protocol's score engine.  Everything is deterministic given the seed.
 """
@@ -20,7 +21,6 @@ from .errors import (
     InvalidConfigError,
     LengthMismatchError,
     NotDivisibleError,
-    SchemeNotInvertibleError,
     ShapeMismatchError,
     check_int,
     check_number,
@@ -30,7 +30,6 @@ SCHEME_XOR = "xor-salt"
 SCHEME_BLOCK = "block-remap"
 SCHEME_BLOOM = "bloom-filter"
 SCHEME_NONE = "none"
-SCHEMES = (SCHEME_XOR, SCHEME_BLOCK, SCHEME_BLOOM, SCHEME_NONE)
 
 
 @dataclass(frozen=True)
@@ -135,20 +134,18 @@ class KeyRing:
         The geometry and the keys' distinctness are checked for `scheme`
         only (for all schemes when None), so XOR salting takes any length.
         """
-        sizes = _validate_geometry(template_bits, block_size, bloom_width, bloom_height, scheme)
-        template_bits, block_size, bloom_width, bloom_height = sizes
+        sizes = {"template_bits": template_bits, "block_size": block_size,
+                 "bloom_width": bloom_width, "bloom_height": bloom_height}
+        sizes = tuple(check_int(name, value, 1) for name, value in sizes.items())
+        in_use = tuple(SCHEMES.values()) if scheme is None else (scheme_named(scheme),)
+        for each in in_use:
+            each.check(*sizes)
         k, seed = check_int("k", k, 1), check_int("seed", seed, 0)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        n_blocks = template_bits // block_size
-        n_bloom = template_bits // (bloom_width * bloom_height)
-
         # one stream and order, with the same redraws, whatever `scheme` is
-        masks, perms, bloom = (_draw_distinct(draw, k, scheme in (None, name)) for name, draw in (
-            (SCHEME_XOR, lambda n: rng.integers(0, 2, (n, template_bits), dtype=np.uint8)),
-            (SCHEME_BLOCK, lambda n: np.array([rng.permutation(n_blocks) for _ in range(n)])),
-            (SCHEME_BLOOM, lambda n: rng.integers(0, 2, (n, n_bloom, bloom_height), dtype=np.uint8)),
-        ))
-        return cls(k, template_bits, block_size, bloom_width, bloom_height, masks, perms, bloom, seed)
+        keys = {each.keys: _draw_distinct(lambda n: each.draw(rng, n, *sizes), k, each in in_use)
+                for each in SCHEMES.values() if each.keys}
+        return cls(k, *sizes, seed=seed, **keys)
 
     @classmethod
     def constant_ring(cls, k: int, *args, **kwargs) -> "KeyRing":
@@ -160,33 +157,9 @@ class KeyRing:
         """
         one = cls.generate(1, *args, **kwargs)
         k = check_int("k", k, 1)
-        return replace(
-            one,
-            k=k,
-            xor_masks=np.repeat(one.xor_masks, k, axis=0),
-            block_perms=np.repeat(one.block_perms, k, axis=0),
-            bloom_keys=np.repeat(one.bloom_keys, k, axis=0),
-            constant=True,
-        )
-
-
-def _validate_geometry(template_bits: int, block_size: int, bloom_width: int, bloom_height: int,
-                       scheme: str | None = None):
-    """The four sizes as ints: each positive, the template length a multiple
-    of the blocks `scheme` uses, or of both when it is None."""
-    sizes = {"template_bits": template_bits, "block_size": block_size,
-             "bloom_width": bloom_width, "bloom_height": bloom_height}
-    template_bits, block_size, bloom_width, bloom_height = (check_int(n, v, 1) for n, v in sizes.items())
-    if scheme in (None, SCHEME_BLOCK) and template_bits % block_size:
-        raise NotDivisibleError(
-            f"template length {template_bits} is not a multiple of block size {block_size}"
-        )
-    if scheme in (None, SCHEME_BLOOM) and template_bits % (bloom_width * bloom_height):
-        raise NotDivisibleError(
-            f"template length {template_bits} is not a multiple of the "
-            f"{bloom_width}x{bloom_height} filter block"
-        )
-    return template_bits, block_size, bloom_width, bloom_height
+        return replace(one, k=k, constant=True, **{
+            each.keys: np.repeat(getattr(one, each.keys), k, axis=0) for each in SCHEMES.values() if each.keys
+        })
 
 
 def _draw_distinct(draw, k: int, required: bool, max_tries: int = 100) -> np.ndarray:
@@ -205,15 +178,6 @@ def _draw_distinct(draw, k: int, required: bool, max_tries: int = 100) -> np.nda
     if not required:
         return out
     raise InvalidConfigError(f"could not draw {k} distinct keys; key space too small")
-
-
-# Each scheme's forward transform and inverse, written once over bit arrays
-# of any leading shape (..., L); protect_corpus and the protocol's score
-# engine call them through protect_bits and invert_bits.
-
-def _xor(bits: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """XOR salting; an involution, so it is also the inverse."""
-    return bits ^ key
 
 
 def _remap_blocks(bits: np.ndarray, perm: np.ndarray, block_size: int) -> np.ndarray:
@@ -294,51 +258,115 @@ def _bloom_decode(bits: np.ndarray, key: np.ndarray, w: int, h: int) -> np.ndarr
     return col_bits.take(cols[..., :w], axis=0).reshape(*lead, -1)
 
 
-def protect_bits(bits: np.ndarray, ring: KeyRing, key_id: int, scheme: str) -> np.ndarray:
-    """Protect raw bits (..., L) under one key of the ring."""
-    if scheme == SCHEME_XOR:
-        return _xor(bits, ring.xor_masks[key_id])
-    if scheme == SCHEME_BLOCK:
-        return _remap_blocks(bits, ring.block_perms[key_id], ring.block_size)
-    if scheme == SCHEME_BLOOM:
-        return _bloom_encode(bits, ring.bloom_keys[key_id], ring.bloom_width, ring.bloom_height)
-    if scheme == SCHEME_NONE:
-        return bits.copy()
-    raise InvalidConfigError(f"unknown scheme {scheme!r}")
+class Scheme:
+    """A protection scheme: its keys, its geometry, and its transform and
+    inverse over bit arrays of any leading shape (..., L).
 
-
-def invert_bits(
-    bits: np.ndarray, ring: KeyRing, key_id: int, scheme: str, allow_approximate_bloom: bool = False
-) -> np.ndarray:
-    """Undo protect_bits under full key knowledge: protected (..., L') to raw (..., L)."""
-    if scheme == SCHEME_XOR:
-        return _xor(bits, ring.xor_masks[key_id])
-    if scheme == SCHEME_BLOCK:
-        return _remap_blocks(bits, np.argsort(ring.block_perms[key_id]), ring.block_size)
-    if scheme == SCHEME_BLOOM:
-        if not allow_approximate_bloom:
-            raise SchemeNotInvertibleError(
-                "Bloom-filter encoding is not invertible; approximate reconstruction is opt-in"
-            )
-        return _bloom_decode(bits, ring.bloom_keys[key_id], ring.bloom_width, ring.bloom_height)
-    if scheme == SCHEME_NONE:
-        return bits.copy()
-    raise InvalidConfigError(f"unknown scheme {scheme!r}")
-
-
-def relative_key(ring: KeyRing, key_a: int, key_b: int, scheme: str) -> bytes:
-    """The key g_a^-1 g_b of two keys of the ring, as bytes.
-
-    Each scheme is a Hamming isometry under its key, so x under key_a and
-    y under key_b differ where x under the identity and y under this key
-    do: the XOR of the masks or of the Bloom keys (which relabel each
-    block's filter bits), or block map perm_b[perm_a^-1].  `none` has one
-    key.  Key pairs with one relative key compare all templates alike.
+    This base is `none`, which has no key and leaves the bits as they are.
+    A keyed scheme names the KeyRing field of its keys in `keys`, and
+    draw(rng, n, *sizes) draws n of them for generate's four sizes.
+    by_popsum: pic_hd divides a distance by the two rows' summed set-bit
+    counts, not by the length.  aligned_inverse: the inverse is the
+    structurally aligned view that permuted_xor compares.
+    approximate_inverse: the inverse loses information, so the score
+    engine uses it only when asked to.
     """
-    if scheme == SCHEME_BLOCK:
+
+    name = SCHEME_NONE
+    keys: str | None = None
+    by_popsum = aligned_inverse = approximate_inverse = False
+
+    def check(self, template_bits: int, block_size: int, bloom_width: int, bloom_height: int):
+        """Raise NotDivisibleError unless the template length fills this scheme's blocks."""
+
+    def protect(self, bits: np.ndarray, ring: KeyRing, key_id: int) -> np.ndarray:
+        """Protect raw bits (..., L) under one key of the ring."""
+        return bits.copy()
+
+    def invert(self, bits: np.ndarray, ring: KeyRing, key_id: int) -> np.ndarray:
+        """Undo protect under full key knowledge: protected (..., L') to raw (..., L)."""
+        return bits.copy()
+
+    def relative(self, ring: KeyRing, key_a: int, key_b: int) -> bytes:
+        """The key g_a^-1 g_b of two keys of the ring, as bytes.
+
+        Each scheme is a Hamming isometry under its key, so x under key_a and
+        y under key_b differ where x under the identity and y under this key
+        do.  Here it is the XOR of the two keys: of the masks, or of the
+        Bloom keys, which relabel each block's filter bits; `none` has one
+        key.  Key pairs with one relative key compare all templates alike.
+        """
+        if self.keys is None:
+            return b""
+        keys = getattr(ring, self.keys)
+        return (keys[key_a] ^ keys[key_b]).tobytes()
+
+
+class XorSalt(Scheme):
+    name, keys = SCHEME_XOR, "xor_masks"
+
+    def draw(self, rng, n: int, template_bits: int, *_) -> np.ndarray:
+        return rng.integers(0, 2, (n, template_bits), dtype=np.uint8)
+
+    def protect(self, bits, ring, key_id):
+        """XOR salting; an involution, so it is also the inverse."""
+        return bits ^ ring.xor_masks[key_id]
+
+    invert = protect
+
+
+class BlockRemap(Scheme):
+    name, keys, aligned_inverse = SCHEME_BLOCK, "block_perms", True
+
+    def check(self, template_bits, block_size, *_):
+        if template_bits % block_size:
+            raise NotDivisibleError(
+                f"template length {template_bits} is not a multiple of block size {block_size}"
+            )
+
+    def draw(self, rng, n: int, template_bits: int, block_size: int, *_) -> np.ndarray:
+        return np.array([rng.permutation(template_bits // block_size) for _ in range(n)])
+
+    def protect(self, bits, ring, key_id):
+        return _remap_blocks(bits, ring.block_perms[key_id], ring.block_size)
+
+    def invert(self, bits, ring, key_id):
+        return _remap_blocks(bits, np.argsort(ring.block_perms[key_id]), ring.block_size)
+
+    def relative(self, ring, key_a, key_b):
+        """The block map perm_b[perm_a^-1]."""
         return ring.block_perms[key_b][np.argsort(ring.block_perms[key_a])].tobytes()
-    keys = {SCHEME_XOR: ring.xor_masks, SCHEME_BLOOM: ring.bloom_keys}.get(scheme)
-    return b"" if keys is None else (keys[key_a] ^ keys[key_b]).tobytes()
+
+
+class BloomFilter(Scheme):
+    name, keys, by_popsum, approximate_inverse = SCHEME_BLOOM, "bloom_keys", True, True
+
+    def check(self, template_bits, _, bloom_width, bloom_height):
+        if template_bits % (bloom_width * bloom_height):
+            raise NotDivisibleError(
+                f"template length {template_bits} is not a multiple of the "
+                f"{bloom_width}x{bloom_height} filter block"
+            )
+
+    def draw(self, rng, n: int, template_bits: int, _, bloom_width: int, bloom_height: int) -> np.ndarray:
+        return rng.integers(0, 2, (n, template_bits // (bloom_width * bloom_height), bloom_height), dtype=np.uint8)
+
+    def protect(self, bits, ring, key_id):
+        return _bloom_encode(bits, ring.bloom_keys[key_id], ring.bloom_width, ring.bloom_height)
+
+    def invert(self, bits, ring, key_id):
+        return _bloom_decode(bits, ring.bloom_keys[key_id], ring.bloom_width, ring.bloom_height)
+
+
+# every scheme by name, keyed schemes in the order KeyRing draws their keys
+SCHEMES = {each.name: each for each in (XorSalt(), BlockRemap(), BloomFilter(), Scheme())}
+
+
+def scheme_named(name) -> Scheme:
+    """The scheme called name; an unknown name, or one that is no string, is a config error."""
+    if isinstance(name, str) and name in SCHEMES:
+        return SCHEMES[name]
+    raise InvalidConfigError(f"unknown scheme {name!r}")
 
 
 @dataclass(frozen=True)
@@ -354,18 +382,12 @@ class ProtectedDatabase:
         self.bits.setflags(write=False)
 
 
-def protect_corpus(corpus: RawCorpus, ring: KeyRing, key_id: int, scheme: str) -> ProtectedDatabase:
-    """Protect every sample of a corpus under one key, vectorized."""
-    if not 0 <= key_id < ring.k:
-        raise InvalidConfigError(f"key_id {key_id} outside ring of {ring.k} keys")
+def generate_databases(corpus: RawCorpus, ring: KeyRing, scheme: str) -> list[ProtectedDatabase]:
+    """One protected database per key in the ring."""
+    protection = scheme_named(scheme)
     if ring.template_bits != corpus.config.template_bits:
         raise LengthMismatchError(
             f"ring built for {ring.template_bits}-bit templates, corpus has {corpus.config.template_bits}"
         )
-    bits = protect_bits(corpus.bits, ring, key_id, scheme)
-    return ProtectedDatabase(bits=bits, key_id=key_id, scheme=scheme, raw_bits=ring.template_bits)
-
-
-def generate_databases(corpus: RawCorpus, ring: KeyRing, scheme: str) -> list[ProtectedDatabase]:
-    """One protected database per key in the ring."""
-    return [protect_corpus(corpus, ring, key_id, scheme) for key_id in range(ring.k)]
+    return [ProtectedDatabase(bits=protection.protect(corpus.bits, ring, key_id), key_id=key_id, scheme=scheme,
+                              raw_bits=ring.template_bits) for key_id in range(ring.k)]

@@ -147,23 +147,12 @@ class TestDetCurve:
         det = ue.det_curve(mated, non_mated, orientation=ORIENT_SIMILARITY)
         assert det.eer == pytest.approx(0.375, abs=1e-12)
 
-    def test_modes_carry_rate_names(self, rng):
-        m, nm = rng.normal(0.6, 0.1, 50), rng.normal(0.4, 0.1, 50)
-        assert ue.det_curve(m, nm, mode=MODE_ACCURACY).rate_names == ("fmr", "fnmr")
-        assert ue.det_curve(m, nm, mode=MODE_CROSSKEY).rate_names == ("cmr", "fcmr")
-        assert ue.det_curve(m, nm, mode=MODE_RTMR).rate_names == ("rtmr", "fnmr")
-
     def test_json_round_trip(self, rng):
         det = ue.det_curve(rng.normal(0.6, 0.1, 40), rng.normal(0.4, 0.1, 40))
         back = ue.DetCurve.from_json_dict(det.to_json_dict())
         assert back.eer == det.eer
         assert np.array_equal(back.thresholds, det.thresholds)
         assert back.mode == det.mode
-
-    def test_csv_headers_follow_mode(self, rng):
-        det = ue.det_curve(rng.normal(0.6, 0.1, 40), rng.normal(0.4, 0.1, 40), mode=MODE_CROSSKEY)
-        header = det.to_csv().splitlines()[0]
-        assert header == "threshold,cmr,fcmr"
 
 
 class TestThresholdsNearTheFloatMaximum:

@@ -27,7 +27,7 @@ from unlinkeval.protocol import (
     synthetic_engine,
     write_report_artifacts,
 )
-from unlinkeval.synthbtp import SCHEME_BLOOM, SCHEME_XOR, invert_bits, protect_bits, protect_corpus
+from unlinkeval.synthbtp import SCHEME_BLOOM, SCHEME_XOR, SCHEMES
 
 warnings.simplefilter("ignore", StatisticalAdequacyWarning)
 warnings.simplefilter("ignore", KeyCountWarning)
@@ -187,8 +187,8 @@ _SUPPORTED = [
 
 def _oracle_score(fn, scheme, ring, raw1, a, raw2, b):
     """fn's score of raw1 protected under key a against raw2 under key b,
-    computed pair by pair from protect_bits outputs."""
-    t1, t2 = protect_bits(raw1, ring, a, scheme), protect_bits(raw2, ring, b, scheme)
+    computed pair by pair from the scheme's protect outputs."""
+    t1, t2 = SCHEMES[scheme].protect(raw1, ring, a), SCHEMES[scheme].protect(raw2, ring, b)
     if fn == "pic_hd":
         set_bits = np.count_nonzero(t1) + np.count_nonzero(t2)
         return np.count_nonzero(t1 != t2) / (set_bits if scheme == SCHEME_BLOOM else t1.size)
@@ -200,8 +200,7 @@ def _oracle_score(fn, scheme, ring, raw1, a, raw2, b):
         block_of = np.argsort(ring.block_perms[b])[ring.block_perms[a]]
         relation = (block_of[:, None] * ring.block_size + np.arange(ring.block_size)).reshape(-1)
         return np.count_nonzero(t1 != t2[relation]) / t1.size
-    r1 = invert_bits(t1, ring, a, scheme, allow_approximate_bloom=True)
-    r2 = invert_bits(t2, ring, b, scheme, allow_approximate_bloom=True)
+    r1, r2 = SCHEMES[scheme].invert(t1, ring, a), SCHEMES[scheme].invert(t2, ring, b)
     return np.count_nonzero(r1 != r2) / r1.size
 
 
@@ -371,8 +370,8 @@ class TestEngineValidation:
                               intra_flip_rate=0.1, seed=1)
         corpus = ue.generate_corpus(cfg)
         ring = ue.KeyRing.generate(2, 128, 2)
-        a = protect_corpus(corpus, ring, 0, SCHEME_XOR)
-        b = protect_corpus(corpus, ring, 1, SCHEME_BLOOM)
+        a = ue.generate_databases(corpus, ring, SCHEME_XOR)[0]
+        b = ue.generate_databases(corpus, ring, SCHEME_BLOOM)[1]
         with pytest.raises(InconsistentDatabasesError):
             ScoreEngine([a, b], ring)
 
@@ -381,9 +380,29 @@ class TestEngineValidation:
                               intra_flip_rate=0.1, seed=1)
         corpus = ue.generate_corpus(cfg)
         ring = ue.KeyRing.generate(2, 128, 2)
-        a = protect_corpus(corpus, ring, 0, SCHEME_XOR)
+        a = ue.generate_databases(corpus, ring, SCHEME_XOR)[0]
         with pytest.raises(InconsistentDatabasesError):
             ScoreEngine([a, a], ring)
+
+    @pytest.mark.parametrize("kind,error", [("constant", "do not protect one corpus under the ring's keys"),
+                                            ("short", "outside a ring of 2 keys"),
+                                            ("other-length", "built for 256-bit templates")])
+    @pytest.mark.parametrize("scheme", ["xor-salt", "block-remap", "bloom-filter", "none"])
+    def test_rejects_a_ring_that_does_not_fit(self, scheme, kind, error):
+        """pic_hd groups key pairs by the ring's relative keys, and the
+        inverted views undo each database's key, so a ring that did not
+        protect the databases is refused.  The constant ring repeats the
+        databases' key 0.  `none` has no key, so any ring of its length fits
+        it and scores alike."""
+        dbs, ring = _databases(n_subjects=3, samples=2, k=4, scheme=scheme)
+        other = {"constant": ue.KeyRing.constant_ring(4, 128, 2, block_size=16),
+                 "short": ue.KeyRing.generate(2, 128, 2, block_size=16),
+                 "other-length": ue.KeyRing.generate(4, 256, 2, block_size=16)}[kind]
+        if scheme == "none" and kind == "constant":
+            _assert_same_tables(*(ue.cross_database_scores(ScoreEngine(dbs, r), "pic_hd") for r in (ring, other)))
+        else:
+            with pytest.raises(InconsistentDatabasesError, match=error):
+                ScoreEngine(dbs, other)
 
     def test_unknown_function(self):
         with pytest.raises(InvalidConfigError):
@@ -871,7 +890,7 @@ class TestGroupedTalliesMatchUngrouped:
         engine = ScoreEngine(dbs, ring, allow_approximate_bloom=True)
         inverted = engine.packed_inverted("reconstruction")
         for db, rows in zip(dbs, inverted):
-            own = invert_bits(db.bits, ring, db.key_id, scheme, allow_approximate_bloom=True)
+            own = SCHEMES[scheme].invert(db.bits, ring, db.key_id)
             assert np.array_equal(kernels.pack_rows(own.reshape(-1, own.shape[-1])), rows)
 
     def test_hamming_weight_same_key_under_xor_salting(self):

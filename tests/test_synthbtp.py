@@ -1,19 +1,21 @@
+import re
+
 import numpy as np
 import pytest
 
 import unlinkeval as ue
 from unlinkeval.errors import InvalidConfigError, NotDivisibleError, SchemeNotInvertibleError
-from unlinkeval.protocol import ScoreEngine
+from unlinkeval.protocol import ProtocolConfig, ScoreEngine
 from unlinkeval.synthbtp import (
     SCHEME_BLOCK,
     SCHEME_BLOOM,
     SCHEME_NONE,
     SCHEME_XOR,
+    SCHEMES,
     ProtectedDatabase,
-    invert_bits,
-    protect_bits,
-    protect_corpus,
 )
+
+XOR, BLOCK, BLOOM = (SCHEMES[name] for name in (SCHEME_XOR, SCHEME_BLOCK, SCHEME_BLOOM))
 
 
 def bits(text):
@@ -100,6 +102,8 @@ class TestKeyRing:
     def test_geometry_must_divide(self):
         with pytest.raises(NotDivisibleError):
             ue.KeyRing.generate(4, 100, seed=0, block_size=64)
+        with pytest.raises(NotDivisibleError):
+            ue.KeyRing.generate(4, 100, seed=0, bloom_width=16, bloom_height=4)
 
     @pytest.mark.parametrize("scheme", ["xor-salt", "block-remap", "bloom-filter", "none"])
     def test_keys_do_not_depend_on_the_scheme(self, scheme):
@@ -152,13 +156,21 @@ class TestKeyRing:
             assert type(getattr(ring, name)) is int, name
         assert ring.xor_masks.shape == (3, 256)
 
-    @pytest.mark.parametrize("transform", [protect_bits, invert_bits])
-    def test_unknown_scheme_is_a_config_error(self, transform):
-        ring = ue.KeyRing.generate(2, 256, seed=1)
-        with pytest.raises(InvalidConfigError, match="unknown scheme 'rot13'"):
-            transform(np.zeros(256, dtype=np.uint8), ring, 0, "rot13")
-        with pytest.raises(NotDivisibleError):
-            ue.KeyRing.generate(4, 100, seed=0, bloom_width=16, bloom_height=4)
+    @pytest.mark.parametrize("name", ["rot13", ["xor-salt"], None, 1], ids=["rot13", "list", "None", "int"])
+    def test_unknown_scheme_is_a_config_error(self, name):
+        """Every entry point that takes a scheme name looks it up one way.
+        None is KeyRing.generate's default, every scheme, and no error there."""
+        corpus = dict(n_subjects=4, samples_per_subject=2, template_bits=128, intra_flip_rate=0.1, seed=2)
+        match = f"^unknown scheme {re.escape(repr(name))}"
+        with pytest.raises(InvalidConfigError, match=match):
+            ProtocolConfig(linkage_functions=["pic_hd"], scheme=name, corpus=ue.CorpusConfig(**corpus))
+        with pytest.raises(InvalidConfigError, match=match):
+            ProtocolConfig.from_dict({"linkage_functions": ["pic_hd"], "scheme": name, "corpus": corpus})
+        if name is not None:
+            with pytest.raises(InvalidConfigError, match=match):
+                ue.KeyRing.generate(2, 256, seed=1, scheme=name)
+            with pytest.raises(InvalidConfigError, match=match):
+                ue.KeyRing.constant_ring(2, 256, seed=1, scheme=name)
 
 
 def one_key_ring(template_bits, block_size=None, block_perm=(0,), xor_mask=None,
@@ -189,7 +201,7 @@ def engine_score(fn, t1, t2, scheme, ring=None, key_ids=(0, 1)):
                for k, t in zip(key_ids, (t1, t2))]
     else:
         raw = np.stack([t1, t2]).astype(np.uint8)[None]
-        dbs = [ProtectedDatabase(bits=protect_bits(raw, ring, k, scheme), key_id=k, scheme=scheme,
+        dbs = [ProtectedDatabase(bits=SCHEMES[scheme].protect(raw, ring, k), key_id=k, scheme=scheme,
                                  raw_bits=raw.shape[-1])
                for k in key_ids]
     engine = ScoreEngine(dbs, ring)
@@ -202,7 +214,7 @@ def engine_score(fn, t1, t2, scheme, ring=None, key_ids=(0, 1)):
 
 class TestSchemes:
     def test_xor_truth_table(self):
-        out = protect_bits(bits("1010"), one_key_ring(4, xor_mask=bits("1111")), 0, SCHEME_XOR)
+        out = XOR.protect(bits("1010"), one_key_ring(4, xor_mask=bits("1111")), 0)
         assert list(out) == [0, 1, 0, 1]
 
     def test_block_remap_permutes_blocks(self):
@@ -210,31 +222,31 @@ class TestSchemes:
         a, b, c, d = bits("00"), bits("01"), bits("10"), bits("11")
         template = np.concatenate([a, b, c, d])
         ring = one_key_ring(8, block_size=2, block_perm=[2, 0, 3, 1])
-        out = protect_bits(template, ring, 0, SCHEME_BLOCK)
+        out = BLOCK.protect(template, ring, 0)
         assert np.array_equal(out, np.concatenate([c, a, d, b]))
 
     def test_bloom_hand_example(self):
         # one block, w=3 columns of height h=2: columns 01,11,01 with a zero
         # key give integers {1,3} and filter bits 0101 (LSB-first indexing)
         ring = one_key_ring(6, bloom_width=3, bloom_height=2)
-        out = protect_bits(bits("011101"), ring, 0, SCHEME_BLOOM)
+        out = BLOOM.protect(bits("011101"), ring, 0)
         assert list(out) == [0, 1, 0, 1]
 
     def test_bloom_all_zero_column(self):
         ring = one_key_ring(6, bloom_width=3, bloom_height=2)
-        out = protect_bits(bits("000000"), ring, 0, SCHEME_BLOOM)
+        out = BLOOM.protect(bits("000000"), ring, 0)
         assert list(out) == [1, 0, 0, 0]
 
     def test_bloom_key_offsets_indices(self):
         # key column 01 shifts every index by XOR with 1: {1,3} -> {0,2}
         ring = one_key_ring(6, bloom_key=[[0, 1]], bloom_width=3, bloom_height=2)
-        out = protect_bits(bits("011101"), ring, 0, SCHEME_BLOOM)
+        out = BLOOM.protect(bits("011101"), ring, 0)
         assert list(out) == [1, 0, 1, 0]
 
     def test_bloom_output_length(self):
         ring = ue.KeyRing.generate(3, 512, seed=1, bloom_width=16, bloom_height=4)
         raw = (np.arange(512) % 2).astype(np.uint8)
-        out = protect_bits(raw, ring, 0, SCHEME_BLOOM)
+        out = BLOOM.protect(raw, ring, 0)
         assert out.size == (512 // (16 * 4)) * 2 ** 4
 
 
@@ -266,32 +278,39 @@ class TestLinkageFunctions:
         ring = ue.KeyRing.generate(4, 512, seed=13)
         raw = (rng.random(512) < 0.5).astype(np.uint8)
         for scheme in (SCHEME_XOR, SCHEME_BLOCK, SCHEME_NONE):
-            t = protect_bits(raw, ring, 2, scheme)
-            assert np.array_equal(invert_bits(t, ring, 2, scheme), raw), scheme
+            t = SCHEMES[scheme].protect(raw, ring, 2)
+            assert np.array_equal(SCHEMES[scheme].invert(t, ring, 2), raw), scheme
+
+    @staticmethod
+    def _bloom_databases(ring):
+        raw = (np.arange(512) % 2).astype(np.uint8).reshape(1, 1, -1)
+        return [ProtectedDatabase(bits=BLOOM.protect(raw, ring, k), key_id=k, scheme=SCHEME_BLOOM, raw_bits=512)
+                for k in (0, 1)]
 
     def test_bloom_not_invertible_by_default(self):
         ring = ue.KeyRing.generate(4, 512, seed=13)
-        raw = (np.arange(512) % 2).astype(np.uint8)
-        t = protect_bits(raw, ring, 0, SCHEME_BLOOM)
+        engine = ScoreEngine(self._bloom_databases(ring), ring)
         with pytest.raises(SchemeNotInvertibleError):
-            invert_bits(t, ring, 0, SCHEME_BLOOM)
+            engine.packed_inverted("reconstruction")
 
     def test_bloom_approximate_decode_is_opt_in(self):
         ring = ue.KeyRing.generate(4, 512, seed=13)
         raw = (np.arange(512) % 2).astype(np.uint8)
-        t = protect_bits(raw, ring, 1, SCHEME_BLOOM)
-        approx = invert_bits(t, ring, 1, SCHEME_BLOOM, allow_approximate_bloom=True)
+        t = BLOOM.protect(raw, ring, 1)
+        approx = BLOOM.invert(t, ring, 1)
         assert approx.shape == raw.shape
         assert approx.dtype == np.uint8
+        engine = ScoreEngine(self._bloom_databases(ring), ring, allow_approximate_bloom=True)
+        assert engine.packed_inverted("reconstruction").shape[:2] == (2, 1)
 
     def test_bloom_decode_hand_example(self):
         # one block, w=3 columns of height h=2: columns 01,11,01 hold the
         # values {1,3}; the decoder returns them ascending and pads the
         # slot lost to the repeated 01 with zeros
         ring = one_key_ring(6, bloom_key=[[0, 1]], bloom_width=3, bloom_height=2)
-        t = protect_bits(bits("011101"), ring, 0, SCHEME_BLOOM)
+        t = BLOOM.protect(bits("011101"), ring, 0)
         assert list(t) == [1, 0, 1, 0]  # keyed values {0, 2}
-        decoded = invert_bits(t, ring, 0, SCHEME_BLOOM, allow_approximate_bloom=True)
+        decoded = BLOOM.invert(t, ring, 0)
         assert list(decoded) == list(bits("011100"))
 
     # w < 2**h, w > 2**h, h = 8 (256 values), and w + 1 = 256 slots: the
@@ -303,7 +322,7 @@ class TestLinkageFunctions:
         length = 4 * w * h
         ring = ue.KeyRing.generate(2, length, seed=5, block_size=h, bloom_width=w, bloom_height=h)
         filters = (rng.random((40, 3, 4 << h)) < 0.4).astype(np.uint8)
-        got = invert_bits(filters, ring, 1, SCHEME_BLOOM, allow_approximate_bloom=True)
+        got = BLOOM.invert(filters, ring, 1)
         assert got.shape == (40, 3, length) and got.dtype == np.uint8
         weights = 1 << np.arange(h - 1, -1, -1)
         key_ints = ring.bloom_keys[1] @ weights
@@ -322,7 +341,7 @@ class TestLinkageFunctions:
         length = 4 * w * h
         ring = ue.KeyRing.generate(2, length, seed=5, block_size=h, bloom_width=w, bloom_height=h)
         raw = (rng.random((7, 3, length)) < 0.5).astype(np.uint8)
-        got = protect_bits(raw, ring, 1, SCHEME_BLOOM)
+        got = BLOOM.protect(raw, ring, 1)
         assert got.shape == (7, 3, 4 << h) and got.dtype == np.uint8
         weights = 1 << np.arange(h - 1, -1, -1)
         for row, out in zip(raw.reshape(-1, length), got.reshape(-1, 4 << h)):
@@ -367,14 +386,14 @@ class TestProtectCorpus:
         # direction of the re-mapping shows
         ring = ue.KeyRing.generate(4, 256, seed=22, block_size=16)
         for scheme in (SCHEME_XOR, SCHEME_BLOCK, SCHEME_BLOOM, SCHEME_NONE):
-            db = protect_corpus(corpus, ring, 1, scheme)
+            db = ue.generate_databases(corpus, ring, scheme)[1]
             for subj in range(3):
                 for samp in range(2):
                     single = self._protect_one(corpus.bits[subj, samp], ring, 1, scheme)
                     row = db.bits[subj, samp]
                     assert np.array_equal(row, single), scheme
             if scheme != SCHEME_BLOOM:
-                restored = invert_bits(protect_bits(corpus.bits, ring, 1, scheme), ring, 1, scheme)
+                restored = SCHEMES[scheme].invert(SCHEMES[scheme].protect(corpus.bits, ring, 1), ring, 1)
                 assert np.array_equal(restored, corpus.bits), scheme
 
     def test_databases_one_per_key(self):

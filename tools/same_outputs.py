@@ -9,6 +9,9 @@ directory:
 - `protocol` for every scheme, with every linkage function the scheme
   supports and an out_dir (report.json, score CSVs, SVGs);
 - `protocol` with distinct-samples mated pairs and non_mated_all_pairs;
+- `protocol` on block re-mapping with every linkage function and
+  constant_key, and `synth --constant-key` on Bloom filters: one key
+  repeated K times, whose key pairs all share the identity relative key;
 - `synth` for every scheme;
 - `eval --out --plot` and `compare --kde --out` on one synth output;
 - `eval --out` on three copies of that output's score files that the tool
@@ -90,13 +93,16 @@ def commands() -> list:
     config = {"linkage_functions": SCHEMES["block-remap"][1], "scheme": "block-remap", "corpus": ALL_PAIRS_CORPUS,
               "out_dir": "out", "mated_pairing": "distinct-samples", "non_mated_all_pairs": True, **GEOMETRY}
     runs.append(("protocol-all-pairs", write_config(config), ["protocol", "config.json"]))
+    config = {"linkage_functions": SCHEMES["block-remap"][1], "scheme": "block-remap", "corpus": CORPUS,
+              "out_dir": "out", "constant_key": True, **GEOMETRY}
+    runs.append(("protocol-constant-key", write_config(config), ["protocol", "config.json"]))
+    synth = ["synth", "--function", "pic_hd", "--subjects", str(CORPUS["n_subjects"]),
+             "--samples", str(CORPUS["samples_per_subject"]), "--bits", str(CORPUS["template_bits"]),
+             "--keys", str(GEOMETRY["k"]), "--seed", str(CORPUS["seed"]),
+             "--block-size", str(GEOMETRY["block_size"]), "--out", "out"]
     for name, _ in SCHEMES.values():
-        runs.append((f"synth-{name}", None, [
-            "synth", "--scheme", name, "--function", "pic_hd", "--subjects", str(CORPUS["n_subjects"]),
-            "--samples", str(CORPUS["samples_per_subject"]), "--bits", str(CORPUS["template_bits"]),
-            "--keys", str(GEOMETRY["k"]), "--seed", str(CORPUS["seed"]),
-            "--block-size", str(GEOMETRY["block_size"]), "--out", "out",
-        ]))
+        runs.append((f"synth-{name}", None, [*synth, "--scheme", name]))
+    runs.append(("synth-constant-key", None, [*synth, "--scheme", "bloom", "--constant-key"]))
     runs.append(("eval", None, ["eval", "--mated", SCORES + "mated.csv", "--nonmated", SCORES + "nonmated.csv",
                                 "--out", "out", "--plot"]))
     runs.append(("compare", None, [
