@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -260,8 +261,8 @@ def _tile_pairs(rows: int, cols: int, group: int) -> np.ndarray:
 class _View:
     """What one linkage function compares, and the lattice its scores fall on.
 
-    packed: packed template bits per key, or None to compare set-bit
-    counts only (hamming_weight); pops: set-bit counts per key and row.  A
+    packed: each key's packed rows word-major (K, W, S, n), or None to
+    compare set-bit counts only (hamming_weight); pops: theirs (K, S, n).  A
     score is the distance over length, or when by_popsum (Bloom pic_hd)
     over the two rows' summed set-bit counts.  A cell is a distance, or
     when by_popsum a (distance, popsum) pair keyed distance * stride +
@@ -299,10 +300,10 @@ class ScoreEngine:
 
     The databases protect one corpus, each under its key of the ring
     (generate_databases); given the ring, the engine checks that it
-    fits them.  The engine holds their rows packed and set-bit
-    counts, never the per-bit databases, so a caller that drops those frees
-    them before any pair is scored.  view(function) is the _View of a
-    function; same_subject and distinct_subjects yield a view's distances
+    fits them.  The engine holds their rows packed, word-major, and their
+    set-bit counts (_word_major), never the per-bit databases, so a caller
+    that drops those frees them before any pair is scored.  view(function)
+    is the _View of a function; same_subject and distinct_subjects yield a view's distances
     block by block for the key pairs that pair_groups leaves.  The ring
     undoes the protection (permuted_xor, reconstruction) and gives the
     relative keys.  Read-only once built, except for the inverted view,
@@ -339,9 +340,9 @@ class ScoreEngine:
                 raise InconsistentDatabasesError(f"key ids {self.key_ids} outside a ring of {ring.k} keys")
             if len({self.scheme.invert(db.bits[0, 0], ring, db.key_id).tobytes() for db in databases}) > 1:
                 raise InconsistentDatabasesError("the databases do not protect one corpus under the ring's keys")
-        self.packed = np.stack([kernels.pack_rows(db.bits.reshape(-1, self.protected_length))
-                                for db in databases])
-        self.pops = np.stack([kernels.popcount_rows(p) for p in self.packed])
+        packed, pops = zip(*(self._word_major(kernels.pack_rows(db.bits.reshape(-1, self.protected_length)))
+                             for db in databases))
+        self.packed, self.pops = np.stack(packed), np.stack(pops)
 
         # the inverted view is built on first use so that a scheme that
         # cannot be inverted only fails the function that needs it
@@ -349,6 +350,14 @@ class ScoreEngine:
         self._packed_inverted = None
         self._inverted_pops = None
         self.scored: dict = {}
+
+    def _word_major(self, rows: np.ndarray):
+        """Packed rows, subject-major (row i S + s), as (W, S, n), the layout
+        hamming_cross reads, and their set-bit counts as (S, n): sample s of
+        subject i sits at [..., s, i]."""
+        n, samples = self.n_subjects, self.samples
+        return (np.ascontiguousarray(rows.reshape(n, samples, -1).transpose(2, 1, 0)),
+                np.ascontiguousarray(kernels.popcount_rows(rows).reshape(n, samples).T))
 
     def packed_inverted(self, fn: str) -> np.ndarray:
         """Every template with its protection undone under its own key.
@@ -366,9 +375,9 @@ class ScoreEngine:
                 raise SchemeNotInvertibleError(
                     "Bloom-filter encoding is not invertible; approximate reconstruction is opt-in"
                 )
-            packed = kernels.pack_rows(self.scheme.invert(
-                kernels.unpack_rows(self.packed[0], self.protected_length), self.ring, self.key_ids[0]))
-            pops = kernels.popcount_rows(packed)
+            rows = self.packed[0].transpose(2, 1, 0).reshape(-1, self.packed.shape[1])
+            packed, pops = self._word_major(kernels.pack_rows(self.scheme.invert(
+                kernels.unpack_rows(rows, self.protected_length), self.ring, self.key_ids[0])))
             self._inverted_pops = np.broadcast_to(pops, (self.k, *pops.shape))
             self._packed_inverted = np.broadcast_to(packed, (self.k, *packed.shape))
         return self._packed_inverted
@@ -420,24 +429,20 @@ class ScoreEngine:
     def same_subject(self, view: _View, keys_a, keys_b, sample_pairs):
         """Distances of every subject's sample pairs, one key pair at a time.
 
-        Yields (p, dist, popsum): dist[i * P + q] compares sample pair q of
+        Yields (p, dist, popsum): dist[q * n + i] compares sample pair q of
         the P in sample_pairs of subject i under key keys_a[p] with that
         under keys_b[p]; popsum is None unless view.by_popsum.  Packed rows
-        compare all samples of each subject (kernels.hamming_cross).
+        compare every sample pair of all n subjects at once
+        (kernels.hamming_cross), subjects innermost.
         """
-        n, samples = self.n_subjects, self.samples
         s_a, s_b = sample_pairs
-        if view.packed is not None:
-            # word-major (W, n, S), as hamming_cross reads rows
-            words = {k: np.ascontiguousarray(view.packed[k].T).reshape(-1, n, samples)
-                     for k in sorted_distinct(keys_a, keys_b)}
         for p, (a, b) in enumerate(zip(keys_a, keys_b)):
-            wa, wb = view.pops[a].reshape(n, samples)[:, s_a], view.pops[b].reshape(n, samples)[:, s_b]
+            wa, wb = view.pops[a][s_a], view.pops[b][s_b]
             if view.packed is None:
                 dist = np.abs(wa - wb)
             else:
-                dist = kernels.hamming_cross(words[a], words[b])[:, s_a, s_b].astype(np.intp)
-            yield p, dist.reshape(-1), ((wa + wb).reshape(-1) if view.by_popsum else None)
+                dist = kernels.hamming_cross(view.packed[a][:, :, None], view.packed[b][:, None])[s_a, s_b]
+            yield p, dist.reshape(-1).astype(np.intp), ((wa + wb).reshape(-1) if view.by_popsum else None)
 
     def distinct_subjects(self, view: _View, keys_a, keys_b, group: int):
         """Distances of distinct subjects' pairs, one tile of subjects at a time.
@@ -449,22 +454,15 @@ class ScoreEngine:
         and j under key keys_b[p]; popsum is None unless view.by_popsum.
         dist is a buffer that the next block overwrites.  A view without
         packed rows compares set-bit counts.  One with them takes its pairs
-        from the whole tile, by kernels.hamming_gemm with at least
-        kernels.GEMM_MIN_WORDS words of work in the call, else by
-        kernels.hamming_cross, into buffers allocated once per call.
+        from the whole tile, by kernels.hamming_cross, into buffers
+        allocated once per call.
         """
-        rows = slice(None) if group == self.samples else slice(None, None, self.samples)
         n, n_rows = self.n_subjects, self.n_subjects * group
         keys = sorted_distinct(keys_a, keys_b)
-        pops = {k: view.pops[k, rows] for k in keys}
-        gemm = view.packed is not None and (
-            len(keys_a) * n_rows * n_rows // 2 * view.packed.shape[-1] >= kernels.GEMM_MIN_WORDS)
-        if gemm:
-            bits = {k: kernels.unpack_rows(view.packed[k, rows], view.length).astype(np.float32)
-                    for k in keys}
-        elif view.packed is not None:
-            # word-major (W, rows), as hamming_cross reads rows
-            bits = {k: np.ascontiguousarray(view.packed[k, rows].T) for k in keys}
+        # the rows subject-major, group samples per subject: views when group is 1
+        pops = {k: view.pops[k, :group].T.reshape(-1) for k in keys}
+        if view.packed is not None:
+            bits = {k: view.packed[k][:, :group].swapaxes(1, 2).reshape(view.packed.shape[1], -1) for k in keys}
         buffer = None
         for lo, hi in kernels.triangle_tiles(n, group):
             r, c = slice(lo * group, hi * group), slice(lo * group, n_rows)
@@ -474,7 +472,7 @@ class ScoreEngine:
                 # the first tile is the largest: its buffers serve every tile
                 buffer = np.empty(at.size, dtype=np.intp)
                 if view.packed is not None:
-                    kind = np.float32 if gemm else np.min_scalar_type(64 * view.packed.shape[-1])
+                    kind = np.min_scalar_type(64 * view.packed.shape[1])
                     product = np.empty((r.stop - r.start) * width, dtype=kind)
                     entries = np.empty(at.size, dtype=kind)
             dist = buffer[: at.size]
@@ -487,14 +485,49 @@ class ScoreEngine:
                     np.subtract(pops[a][rows_a], pops[b][rows_b], out=dist)
                     np.abs(dist, out=dist)
                 else:
-                    if gemm:
-                        tile = kernels.hamming_gemm(bits[a][r], bits[b][c], pops[a][r], pops[b][c], product)
-                    else:
-                        tile = kernels.hamming_cross(bits[a][:, r], bits[b][:, c], product)
+                    tile = kernels.hamming_cross(bits[a][:, r, None], bits[b][:, None, c], product)
                     # at is in range; mode "raise" would take into a fresh buffer
                     np.take(tile.reshape(-1), at, out=entries[: at.size], mode="wrap")
                     np.copyto(dist, entries[: at.size], casting="unsafe")
                 yield p, dist, (pops[a][rows_a] + pops[b][rows_b] if view.by_popsum else None)
+
+
+# A pass of at least this many 64-bit words of XOR-popcount work splits its
+# key-pair groups over _max_workers threads; on smaller passes, starting the
+# threads and their malloc arenas costs more than the split saves.
+THREAD_MIN_WORDS = 1 << 22
+
+
+def _max_workers(n_tasks: int) -> int:
+    """Threads for a pass of n_tasks key-pair groups and THREAD_MIN_WORDS words or more:
+    one per CPU of the process, at most n_tasks.  Run stamps (perfbench/worker.py) record it."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(n_tasks, cpus))
+
+
+def _in_threads(task, parts: list) -> None:
+    """task(*part) for every part, the first on this thread and each other on one of its own.
+    All are joined; then this thread's error, or else the first a thread raised, is raised."""
+    errors: list = []
+
+    def run(*part):
+        try:
+            task(*part)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = []
+    try:
+        for part in parts[1:]:
+            thread = threading.Thread(target=run, args=part)
+            thread.start()
+            threads.append(thread)
+        task(*parts[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _tallied(engine: ScoreEngine, function: str, keys_a, keys_b, mated_samples, group: int,
@@ -508,9 +541,12 @@ def _tallied(engine: ScoreEngine, function: str, keys_a, keys_b, mated_samples, 
     makes the counts count tables.  A pass scores the first key pair of
     each group (engine.pair_groups) once, and counts its scores once per
     key pair of the group: pairs of one relative key, or of the same
-    canonical keys, give the same scores.  The pair counts are checked before
-    any pair is scored.  The engine remembers the tables, so a view already
-    tallied with the same pairs, under any function, is not tallied again.
+    canonical keys, give the same scores.  A pass of THREAD_MIN_WORDS words
+    or more deals its groups out to _max_workers threads, each counting
+    into its own arrays; the integer sums do not depend on the split.  The
+    pair counts are checked before any pair is scored.  The engine
+    remembers the tables, so a view already tallied with the same pairs,
+    under any function, is not tallied again.
     """
     view = engine.view(function)
     n = engine.n_subjects
@@ -525,14 +561,22 @@ def _tallied(engine: ScoreEngine, function: str, keys_a, keys_b, mated_samples, 
         _, first, times = np.unique(engine.pair_groups(view, keys_a, keys_b),
                                     return_index=True, return_counts=True)
         pairs_a, pairs_b = keys_a[first], keys_b[first]
-        counts = np.zeros((2, view.size), dtype=np.int64)
-        blocks = (engine.same_subject(view, pairs_a, pairs_b, mated_samples),
-                  engine.distinct_subjects(view, pairs_a, pairs_b, group))
-        for side, block in zip(counts, blocks):
-            for p, dist, popsum in block:
-                found = np.bincount(view.cells(dist, popsum))
-                side[: found.size] += found * times[p]
-        engine.scored[key] = tuple(view.table(side) for side in counts)
+
+        def tally(part: slice, counts: np.ndarray):
+            a, b, weights = pairs_a[part], pairs_b[part], times[part]
+            blocks = (engine.same_subject(view, a, b, mated_samples), engine.distinct_subjects(view, a, b, group))
+            for side, block in zip(counts, blocks):
+                for p, dist, popsum in block:
+                    found = np.bincount(view.cells(dist, popsum))
+                    side[: found.size] += found * weights[p]
+
+        # hamming_cross XORs every sample pair of each subject and about half of all row pairs
+        words = 0 if view.packed is None else len(first) * view.packed.shape[1] * n * (
+            engine.samples**2 + n * group * group // 2)
+        workers = _max_workers(len(first)) if words >= THREAD_MIN_WORDS else 1
+        parts = [(slice(i, None, workers), np.zeros((2, view.size), dtype=np.int64)) for i in range(workers)]
+        _in_threads(tally, parts)
+        engine.scored[key] = tuple(view.table(side) for side in sum(counts for _, counts in parts))
     return ScoreCounts(*engine.scored[key], source)
 
 
@@ -659,16 +703,6 @@ def assess(
     # swept last, as its temporaries are the smallest when accuracy scores are many
     det = det_curve(scores.mated, scores.non_mated, orientation, mode, points=DRAWN_POINTS)
     return Assessment(densities=dp, profile=profile, kl=kl, det=det, accuracy=acc_curve, rtmr=rtmr)
-
-
-def _max_workers(n_tasks: int) -> int:
-    """Threads that run_protocol evaluates linkage functions on: one.
-
-    Functions run one after another; the matrix products inside use the
-    BLAS library's own threads.  Run stamps (perfbench/worker.py) record
-    this number.
-    """
-    return 1
 
 
 def run_protocol(cfg: ProtocolConfig) -> EvaluationReport:

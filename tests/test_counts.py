@@ -7,6 +7,7 @@ bytes, with the same warnings, whether or not it also writes score files.
 """
 
 import json
+import os
 import tempfile
 import tracemalloc
 import warnings
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import unlinkeval as ue
-from unlinkeval import kernels
+from unlinkeval import kernels, protocol
 from unlinkeval.baselines import ORIENT_DISSIMILARITY, ORIENT_SIMILARITY, _interpolated_eer
 from unlinkeval.density import _histogram_density
 from unlinkeval.errors import InvalidConfigError, StatisticalAdequacyWarning, TooFewScoresError
@@ -442,11 +443,13 @@ class TestProtocolReportWithAndWithoutOutDir:
     """With out_dir, run_protocol also writes each function's score file from
     its tables; the report and its warnings stay those of a run without."""
 
-    @given(cfg=_protocol_configs(), tile=st.sampled_from([1, 2, 3, 128]), gemm=st.booleans())
+    @given(cfg=_protocol_configs(), tile=st.sampled_from([1, 2, 3, 128]), threads=st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_same_report_bytes(self, cfg, tile, gemm):
+    def test_same_report_bytes(self, cfg, tile, threads):
+        """threads splits every pass over three threads, however small."""
         with mock.patch.object(kernels, "TILE_ROWS", tile), \
-                mock.patch.object(kernels, "GEMM_MIN_WORDS", 0 if gemm else kernels.GEMM_MIN_WORDS):
+                mock.patch.object(protocol, "THREAD_MIN_WORDS", 0 if threads else protocol.THREAD_MIN_WORDS), \
+                mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1, 2}, create=True):
             counted, counted_warnings = _run(cfg)
             with tempfile.TemporaryDirectory() as out:
                 with_out_dir, with_out_dir_warnings = _run(dict(cfg, out_dir=out))

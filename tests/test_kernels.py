@@ -29,6 +29,11 @@ def _word_major(packed):
     return np.ascontiguousarray(np.moveaxis(packed, -1, 0))
 
 
+def _cross(a, b, out=None):
+    """Every row of word-major a (W, ..., m) against every row of b (W, ..., n): (..., m, n)."""
+    return kernels.hamming_cross(a[..., :, None], b[..., None, :], out)
+
+
 def _xor_popcount(a_bits, b_bits):
     return (a_bits[:, None, :] != b_bits[None, :, :]).sum(axis=2)
 
@@ -36,7 +41,7 @@ def _xor_popcount(a_bits, b_bits):
 def test_cross_matches_xor_sum(rng):
     a, b = _random_bits(rng, 50, 777), _random_bits(rng, 30, 777)
     pa, pb = kernels.pack_rows(a), kernels.pack_rows(b)
-    dist = kernels.hamming_cross(_word_major(pa), _word_major(pb))
+    dist = _cross(_word_major(pa), _word_major(pb))
     assert dist.shape == (50, 30) and np.array_equal(dist, _xor_popcount(a, b))
 
 
@@ -53,11 +58,11 @@ def test_cross_across_chunks(rng, monkeypatch, cross_words, batches, m, n):
     pb = kernels.pack_rows(b).reshape(batches, n, 3)
     expected = np.array([_xor_popcount(x, y) for x, y in zip(a.reshape(batches, m, 130),
                                                               b.reshape(batches, n, 130))])
-    dist = kernels.hamming_cross(_word_major(pa), _word_major(pb))
+    dist = _cross(_word_major(pa), _word_major(pb))
     assert dist.dtype == np.uint8 and dist.shape == (batches, m, n)
     assert np.array_equal(dist, expected.reshape(batches, m, n))
     buf = np.full(200, 255, dtype=np.uint8)
-    dist = kernels.hamming_cross(_word_major(pa), _word_major(pb), out=buf)
+    dist = _cross(_word_major(pa), _word_major(pb), out=buf)
     assert np.array_equal(dist, expected.reshape(batches, m, n))
     assert np.array_equal(buf[: dist.size], dist.reshape(-1)) and (buf[dist.size :] == 255).all()
 
@@ -67,15 +72,35 @@ def test_cross_shape_mismatch(rng):
     b = _word_major(kernels.pack_rows(_random_bits(rng, 3, 128)))
     with pytest.raises(ValueError):
         kernels.hamming_cross(a, b)
+    # shapes that do not broadcast, a missing axis, and no axis past the words
     with pytest.raises(ValueError):
-        kernels.hamming_cross(a.reshape(1, 3, 1), a.reshape(1, 1, 3))
+        kernels.hamming_cross(a.reshape(1, 3, 1), a[:, :2].reshape(1, 2, 1))
+    with pytest.raises(ValueError):
+        kernels.hamming_cross(a, a.reshape(1, 1, 3))
+    with pytest.raises(ValueError):
+        kernels.hamming_cross(a[:, 0], a[:, 1])
+
+
+@pytest.mark.parametrize("cross_words", [1, 40, 1 << 16])
+def test_cross_sample_pairs_of_each_subject(rng, monkeypatch, cross_words):
+    """(W, S, n) rows broadcast over sample pairs compare every sample pair
+    of each subject, subjects innermost."""
+    monkeypatch.setattr(kernels, "_CROSS_WORDS", cross_words)
+    samples, n, bits = 3, 7, 130
+    a, b = _random_bits(rng, n * samples, bits), _random_bits(rng, n * samples, bits)
+    wa, wb = (_word_major(kernels.pack_rows(x).reshape(n, samples, -1).transpose(1, 0, 2)) for x in (a, b))
+    dist = kernels.hamming_cross(wa[:, :, None], wb[:, None])
+    expected = np.array([_xor_popcount(x, y) for x, y in zip(a.reshape(n, samples, bits),
+                                                              b.reshape(n, samples, bits))])
+    assert dist.shape == (samples, samples, n)
+    assert np.array_equal(dist, expected.transpose(1, 2, 0))
 
 
 def test_fallback_agrees_with_numpy_oracle(rng):
     a = _random_bits(rng, 33, 4096)
     b = _random_bits(rng, 33, 4096)
     pa, pb = kernels.pack_rows(a), kernels.pack_rows(b)
-    dist = kernels.hamming_cross(_word_major(pa), _word_major(pb))
+    dist = _cross(_word_major(pa), _word_major(pb))
     assert np.array_equal(np.diagonal(dist), (a != b).sum(axis=1))
     assert np.array_equal(kernels.popcount_rows(pa), a.sum(axis=1))
 
@@ -89,52 +114,33 @@ def test_all_ones_and_all_zeros(bits, kind):
     po, pz = kernels.pack_rows(ones), kernels.pack_rows(zeros)
     assert list(kernels.popcount_rows(po)) == [bits, bits]
     assert list(kernels.popcount_rows(pz)) == [0, 0]
-    dist = kernels.hamming_cross(_word_major(po), _word_major(pz))
+    dist = _cross(_word_major(po), _word_major(pz))
     assert dist.dtype == kind and dist.tolist() == [[bits, bits], [bits, bits]]
-
-
-def _as_float32(packed, bits):
-    return kernels.unpack_rows(packed, bits).astype(np.float32)
 
 
 @pytest.mark.parametrize("bits", [1, 63, 65, 1000])
 @pytest.mark.parametrize("rows_a,rows_b", [(0, 0), (0, 5), (5, 0), (1, 1), (1, 7), (9, 13)])
-def test_gemm_matches_xor_popcount(rng, bits, rows_a, rows_b):
+def test_cross_matches_xor_popcount(rng, bits, rows_a, rows_b):
     a, b = _random_bits(rng, rows_a, bits), _random_bits(rng, rows_b, bits)
-    pa, pb = kernels.pack_rows(a), kernels.pack_rows(b)
-    fa, fb = _as_float32(pa, bits), _as_float32(pb, bits)
-    assert fa.dtype == np.float32 and np.array_equal(fa, a)
-    dist = kernels.hamming_gemm(fa, fb, kernels.popcount_rows(pa), kernels.popcount_rows(pb))
-    # float32 integers, exact below 2**24 bits
-    assert dist.dtype == np.float32 and dist.shape == (rows_a, rows_b)
+    dist = _cross(_word_major(kernels.pack_rows(a)), _word_major(kernels.pack_rows(b)))
+    assert dist.shape == (rows_a, rows_b)
     assert np.array_equal(dist, _xor_popcount(a, b))
 
 
-def test_gemm_into_oversized_reused_buffer(rng):
+def test_cross_into_oversized_reused_buffer(rng):
     """Each call writes the head of the buffer; nothing of an earlier call shows."""
-    buf = np.full(200, np.nan, dtype=np.float32)
+    buf = np.full(200, 255, dtype=np.uint16)
     for rows_a, rows_b, bits in [(9, 13, 65), (5, 3, 1000), (1, 7, 63), (0, 4, 65)]:
         a, b = _random_bits(rng, rows_a, bits), _random_bits(rng, rows_b, bits)
-        pa, pb = kernels.pack_rows(a), kernels.pack_rows(b)
-        dist = kernels.hamming_gemm(_as_float32(pa, bits), _as_float32(pb, bits),
-                                    kernels.popcount_rows(pa), kernels.popcount_rows(pb), out=buf)
+        dist = _cross(_word_major(kernels.pack_rows(a)), _word_major(kernels.pack_rows(b)), out=buf)
         assert dist.shape == (rows_a, rows_b) and np.array_equal(dist, _xor_popcount(a, b))
         assert np.array_equal(buf[: rows_a * rows_b], dist.reshape(-1))
 
 
-def test_gemm_extremes():
+def test_cross_extremes():
     bits = 4096
-    rows = np.stack([np.zeros(bits, np.uint8), np.ones(bits, np.uint8)])
-    packed = kernels.pack_rows(rows)
-    dist = kernels.hamming_gemm(_as_float32(packed, bits), _as_float32(packed, bits),
-                                kernels.popcount_rows(packed), kernels.popcount_rows(packed))
-    assert dist.tolist() == [[0, bits], [bits, 0]]
-
-
-def test_gemm_refuses_lengths_float32_cannot_hold():
-    wide = np.zeros((0, 1 << 24), dtype=np.float32)
-    with pytest.raises(ValueError, match="2\\*\\*24"):
-        kernels.hamming_gemm(wide, wide, np.zeros(0), np.zeros(0))
+    packed = _word_major(kernels.pack_rows(np.stack([np.zeros(bits, np.uint8), np.ones(bits, np.uint8)])))
+    assert _cross(packed, packed).tolist() == [[0, bits], [bits, 0]]
 
 
 @pytest.mark.parametrize("tile_rows", [1, 2, 5, 128])
@@ -144,9 +150,7 @@ def test_triangle_tiles_cover_every_group_pair_once(monkeypatch, rng, tile_rows,
     monkeypatch.setattr(kernels, "TILE_ROWS", tile_rows)
     bits = 70
     a, b = _random_bits(rng, n_groups * group, bits), _random_bits(rng, n_groups * group, bits)
-    pa, pb = kernels.pack_rows(a), kernels.pack_rows(b)
-    fa, fb = _as_float32(pa, bits), _as_float32(pb, bits)
-    wa, wb = kernels.popcount_rows(pa), kernels.popcount_rows(pb)
+    wa, wb = _word_major(kernels.pack_rows(a)), _word_major(kernels.pack_rows(b))
     full = _xor_popcount(a, b)
     subject = np.arange(n_groups * group) // group
     seen = np.zeros(full.shape, dtype=np.int64)
@@ -156,7 +160,7 @@ def test_triangle_tiles_cover_every_group_pair_once(monkeypatch, rng, tile_rows,
     for lo, hi in tiles:
         assert hi - lo <= max(1, tile_rows // group)
         r, c = slice(lo * group, hi * group), slice(lo * group, None)
-        dist = kernels.hamming_gemm(fa[r], fb[c], wa[r], wb[c])
+        dist = kernels.hamming_cross(wa[:, r, None], wb[:, None, c])
         assert np.array_equal(dist, full[r, c])
         seen[r, c] += subject[r, None] < subject[None, c]
     assert np.array_equal(seen, subject[:, None] < subject[None, :])

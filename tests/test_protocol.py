@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import threading
 import tracemalloc
 import warnings
 import weakref
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import unlinkeval as ue
-from unlinkeval import kernels, scores
+from unlinkeval import kernels, protocol, scores
 from unlinkeval.errors import (
     InconsistentDatabasesError,
     InvalidConfigError,
@@ -204,14 +205,15 @@ def _oracle_score(fn, scheme, ring, raw1, a, raw2, b):
     return np.count_nonzero(r1 != r2) / r1.size
 
 
-@pytest.fixture(params=[("xor", None), ("xor", 2), ("gemm", None), ("gemm", 2)],
+@pytest.fixture(params=[("one-thread", None), ("one-thread", 2), ("threads", None), ("threads", 2)],
                 ids=lambda p: f"{p[0]}-tile{p[1] or 'default'}")
 def distance_blocks(request, monkeypatch):
-    """Non-mated distances by broadcast XOR-popcount or by the matrix
-    product, in default tiles or in tiles of two rows that split every
-    corpus here."""
+    """Every pass on the calling thread, or split over three threads
+    however little work it holds, in default tiles or in tiles of two rows
+    that split every corpus here."""
     kind, tile_rows = request.param
-    monkeypatch.setattr(kernels, "GEMM_MIN_WORDS", 0 if kind == "gemm" else 1 << 62)
+    monkeypatch.setattr(protocol, "THREAD_MIN_WORDS", 0 if kind == "threads" else 1 << 62)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     if tile_rows is not None:
         monkeypatch.setattr(kernels, "TILE_ROWS", tile_rows)
 
@@ -707,20 +709,87 @@ class TestRunProtocol:
         assert payload["densities"] == entry["densities"]
 
 
+class TestScorerThreads:
+    """Passes split over threads: default scheme, K = 6, 15 relative keys,
+    three CPUs."""
+
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+    def _threads_of_passes(self, monkeypatch):
+        """The threads that score each non-mated pass of run_protocol."""
+        seen = []
+        real = ScoreEngine.distinct_subjects
+
+        def spy(engine, view, keys_a, keys_b, group):
+            # thread objects, not idents, which a later thread may reuse
+            seen.append((len(keys_a), threading.current_thread()))
+            return real(engine, view, keys_a, keys_b, group)
+
+        monkeypatch.setattr(ScoreEngine, "distinct_subjects", spy)
+        report = ue.run_protocol(TestRunProtocol()._config(linkage_functions=("pic_hd",)))
+        assert "d_sys" in report.per_function["pic_hd"]
+        return seen
+
+    def test_split_from_the_gate(self, monkeypatch):
+        """Below THREAD_MIN_WORDS every pass runs on the calling thread; at
+        it the cross-key pass deals its 15 groups out to three threads, and
+        the same-key pass, one group, stays on one."""
+        caller = threading.current_thread()
+        assert self._threads_of_passes(monkeypatch) == [(1, caller), (15, caller)]
+        monkeypatch.setattr(protocol, "THREAD_MIN_WORDS", 0)
+        same_key, *cross_key = self._threads_of_passes(monkeypatch)
+        assert same_key == (1, caller)
+        assert sorted(count for count, _ in cross_key) == [5, 5, 5]
+        assert len({thread for _, thread in cross_key}) == 3
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_kernel_error_is_the_function_error(self, monkeypatch, where):
+        """The third kernel call on a worker thread, or on the calling
+        thread, raises: the error is the function's report entry, the other
+        function is evaluated, and every thread started has ended."""
+        monkeypatch.setattr(protocol, "THREAD_MIN_WORDS", 0)
+        real, calls, caller = kernels.hamming_cross, [], threading.current_thread()
+
+        def failing(*args):
+            if (threading.current_thread() is caller) == (where == "caller"):
+                calls.append(None)
+                if len(calls) == 3:
+                    raise RuntimeError("third kernel call")
+            return real(*args)
+
+        monkeypatch.setattr(kernels, "hamming_cross", failing)
+        start = threading.active_count()
+        report = ue.run_protocol(TestRunProtocol()._config())
+        assert threading.active_count() == start
+        assert report.per_function["pic_hd"] == {"adversary_model": "template-only",
+                                                 "error": "RuntimeError: third kernel call"}
+        assert "d_sys" in report.per_function["hamming_weight"]
+
+    def test_workers(self, monkeypatch):
+        """One per CPU of the affinity mask, or of os.cpu_count without one,
+        and at most one per group."""
+        assert [protocol._max_workers(n) for n in (0, 1, 2, 3, 45)] == [1, 1, 2, 3, 3]
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert [protocol._max_workers(n) for n in (1, 45)] == [1, 2]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert protocol._max_workers(45) == 1
+
+
 class TestScoreEachComparisonOnce:
     """On block re-mapping, permuted_xor and reconstruction compare the same
     inverted bits over the same length: one scoring pass serves both."""
 
     def _run(self, monkeypatch, functions, out_dir=None):
-        passes = []
-        for name in ("hamming_cross", "hamming_gemm"):
-            real = getattr(kernels, name)
+        passes, real = [], kernels.hamming_cross
 
-            def spy(*args, _real=real, _name=name, **kwargs):
-                passes.append(_name)
-                return _real(*args, **kwargs)
+        def spy(*args, **kwargs):
+            passes.append(1)
+            return real(*args, **kwargs)
 
-            monkeypatch.setattr(kernels, name, spy)
+        monkeypatch.setattr(kernels, "hamming_cross", spy)
         cfg = TestRunProtocol()._config(linkage_functions=functions, scheme="block-remap", out_dir=out_dir)
         report = ue.run_protocol(cfg)
         monkeypatch.undo()
@@ -772,14 +841,13 @@ class TestScoreEachKeyPairOnce:
                 return _real(engine, view, keys_a, keys_b, *args)
 
             monkeypatch.setattr(ScoreEngine, name, engine_spy)
-        for name in ("hamming_cross", "hamming_gemm"):
-            real = getattr(kernels, name)
+        real_kernel = kernels.hamming_cross
 
-            def kernel_spy(*args, _real=real):
-                passes.append(1)
-                return _real(*args)
+        def kernel_spy(*args):
+            passes.append(1)
+            return real_kernel(*args)
 
-            monkeypatch.setattr(kernels, name, kernel_spy)
+        monkeypatch.setattr(kernels, "hamming_cross", kernel_spy)
         engine = _engine(n_subjects=4, samples=2, k=6, scheme="block-remap", constant=constant)
         tables = scores_of(engine, fn)
         if written:
@@ -882,16 +950,18 @@ class TestGroupedTalliesMatchUngrouped:
     @pytest.mark.parametrize("scheme", ["xor-salt", "block-remap", "bloom-filter", "none"])
     def test_every_key_inverts_to_the_same_rows(self, scheme, bits, block_size, bloom):
         """Each key's rows, inverted under that key (Bloom's approximate
-        decode included), equal the one inverted view the engine builds."""
+        decode included), equal the one inverted view the engine builds,
+        which holds sample s of subject i word-major at [:, s, i]."""
         cfg = ue.CorpusConfig(n_subjects=4, samples_per_subject=2, template_bits=bits,
                               intra_flip_rate=0.1, seed=5)
         ring = ue.KeyRing.generate(4, bits, 6, block_size, *bloom)
         dbs = ue.generate_databases(ue.generate_corpus(cfg), ring, scheme)
         engine = ScoreEngine(dbs, ring, allow_approximate_bloom=True)
         inverted = engine.packed_inverted("reconstruction")
-        for db, rows in zip(dbs, inverted):
+        for db, words in zip(dbs, inverted):
             own = SCHEMES[scheme].invert(db.bits, ring, db.key_id)
-            assert np.array_equal(kernels.pack_rows(own.reshape(-1, own.shape[-1])), rows)
+            rows = kernels.pack_rows(own.reshape(-1, own.shape[-1])).reshape(4, 2, -1)
+            assert np.array_equal(rows.transpose(2, 1, 0), words)
 
     def test_hamming_weight_same_key_under_xor_salting(self):
         """Set-bit counts under XOR salting are not a function of the
@@ -967,17 +1037,20 @@ class TestScoreFileMemory:
         """Tallying pic_hd under block re-mapping, 45 distinct key pairs, and
         writing its CSV.
 
-        Held at once, by the bound below: one tile's buffers (at most
-        TILE_ROWS x n pairs), the float32 bits the matrix product reads (n
-        first samples per key), the set-bit counts, the count tables, and
-        one 65,536-row block with its strings and text, which with the
-        per-tile temporaries stays under 8 MB.  That is linear in n: from
-        250 to 500 subjects the pairs grow 4x, the held memory about 2x.
-        The non-mated float64 scores alone would take 45 MB at 500.
+        Held at once, by the bound below: each scoring thread's buffers
+        (the 576 KiB of hamming_cross, and one tile's, at most TILE_ROWS x
+        n pairs), the engine's packed rows and set-bit counts, the count
+        tables, and one 65,536-row block with its strings and text, which
+        with the per-tile temporaries stays under 8 MB.  That is linear in
+        n: from 250 to 500 subjects the pairs grow 4x, the held memory
+        about 2x.  The non-mated float64 scores alone would take 45 MB at
+        500.
         """
+        workers = protocol._max_workers(45)
 
         def bound(n):
-            return kernels.TILE_ROWS * n * 45 * 2 + 10 * n * 1024 * 4 + 45 * 16 * n * 2 + 8 * 2**20
+            threads = workers * (2**20 + kernels.TILE_ROWS * n * 40)
+            return threads + 10 * n * 4 * (1024 // 8 + 8) + 45 * 16 * n * 2 + 8 * 2**20
 
         peaks = []
         for n in (250, 500):
@@ -995,23 +1068,41 @@ class TestScoreFileMemory:
 
 
 class TestProtocolMemory:
-    def test_per_bit_databases_are_freed_before_scoring(self):
+    def test_per_bit_databases_are_freed_before_scoring(self, monkeypatch):
         """run_protocol, block re-mapping, all four functions, no out_dir, K = 10.
 
-        Held at the peak, by the bound below: the float32 first-sample bits
-        that the matrix product reads (K n L 4 B), the packed rows and their
-        inverted view with the set-bit counts of both, one tile's buffers (the
-        product, the pair index and the taken entries, under 40 B per entry
-        of TILE_ROWS x n), and 6 MB for the rest.  The K per-bit databases (K n
-        S L B, as much again as the float32 bits) are not counted: the engine
-        does not hold them, so they are gone before a pair is scored.
+        The peak comes while synthetic_engine builds the engine.  Held then,
+        by the bound below: the K per-bit databases (K n S L B) that it
+        packs, the packed rows and their inverted view with the set-bit
+        counts of both, one tile's buffers (the product, the pair index and
+        the taken entries, under 40 B per entry of TILE_ROWS x n), and 6 MB
+        for the rest.  The engine does not hold the databases, so they are
+        gone before a pair is scored: the scoring peak, taken from the
+        engine's return, holds no term for them, and each scoring thread
+        adds its own buffers (the 576 KiB of hamming_cross and one tile's),
+        under 1 MiB and 40 B per entry of TILE_ROWS x n.
         """
         k, samples, length = 10, 4, 1024
+        workers = protocol._max_workers(45)
+
+        def packed(n):
+            return 2 * k * n * samples * (length // 8 + 8)
 
         def bound(n):
-            packed = 2 * k * n * samples * (length // 8 + 8)
-            return k * n * length * 4 + packed + kernels.TILE_ROWS * n * 40 + 6 * 2**20
+            return k * n * samples * length + packed(n) + kernels.TILE_ROWS * n * 40 + 6 * 2**20
 
+        def scoring_bound(n):
+            return packed(n) + workers * (2**20 + kernels.TILE_ROWS * n * 40) + 6 * 2**20
+
+        real, built = protocol.synthetic_engine, []
+
+        def engine_then_reset_peak(*args):
+            engine = real(*args)
+            built.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return engine
+
+        monkeypatch.setattr(protocol, "synthetic_engine", engine_then_reset_peak)
         for n in (250, 500):
             cfg = ue.ProtocolConfig.from_dict({
                 "linkage_functions": ["pic_hd", "hamming_weight", "permuted_xor", "reconstruction"],
@@ -1022,11 +1113,12 @@ class TestProtocolMemory:
             tracemalloc.start()
             try:
                 report = ue.run_protocol(cfg)
-                _, peak = tracemalloc.get_traced_memory()
+                _, scoring = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert all("d_sys" in entry for entry in report.per_function.values())
-            assert peak < bound(n)
+            assert max(built.pop(), scoring) < bound(n)
+            assert scoring < scoring_bound(n)
 
 
 class TestFailedFunctionsLeaveNoScoreFile:

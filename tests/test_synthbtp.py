@@ -301,7 +301,9 @@ class TestLinkageFunctions:
         assert approx.shape == raw.shape
         assert approx.dtype == np.uint8
         engine = ScoreEngine(self._bloom_databases(ring), ring, allow_approximate_bloom=True)
-        assert engine.packed_inverted("reconstruction").shape[:2] == (2, 1)
+        # two keys, each one subject's one sample, word-major
+        words = engine.packed_inverted("reconstruction")
+        assert words.shape[0] == 2 and words.shape[2:] == (1, 1)
 
     def test_bloom_decode_hand_example(self):
         # one block, w=3 columns of height h=2: columns 01,11,01 hold the

@@ -43,9 +43,9 @@ from pathlib import Path
 CORPUS = {"n_subjects": 20, "samples_per_subject": 3, "template_bits": 256,
           "intra_flip_rate": 0.1, "seed": 5}
 GEOMETRY = {"k": 10, "block_size": 16, "bloom_width": 16, "bloom_height": 4}
-# large enough that the non-mated pic_hd pass takes its distances from the
-# matrix product (kernels.GEMM_MIN_WORDS), where the others XOR-popcount
-# whole tiles by broadcasting (kernels.hamming_cross)
+# large enough that the cross-key pic_hd pass (45 relative keys, 5.4M words
+# of XOR-popcount) reaches protocol.THREAD_MIN_WORDS and is split over the
+# host's cores, where every other pass runs on the calling thread
 ALL_PAIRS_CORPUS = dict(CORPUS, n_subjects=40, template_bits=1024)
 
 # scheme: (its synth name, the linkage functions it supports)
