@@ -51,6 +51,7 @@ from .synthbtp import (
     RawCorpus,
     generate_corpus,
     generate_databases,
+    protected_databases,
 )
 
 __version__ = "0.1.0"
@@ -88,6 +89,7 @@ __all__ = [
     "load_score_set",
     "local_linkability",
     "omega_from_enrollment",
+    "protected_databases",
     "rtmr_curve",
     "run_protocol",
     "same_key_scores",

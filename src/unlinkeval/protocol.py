@@ -59,7 +59,12 @@ from .scores import (
     load_score_set,
     sorted_distinct,
 )
-from .synthbtp import CorpusConfig, KeyRing, generate_corpus, generate_databases, scheme_named
+from .synthbtp import CorpusConfig, KeyRing, generate_corpus, protected_databases, scheme_named
+
+# Not called here (synthetic_engine protects through protected_databases), but
+# kept as a name of this module: the benchmark's tracer in perfbench/spans.py
+# wraps it.
+from .synthbtp import generate_databases  # noqa: F401
 
 SCHEMA_VERSION = 1
 
@@ -295,41 +300,56 @@ class _View:
         return CountTable(scores[first], np.add.reduceat(counts, first))
 
 
+# bytes of unpacked bits, one per bit of the longer of the protected and the
+# raw rows, that packed_inverted inverts at once: 4 MiB, 1024 rows of 4096 bits
+INVERT_BYTES = 1 << 22
+
+
 class ScoreEngine:
     """The K databases packed once, and what each linkage function compares of them.
 
-    The databases protect one corpus, each under its key of the ring
-    (generate_databases); given the ring, the engine checks that it
-    fits them.  The engine holds their rows packed, word-major, and their
-    set-bit counts (_word_major), never the per-bit databases, so a caller
-    that drops those frees them before any pair is scored.  view(function)
-    is the _View of a function; same_subject and distinct_subjects yield a view's distances
-    block by block for the key pairs that pair_groups leaves.  The ring
-    undoes the protection (permuted_xor, reconstruction) and gives the
-    relative keys.  Read-only once built, except for the inverted view,
-    built on first use, and `scored`, the count tables _tallied has built:
-    views of the same bits over the same length (permuted_xor and
-    reconstruction on block re-mapping) are tallied once.
+    databases is any iterable of ProtectedDatabase: a list, or an iterator
+    that makes each database as it is taken (synthbtp.protected_databases).
+    They protect one corpus, each under its key of the ring; given the
+    ring, the engine checks that it fits them.  Each database is checked
+    against the first as it arrives, then packed: the engine holds their
+    rows packed, word-major, and their set-bit counts (_word_major), never
+    the per-bit databases, and drops its reference to each before it takes
+    the next.  So the build from an iterator holds the corpus, one database
+    and the packed rows, and a caller that drops a list frees it before any
+    pair is scored.  view(function) is the _View of a function;
+    same_subject and distinct_subjects yield a view's distances block by
+    block for the key pairs that pair_groups leaves.  The ring undoes the
+    protection (permuted_xor, reconstruction) and gives the relative keys.
+    Read-only once built, except for the inverted view, built on first use,
+    and `scored`, the count tables _tallied has built: views of the same
+    bits over the same length (permuted_xor and reconstruction on block
+    re-mapping) are tallied once.
     """
 
-    def __init__(self, databases: list, ring: KeyRing | None = None, allow_approximate_bloom: bool = False):
-        if len(databases) < 2:
-            raise InconsistentDatabasesError(
-                f"cross-key comparison needs at least 2 databases, got {len(databases)}"
-            )
-        first = databases[0]
-        for db in databases[1:]:
-            if db.bits.shape != first.bits.shape or db.scheme != first.scheme or db.raw_bits != first.raw_bits:
-                raise InconsistentDatabasesError("databases disagree on corpus shape or scheme")
-        if len({db.key_id for db in databases}) != len(databases):
-            raise InconsistentDatabasesError("databases carry duplicate key ids")
-        self.scheme = scheme_named(first.scheme)
-        self.n_subjects, self.samples, self.protected_length = first.bits.shape
-        self.k = len(databases)
-        self.raw_length = first.raw_bits
+    def __init__(self, databases, ring: KeyRing | None = None, allow_approximate_bloom: bool = False):
         self.ring = ring
-
-        self.key_ids = [db.key_id for db in databases]
+        self.key_ids: list = []
+        packed, pops, first_rows = [], [], []
+        for db in databases:
+            if not self.key_ids:
+                shape, scheme, self.raw_length = db.bits.shape, db.scheme, db.raw_bits
+                self.n_subjects, self.samples, self.protected_length = shape
+            elif db.bits.shape != shape or db.scheme != scheme or db.raw_bits != self.raw_length:
+                raise InconsistentDatabasesError("databases disagree on corpus shape or scheme")
+            if db.key_id in self.key_ids:
+                raise InconsistentDatabasesError("databases carry duplicate key ids")
+            self.key_ids.append(db.key_id)
+            rows, counts = self._word_major(kernels.pack_rows(db.bits.reshape(-1, self.protected_length)))
+            packed.append(rows)
+            pops.append(counts)
+            first_rows.append(db.bits[0, 0].copy())
+            # free this database before the iterator makes the next
+            del db
+        self.k = len(self.key_ids)
+        if self.k < 2:
+            raise InconsistentDatabasesError(f"cross-key comparison needs at least 2 databases, got {self.k}")
+        self.scheme = scheme_named(scheme)
         if ring is not None:
             # the relative keys and the inverted views read the ring, so a
             # ring that does not fit the databases would score them wrongly
@@ -338,10 +358,9 @@ class ScoreEngine:
                     f"key ring built for {ring.template_bits}-bit templates, databases hold {self.raw_length}")
             if not all(0 <= key_id < ring.k for key_id in self.key_ids):
                 raise InconsistentDatabasesError(f"key ids {self.key_ids} outside a ring of {ring.k} keys")
-            if len({self.scheme.invert(db.bits[0, 0], ring, db.key_id).tobytes() for db in databases}) > 1:
+            if len({self.scheme.invert(row, ring, key_id).tobytes()
+                    for row, key_id in zip(first_rows, self.key_ids)}) > 1:
                 raise InconsistentDatabasesError("the databases do not protect one corpus under the ring's keys")
-        packed, pops = zip(*(self._word_major(kernels.pack_rows(db.bits.reshape(-1, self.protected_length)))
-                             for db in databases))
         self.packed, self.pops = np.stack(packed), np.stack(pops)
 
         # the inverted view is built on first use so that a scheme that
@@ -366,7 +385,8 @@ class ScoreEngine:
         that permuted_xor compares.  Each scheme's inverse, Bloom's
         approximate decode included, gives a template the same bits under
         every key, so key 0's rows are unpacked, inverted and packed once,
-        and broadcast, read-only, to all K keys.
+        INVERT_BYTES of unpacked bits at a time, and broadcast, read-only,
+        to all K keys.
         """
         if self._packed_inverted is None:
             if self.ring is None:
@@ -375,9 +395,15 @@ class ScoreEngine:
                 raise SchemeNotInvertibleError(
                     "Bloom-filter encoding is not invertible; approximate reconstruction is opt-in"
                 )
-            rows = self.packed[0].transpose(2, 1, 0).reshape(-1, self.packed.shape[1])
-            packed, pops = self._word_major(kernels.pack_rows(self.scheme.invert(
-                kernels.unpack_rows(rows, self.protected_length), self.ring, self.key_ids[0])))
+            words, samples = self.packed.shape[1], self.samples
+            rows = np.empty((self.n_subjects * samples, -(-self.raw_length // 64)), dtype=np.uint64)
+            step = max(1, INVERT_BYTES // (samples * max(self.protected_length, self.raw_length)))
+            for lo in range(0, self.n_subjects, step):
+                # the block's subjects, subject-major as pack_rows made them
+                block = self.packed[0][:, :, lo : lo + step].transpose(2, 1, 0).reshape(-1, words)
+                rows[lo * samples : (lo + step) * samples] = kernels.pack_rows(self.scheme.invert(
+                    kernels.unpack_rows(block, self.protected_length), self.ring, self.key_ids[0]))
+            packed, pops = self._word_major(rows)
             self._inverted_pops = np.broadcast_to(pops, (self.k, *pops.shape))
             self._packed_inverted = np.broadcast_to(packed, (self.k, *packed.shape))
         return self._packed_inverted
@@ -638,14 +664,16 @@ def synthetic_engine(
     """Key ring, corpus, one protected database per key, packed into an engine.
 
     Without key_seed the keys follow from the corpus seed, so one seed
-    fixes the whole testbed.  The corpus and the databases go on return.
+    fixes the whole testbed.  The engine takes the databases one key at a
+    time from synthbtp.protected_databases, so the build holds the corpus
+    and one per-bit database beside the packed rows; the corpus goes once
+    the last key is protected.
     """
     if key_seed is None:
         key_seed = default_key_seed(corpus_cfg.seed)
     make_ring = KeyRing.constant_ring if constant_key else KeyRing.generate
     ring = make_ring(k, corpus_cfg.template_bits, key_seed, block_size, bloom_width, bloom_height, scheme)
-    databases = generate_databases(generate_corpus(corpus_cfg), ring, scheme)
-    return ScoreEngine(databases, ring, allow_approximate_bloom)
+    return ScoreEngine(protected_databases(generate_corpus(corpus_cfg), ring, scheme), ring, allow_approximate_bloom)
 
 
 @dataclass(frozen=True)

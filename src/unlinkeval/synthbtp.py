@@ -13,6 +13,7 @@ protocol's score engine.  Everything is deterministic given the seed.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -382,12 +383,23 @@ class ProtectedDatabase:
         self.bits.setflags(write=False)
 
 
-def generate_databases(corpus: RawCorpus, ring: KeyRing, scheme: str) -> list[ProtectedDatabase]:
-    """One protected database per key in the ring."""
+def protected_databases(corpus: RawCorpus, ring: KeyRing, scheme: str) -> Iterator[ProtectedDatabase]:
+    """One protected database per key in the ring, key 0 first, each protected as it is taken.
+
+    The scheme and the ring's length are checked at once.  The iterator
+    holds the corpus until it is exhausted, and no database it has yielded,
+    so a consumer that drops each database before taking the next holds
+    the corpus and one database at a time.
+    """
     protection = scheme_named(scheme)
     if ring.template_bits != corpus.config.template_bits:
         raise LengthMismatchError(
             f"ring built for {ring.template_bits}-bit templates, corpus has {corpus.config.template_bits}"
         )
-    return [ProtectedDatabase(bits=protection.protect(corpus.bits, ring, key_id), key_id=key_id, scheme=scheme,
-                              raw_bits=ring.template_bits) for key_id in range(ring.k)]
+    return (ProtectedDatabase(bits=protection.protect(corpus.bits, ring, key_id), key_id=key_id, scheme=scheme,
+                              raw_bits=ring.template_bits) for key_id in range(ring.k))
+
+
+def generate_databases(corpus: RawCorpus, ring: KeyRing, scheme: str) -> list[ProtectedDatabase]:
+    """One protected database per key in the ring: protected_databases, all held at once."""
+    return list(protected_databases(corpus, ring, scheme))

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+import textwrap
 import threading
 import tracemalloc
 import warnings
@@ -210,12 +213,14 @@ def _oracle_score(fn, scheme, ring, raw1, a, raw2, b):
 def distance_blocks(request, monkeypatch):
     """Every pass on the calling thread, or split over three threads
     however little work it holds, in default tiles or in tiles of two rows
-    that split every corpus here."""
+    that split every corpus here; with the two-row tiles, the inverted view
+    is built one subject at a time."""
     kind, tile_rows = request.param
     monkeypatch.setattr(protocol, "THREAD_MIN_WORDS", 0 if kind == "threads" else 1 << 62)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     if tile_rows is not None:
         monkeypatch.setattr(kernels, "TILE_ROWS", tile_rows)
+        monkeypatch.setattr(protocol, "INVERT_BYTES", 1)
 
 
 def _assert_same_tables(got, expected):
@@ -343,22 +348,36 @@ class TestSyntheticEngine:
     @pytest.mark.parametrize("scheme", ["xor-salt", "block-remap", "bloom-filter", "none"])
     def test_corpus_and_per_bit_databases_are_freed_when_it_returns(self, monkeypatch, scheme):
         """synthetic_engine keeps neither the corpus nor the per-bit databases
-        it protects and packs: only the engine's packed rows outlive it."""
+        it protects and packs: only the engine's packed rows outlive it.  It
+        protects one key at a time, so each database is the only one alive
+        once it is made."""
         import unlinkeval.protocol as protocol
 
-        per_bit = []
-        for name in ("generate_corpus", "generate_databases"):
-            def keep_refs(*args, _real=getattr(protocol, name)):
-                made = _real(*args)
-                per_bit.extend(weakref.ref(m.bits) for m in (made if isinstance(made, list) else [made]))
-                return made
+        corpus, per_bit, alive = [], [], []
+        real_corpus = protocol.generate_corpus
 
-            monkeypatch.setattr(protocol, name, keep_refs)
+        def keep_corpus(cfg):
+            made = real_corpus(cfg)
+            corpus.append(weakref.ref(made.bits))
+            return made
+
+        protection = type(SCHEMES[scheme])
+        real_protect = protection.protect
+
+        def keep_database(self, *args):
+            made = real_protect(self, *args)
+            per_bit.append(weakref.ref(made))
+            alive.append(sum(ref() is not None for ref in per_bit))
+            return made
+
+        monkeypatch.setattr(protocol, "generate_corpus", keep_corpus)
+        monkeypatch.setattr(protection, "protect", keep_database)
         cfg = ue.CorpusConfig(n_subjects=4, samples_per_subject=2, template_bits=128,
                               intra_flip_rate=0.1, seed=5)
         engine = synthetic_engine(cfg, 3, scheme, block_size=16)
-        assert engine.k == 3 and len(per_bit) == 1 + 3
-        assert [ref() for ref in per_bit] == [None] * 4
+        assert engine.k == 3 and len(corpus) == 1 and len(per_bit) == 3
+        assert alive == [1, 1, 1]
+        assert [ref() for ref in corpus + per_bit] == [None] * 4
 
 
 class TestEngineValidation:
@@ -1072,15 +1091,16 @@ class TestProtocolMemory:
         """run_protocol, block re-mapping, all four functions, no out_dir, K = 10.
 
         The peak comes while synthetic_engine builds the engine.  Held then,
-        by the bound below: the K per-bit databases (K n S L B) that it
-        packs, the packed rows and their inverted view with the set-bit
-        counts of both, one tile's buffers (the product, the pair index and
-        the taken entries, under 40 B per entry of TILE_ROWS x n), and 6 MB
-        for the rest.  The engine does not hold the databases, so they are
-        gone before a pair is scored: the scoring peak, taken from the
-        engine's return, holds no term for them, and each scoring thread
-        adds its own buffers (the 576 KiB of hamming_cross and one tile's),
-        under 1 MiB and 40 B per entry of TILE_ROWS x n.
+        by the bound below: the corpus and the one per-bit database it
+        protects and packs at a time (2 n S L B), the packed rows and their
+        inverted view with the set-bit counts of both, one tile's buffers
+        (the product, the pair index and the taken entries, under 40 B per
+        entry of TILE_ROWS x n), and 6 MB for the rest.  The engine does not
+        hold the databases, so they are gone before a pair is scored: the
+        scoring peak, taken from the engine's return, holds no term for
+        them, and each scoring thread adds its own buffers (the 576 KiB of
+        hamming_cross and one tile's), under 1 MiB and 40 B per entry of
+        TILE_ROWS x n.
         """
         k, samples, length = 10, 4, 1024
         workers = protocol._max_workers(45)
@@ -1089,7 +1109,7 @@ class TestProtocolMemory:
             return 2 * k * n * samples * (length // 8 + 8)
 
         def bound(n):
-            return k * n * samples * length + packed(n) + kernels.TILE_ROWS * n * 40 + 6 * 2**20
+            return 2 * n * samples * length + packed(n) + kernels.TILE_ROWS * n * 40 + 6 * 2**20
 
         def scoring_bound(n):
             return packed(n) + workers * (2**20 + kernels.TILE_ROWS * n * 40) + 6 * 2**20
@@ -1119,6 +1139,51 @@ class TestProtocolMemory:
             assert all("d_sys" in entry for entry in report.per_function.values())
             assert max(built.pop(), scoring) < bound(n)
             assert scoring < scoring_bound(n)
+
+
+class TestWholeProcessMemory:
+    def test_engine_build_at_5000_subjects(self):
+        """A fresh process builds synthetic_engine at 5000 subjects (K = 10,
+        4 samples, 1024 bits, block re-mapping) and its reconstruction view,
+        and reports the rise of its max RSS over its RSS after the imports.
+
+        The build holds, by the bound below: the packed rows and their
+        set-bit counts (K n S (L/8 + 8) B, 27.2 MB), the inverted view of
+        one key (2.7 MB), the corpus and the one per-bit database protected
+        and packed at a time (2 n S L B, 41.0 MB), and 32 MiB of slack for
+        one key's packing temporaries, the inverted view's blocks of
+        INVERT_BYTES and the pages the allocator keeps.  Holding all K
+        per-bit databases at once would alone take 205 MB.
+        """
+        # the child reads its max RSS through the resource module
+        pytest.importorskip("resource")
+        n, samples, length, k = 5000, 4, 1024, 10
+        row = length // 8 + 8
+        bound = k * n * samples * row + n * samples * row + 2 * n * samples * length + 32 * 2**20
+        script = textwrap.dedent("""
+            import resource, sys
+            from unlinkeval.protocol import synthetic_engine
+            from unlinkeval.synthbtp import CorpusConfig
+
+            def max_rss():
+                # bytes on macOS, KiB elsewhere
+                peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                return peak if sys.platform == "darwin" else peak * 1024
+
+            after_imports = max_rss()
+            cfg = CorpusConfig(n_subjects=5000, samples_per_subject=4, template_bits=1024,
+                               intra_flip_rate=0.1, seed=3)
+            engine = synthetic_engine(cfg, 10, "block-remap")
+            engine.view("reconstruction")
+            assert engine.packed.shape == (10, 16, 4, 5000)
+            print(max_rss() - after_imports)
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            cwd=Path(__file__).resolve().parents[1], env={**os.environ, "PYTHONPATH": "src"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.split()[-1]) < bound
 
 
 class TestFailedFunctionsLeaveNoScoreFile:

@@ -1,10 +1,17 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import unlinkeval as ue
-from unlinkeval.errors import InvalidConfigError, NotDivisibleError, SchemeNotInvertibleError
+from unlinkeval.errors import (
+    InconsistentDatabasesError,
+    InvalidConfigError,
+    LengthMismatchError,
+    NotDivisibleError,
+    SchemeNotInvertibleError,
+)
 from unlinkeval.protocol import ProtocolConfig, ScoreEngine
 from unlinkeval.synthbtp import (
     SCHEME_BLOCK,
@@ -406,3 +413,97 @@ class TestProtectCorpus:
         dbs = ue.generate_databases(corpus, ring, SCHEME_XOR)
         assert [db.key_id for db in dbs] == [0, 1, 2]
         assert all(isinstance(db, ProtectedDatabase) for db in dbs)
+
+    def test_protected_databases_are_made_as_they_are_taken(self, monkeypatch):
+        """protected_databases checks the ring at once and protects each key
+        only when its database is taken; generate_databases is its list."""
+        cfg = ue.CorpusConfig(n_subjects=2, samples_per_subject=2, template_bits=256,
+                              intra_flip_rate=0.1, seed=31)
+        corpus = ue.generate_corpus(cfg)
+        ring = ue.KeyRing.generate(3, 256, seed=32)
+        with pytest.raises(LengthMismatchError, match="ring built for 128-bit templates"):
+            ue.protected_databases(corpus, ue.KeyRing.generate(3, 128, seed=32, block_size=16), SCHEME_XOR)
+        with pytest.raises(InvalidConfigError, match="unknown scheme"):
+            ue.protected_databases(corpus, ring, "rot13")
+        protected = []
+        real = type(XOR).protect
+        monkeypatch.setattr(type(XOR), "protect", lambda self, *args: protected.append(args[2]) or real(self, *args))
+        databases = ue.protected_databases(corpus, ring, SCHEME_XOR)
+        assert protected == []
+        assert next(databases).key_id == 0 and protected == [0]
+        rest = list(databases)
+        assert [db.key_id for db in rest] == [1, 2] and protected == [0, 1, 2]
+        for db, listed in zip(rest, ue.generate_databases(corpus, ring, SCHEME_XOR)[1:]):
+            assert np.array_equal(db.bits, listed.bits) and db.key_id == listed.key_id
+
+
+# every linkage function each scheme supports
+SUPPORTED = [(scheme, fn) for scheme in (SCHEME_XOR, SCHEME_BLOCK, SCHEME_BLOOM, SCHEME_NONE)
+             for fn in ("pic_hd", "hamming_weight", "permuted_xor", "reconstruction")
+             if fn != "permuted_xor" or scheme == SCHEME_BLOCK]
+
+
+def _corpus_and_ring(n_subjects=5, k=4, bits=128, seed=41):
+    cfg = ue.CorpusConfig(n_subjects=n_subjects, samples_per_subject=3, template_bits=bits,
+                          intra_flip_rate=0.1, seed=seed)
+    return ue.generate_corpus(cfg), ue.KeyRing.generate(k, bits, seed + 1, block_size=16)
+
+
+def _tables(engine, fn):
+    """Every count table the engine gives fn: cross-key with each
+    non-mated option and mated pairing, and same-key."""
+    return [ue.cross_database_scores(engine, fn, mated_pairing=pairing, non_mated_all_pairs=all_pairs)
+            for pairing in ("all-cross-key", "distinct-samples") for all_pairs in (False, True)
+            ] + [ue.same_key_scores(engine, fn)]
+
+
+class TestEngineFromAnIterator:
+    """ScoreEngine takes any iterable of databases, packs each as it arrives
+    and checks it as it did a list, with the same errors and messages."""
+
+    @pytest.mark.parametrize("source", ["one-shot iterator", "generator", "protected_databases"])
+    @pytest.mark.parametrize("scheme,fn", SUPPORTED)
+    def test_same_tables_as_from_a_list(self, scheme, fn, source):
+        corpus, ring = _corpus_and_ring()
+        listed = ue.generate_databases(corpus, ring, scheme)
+        databases = {"one-shot iterator": lambda: iter(listed),
+                     "generator": lambda: (db for db in listed),
+                     "protected_databases": lambda: ue.protected_databases(corpus, ring, scheme)}[source]()
+        engines = [ScoreEngine(dbs, ring, allow_approximate_bloom=True) for dbs in (listed, databases)]
+        assert engines[1].key_ids == engines[0].key_ids == list(range(4))
+        for got, expected in zip(*(_tables(engine, fn) for engine in engines)):
+            for side in ("mated", "non_mated"):
+                a, b = getattr(got, side), getattr(expected, side)
+                assert np.array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
+                assert np.array_equal(a.counts, b.counts)
+
+    @pytest.mark.parametrize("case,message", [
+        ("one database", "cross-key comparison needs at least 2 databases, got 1"),
+        ("no database", "cross-key comparison needs at least 2 databases, got 0"),
+        ("other shape", "databases disagree on corpus shape or scheme"),
+        ("other scheme", "databases disagree on corpus shape or scheme"),
+        ("other raw length", "databases disagree on corpus shape or scheme"),
+        ("duplicate key id", "databases carry duplicate key ids"),
+        ("ring length", "key ring built for 256-bit templates, databases hold 128"),
+        ("key id outside the ring", "key ids [0, 1, 2, 7] outside a ring of 4 keys"),
+        ("not one corpus", "the databases do not protect one corpus under the ring's keys"),
+    ])
+    def test_validation_errors_from_a_generator(self, case, message):
+        corpus, ring = _corpus_and_ring()
+        dbs = ue.generate_databases(corpus, ring, SCHEME_XOR)
+        other_corpus, _ = _corpus_and_ring(seed=43)
+        change = {
+            "one database": lambda: dbs[:1],
+            "no database": lambda: [],
+            "other shape": lambda: [*dbs[:3], replace(dbs[3], bits=dbs[3].bits[:4])],
+            "other scheme": lambda: [*dbs[:3], replace(dbs[3], scheme=SCHEME_NONE)],
+            "other raw length": lambda: [*dbs[:3], replace(dbs[3], raw_bits=64)],
+            "duplicate key id": lambda: [*dbs[:3], replace(dbs[3], key_id=1)],
+            "key id outside the ring": lambda: [*dbs[:3], replace(dbs[3], key_id=7)],
+            "not one corpus": lambda: [*dbs[:3], ue.generate_databases(other_corpus, ring, SCHEME_XOR)[3]],
+        }
+        databases = change.get(case, lambda: dbs)()
+        if case == "ring length":
+            ring = ue.KeyRing.generate(4, 256, seed=42, block_size=16)
+        with pytest.raises(InconsistentDatabasesError, match=f"^{re.escape(message)}$"):
+            ScoreEngine((db for db in databases), ring)
