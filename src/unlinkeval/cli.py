@@ -8,6 +8,7 @@ explicit seeds, so every command is deterministic given its inputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -221,9 +222,12 @@ def cmd_synth(args) -> int:
         paths[4].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     except BaseException:
         # a run that fails while scoring or writing leaves none of its files,
-        # so none that an earlier run in the same directory wrote either
+        # so none that an earlier run in the same directory wrote either; a
+        # file that cannot be removed (--out names a file) leaves the error
+        # that failed the run to be reported
         for path in paths:
-            path.unlink(missing_ok=True)
+            with contextlib.suppress(OSError):
+                path.unlink(missing_ok=True)
         raise
     print(f"wrote {scores.n_mated} mated and {scores.n_non_mated} non-mated scores to {out}")
     return 0

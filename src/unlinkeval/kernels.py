@@ -2,7 +2,9 @@
 
 These are the hot loops of the whole package.  Inputs are uint64 matrices
 of packed template bits, one row per template (hamming_cross reads them
-word-major).  Work is chunked so peak temporary memory stays bounded.
+word-major).  hamming_cross works in chunks, so its temporaries stay
+bounded; popcount_rows's one temporary holds a byte per word, an eighth
+of the rows it counts.
 
 The loops write into buffers allocated once per call, or given by the
 caller and reused across calls, not into fresh temporaries per chunk or
@@ -26,9 +28,6 @@ import numpy as np
 # (perfbench/worker.py) record it.
 USING_EXTENSION = False
 
-# rows per popcount chunk; 2**14 rows x 64 words x 8 B = 8 MiB
-_CHUNK = 1 << 14
-
 # words per XOR chunk of hamming_cross: 512 KiB, and 64 KiB of popcounts
 _CROSS_WORDS = 1 << 16
 
@@ -40,12 +39,7 @@ TILE_ROWS = 32
 
 def popcount_rows(a: np.ndarray) -> np.ndarray:
     """Set-bit count of each row of a packed uint64 matrix, shape (n,)."""
-    a = np.ascontiguousarray(a, dtype=np.uint64)
-    out = np.empty(a.shape[0], dtype=np.int64)
-    for lo in range(0, a.shape[0], _CHUNK):
-        hi = min(lo + _CHUNK, a.shape[0])
-        out[lo:hi] = np.bitwise_count(a[lo:hi]).sum(axis=1, dtype=np.int64)
-    return out
+    return np.bitwise_count(np.ascontiguousarray(a, dtype=np.uint64)).sum(axis=1, dtype=np.int64)
 
 
 def hamming_cross(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:

@@ -8,13 +8,13 @@ the most effective linkage function an adversary could field.  Baseline
 accuracy metrics (DET/EER families, KL) are computed from the same scores
 so their verdicts can be compared directly against the global measure.
 
-cross_database_scores and same_key_scores take one ScoreEngine, which packs
-the K databases once, and tally its scores into count tables as their
-distance blocks are computed.  Every statistic of the report, the Gaussian
-KDE included, reads only the count tables, and every score file (with
-out_dir, and in `unlink-eval synth`) is written from them, each side in
-ascending order.  Score files given as input (score_files) are tallied as
-they are read.
+cross_database_scores and same_key_scores take one ScoreEngine, which
+protects one corpus under each of the K keys and packs the databases once,
+and tally its scores into count tables as their distance blocks are
+computed.  Every statistic of the report, the Gaussian KDE included, reads
+only the count tables, and every score file (with out_dir, and in
+`unlink-eval synth`) is written from them, each side in ascending order.
+Score files given as input (score_files) are tallied as they are read.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ from .scores import (
     load_score_set,
     sorted_distinct,
 )
-from .synthbtp import CorpusConfig, KeyRing, generate_corpus, protected_databases, scheme_named
+from .synthbtp import CorpusConfig, KeyRing, RawCorpus, generate_corpus, protected_databases, scheme_named
 
-# Not called here (synthetic_engine protects through protected_databases), but
+# Not called here (the engine protects through protected_databases), but
 # kept as a name of this module: the benchmark's tracer in perfbench/spans.py
 # wraps it.
 from .synthbtp import generate_databases  # noqa: F401
@@ -306,62 +306,43 @@ INVERT_BYTES = 1 << 22
 
 
 class ScoreEngine:
-    """The K databases packed once, and what each linkage function compares of them.
+    """One corpus protected under each key of the ring, packed once, and
+    what each linkage function compares of it.
 
-    databases is any iterable of ProtectedDatabase: a list, or an iterator
-    that makes each database as it is taken (synthbtp.protected_databases).
-    They protect one corpus, each under its key of the ring; given the
-    ring, the engine checks that it fits them.  Each database is checked
-    against the first as it arrives, then packed: the engine holds their
-    rows packed, word-major, and their set-bit counts (_word_major), never
-    the per-bit databases, and drops its reference to each before it takes
-    the next.  So the build from an iterator holds the corpus, one database
-    and the packed rows, and a caller that drops a list frees it before any
-    pair is scored.  view(function) is the _View of a function;
-    same_subject and distinct_subjects yield a view's distances block by
-    block for the key pairs that pair_groups leaves.  The ring undoes the
-    protection (permuted_xor, reconstruction) and gives the relative keys.
-    Read-only once built, except for the inverted view, built on first use,
-    and `scored`, the count tables _tallied has built: views of the same
-    bits over the same length (permuted_xor and reconstruction on block
-    re-mapping) are tallied once.
+    The engine protects the corpus itself, one key at a time
+    (synthbtp.protected_databases), so its K databases are one corpus, each
+    under its own key of the ring, by construction; a key's id is its index
+    in the ring.  It packs each database into preallocated rows, word-major
+    (K, W, S, n), and set-bit counts (K, S, n), and drops the database
+    before the next key is protected: the build holds the corpus, one
+    per-bit database and the packed rows.  view(function) is the _View of a
+    function; same_subject and distinct_subjects yield a view's distances
+    block by block for the key pairs that pair_groups leaves.  The ring
+    undoes the protection (permuted_xor, reconstruction) and gives the
+    relative keys.  Read-only once built, except for the inverted view,
+    built on first use, and `scored`, the count tables _tallied has built:
+    views of the same bits over the same length (permuted_xor and
+    reconstruction on block re-mapping) are tallied once.
     """
 
-    def __init__(self, databases, ring: KeyRing | None = None, allow_approximate_bloom: bool = False):
-        self.ring = ring
-        self.key_ids: list = []
-        packed, pops, first_rows = [], [], []
-        for db in databases:
-            if not self.key_ids:
-                shape, scheme, self.raw_length = db.bits.shape, db.scheme, db.raw_bits
-                self.n_subjects, self.samples, self.protected_length = shape
-            elif db.bits.shape != shape or db.scheme != scheme or db.raw_bits != self.raw_length:
-                raise InconsistentDatabasesError("databases disagree on corpus shape or scheme")
-            if db.key_id in self.key_ids:
-                raise InconsistentDatabasesError("databases carry duplicate key ids")
-            self.key_ids.append(db.key_id)
-            rows, counts = self._word_major(kernels.pack_rows(db.bits.reshape(-1, self.protected_length)))
-            packed.append(rows)
-            pops.append(counts)
-            first_rows.append(db.bits[0, 0].copy())
-            # free this database before the iterator makes the next
-            del db
-        self.k = len(self.key_ids)
+    def __init__(self, corpus: RawCorpus, ring: KeyRing, scheme: str, allow_approximate_bloom: bool = False):
+        # checks the scheme and the ring's length before any key is protected
+        databases = protected_databases(corpus, ring, scheme)
+        self.ring, self.k, self.scheme = ring, ring.k, scheme_named(scheme)
         if self.k < 2:
-            raise InconsistentDatabasesError(f"cross-key comparison needs at least 2 databases, got {self.k}")
-        self.scheme = scheme_named(scheme)
-        if ring is not None:
-            # the relative keys and the inverted views read the ring, so a
-            # ring that does not fit the databases would score them wrongly
-            if ring.template_bits != self.raw_length:
-                raise InconsistentDatabasesError(
-                    f"key ring built for {ring.template_bits}-bit templates, databases hold {self.raw_length}")
-            if not all(0 <= key_id < ring.k for key_id in self.key_ids):
-                raise InconsistentDatabasesError(f"key ids {self.key_ids} outside a ring of {ring.k} keys")
-            if len({self.scheme.invert(row, ring, key_id).tobytes()
-                    for row, key_id in zip(first_rows, self.key_ids)}) > 1:
-                raise InconsistentDatabasesError("the databases do not protect one corpus under the ring's keys")
-        self.packed, self.pops = np.stack(packed), np.stack(pops)
+            raise InconsistentDatabasesError(f"cross-key comparison needs at least 2 keys, got {self.k}")
+        self.n_subjects, self.samples, self.raw_length = corpus.bits.shape
+        # no enumerate: its reused result tuple would keep each database alive
+        # while the generator makes the next
+        for db in databases:
+            rows = kernels.pack_rows(db.bits.reshape(-1, db.bits.shape[-1]))
+            if db.key_id == 0:
+                self.protected_length = db.bits.shape[-1]
+                self.packed = np.empty((self.k, rows.shape[1], self.samples, self.n_subjects), dtype=np.uint64)
+                self.pops = np.empty((self.k, self.samples, self.n_subjects), dtype=np.int64)
+            self.packed[db.key_id], self.pops[db.key_id] = self._word_major(rows)
+            # free this database before the generator makes the next
+            del db
 
         # the inverted view is built on first use so that a scheme that
         # cannot be inverted only fails the function that needs it
@@ -371,14 +352,13 @@ class ScoreEngine:
         self.scored: dict = {}
 
     def _word_major(self, rows: np.ndarray):
-        """Packed rows, subject-major (row i S + s), as (W, S, n), the layout
-        hamming_cross reads, and their set-bit counts as (S, n): sample s of
-        subject i sits at [..., s, i]."""
+        """Packed rows, subject-major (row i S + s), as a (W, S, n) view, the
+        layout hamming_cross reads, and their set-bit counts as (S, n):
+        sample s of subject i sits at [..., s, i]."""
         n, samples = self.n_subjects, self.samples
-        return (np.ascontiguousarray(rows.reshape(n, samples, -1).transpose(2, 1, 0)),
-                np.ascontiguousarray(kernels.popcount_rows(rows).reshape(n, samples).T))
+        return rows.reshape(n, samples, -1).transpose(2, 1, 0), kernels.popcount_rows(rows).reshape(n, samples).T
 
-    def packed_inverted(self, fn: str) -> np.ndarray:
+    def packed_inverted(self) -> np.ndarray:
         """Every template with its protection undone under its own key.
 
         For block re-mapping this is also the structurally aligned view
@@ -389,8 +369,6 @@ class ScoreEngine:
         to all K keys.
         """
         if self._packed_inverted is None:
-            if self.ring is None:
-                raise InvalidConfigError(f"{fn} requires the key ring")
             if self.scheme.approximate_inverse and not self._allow_approximate_bloom:
                 raise SchemeNotInvertibleError(
                     "Bloom-filter encoding is not invertible; approximate reconstruction is opt-in"
@@ -402,8 +380,8 @@ class ScoreEngine:
                 # the block's subjects, subject-major as pack_rows made them
                 block = self.packed[0][:, :, lo : lo + step].transpose(2, 1, 0).reshape(-1, words)
                 rows[lo * samples : (lo + step) * samples] = kernels.pack_rows(self.scheme.invert(
-                    kernels.unpack_rows(block, self.protected_length), self.ring, self.key_ids[0]))
-            packed, pops = self._word_major(rows)
+                    kernels.unpack_rows(block, self.protected_length), self.ring, 0))
+            packed, pops = (np.ascontiguousarray(a) for a in self._word_major(rows))
             self._inverted_pops = np.broadcast_to(pops, (self.k, *pops.shape))
             self._packed_inverted = np.broadcast_to(packed, (self.k, *packed.shape))
         return self._packed_inverted
@@ -419,36 +397,35 @@ class ScoreEngine:
                 raise InconsistentDatabasesError(
                     "permuted_xor needs a block-remapping scheme with known structure"
                 )
-            return _View(self.packed_inverted(function), self._inverted_pops, self.protected_length, False)
+            return _View(self.packed_inverted(), self._inverted_pops, self.protected_length, False)
         if function == "reconstruction":
-            return _View(self.packed_inverted(function), self._inverted_pops, self.raw_length, False)
+            return _View(self.packed_inverted(), self._inverted_pops, self.raw_length, False)
         raise InvalidConfigError(f"unknown linkage function {function!r}")
 
     def canonical_keys(self, view: _View) -> np.ndarray:
-        """Each key's first key whose database `view` compares as byte-identical.
+        """Each key's first key whose set-bit counts in `view` hold the same bytes.
 
-        Two keys' databases are the same to a view when their set-bit counts
-        and, if the view has them, their packed rows are equal arrays: the
-        inverted view on every scheme, set-bit counts under block
-        re-mapping and Bloom filters, and every view under a constant key.
-        Any pair of templates then scores the same under either key.
+        Only views without the protected rows reach here: hamming_weight's
+        set-bit counts, and the inverted view, one array of rows broadcast
+        to every key.  Two keys with equal counts then give every pair of
+        templates the same score: under block re-mapping and Bloom filters,
+        on the inverted view of every scheme, and under a constant key.
         """
         first: dict = {}
-        return np.array([first.setdefault((view.pops[k].tobytes(), None if view.packed is None
-                                           else view.packed[k].tobytes()), k) for k in range(self.k)])
+        return np.array([first.setdefault(view.pops[k].tobytes(), k) for k in range(self.k)])
 
     def pair_groups(self, view: _View, keys_a, keys_b) -> np.ndarray:
         """A label per key pair (keys_a[p], keys_b[p]); pairs of one label score alike.
 
-        Given the key ring, the protected rows label a pair by its relative
-        key (the scheme's relative).  Other views label it by its canonical
-        keys: the inverted view's rows are the same under every key, and
-        set-bit counts under XOR salting are no function of the relative key.
+        The protected rows label a pair by its relative key (the scheme's
+        relative).  Other views label it by its canonical keys: the inverted
+        view's rows are the same under every key, and set-bit counts under
+        XOR salting are no function of the relative key.
         """
-        if view.packed is self.packed and self.ring is not None:
+        if view.packed is self.packed:
             labels: dict = {}
-            return np.array([labels.setdefault(self.scheme.relative(self.ring, self.key_ids[a], self.key_ids[b]),
-                                               len(labels)) for a, b in zip(keys_a, keys_b)], dtype=np.intp)
+            return np.array([labels.setdefault(self.scheme.relative(self.ring, a, b), len(labels))
+                             for a, b in zip(keys_a, keys_b)], dtype=np.intp)
         canon = self.canonical_keys(view)
         return canon[keys_a] * self.k + canon[keys_b]
 
@@ -661,19 +638,16 @@ def synthetic_engine(
     bloom_height: int = 4,
     allow_approximate_bloom: bool = False,
 ) -> ScoreEngine:
-    """Key ring, corpus, one protected database per key, packed into an engine.
+    """Key ring and corpus, and the engine that protects the corpus under each key.
 
     Without key_seed the keys follow from the corpus seed, so one seed
-    fixes the whole testbed.  The engine takes the databases one key at a
-    time from synthbtp.protected_databases, so the build holds the corpus
-    and one per-bit database beside the packed rows; the corpus goes once
-    the last key is protected.
+    fixes the whole testbed.  The corpus goes when the engine is built.
     """
     if key_seed is None:
         key_seed = default_key_seed(corpus_cfg.seed)
     make_ring = KeyRing.constant_ring if constant_key else KeyRing.generate
     ring = make_ring(k, corpus_cfg.template_bits, key_seed, block_size, bloom_width, bloom_height, scheme)
-    return ScoreEngine(protected_databases(generate_corpus(corpus_cfg), ring, scheme), ring, allow_approximate_bloom)
+    return ScoreEngine(generate_corpus(corpus_cfg), ring, scheme, allow_approximate_bloom)
 
 
 @dataclass(frozen=True)

@@ -229,6 +229,18 @@ class TestSynth:
         assert capsys.readouterr().err == "error: out of memory: Unable to allocate 1.00 TiB\n"
         assert [path.name for path in out.iterdir()] == ["notes.txt"]
 
+    def test_out_naming_a_file_reports_the_mkdir_error(self, tmp_path, capsys):
+        """The cleanup cannot remove files under a file; the error that
+        failed the run is the one reported, and the file stays."""
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        rc = main(["synth", "--scheme", "xor", "--function", "pic_hd", "--subjects", "4",
+                   "--bits", "256", "--keys", "3", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "File exists" in err and "Not a directory" not in err
+        assert out.read_text() == "kept\n"
+
     def test_writing_rows_warns_of_no_estimate(self, tmp_path, capsys):
         """synth writes rows and estimates nothing, so it warns of no small
         side; run_protocol on the same corpus warns once per small side."""

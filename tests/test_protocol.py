@@ -19,6 +19,7 @@ from unlinkeval.errors import (
     InconsistentDatabasesError,
     InvalidConfigError,
     KeyCountWarning,
+    LengthMismatchError,
     NotDivisibleError,
     PriorRangeWarning,
     StatisticalAdequacyWarning,
@@ -37,20 +38,19 @@ warnings.simplefilter("ignore", StatisticalAdequacyWarning)
 warnings.simplefilter("ignore", KeyCountWarning)
 
 
-def _databases(n_subjects=2, samples=2, bits=128, k=2, seed=1, scheme=SCHEME_XOR,
-               constant=False):
+def _corpus_and_ring(n_subjects=2, samples=2, bits=128, k=2, seed=1, constant=False):
     cfg = ue.CorpusConfig(n_subjects=n_subjects, samples_per_subject=samples,
                           template_bits=bits, intra_flip_rate=0.1, seed=seed)
     corpus = ue.generate_corpus(cfg)
     make = ue.KeyRing.constant_ring if constant else ue.KeyRing.generate
     # 16-bit blocks keep the permutation space large enough for k up to 10
     ring = make(k, bits, seed + 1, block_size=16)
-    return ue.generate_databases(corpus, ring, scheme), ring
+    return corpus, ring
 
 
-def _engine(**kwargs):
-    """A ScoreEngine over _databases(**kwargs)."""
-    return ScoreEngine(*_databases(**kwargs))
+def _engine(scheme=SCHEME_XOR, **kwargs):
+    """A ScoreEngine over _corpus_and_ring(**kwargs) under scheme."""
+    return ScoreEngine(*_corpus_and_ring(**kwargs), scheme)
 
 
 def _read_rows(path):
@@ -117,9 +117,10 @@ class TestPairCounts:
 
 class TestScoreValues:
     def test_mated_xor_scores_match_hand_computation(self):
-        dbs, ring = _databases(n_subjects=2, samples=2, k=2, bits=64)
-        s = ue.cross_database_scores(ScoreEngine(dbs, ring), "pic_hd", mated_pairing=PAIRING_DISTINCT_SAMPLES,
-                                     non_mated_all_pairs=True)
+        corpus, ring = _corpus_and_ring(n_subjects=2, samples=2, k=2, bits=64)
+        s = ue.cross_database_scores(ScoreEngine(corpus, ring, SCHEME_XOR), "pic_hd",
+                                     mated_pairing=PAIRING_DISTINCT_SAMPLES, non_mated_all_pairs=True)
+        dbs = ue.generate_databases(corpus, ring, SCHEME_XOR)
         # template pair (subject, sample 0, key 0) vs (subject, sample 1, key 1)
         expected = []
         for subj in range(2):
@@ -136,9 +137,10 @@ class TestScoreValues:
         assert float(np.mean(_scores_of(s.non_mated))) == pytest.approx(0.5, abs=0.05)
 
     def test_determinism(self):
-        dbs, ring = _databases(n_subjects=4, samples=2, k=3, seed=11)
+        corpus, ring = _corpus_and_ring(n_subjects=4, samples=2, k=3, seed=11)
         # each call gets its own engine, so neither reads the other's tables
-        _assert_same_tables(*(ue.cross_database_scores(ScoreEngine(dbs, ring), "pic_hd") for _ in range(2)))
+        _assert_same_tables(*(ue.cross_database_scores(ScoreEngine(corpus, ring, SCHEME_XOR), "pic_hd")
+                              for _ in range(2)))
 
 
 class TestViewLattice:
@@ -274,7 +276,7 @@ def _testbed(scheme, subjects, samples, k, constant, seed):
     corpus = ue.generate_corpus(cfg)
     make = ue.KeyRing.constant_ring if constant else ue.KeyRing.generate
     ring = make(k, 128, seed + 1, block_size=16)
-    return (ScoreEngine(ue.generate_databases(corpus, ring, scheme), ring, allow_approximate_bloom=True),
+    return (ScoreEngine(corpus, ring, scheme, allow_approximate_bloom=True),
             lambda fn, pairs: _oracle(fn, scheme, ring, corpus, pairs))
 
 
@@ -314,10 +316,10 @@ class TestEngineMatchesPerTemplateFunctionsConstantKey(TestEngineMatchesPerTempl
 
 @pytest.mark.usefixtures("distance_blocks")
 class TestEngineHoldsNoPerBitDatabase:
-    """The engine keeps packed rows only: the per-bit databases are freed once
-    the caller drops them, and the inverted view, built later from the packed
-    rows, still scores as the pair-by-pair oracle.  In the 120-bit geometry
-    pack_rows pads every row but the 64-bit Bloom filters."""
+    """The engine keeps packed rows only, and the inverted view, built later
+    from the packed rows, still scores as the pair-by-pair oracle.  In the
+    120-bit geometry pack_rows pads every row but the 64-bit Bloom filters.
+    TestSyntheticEngine checks that the per-bit databases are freed."""
 
     SUBJECTS, SAMPLES, K = 4, 2, 3
 
@@ -330,12 +332,7 @@ class TestEngineHoldsNoPerBitDatabase:
                               intra_flip_rate=0.1, seed=5)
         corpus = ue.generate_corpus(cfg)
         ring = ue.KeyRing.generate(self.K, bits, 6, block_size, *bloom)
-        dbs = ue.generate_databases(corpus, ring, scheme)
-        engine = ScoreEngine(dbs, ring, allow_approximate_bloom=True)
-        per_bit = [weakref.ref(db.bits) for db in dbs]
-        del dbs
-        assert [ref() for ref in per_bit] == [None] * self.K
-
+        engine = ScoreEngine(corpus, ring, scheme, allow_approximate_bloom=True)
         pairs = _cross_key_pairs(n, S, self.K)
         for fn in ["reconstruction"] + (["permuted_xor"] if scheme == "block-remap" else []):
             # each function tallies its own tables, not those the other left in the memo
@@ -382,48 +379,64 @@ class TestSyntheticEngine:
 
 class TestEngineValidation:
     def test_needs_two_databases(self):
-        dbs, ring = _databases()
+        corpus, _ = _corpus_and_ring()
         with pytest.raises(InconsistentDatabasesError):
-            ScoreEngine(dbs[:1], ring)
+            ScoreEngine(corpus, ue.KeyRing.generate(1, 128, 2), SCHEME_XOR)
 
-    def test_rejects_mixed_schemes(self):
-        cfg = ue.CorpusConfig(n_subjects=2, samples_per_subject=2, template_bits=128,
-                              intra_flip_rate=0.1, seed=1)
-        corpus = ue.generate_corpus(cfg)
-        ring = ue.KeyRing.generate(2, 128, 2)
-        a = ue.generate_databases(corpus, ring, SCHEME_XOR)[0]
-        b = ue.generate_databases(corpus, ring, SCHEME_BLOOM)[1]
-        with pytest.raises(InconsistentDatabasesError):
-            ScoreEngine([a, b], ring)
+    @pytest.mark.parametrize("case", ["xor-salt", "block-remap", "bloom-filter", "none",
+                                      "one key", "other length", "unknown scheme"])
+    def test_protects_the_corpus_it_is_given(self, case):
+        """A corpus made by hand, whose samples differ though its config's
+        flip rate is 0, scores as the per-pair oracle on every scheme, with
+        every function the scheme supports, cross-key and same-key.  A ring
+        of one key, a ring built for another length and an unknown scheme
+        are refused."""
+        n, samples, k = 3, 2, 3
+        cfg = ue.CorpusConfig(n_subjects=n, samples_per_subject=samples, template_bits=128,
+                              intra_flip_rate=0.0, seed=0)
+        corpus = ue.RawCorpus(cfg, np.random.default_rng(77).integers(0, 2, (n, samples, 128), dtype=np.uint8))
+        ring = ue.KeyRing.generate(k, 128, 78, block_size=16)
+        refused = {"one key": (ue.KeyRing.generate(1, 128, 78), SCHEME_XOR, InconsistentDatabasesError,
+                               "at least 2 keys, got 1"),
+                   "other length": (ue.KeyRing.generate(k, 256, 78, block_size=16), SCHEME_XOR, LengthMismatchError,
+                                    "ring built for 256-bit templates, corpus has 128"),
+                   "unknown scheme": (ring, "rot13", InvalidConfigError, "unknown scheme 'rot13'")}
+        if case in refused:
+            other, scheme, error, message = refused[case]
+            with pytest.raises(error, match=message):
+                ScoreEngine(corpus, other, scheme)
+            return
+        engine = ScoreEngine(corpus, ring, case, allow_approximate_bloom=True)
+        for fn in [fn for scheme, fn in _SUPPORTED if scheme == case]:
+            tallies = ue.cross_database_scores(engine, fn), ue.same_key_scores(engine, fn)
+            for tables, sides in zip(tallies, (_cross_key_pairs(n, samples, k), _same_key_pairs(n, samples, k))):
+                _assert_counts_of(tables, *(_oracle(fn, case, ring, corpus, side) for side in sides))
 
-    def test_rejects_duplicate_key_ids(self):
-        cfg = ue.CorpusConfig(n_subjects=2, samples_per_subject=2, template_bits=128,
-                              intra_flip_rate=0.1, seed=1)
-        corpus = ue.generate_corpus(cfg)
-        ring = ue.KeyRing.generate(2, 128, 2)
-        a = ue.generate_databases(corpus, ring, SCHEME_XOR)[0]
-        with pytest.raises(InconsistentDatabasesError):
-            ScoreEngine([a, a], ring)
-
-    @pytest.mark.parametrize("kind,error", [("constant", "do not protect one corpus under the ring's keys"),
-                                            ("short", "outside a ring of 2 keys"),
-                                            ("other-length", "built for 256-bit templates")])
+    @pytest.mark.parametrize("kind,error,message", [
+        ("one key", InconsistentDatabasesError, "^cross-key comparison needs at least 2 keys, got 1$"),
+        ("longer ring", LengthMismatchError, "^ring built for 256-bit templates, corpus has 128$"),
+        ("shorter ring", LengthMismatchError, "^ring built for 64-bit templates, corpus has 128$"),
+    ])
     @pytest.mark.parametrize("scheme", ["xor-salt", "block-remap", "bloom-filter", "none"])
-    def test_rejects_a_ring_that_does_not_fit(self, scheme, kind, error):
-        """pic_hd groups key pairs by the ring's relative keys, and the
-        inverted views undo each database's key, so a ring that did not
-        protect the databases is refused.  The constant ring repeats the
-        databases' key 0.  `none` has no key, so any ring of its length fits
-        it and scores alike."""
-        dbs, ring = _databases(n_subjects=3, samples=2, k=4, scheme=scheme)
-        other = {"constant": ue.KeyRing.constant_ring(4, 128, 2, block_size=16),
-                 "short": ue.KeyRing.generate(2, 128, 2, block_size=16),
-                 "other-length": ue.KeyRing.generate(4, 256, 2, block_size=16)}[kind]
-        if scheme == "none" and kind == "constant":
-            _assert_same_tables(*(ue.cross_database_scores(ScoreEngine(dbs, r), "pic_hd") for r in (ring, other)))
-        else:
-            with pytest.raises(InconsistentDatabasesError, match=error):
-                ScoreEngine(dbs, other)
+    def test_refuses_a_ring_that_cannot_protect_the_corpus(self, scheme, kind, error, message):
+        """Every scheme refuses a ring of one key or of another template
+        length, `none` too, though its protection reads no key."""
+        corpus, _ = _corpus_and_ring(n_subjects=3, k=4)
+        ring = {"one key": ue.KeyRing.generate(1, 128, 2, block_size=16),
+                "longer ring": ue.KeyRing.generate(4, 256, 2, block_size=16),
+                "shorter ring": ue.KeyRing.generate(4, 64, 2, block_size=16)}[kind]
+        with pytest.raises(error, match=message):
+            ScoreEngine(corpus, ring, scheme)
+
+    @pytest.mark.parametrize("scheme", ["xor-salt", "bloom-filter", "none"])
+    def test_permuted_xor_needs_block_remapping(self, scheme):
+        """Only block re-mapping has the known structure that permuted_xor
+        aligns; every other scheme refuses it, and still scores pic_hd."""
+        engine = _engine(scheme, n_subjects=3, k=3)
+        with pytest.raises(InconsistentDatabasesError, match="permuted_xor needs a block-remapping scheme"):
+            ue.cross_database_scores(engine, "permuted_xor")
+        assert engine.scored == {}
+        assert ue.cross_database_scores(engine, "pic_hd").mated.counts.sum() == 3 * 3 * 4
 
     def test_unknown_function(self):
         with pytest.raises(InvalidConfigError):
@@ -832,7 +845,7 @@ class TestScoreEachComparisonOnce:
             assert written[0] == written[1]
 
     def test_sources_name_each_function(self):
-        engine = _engine(n_subjects=4, k=3, scheme="block-remap")
+        engine = _engine("block-remap", n_subjects=4, k=3)
         permuted = ue.cross_database_scores(engine, "permuted_xor")
         reconstruction = ue.cross_database_scores(engine, "reconstruction")
         assert len(engine.scored) == 1
@@ -867,7 +880,7 @@ class TestScoreEachKeyPairOnce:
             return real_kernel(*args)
 
         monkeypatch.setattr(kernels, "hamming_cross", kernel_spy)
-        engine = _engine(n_subjects=4, samples=2, k=6, scheme="block-remap", constant=constant)
+        engine = _engine("block-remap", n_subjects=4, samples=2, k=6, constant=constant)
         tables = scores_of(engine, fn)
         if written:
             ue.write_score_csv(tables, os.devnull)
@@ -910,10 +923,10 @@ class TestScoreEachKeyPairOnce:
         ring = dataclasses.replace(two, k=3, **{
             name: getattr(two, name)[[0, 1, 0]] for name in ("xor_masks", "block_perms", "bloom_keys")
         })
-        dbs = ue.generate_databases(ue.generate_corpus(cfg), ring, scheme)
+        corpus = ue.generate_corpus(cfg)
 
         def tables():
-            engine = ScoreEngine(dbs, ring, allow_approximate_bloom=True)
+            engine = ScoreEngine(corpus, ring, scheme, allow_approximate_bloom=True)
             return ue.cross_database_scores(engine, fn, non_mated_all_pairs=non_mated_all_pairs)
 
         grouped = tables()
@@ -938,8 +951,7 @@ class TestGroupedTalliesMatchUngrouped:
                               intra_flip_rate=0.1, seed=11)
         make = ue.KeyRing.constant_ring if constant else ue.KeyRing.generate
         ring = make(self.K, 128, 12, block_size=32, bloom_width=8, bloom_height=2)
-        return ScoreEngine(ue.generate_databases(ue.generate_corpus(cfg), ring, scheme), ring,
-                           allow_approximate_bloom=True)
+        return ScoreEngine(ue.generate_corpus(cfg), ring, scheme, allow_approximate_bloom=True)
 
     @pytest.mark.usefixtures("distance_blocks")
     @pytest.mark.parametrize("constant", [False, True], ids=["keys", "constant-key"])
@@ -974,9 +986,10 @@ class TestGroupedTalliesMatchUngrouped:
         cfg = ue.CorpusConfig(n_subjects=4, samples_per_subject=2, template_bits=bits,
                               intra_flip_rate=0.1, seed=5)
         ring = ue.KeyRing.generate(4, bits, 6, block_size, *bloom)
-        dbs = ue.generate_databases(ue.generate_corpus(cfg), ring, scheme)
-        engine = ScoreEngine(dbs, ring, allow_approximate_bloom=True)
-        inverted = engine.packed_inverted("reconstruction")
+        corpus = ue.generate_corpus(cfg)
+        engine = ScoreEngine(corpus, ring, scheme, allow_approximate_bloom=True)
+        inverted = engine.packed_inverted()
+        dbs = ue.generate_databases(corpus, ring, scheme)
         for db, words in zip(dbs, inverted):
             own = SCHEMES[scheme].invert(db.bits, ring, db.key_id)
             rows = kernels.pack_rows(own.reshape(-1, own.shape[-1])).reshape(4, 2, -1)
@@ -1054,29 +1067,28 @@ class TestScoreFilesHoldSortedOracleRows:
 class TestScoreFileMemory:
     def test_held_memory_grows_with_the_subjects_not_the_pairs(self):
         """Tallying pic_hd under block re-mapping, 45 distinct key pairs, and
-        writing its CSV.
+        writing its CSV.  The engine is built before tracing starts.
 
         Held at once, by the bound below: each scoring thread's buffers
         (the 576 KiB of hamming_cross, and one tile's, at most TILE_ROWS x
-        n pairs), the engine's packed rows and set-bit counts, the count
-        tables, and one 65,536-row block with its strings and text, which
-        with the per-tile temporaries stays under 8 MB.  That is linear in
-        n: from 250 to 500 subjects the pairs grow 4x, the held memory
-        about 2x.  The non-mated float64 scores alone would take 45 MB at
-        500.
+        n pairs), the count tables, and one 65,536-row block with its
+        strings and text, which with the per-tile temporaries stays under
+        8 MB.  That is linear in n: from 250 to 500 subjects the pairs grow
+        4x, the held memory by less than 2.5x.  The non-mated float64
+        scores alone would take 45 MB at 500.
         """
         workers = protocol._max_workers(45)
 
         def bound(n):
             threads = workers * (2**20 + kernels.TILE_ROWS * n * 40)
-            return threads + 10 * n * 4 * (1024 // 8 + 8) + 45 * 16 * n * 2 + 8 * 2**20
+            return threads + 45 * 16 * n * 2 + 8 * 2**20
 
         peaks = []
         for n in (250, 500):
-            dbs, ring = _databases(n_subjects=n, samples=4, bits=1024, k=10, seed=2, scheme="block-remap")
+            engine = _engine("block-remap", n_subjects=n, samples=4, bits=1024, k=10, seed=2)
             tracemalloc.start()
             try:
-                tables = ue.cross_database_scores(ScoreEngine(dbs, ring), "pic_hd")
+                tables = ue.cross_database_scores(engine, "pic_hd")
                 ue.write_score_csv(tables, os.devnull)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:

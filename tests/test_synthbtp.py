@@ -6,7 +6,6 @@ import pytest
 
 import unlinkeval as ue
 from unlinkeval.errors import (
-    InconsistentDatabasesError,
     InvalidConfigError,
     LengthMismatchError,
     NotDivisibleError,
@@ -195,26 +194,29 @@ def one_key_ring(template_bits, block_size=None, block_perm=(0,), xor_mask=None,
     )
 
 
-def engine_score(fn, t1, t2, scheme, ring=None, key_ids=(0, 1)):
-    """The score engine's fn on one pair: t1 under key_ids[0], t2 under key_ids[1].
+def zero_key_ring(template_bits, bloom_width=1, bloom_height=1):
+    """A ring of two identity keys: zero masks and Bloom keys, blocks in place."""
+    one = one_key_ring(template_bits, bloom_width=bloom_width, bloom_height=bloom_height)
+    return replace(one, k=2, **{name: np.repeat(getattr(one, name), 2, axis=0)
+                                for name in ("xor_masks", "block_perms", "bloom_keys")})
 
-    Without a ring, t1 and t2 are the protected templates.  With one, they
-    are raw: the two samples of one subject, protected under every key, as
-    the engine's databases protect one corpus.
+
+def engine_score(fn, t1, t2, scheme, ring=None, key_ids=(0, 1)):
+    """The score engine's fn on one pair of raw templates: t1 under key
+    key_ids[0] of the ring, t2 under key key_ids[1].
+
+    t1 and t2 are the two samples of each of two subjects, as the engine
+    protects one corpus under every key.  The default ring's two keys are
+    identities, so the engine compares t1 and t2 as they are.
     """
-    if ring is None:
-        dbs = [ProtectedDatabase(bits=np.asarray(t, dtype=np.uint8).reshape(1, 1, -1), key_id=k,
-                                 scheme=scheme, raw_bits=len(t))
-               for k, t in zip(key_ids, (t1, t2))]
-    else:
-        raw = np.stack([t1, t2]).astype(np.uint8)[None]
-        dbs = [ProtectedDatabase(bits=SCHEMES[scheme].protect(raw, ring, k), key_id=k, scheme=scheme,
-                                 raw_bits=raw.shape[-1])
-               for k in key_ids]
-    engine = ScoreEngine(dbs, ring)
+    raw = np.stack([t1, t2]).astype(np.uint8)
+    cfg = ue.CorpusConfig(n_subjects=2, samples_per_subject=2, template_bits=raw.shape[-1],
+                          intra_flip_rate=0.0, seed=0)
+    ring = zero_key_ring(raw.shape[-1]) if ring is None else ring
+    engine = ScoreEngine(ue.RawCorpus(cfg, np.stack([raw, raw])), ring, scheme)
     view = engine.view(fn)
-    samples = (np.zeros(1, int), np.full(1, int(ring is not None)))
-    [(_, dist, popsum)] = engine.same_subject(view, [0], [1], samples)
+    [(_, dist, popsum)] = engine.same_subject(view, key_ids[:1], key_ids[1:], (np.zeros(1, int), np.ones(1, int)))
+    # both subjects score the one pair
     [score] = view.table(np.bincount(view.cells(dist, popsum), minlength=view.size)).values
     return float(score)
 
@@ -265,8 +267,13 @@ class TestLinkageFunctions:
         assert engine_score("pic_hd", a, b, SCHEME_XOR) == pytest.approx(expected)
 
     def test_pic_hd_bloom_uses_dice_style_denominator(self):
+        # one block of w=2 columns of height h=2: columns 00,01 set filter
+        # bits 1100 and columns 00,10 set 1010 (LSB-first indexing)
+        ring = zero_key_ring(4, bloom_width=2, bloom_height=2)
+        raw1, raw2 = bits("0001"), bits("0010")
+        assert [list(BLOOM.protect(raw, ring, 0)) for raw in (raw1, raw2)] == [[1, 1, 0, 0], [1, 0, 1, 0]]
         # 2 differing bits over 2+2 set bits
-        assert engine_score("pic_hd", bits("1100"), bits("1010"), SCHEME_BLOOM) == pytest.approx(0.5)
+        assert engine_score("pic_hd", raw1, raw2, SCHEME_BLOOM, ring) == pytest.approx(0.5)
 
     def test_hamming_weight_difference(self):
         got = engine_score("hamming_weight", bits("1110"), bits("1000"), SCHEME_XOR)
@@ -289,16 +296,15 @@ class TestLinkageFunctions:
             assert np.array_equal(SCHEMES[scheme].invert(t, ring, 2), raw), scheme
 
     @staticmethod
-    def _bloom_databases(ring):
-        raw = (np.arange(512) % 2).astype(np.uint8).reshape(1, 1, -1)
-        return [ProtectedDatabase(bits=BLOOM.protect(raw, ring, k), key_id=k, scheme=SCHEME_BLOOM, raw_bits=512)
-                for k in (0, 1)]
+    def _bloom_engine(ring, **kwargs):
+        cfg = ue.CorpusConfig(n_subjects=2, samples_per_subject=2, template_bits=512, intra_flip_rate=0.1, seed=13)
+        return ScoreEngine(ue.generate_corpus(cfg), ring, SCHEME_BLOOM, **kwargs)
 
     def test_bloom_not_invertible_by_default(self):
         ring = ue.KeyRing.generate(4, 512, seed=13)
-        engine = ScoreEngine(self._bloom_databases(ring), ring)
+        engine = self._bloom_engine(ring)
         with pytest.raises(SchemeNotInvertibleError):
-            engine.packed_inverted("reconstruction")
+            engine.packed_inverted()
 
     def test_bloom_approximate_decode_is_opt_in(self):
         ring = ue.KeyRing.generate(4, 512, seed=13)
@@ -307,10 +313,10 @@ class TestLinkageFunctions:
         approx = BLOOM.invert(t, ring, 1)
         assert approx.shape == raw.shape
         assert approx.dtype == np.uint8
-        engine = ScoreEngine(self._bloom_databases(ring), ring, allow_approximate_bloom=True)
-        # two keys, each one subject's one sample, word-major
-        words = engine.packed_inverted("reconstruction")
-        assert words.shape[0] == 2 and words.shape[2:] == (1, 1)
+        engine = self._bloom_engine(ring, allow_approximate_bloom=True)
+        # four keys, each two subjects' two samples of 512 bits, word-major
+        words = engine.packed_inverted()
+        assert words.shape == (4, 8, 2, 2)
 
     def test_bloom_decode_hand_example(self):
         # one block, w=3 columns of height h=2: columns 01,11,01 hold the
@@ -443,12 +449,6 @@ SUPPORTED = [(scheme, fn) for scheme in (SCHEME_XOR, SCHEME_BLOCK, SCHEME_BLOOM,
              if fn != "permuted_xor" or scheme == SCHEME_BLOCK]
 
 
-def _corpus_and_ring(n_subjects=5, k=4, bits=128, seed=41):
-    cfg = ue.CorpusConfig(n_subjects=n_subjects, samples_per_subject=3, template_bits=bits,
-                          intra_flip_rate=0.1, seed=seed)
-    return ue.generate_corpus(cfg), ue.KeyRing.generate(k, bits, seed + 1, block_size=16)
-
-
 def _tables(engine, fn):
     """Every count table the engine gives fn: cross-key with each
     non-mated option and mated pairing, and same-key."""
@@ -457,53 +457,27 @@ def _tables(engine, fn):
             ] + [ue.same_key_scores(engine, fn)]
 
 
-class TestEngineFromAnIterator:
-    """ScoreEngine takes any iterable of databases, packs each as it arrives
-    and checks it as it did a list, with the same errors and messages."""
+class TestEngineOverAnyCorpusLayout:
+    """ScoreEngine protects whatever corpus it is given, so the layout of
+    the corpus bits in memory changes no table: a strided view, Fortran
+    order and negative strides score as the C-ordered corpus."""
 
-    @pytest.mark.parametrize("source", ["one-shot iterator", "generator", "protected_databases"])
+    @pytest.mark.parametrize("layout", ["strided view", "fortran order", "negative strides"])
     @pytest.mark.parametrize("scheme,fn", SUPPORTED)
-    def test_same_tables_as_from_a_list(self, scheme, fn, source):
-        corpus, ring = _corpus_and_ring()
-        listed = ue.generate_databases(corpus, ring, scheme)
-        databases = {"one-shot iterator": lambda: iter(listed),
-                     "generator": lambda: (db for db in listed),
-                     "protected_databases": lambda: ue.protected_databases(corpus, ring, scheme)}[source]()
-        engines = [ScoreEngine(dbs, ring, allow_approximate_bloom=True) for dbs in (listed, databases)]
-        assert engines[1].key_ids == engines[0].key_ids == list(range(4))
+    def test_same_tables_as_a_c_ordered_corpus(self, scheme, fn, layout):
+        cfg = ue.CorpusConfig(n_subjects=5, samples_per_subject=3, template_bits=128,
+                              intra_flip_rate=0.1, seed=41)
+        corpus = ue.generate_corpus(cfg)
+        ring = ue.KeyRing.generate(4, 128, 42, block_size=16)
+        laid_out = {"strided view": lambda b: np.repeat(b, 2, axis=2)[:, :, ::2],
+                    "fortran order": np.asfortranarray,
+                    "negative strides": lambda b: b[::-1, ::-1, ::-1].copy()[::-1, ::-1, ::-1]}[layout](corpus.bits)
+        assert np.array_equal(laid_out, corpus.bits) and not laid_out.flags.c_contiguous
+        engines = [ScoreEngine(raw, ring, scheme, allow_approximate_bloom=True)
+                   for raw in (corpus, ue.RawCorpus(cfg, laid_out))]
+        assert engines[1].k == engines[0].k == 4
         for got, expected in zip(*(_tables(engine, fn) for engine in engines)):
             for side in ("mated", "non_mated"):
                 a, b = getattr(got, side), getattr(expected, side)
                 assert np.array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
                 assert np.array_equal(a.counts, b.counts)
-
-    @pytest.mark.parametrize("case,message", [
-        ("one database", "cross-key comparison needs at least 2 databases, got 1"),
-        ("no database", "cross-key comparison needs at least 2 databases, got 0"),
-        ("other shape", "databases disagree on corpus shape or scheme"),
-        ("other scheme", "databases disagree on corpus shape or scheme"),
-        ("other raw length", "databases disagree on corpus shape or scheme"),
-        ("duplicate key id", "databases carry duplicate key ids"),
-        ("ring length", "key ring built for 256-bit templates, databases hold 128"),
-        ("key id outside the ring", "key ids [0, 1, 2, 7] outside a ring of 4 keys"),
-        ("not one corpus", "the databases do not protect one corpus under the ring's keys"),
-    ])
-    def test_validation_errors_from_a_generator(self, case, message):
-        corpus, ring = _corpus_and_ring()
-        dbs = ue.generate_databases(corpus, ring, SCHEME_XOR)
-        other_corpus, _ = _corpus_and_ring(seed=43)
-        change = {
-            "one database": lambda: dbs[:1],
-            "no database": lambda: [],
-            "other shape": lambda: [*dbs[:3], replace(dbs[3], bits=dbs[3].bits[:4])],
-            "other scheme": lambda: [*dbs[:3], replace(dbs[3], scheme=SCHEME_NONE)],
-            "other raw length": lambda: [*dbs[:3], replace(dbs[3], raw_bits=64)],
-            "duplicate key id": lambda: [*dbs[:3], replace(dbs[3], key_id=1)],
-            "key id outside the ring": lambda: [*dbs[:3], replace(dbs[3], key_id=7)],
-            "not one corpus": lambda: [*dbs[:3], ue.generate_databases(other_corpus, ring, SCHEME_XOR)[3]],
-        }
-        databases = change.get(case, lambda: dbs)()
-        if case == "ring length":
-            ring = ue.KeyRing.generate(4, 256, seed=42, block_size=16)
-        with pytest.raises(InconsistentDatabasesError, match=f"^{re.escape(message)}$"):
-            ScoreEngine((db for db in databases), ring)
