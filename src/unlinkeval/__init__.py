@@ -50,8 +50,6 @@ from .synthbtp import (
     KeyRing,
     RawCorpus,
     generate_corpus,
-    generate_databases,
-    protected_databases,
 )
 
 __version__ = "0.1.0"
@@ -82,14 +80,12 @@ __all__ = [
     "evaluate_densities",
     "evaluate_density",
     "generate_corpus",
-    "generate_databases",
     "global_linkability",
     "kl_divergence",
     "likelihood_ratio",
     "load_score_set",
     "local_linkability",
     "omega_from_enrollment",
-    "protected_databases",
     "rtmr_curve",
     "run_protocol",
     "same_key_scores",

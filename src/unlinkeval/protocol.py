@@ -8,13 +8,14 @@ the most effective linkage function an adversary could field.  Baseline
 accuracy metrics (DET/EER families, KL) are computed from the same scores
 so their verdicts can be compared directly against the global measure.
 
-cross_database_scores and same_key_scores take one ScoreEngine, which
-protects one corpus under each of the K keys and packs the databases once,
-and tally its scores into count tables as their distance blocks are
-computed.  Every statistic of the report, the Gaussian KDE included, reads
-only the count tables, and every score file (with out_dir, and in
-`unlink-eval synth`) is written from them, each side in ascending order.
-Score files given as input (score_files) are tallied as they are read.
+cross_database_scores and same_key_scores take one ScoreEngine, whose
+build (generate_databases) protects one corpus under each of the K keys,
+one key at a time, and packs each database once; they tally its scores
+into count tables as their distance blocks are computed.  Every statistic
+of the report, the Gaussian KDE included, reads only the count tables,
+and every score file (with out_dir, and in `unlink-eval synth`) is
+written from them, each side in ascending order.  Score files given as
+input (score_files) are tallied as they are read.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .errors import (
     InconsistentDatabasesError,
     InvalidConfigError,
     KeyCountWarning,
+    LengthMismatchError,
     SchemeNotInvertibleError,
     check_bool,
     check_int,
@@ -59,12 +61,7 @@ from .scores import (
     load_score_set,
     sorted_distinct,
 )
-from .synthbtp import CorpusConfig, KeyRing, RawCorpus, generate_corpus, protected_databases, scheme_named
-
-# Not called here (the engine protects through protected_databases), but
-# kept as a name of this module: the benchmark's tracer in perfbench/spans.py
-# wraps it.
-from .synthbtp import generate_databases  # noqa: F401
+from .synthbtp import CorpusConfig, KeyRing, RawCorpus, generate_corpus, scheme_named
 
 SCHEMA_VERSION = 1
 
@@ -305,17 +302,50 @@ class _View:
 INVERT_BYTES = 1 << 22
 
 
+def _word_major(rows: np.ndarray, n: int, samples: int):
+    """Packed rows of n subjects' samples, subject-major (row i S + s), as a
+    (W, S, n) view, the layout hamming_cross reads, and their set-bit counts
+    as (S, n): sample s of subject i sits at [..., s, i]."""
+    return rows.reshape(n, samples, -1).transpose(2, 1, 0), kernels.popcount_rows(rows).reshape(n, samples).T
+
+
+def generate_databases(corpus: RawCorpus, ring: KeyRing, scheme: str):
+    """The score engine's build: the corpus protected under each key of the ring, packed.
+
+    Returns the packed rows word-major (K, W, S, n), their set-bit counts
+    (K, S, n) and the protected length.  The scheme, the ring's length and
+    its key count are checked before any key is protected.  Each key's
+    database is packed into rows allocated once and dropped before the
+    next key's is made, so the build holds the corpus, one per-bit
+    database and the packed rows.
+    """
+    protection = scheme_named(scheme)
+    n, samples, raw_length = corpus.bits.shape
+    if ring.template_bits != raw_length:
+        raise LengthMismatchError(f"ring built for {ring.template_bits}-bit templates, corpus has {raw_length}")
+    if ring.k < 2:
+        raise InconsistentDatabasesError(f"cross-key comparison needs at least 2 keys, got {ring.k}")
+    pops = np.empty((ring.k, samples, n), dtype=np.int64)
+    for key in range(ring.k):
+        bits = protection.protect(corpus.bits, ring, key)
+        length, rows = bits.shape[-1], kernels.pack_rows(bits.reshape(n * samples, -1))
+        # gone before the next key's database is made
+        del bits
+        if key == 0:
+            packed = np.empty((ring.k, rows.shape[1], samples, n), dtype=np.uint64)
+        packed[key], pops[key] = _word_major(rows, n, samples)
+    return packed, pops, length
+
+
 class ScoreEngine:
     """One corpus protected under each key of the ring, packed once, and
     what each linkage function compares of it.
 
-    The engine protects the corpus itself, one key at a time
-    (synthbtp.protected_databases), so its K databases are one corpus, each
-    under its own key of the ring, by construction; a key's id is its index
-    in the ring.  It packs each database into preallocated rows, word-major
-    (K, W, S, n), and set-bit counts (K, S, n), and drops the database
-    before the next key is protected: the build holds the corpus, one
-    per-bit database and the packed rows.  view(function) is the _View of a
+    The engine protects the corpus itself (generate_databases), so its K
+    databases are one corpus, each under its own key of the ring, by
+    construction; a key's id is its index in the ring.  It holds them as
+    packed rows, word-major (K, W, S, n), and set-bit counts (K, S, n),
+    and no per-bit database.  view(function) is the _View of a
     function; same_subject and distinct_subjects yield a view's distances
     block by block for the key pairs that pair_groups leaves.  The ring
     undoes the protection (permuted_xor, reconstruction) and gives the
@@ -326,37 +356,15 @@ class ScoreEngine:
     """
 
     def __init__(self, corpus: RawCorpus, ring: KeyRing, scheme: str, allow_approximate_bloom: bool = False):
-        # checks the scheme and the ring's length before any key is protected
-        databases = protected_databases(corpus, ring, scheme)
+        self.packed, self.pops, self.protected_length = generate_databases(corpus, ring, scheme)
         self.ring, self.k, self.scheme = ring, ring.k, scheme_named(scheme)
-        if self.k < 2:
-            raise InconsistentDatabasesError(f"cross-key comparison needs at least 2 keys, got {self.k}")
         self.n_subjects, self.samples, self.raw_length = corpus.bits.shape
-        # no enumerate: its reused result tuple would keep each database alive
-        # while the generator makes the next
-        for db in databases:
-            rows = kernels.pack_rows(db.bits.reshape(-1, db.bits.shape[-1]))
-            if db.key_id == 0:
-                self.protected_length = db.bits.shape[-1]
-                self.packed = np.empty((self.k, rows.shape[1], self.samples, self.n_subjects), dtype=np.uint64)
-                self.pops = np.empty((self.k, self.samples, self.n_subjects), dtype=np.int64)
-            self.packed[db.key_id], self.pops[db.key_id] = self._word_major(rows)
-            # free this database before the generator makes the next
-            del db
-
         # the inverted view is built on first use so that a scheme that
         # cannot be inverted only fails the function that needs it
         self._allow_approximate_bloom = allow_approximate_bloom
         self._packed_inverted = None
         self._inverted_pops = None
         self.scored: dict = {}
-
-    def _word_major(self, rows: np.ndarray):
-        """Packed rows, subject-major (row i S + s), as a (W, S, n) view, the
-        layout hamming_cross reads, and their set-bit counts as (S, n):
-        sample s of subject i sits at [..., s, i]."""
-        n, samples = self.n_subjects, self.samples
-        return rows.reshape(n, samples, -1).transpose(2, 1, 0), kernels.popcount_rows(rows).reshape(n, samples).T
 
     def packed_inverted(self) -> np.ndarray:
         """Every template with its protection undone under its own key.
@@ -381,7 +389,7 @@ class ScoreEngine:
                 block = self.packed[0][:, :, lo : lo + step].transpose(2, 1, 0).reshape(-1, words)
                 rows[lo * samples : (lo + step) * samples] = kernels.pack_rows(self.scheme.invert(
                     kernels.unpack_rows(block, self.protected_length), self.ring, 0))
-            packed, pops = (np.ascontiguousarray(a) for a in self._word_major(rows))
+            packed, pops = (np.ascontiguousarray(a) for a in _word_major(rows, self.n_subjects, samples))
             self._inverted_pops = np.broadcast_to(pops, (self.k, *pops.shape))
             self._packed_inverted = np.broadcast_to(packed, (self.k, *packed.shape))
         return self._packed_inverted

@@ -13,14 +13,12 @@ protocol's score engine.  Everything is deterministic given the seed.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (
     InvalidConfigError,
-    LengthMismatchError,
     NotDivisibleError,
     ShapeMismatchError,
     check_int,
@@ -59,12 +57,16 @@ class CorpusConfig:
 
 @dataclass(frozen=True)
 class RawCorpus:
-    """Unprotected sample bits, indexed [subject, sample, bit]."""
+    """Unprotected sample bits, indexed [subject, sample, bit]: 0/1, uint8 or bool."""
 
     config: CorpusConfig
     bits: np.ndarray
 
     def __post_init__(self):
+        # every scheme and the packed scores read each value as one bit
+        kind = getattr(self.bits, "dtype", type(self.bits).__name__)
+        if kind not in (np.uint8, np.bool_):
+            raise InvalidConfigError(f"corpus bits must be a uint8 or bool array, got {kind}")
         expected = (
             self.config.n_subjects,
             self.config.samples_per_subject,
@@ -72,6 +74,8 @@ class RawCorpus:
         )
         if self.bits.shape != expected:
             raise ShapeMismatchError(f"corpus bits shape {self.bits.shape}, expected {expected}")
+        if self.bits.dtype == np.uint8 and self.bits.max() > 1:
+            raise InvalidConfigError(f"corpus bits must be 0 or 1, found {self.bits.max()}")
         self.bits.setflags(write=False)
 
 
@@ -113,7 +117,6 @@ class KeyRing:
     block_perms: np.ndarray
     bloom_keys: np.ndarray
     seed: int
-    constant: bool = False
 
     def __post_init__(self):
         for arr in (self.xor_masks, self.block_perms, self.bloom_keys):
@@ -158,7 +161,7 @@ class KeyRing:
         """
         one = cls.generate(1, *args, **kwargs)
         k = check_int("k", k, 1)
-        return replace(one, k=k, constant=True, **{
+        return replace(one, k=k, **{
             each.keys: np.repeat(getattr(one, each.keys), k, axis=0) for each in SCHEMES.values() if each.keys
         })
 
@@ -368,38 +371,3 @@ def scheme_named(name) -> Scheme:
     if isinstance(name, str) and name in SCHEMES:
         return SCHEMES[name]
     raise InvalidConfigError(f"unknown scheme {name!r}")
-
-
-@dataclass(frozen=True)
-class ProtectedDatabase:
-    """One corpus protected under one key, indexed [subject, sample, bit]."""
-
-    bits: np.ndarray
-    key_id: int
-    scheme: str
-    raw_bits: int
-
-    def __post_init__(self):
-        self.bits.setflags(write=False)
-
-
-def protected_databases(corpus: RawCorpus, ring: KeyRing, scheme: str) -> Iterator[ProtectedDatabase]:
-    """One protected database per key in the ring, key 0 first, each protected as it is taken.
-
-    The scheme and the ring's length are checked at once.  The iterator
-    holds the corpus until it is exhausted, and no database it has yielded,
-    so a consumer that drops each database before taking the next holds
-    the corpus and one database at a time.
-    """
-    protection = scheme_named(scheme)
-    if ring.template_bits != corpus.config.template_bits:
-        raise LengthMismatchError(
-            f"ring built for {ring.template_bits}-bit templates, corpus has {corpus.config.template_bits}"
-        )
-    return (ProtectedDatabase(bits=protection.protect(corpus.bits, ring, key_id), key_id=key_id, scheme=scheme,
-                              raw_bits=ring.template_bits) for key_id in range(ring.k))
-
-
-def generate_databases(corpus: RawCorpus, ring: KeyRing, scheme: str) -> list[ProtectedDatabase]:
-    """One protected database per key in the ring: protected_databases, all held at once."""
-    return list(protected_databases(corpus, ring, scheme))

@@ -120,12 +120,12 @@ class TestScoreValues:
         corpus, ring = _corpus_and_ring(n_subjects=2, samples=2, k=2, bits=64)
         s = ue.cross_database_scores(ScoreEngine(corpus, ring, SCHEME_XOR), "pic_hd",
                                      mated_pairing=PAIRING_DISTINCT_SAMPLES, non_mated_all_pairs=True)
-        dbs = ue.generate_databases(corpus, ring, SCHEME_XOR)
+        dbs = [SCHEMES[SCHEME_XOR].protect(corpus.bits, ring, k) for k in range(2)]
         # template pair (subject, sample 0, key 0) vs (subject, sample 1, key 1)
         expected = []
         for subj in range(2):
-            a = dbs[0].bits[subj, 0]
-            b = dbs[1].bits[subj, 1]
+            a = dbs[0][subj, 0]
+            b = dbs[1][subj, 1]
             expected.append(np.mean(a != b))
         assert _scores_of(s.mated).tolist() == pytest.approx(sorted(expected))
 
@@ -375,6 +375,24 @@ class TestSyntheticEngine:
         assert engine.k == 3 and len(corpus) == 1 and len(per_bit) == 3
         assert alive == [1, 1, 1]
         assert [ref() for ref in corpus + per_bit] == [None] * 4
+
+    def test_builds_through_generate_databases_once(self, monkeypatch):
+        """Each build protects and packs in one call of
+        protocol.generate_databases, looked up by name at the call, with
+        the engine's ring: the stage a tracer wrapping that name times."""
+        calls = []
+        real = protocol.generate_databases
+
+        def spy(corpus, ring, scheme):
+            calls.append(ring)
+            return real(corpus, ring, scheme)
+
+        monkeypatch.setattr(protocol, "generate_databases", spy)
+        cfg = ue.CorpusConfig(n_subjects=4, samples_per_subject=2, template_bits=128,
+                              intra_flip_rate=0.1, seed=5)
+        for k, scheme in [(3, "block-remap"), (4, "bloom-filter")]:
+            engine = synthetic_engine(cfg, k, scheme, block_size=16)
+            assert len(calls) == 1 and calls.pop() is engine.ring and engine.k == k
 
 
 class TestEngineValidation:
@@ -989,9 +1007,8 @@ class TestGroupedTalliesMatchUngrouped:
         corpus = ue.generate_corpus(cfg)
         engine = ScoreEngine(corpus, ring, scheme, allow_approximate_bloom=True)
         inverted = engine.packed_inverted()
-        dbs = ue.generate_databases(corpus, ring, scheme)
-        for db, words in zip(dbs, inverted):
-            own = SCHEMES[scheme].invert(db.bits, ring, db.key_id)
+        for key, words in enumerate(inverted):
+            own = SCHEMES[scheme].invert(SCHEMES[scheme].protect(corpus.bits, ring, key), ring, key)
             rows = kernels.pack_rows(own.reshape(-1, own.shape[-1])).reshape(4, 2, -1)
             assert np.array_equal(rows.transpose(2, 1, 0), words)
 

@@ -7,7 +7,6 @@ import pytest
 import unlinkeval as ue
 from unlinkeval.errors import (
     InvalidConfigError,
-    LengthMismatchError,
     NotDivisibleError,
     SchemeNotInvertibleError,
 )
@@ -18,7 +17,6 @@ from unlinkeval.synthbtp import (
     SCHEME_NONE,
     SCHEME_XOR,
     SCHEMES,
-    ProtectedDatabase,
 )
 
 XOR, BLOCK, BLOOM = (SCHEMES[name] for name in (SCHEME_XOR, SCHEME_BLOCK, SCHEME_BLOOM))
@@ -101,7 +99,6 @@ class TestKeyRing:
 
     def test_constant_ring_repeats_one_key(self):
         ring = ue.KeyRing.constant_ring(5, 256, seed=3)
-        assert ring.constant
         for i in range(1, 5):
             assert np.array_equal(ring.xor_masks[0], ring.xor_masks[i])
 
@@ -401,46 +398,15 @@ class TestProtectCorpus:
         # direction of the re-mapping shows
         ring = ue.KeyRing.generate(4, 256, seed=22, block_size=16)
         for scheme in (SCHEME_XOR, SCHEME_BLOCK, SCHEME_BLOOM, SCHEME_NONE):
-            db = ue.generate_databases(corpus, ring, scheme)[1]
+            db = SCHEMES[scheme].protect(corpus.bits, ring, 1)
             for subj in range(3):
                 for samp in range(2):
                     single = self._protect_one(corpus.bits[subj, samp], ring, 1, scheme)
-                    row = db.bits[subj, samp]
+                    row = db[subj, samp]
                     assert np.array_equal(row, single), scheme
             if scheme != SCHEME_BLOOM:
                 restored = SCHEMES[scheme].invert(SCHEMES[scheme].protect(corpus.bits, ring, 1), ring, 1)
                 assert np.array_equal(restored, corpus.bits), scheme
-
-    def test_databases_one_per_key(self):
-        cfg = ue.CorpusConfig(n_subjects=2, samples_per_subject=2, template_bits=256,
-                              intra_flip_rate=0.1, seed=31)
-        corpus = ue.generate_corpus(cfg)
-        ring = ue.KeyRing.generate(3, 256, seed=32)
-        dbs = ue.generate_databases(corpus, ring, SCHEME_XOR)
-        assert [db.key_id for db in dbs] == [0, 1, 2]
-        assert all(isinstance(db, ProtectedDatabase) for db in dbs)
-
-    def test_protected_databases_are_made_as_they_are_taken(self, monkeypatch):
-        """protected_databases checks the ring at once and protects each key
-        only when its database is taken; generate_databases is its list."""
-        cfg = ue.CorpusConfig(n_subjects=2, samples_per_subject=2, template_bits=256,
-                              intra_flip_rate=0.1, seed=31)
-        corpus = ue.generate_corpus(cfg)
-        ring = ue.KeyRing.generate(3, 256, seed=32)
-        with pytest.raises(LengthMismatchError, match="ring built for 128-bit templates"):
-            ue.protected_databases(corpus, ue.KeyRing.generate(3, 128, seed=32, block_size=16), SCHEME_XOR)
-        with pytest.raises(InvalidConfigError, match="unknown scheme"):
-            ue.protected_databases(corpus, ring, "rot13")
-        protected = []
-        real = type(XOR).protect
-        monkeypatch.setattr(type(XOR), "protect", lambda self, *args: protected.append(args[2]) or real(self, *args))
-        databases = ue.protected_databases(corpus, ring, SCHEME_XOR)
-        assert protected == []
-        assert next(databases).key_id == 0 and protected == [0]
-        rest = list(databases)
-        assert [db.key_id for db in rest] == [1, 2] and protected == [0, 1, 2]
-        for db, listed in zip(rest, ue.generate_databases(corpus, ring, SCHEME_XOR)[1:]):
-            assert np.array_equal(db.bits, listed.bits) and db.key_id == listed.key_id
 
 
 # every linkage function each scheme supports
@@ -481,3 +447,27 @@ class TestEngineOverAnyCorpusLayout:
                 a, b = getattr(got, side), getattr(expected, side)
                 assert np.array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
                 assert np.array_equal(a.counts, b.counts)
+
+
+class TestCorpusBits:
+    """A corpus holds 0/1 bits, as uint8 or bool.  Any other value or type
+    is refused where the corpus is made, so no scheme scores it: unchecked,
+    twice the bits give XOR salting wrong tables and Bloom filters an
+    IndexError, and float bits a TypeError."""
+
+    @pytest.mark.parametrize("scheme", [SCHEME_XOR, SCHEME_BLOCK, SCHEME_BLOOM, SCHEME_NONE])
+    def test_only_zero_one_bits_reach_the_engine(self, scheme):
+        cfg = ue.CorpusConfig(n_subjects=6, samples_per_subject=2, template_bits=128,
+                              intra_flip_rate=0.1, seed=51)
+        corpus = ue.generate_corpus(cfg)
+        ring = ue.KeyRing.generate(3, 128, 52, block_size=16)
+        for bad, message in [(2 * corpus.bits, "^corpus bits must be 0 or 1, found 2$"),
+                             (corpus.bits.astype(np.float64), "^corpus bits must be a uint8 or bool array, got float64$"),
+                             (corpus.bits.astype(np.int64), "got int64$"),
+                             (corpus.bits.tolist(), "got list$")]:
+            with pytest.raises(InvalidConfigError, match=message):
+                ScoreEngine(ue.RawCorpus(cfg, bad), ring, scheme)
+        engines = [ScoreEngine(raw, ring, scheme, allow_approximate_bloom=True)
+                   for raw in (corpus, ue.RawCorpus(cfg, corpus.bits.astype(bool)))]
+        for got, expected in zip(*((e.packed, e.pops, e.packed_inverted()) for e in engines)):
+            assert np.array_equal(got, expected)

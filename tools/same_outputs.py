@@ -9,6 +9,8 @@ directory:
 - `protocol` for every scheme, with every linkage function the scheme
   supports and an out_dir (report.json, score CSVs, SVGs);
 - `protocol` with distinct-samples mated pairs and non_mated_all_pairs;
+- `protocol` on XOR salting at 120 bits, with every linkage function it
+  supports: the only templates whose packed rows end in a padded word;
 - `protocol` on block re-mapping with every linkage function and
   constant_key, and `synth --constant-key` on Bloom filters: one key
   repeated K times, whose key pairs all share the identity relative key;
@@ -47,6 +49,9 @@ GEOMETRY = {"k": 10, "block_size": 16, "bloom_width": 16, "bloom_height": 4}
 # of XOR-popcount) reaches protocol.THREAD_MIN_WORDS and is split over the
 # host's cores, where every other pass runs on the calling thread
 ALL_PAIRS_CORPUS = dict(CORPUS, n_subjects=40, template_bits=1024)
+# not a multiple of 64 bits, so packing pads every row and the inverted
+# view is unpacked from, and packed into, padded words
+PADDED_CORPUS = dict(CORPUS, template_bits=120)
 
 # scheme: (its synth name, the linkage functions it supports)
 SCHEMES = {
@@ -93,6 +98,9 @@ def commands() -> list:
     config = {"linkage_functions": SCHEMES["block-remap"][1], "scheme": "block-remap", "corpus": ALL_PAIRS_CORPUS,
               "out_dir": "out", "mated_pairing": "distinct-samples", "non_mated_all_pairs": True, **GEOMETRY}
     runs.append(("protocol-all-pairs", write_config(config), ["protocol", "config.json"]))
+    config = {"linkage_functions": SCHEMES["xor-salt"][1], "scheme": "xor-salt", "corpus": PADDED_CORPUS,
+              "out_dir": "out", **GEOMETRY}
+    runs.append(("protocol-padded-words", write_config(config), ["protocol", "config.json"]))
     config = {"linkage_functions": SCHEMES["block-remap"][1], "scheme": "block-remap", "corpus": CORPUS,
               "out_dir": "out", "constant_key": True, **GEOMETRY}
     runs.append(("protocol-constant-key", write_config(config), ["protocol", "config.json"]))
