@@ -405,7 +405,7 @@ class TestProtectCorpus:
                     row = db[subj, samp]
                     assert np.array_equal(row, single), scheme
             if scheme != SCHEME_BLOOM:
-                restored = SCHEMES[scheme].invert(SCHEMES[scheme].protect(corpus.bits, ring, 1), ring, 1)
+                restored = SCHEMES[scheme].invert(db, ring, 1)
                 assert np.array_equal(restored, corpus.bits), scheme
 
 
